@@ -1,9 +1,17 @@
 """Exact cohomology of line bundles on smooth complete toric surfaces.
 
-h0 counts the lattice points of the divisor polytope {m : <m, v_e> >= -c_e},
-h2 comes from duality as h0 of the adjoint-twisted dual divisor, and h1 is
-filled in from the Euler characteristic.  All arithmetic is integral; numpy
-is used only for the bounding-box scan.
+h0 counts the lattice points of the divisor polytope {m : <m, v_e> >= -c_e}
+without enumerating them.  Facet e of the polytope has lattice length
+l_e = D.D_e = a_e c_e + c_{e-1} + c_{e+1}.  While some l_e < 0 the divisor
+D_e lies in the base locus (a_e < 0; lowering c_e keeps h0) or is a nef curve
+D meets negatively (a_e >= 0; D is not effective).  Once every l_e >= 0, D is
+nef, its higher cohomology vanishes and h0 = chi(D) (Fulton, Introduction to
+Toric Varieties, ch. 3).  Each lowering strictly decreases D.H for a fixed
+ample H, and an effective D has D.H >= 0, so the loop ends.
+
+h2 comes from duality as h0 of K - D, and h1 from the Euler characteristic.
+All arithmetic is on Python integers, and the cost grows with the size of
+the coefficients, not with the area of the polytope.
 """
 
 from __future__ import annotations
@@ -11,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .grothendieck import picard
-from .intlinalg import solve2
-from .lattice_fan import Fan
+from .lattice_fan import Fan, FanError, self_intersections
 
 __all__ = ["CohomologyVector", "line_bundle_cohomology", "ext_line_bundles", "h0"]
 
@@ -34,56 +38,91 @@ class CohomologyVector:
         return self.h0 - self.h1 + self.h2
 
 
-@lru_cache(maxsize=None)
-def _ray_matrix(fan: Fan) -> np.ndarray:
-    return np.array(fan.rays, dtype=np.int64)
+@lru_cache(maxsize=256)
+def _ample_weights(fan: Fan) -> tuple[int, ...]:
+    """Degrees H.D_e of an ample divisor H, built from the self-intersections.
 
-
-def _polytope_vertices(fan: Fan, coeffs) -> list[tuple[int, int]]:
-    """Candidate vertices: one per maximal cone, from its two ray equalities."""
+    Blow down (-1)-curves on the self-intersection sequence (delete a -1,
+    raise both neighbours by one) until P2 or F(a) with a != 1 remains.
+    There H is a line, or the positive section plus a fibre.  Each blow-up
+    on the way back replaces H by 2 pi^*H - E, which stays ample: the new
+    ray gets 2(c_left + c_right) - 1 and every old coefficient doubles.
+    """
+    a = self_intersections(fan)
+    seq = list(a)
+    removed = []
+    while len(seq) > 4 or (len(seq) == 4 and -1 in seq):
+        p = seq.index(-1)
+        seq[p - 1] += 1
+        seq[(p + 1) % len(seq)] += 1
+        del seq[p]
+        removed.append(p)
+    if len(seq) == 3:
+        h = [1, 0, 0]
+    else:
+        p = seq.index(max(seq))
+        h = [0] * 4
+        h[p] = h[(p + 1) % 4] = 1
+    for p in reversed(removed):
+        left, right = h[p - 1], h[p % len(h)]
+        h = [2 * x for x in h]
+        h.insert(p, 2 * (left + right) - 1)
     n = fan.n
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        m = solve2(fan.rays[i], fan.rays[j], (-coeffs[i], -coeffs[j]))
-        out.append(m)
-    return out
+    weights = tuple(a[i] * h[i] + h[i - 1] + h[(i + 1) % n] for i in range(n))
+    if min(weights) <= 0:
+        raise FanError(f"divisor {h} is not ample on {fan}: degrees {weights}")
+    return weights
+
+
+def _chi(a, c) -> int:
+    """chi(D) = 1 + (D.D - K.D)/2 from the ray coefficients, in O(n).
+
+    D.D = sum a_i c_i^2 + 2 sum c_i c_{i-1} and -K.D = sum (a_i + 2) c_i.
+    """
+    twice = 0
+    prev = c[-1]
+    for ai, x in zip(a, c):
+        twice += x * (ai * x + 2 * prev + ai + 2)
+        prev = x
+    return 1 + twice // 2
 
 
 def h0(fan: Fan, coeffs) -> int:
     """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
-    return _h0_cached(fan, tuple(int(c) for c in coeffs))
-
-
-@lru_cache(maxsize=1 << 17)
-def _h0_cached(fan: Fan, coeffs: tuple[int, ...]) -> int:
-    verts = _polytope_vertices(fan, coeffs)
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x0 > x1 or y0 > y1:
+    c = [int(x) for x in coeffs]
+    n = len(c)
+    if n != fan.n:
+        raise ValueError(f"expected {fan.n} coefficients")
+    a = self_intersections(fan)
+    weights = _ample_weights(fan)
+    degree = sum(w * x for w, x in zip(weights, c))  # D.H
+    if degree < 0:
         return 0
-    gx, gy = np.meshgrid(
-        np.arange(x0, x1 + 1, dtype=np.int64),
-        np.arange(y0, y1 + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    pairing = pts @ _ray_matrix(fan).T
-    mask = (pairing >= -np.array(coeffs, dtype=np.int64)).all(axis=1)
-    return int(mask.sum())
+    i = clean = 0
+    while clean < n:
+        length = a[i] * c[i] + c[i - 1] + c[(i + 1) % n]
+        if length >= 0:
+            clean += 1
+        elif a[i] >= 0:
+            return 0
+        else:
+            k = -(length // -a[i])  # least k with length - k a_i >= 0
+            c[i] -= k
+            degree -= k * weights[i]
+            if degree < 0:
+                return 0
+            clean = 1
+        i = (i + 1) % n
+    return _chi(a, c)
 
 
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     """Exact (h0, h1, h2) of O(D) for D = sum(c_e D_e) over the split field."""
     coeffs = tuple(int(c) for c in coeffs)
-    lat = picard(fan)
-    coords = lat.divisor_coords(coeffs)
-    chi = lat.chi(coords)
-    dim0 = h0(fan, coeffs)
+    dim0 = h0(fan, coeffs)  # checks the number of coefficients
     dual = tuple(-1 - c for c in coeffs)  # adjoint divisor minus D
     dim2 = h0(fan, dual)
+    chi = _chi(self_intersections(fan), coeffs)
     dim1 = dim0 + dim2 - chi
     if dim1 < 0:
         raise ArithmeticError(

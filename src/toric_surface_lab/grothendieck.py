@@ -114,11 +114,18 @@ class PicardLattice:
         )
 
     def pair(self, d1, d2) -> int:
-        return sum(
-            d1[i] * d2[j] * self.gram[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        """Intersection number d1.d2, in O(rank).
+
+        The basis rays D_2..D_{N-1} are consecutive, adjacent ray divisors
+        meet once and others not at all, so the Gram matrix is tridiagonal
+        with ones beside the diagonal; only that band is summed.
+        """
+        total = x0 = y0 = 0
+        for i, row in enumerate(self.gram):
+            x, y = d1[i], d2[i]
+            total += x * (row[i] * y + y0) + x0 * y
+            x0, y0 = x, y
+        return total
 
     def chi(self, coords) -> int:
         """Euler characteristic of a line bundle with the given class."""
@@ -128,7 +135,7 @@ class PicardLattice:
         return 1 + num // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def picard(fan: Fan) -> PicardLattice:
     """Picard lattice with intersection form, from the imaging of characters.
 

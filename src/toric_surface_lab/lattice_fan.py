@@ -153,7 +153,7 @@ def validate_fan(raw_rays) -> Fan:
     return Fan(tuple(rays[first:] + rays[:first]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def self_intersections(fan: Fan) -> tuple[int, ...]:
     """Self-intersection numbers a_i of the ray divisors.
 

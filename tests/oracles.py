@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from toric_surface_lab.intlinalg import mat_apply, unimodular_matrices
+from toric_surface_lab.intlinalg import mat_apply, solve2, unimodular_matrices
 from toric_surface_lab.lattice_fan import Fan
 from toric_surface_lab.symmetry import IDENTITY, mat_mul
 
@@ -120,6 +120,35 @@ def _pattern_cohomology(n: int, violated: tuple[bool, ...]) -> tuple[int, int, i
     h1 = len(active1) - r1 - r0
     h2 = comb(n, 3) - r2 - r1
     return (h0, h1, h2)
+
+
+def box_h0(fan: Fan, coeffs) -> int:
+    """Brute-force h0: count the lattice points of the divisor polytope.
+
+    Scans the bounding box of the candidate vertices (one per maximal cone,
+    from its two ray equalities), so time and memory grow with the area.
+    """
+    coeffs = tuple(int(c) for c in coeffs)
+    n = fan.n
+    verts = [
+        solve2(fan.rays[i], fan.rays[(i + 1) % n], (-coeffs[i], -coeffs[(i + 1) % n]))
+        for i in range(n)
+    ]
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    if x0 > x1 or y0 > y1:
+        return 0
+    gx, gy = np.meshgrid(
+        np.arange(x0, x1 + 1, dtype=np.int64),
+        np.arange(y0, y1 + 1, dtype=np.int64),
+        indexing="ij",
+    )
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pairing = pts @ np.array(fan.rays, dtype=np.int64).T
+    mask = (pairing >= -np.array(coeffs, dtype=np.int64)).all(axis=1)
+    return int(mask.sum())
 
 
 def chamber_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toric_surface_lab
 from toric_surface_lab.cli import main
 
 
@@ -131,3 +136,30 @@ class TestReport:
         )
         assert code == 2
         assert "NotAFanSymmetry" in report["error"]
+
+
+class TestHugeTwist:
+    """F(2^40): a box scan of its polytopes would need terabytes."""
+
+    @pytest.fixture
+    def f2e40_file(self, tmp_path):
+        path = tmp_path / "f2e40.json"
+        path.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, 2**40], [0, -1]]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["collection", "report"])
+    def test_verified(self, capsys, f2e40_file, command):
+        code, report = run_json(capsys, [command, "--fan", f2e40_file])
+        assert code == 0
+        assert report["result"]["collection"]["verified"] is True
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(toric_surface_lab.__file__).resolve().parent.parent)
+    extra = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + extra if extra else ""))
+    code = "import sys, toric_surface_lab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

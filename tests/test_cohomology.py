@@ -1,15 +1,16 @@
 import itertools
 import random
+import time
 
 from toric_surface_lab.cohomology import (
     ext_line_bundles,
     h0,
     line_bundle_cohomology,
 )
-from toric_surface_lab.grothendieck import line_bundle_class
-from toric_surface_lab.lattice_fan import dp6_fan, hirzebruch_fan, p2_fan
+from toric_surface_lab.grothendieck import line_bundle_class, picard
+from toric_surface_lab.lattice_fan import blow_up, dp6_fan, hirzebruch_fan, p2_fan
 
-from oracles import chamber_cohomology
+from oracles import box_h0, chamber_cohomology
 
 
 class TestExamples:
@@ -99,3 +100,60 @@ class TestChamberOracle:
         for _ in range(60):
             c = tuple(rng.randint(-2, 2) for _ in range(6))
             assert line_bundle_cohomology(fan, c).as_tuple() == chamber_cohomology(fan, c)
+
+
+class TestBoxOracle:
+    """The facet-length reduction against the lattice-point box scan."""
+
+    def _check_band(self, small_corpus, bound, samples, seed):
+        rng = random.Random(seed)
+        fans = [entry.fan for entry in small_corpus]
+        for _ in range(samples):
+            fan = rng.choice(fans)
+            d = tuple(rng.randint(-bound, bound) for _ in range(fan.n))
+            for c in (d, tuple(-1 - x for x in d)):
+                assert h0(fan, c) == box_h0(fan, c), (fan, c)
+            lat = picard(fan)
+            assert line_bundle_cohomology(fan, d).euler == lat.chi(lat.divisor_coords(d))
+
+    def test_small_band(self, small_corpus):
+        self._check_band(small_corpus, 4, 400, 21)
+
+    def test_large_band(self, small_corpus):
+        self._check_band(small_corpus, 24, 300, 22)
+
+    def test_ruled_surfaces(self):
+        rng = random.Random(23)
+        for a in (0, 1, 2, 5, 40):
+            fan = hirzebruch_fan(a)
+            for _ in range(40):
+                c = tuple(rng.randint(-6, 6) for _ in range(4))
+                assert h0(fan, c) == box_h0(fan, c), (a, c)
+
+
+class TestHugeTwist:
+    """F(2^40): its polytopes have about 2^40 lattice points."""
+
+    def test_structure_sheaf(self):
+        fan = hirzebruch_fan(2**40)
+        assert line_bundle_cohomology(fan, (0, 0, 0, 0)).as_tuple() == (1, 0, 0)
+
+    def test_positive_section(self):
+        fan = hirzebruch_fan(2**40)
+        assert h0(fan, (0, 0, 0, 1)) == 2**40 + 2
+
+    def test_large_coefficients_are_fast(self):
+        fan = dp6_fan()
+        fan = blow_up(fan, range(6))
+        fan = blow_up(fan, (0, 1))
+        assert fan.n == 14
+        rng = random.Random(24)
+        lat = picard(fan)
+        start = time.perf_counter()
+        for _ in range(5):
+            d = tuple(rng.randint(-10**4, 10**4) for _ in range(fan.n))
+            forward = line_bundle_cohomology(fan, d)
+            dual = line_bundle_cohomology(fan, tuple(-1 - c for c in d))
+            assert forward.as_tuple() == (dual.h2, dual.h1, dual.h0)
+            assert forward.euler == lat.chi(lat.divisor_coords(d))
+        assert time.perf_counter() - start < 1.0

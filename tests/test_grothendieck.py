@@ -74,6 +74,20 @@ class TestPicard:
             k = lat.canonical_coords
             assert lat.pair(k, k) == 12 - entry.fan.n
 
+    def test_band_pairing_matches_full_gram(self, small_corpus):
+        rng = random.Random(31)
+        for entry in small_corpus[:40]:
+            lat = picard(entry.fan)
+            for _ in range(5):
+                d1 = [rng.randint(-5, 5) for _ in range(lat.rank)]
+                d2 = [rng.randint(-5, 5) for _ in range(lat.rank)]
+                full = sum(
+                    d1[i] * d2[j] * lat.gram[i][j]
+                    for i in range(lat.rank)
+                    for j in range(lat.rank)
+                )
+                assert lat.pair(d1, d2) == full
+
     def test_ray_pairing_table(self, f2, dp6):
         from toric_surface_lab.lattice_fan import self_intersections
 
