@@ -52,21 +52,31 @@ class InputError(Exception):
     """Invalid input file or semantic violation; maps to exit code 2."""
 
 
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError as exc:
+        raise InputError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+    return hashlib.sha256(_read(path)).hexdigest()
 
 
 def _load_json(path: str) -> object:
     try:
-        with open(path, "rb") as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise InputError(f"{path}: file not found") from exc
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # undecodable bytes, or an int over the digit limit
+        raise InputError(f"{path}: not a JSON text: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_fan(path: str) -> Fan:
@@ -89,8 +99,6 @@ def load_group(path: str | None, fan: Fan | None) -> SymmetryGroup:
         return SymmetryGroup.from_generators(data["generators"], fan)
     except SymmetryError as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad generator matrices: {exc}") from exc
 
 
 def fan_payload(fan: Fan) -> dict:
@@ -381,6 +389,13 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     return code, result, lines
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-surface-lab",
@@ -411,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", help="minimalize and identify the minimal model")
     add("k0-verify", group=False, help="verify the K0 presentation")
     p = add("basis", help="permutation basis of line-bundle classes")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=non_negative_int, default=None,
                    help="search exhaustively with this coefficient bound")
     p = add("collection", help="build and verify the exceptional collection")
     p.add_argument("--order", choices=["normal", "reversed"], default="normal")
     add("decompose", help="symbolic motivic decomposition")
     p = add("report", help="full pipeline report")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=non_negative_int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the cohomology spot check")
     return parser
@@ -438,9 +453,6 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     except (FanError, SymmetryError, MinimalModelError, GrothendieckError) as exc:
         _emit_error(args, f"{type(exc).__name__}: {exc}", inputs)
-        return EXIT_INVALID_INPUT
-    except FileNotFoundError as exc:
-        _emit_error(args, str(exc), inputs)
         return EXIT_INVALID_INPUT
 
     if args.json:

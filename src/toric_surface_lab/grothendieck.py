@@ -44,7 +44,6 @@ __all__ = [
     "line_bundle_class",
     "k0_multiply",
     "structure_class",
-    "point_class",
     "verify_klyachko",
     "fa_recurrence_check",
     "core_basis_divisors",
@@ -237,10 +236,6 @@ class K0Class:
 def structure_class(fan: Fan) -> K0Class:
     """The unit: the class of the structure sheaf."""
     return K0Class(fan, 1, (0,) * (fan.n - 2), 1)
-
-
-def point_class(fan: Fan) -> K0Class:
-    return K0Class(fan, 0, (0,) * (fan.n - 2), 1)
 
 
 def zero_class(fan: Fan) -> K0Class:

@@ -1,5 +1,5 @@
 """Exact integer linear algebra helpers: 2x2 unimodular arithmetic, Hermite
-reduction, determinants and signatures.
+reduction and determinants.
 
 Everything here works on plain Python ints (arbitrary precision), tuples for
 2x2 matrices and lists of lists for general matrices.  No floating point.
@@ -7,13 +7,22 @@ Everything here works on plain Python ints (arbitrary precision), tuples for
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 Vec = tuple[int, int]
 Mat2 = tuple[Vec, Vec]
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 MINUS_IDENTITY: Mat2 = ((-1, 0), (0, -1))
+
+
+def is_int_pair(value) -> bool:
+    """A list or tuple of two ints; bools and floats do not count as ints."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is int
+    )
 
 
 def det2(a: Vec, b: Vec) -> int:
@@ -49,15 +58,6 @@ def mat_apply(m: Mat2, v: Vec) -> Vec:
 
 def mat_transpose(m: Mat2) -> Mat2:
     return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
-def mat_pow(m: Mat2, k: int) -> Mat2:
-    if k < 0:
-        return mat_pow(mat_inv(m), -k)
-    out = IDENTITY
-    for _ in range(k):
-        out = mat_mul(out, m)
-    return out
 
 
 def columns_to_matrix(c0: Vec, c1: Vec) -> Mat2:
@@ -155,42 +155,6 @@ def hermite_pivots(rows: list[list[int]]) -> list[int]:
         if row == m:
             break
     return pivots
-
-
-def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:
-    """Signature (positives, negatives) of a nondegenerate symmetric matrix."""
-    n = len(q)
-    a = [[Fraction(x) for x in row] for row in q]
-    pos = neg = 0
-    idx = list(range(n))
-    while idx:
-        k = next((i for i in idx if a[i][i] != 0), None)
-        if k is None:
-            # All remaining diagonal entries vanish; the basis change
-            # e_j -> e_j + e_i (with a[i][j] != 0) makes a[j][j] = 2 a[i][j].
-            i = idx[0]
-            j = next((j for j in idx[1:] if a[i][j] != 0), None)
-            if j is None:
-                raise ArithmeticError("degenerate symmetric form")
-            for r in range(n):
-                a[r][j] += a[r][i]
-            for s in range(n):
-                a[j][s] += a[i][s]
-            continue
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        idx = [i for i in idx if i != k]
-        for i in idx:
-            ci = a[i][k] / d
-            for j in idx:
-                a[i][j] -= ci * a[k][j]
-            a[i][k] = Fraction(0)
-        for j in idx:
-            a[k][j] = Fraction(0)
-    return pos, neg
 
 
 def unimodular_matrices(bound: int) -> list[Mat2]:

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intlinalg import Mat2, Vec, columns_to_matrix, det2, mat_apply, mat_inv, mat_mul
+from .intlinalg import (
+    Mat2,
+    Vec,
+    columns_to_matrix,
+    det2,
+    is_int_pair,
+    mat_apply,
+    mat_inv,
+    mat_mul,
+)
 
 __all__ = [
     "Fan",
@@ -98,9 +107,6 @@ class Fan:
     def n(self) -> int:
         return len(self.rays)
 
-    def ray_index(self, v: Vec) -> int:
-        return self.rays.index(v)
-
     def cones(self) -> tuple[tuple[int, int], ...]:
         """Maximal cones as (i, i+1) ray-index pairs, cyclically."""
         n = self.n
@@ -113,16 +119,19 @@ class Fan:
 def validate_fan(raw_rays) -> Fan:
     """Check and canonicalize a ray list into a smooth complete fan.
 
-    Raises NonPrimitiveRay, NotCounterclockwise, NotSmooth, NotComplete or
+    Raises FanError unless raw_rays is a list or tuple, NonPrimitiveRay for
+    an entry that is not a pair of ints (bools and floats included) or not
+    primitive, and NotCounterclockwise, NotSmooth, NotComplete or
     TooFewRays; on success rotates the list so the ray of least
     counterclockwise angle from (1, 0) comes first.
     """
+    if not isinstance(raw_rays, (list, tuple)):
+        raise FanError(f"rays must be a list of integer pairs, got {raw_rays!r}")
     rays = []
     for v in raw_rays:
-        entry = tuple(v)
-        if len(entry) != 2 or any(int(c) != c for c in entry):
-            raise NonPrimitiveRay(f"rays must be integer pairs, got {list(v)}")
-        rays.append((int(entry[0]), int(entry[1])))
+        if not is_int_pair(v):
+            raise NonPrimitiveRay(f"rays must be integer pairs, got {v!r}")
+        rays.append(tuple(v))
     if len(rays) < 3:
         raise TooFewRays(f"a complete fan needs at least 3 rays, got {len(rays)}")
     for v in rays:

@@ -23,6 +23,7 @@ from .intlinalg import (
     Mat2,
     columns_to_matrix,
     det2,
+    is_int_pair,
     mat_apply,
     mat_det,
     mat_inv,
@@ -153,6 +154,13 @@ class SymmetryGroup:
 
     @classmethod
     def from_generators(cls, generators, fan: Fan | None = None) -> "SymmetryGroup":
+        if not isinstance(generators, (list, tuple)) or not all(
+            isinstance(g, (list, tuple)) and len(g) == 2 and all(map(is_int_pair, g))
+            for g in generators
+        ):
+            raise SymmetryError(
+                f"generators must be a list of 2x2 integer matrices, got {generators!r}"
+            )
         gens = tuple(tuple(map(tuple, g)) for g in generators)
         elems = _close(gens)
         group = cls(elements=elems, generators=gens or (IDENTITY,))
@@ -406,21 +414,53 @@ def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     """All subgroups, each with a generating set of at most two elements.
 
     Finite subgroups of GL(2,Z) are cyclic or dihedral, so two generators
-    always suffice.
+    always suffice.  Every singleton and every pair is closed inside the
+    group's multiplication table, built once over the sorted elements; in a
+    finite group the products of generators already form the subgroup.
+    Subgroups are ordered by size, then by their sorted elements, and each
+    keeps the first singleton or pair (in sorted order) that generates it.
+    A group with a fan is attached to it once, if it is not already, and
+    each subgroup inherits its elements' ray permutations from the group
+    instead of recomputing them.
     """
+    if group.fan is not None and group.ray_permutations is None:
+        group = group.attach(group.fan)
     elems = group.sorted_elements()
-    seen: dict[frozenset[Mat2], tuple[Mat2, ...]] = {frozenset({IDENTITY}): ()}
-    for a in elems:
-        sub = _close((a,))
-        seen.setdefault(sub, (a,))
-    for a in elems:
-        for b in elems:
-            if b <= a:
-                continue
-            sub = _close((a, b))
-            seen.setdefault(sub, (a, b))
+    index = {g: i for i, g in enumerate(elems)}
+    try:
+        unit = index[IDENTITY]
+        table = [[index[mat_mul(a, b)] for b in elems] for a in elems]
+    except KeyError as exc:
+        raise SymmetryError(f"the elements are not a group: {exc} is missing") from None
+
+    def close(gens: tuple[int, ...]) -> frozenset[int]:
+        reached = {unit}
+        stack = [unit]
+        while stack:
+            row = table[stack.pop()]
+            for g in gens:
+                k = row[g]
+                if k not in reached:
+                    reached.add(k)
+                    stack.append(k)
+        return frozenset(reached)
+
+    n = len(elems)
+    seen: dict[frozenset[int], tuple[int, ...]] = {frozenset({unit}): ()}
+    for a in range(n):
+        seen.setdefault(close((a,)), (a,))
+    for a in range(n):
+        for b in range(a + 1, n):
+            seen.setdefault(close((a, b)), (a, b))
+    # Index order is matrix order, so sorting indices sorts the matrices.
+    perms = group.ray_permutations
     out = []
     for sub, gens in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))
-        out.append(g.attach(group.fan) if group.fan is not None else g)
+        members = [elems[i] for i in sorted(sub)]
+        out.append(SymmetryGroup(
+            elements=frozenset(members),
+            generators=tuple(elems[i] for i in gens) or (IDENTITY,),
+            fan=group.fan,
+            ray_permutations=None if perms is None else {h: perms[h] for h in members},
+        ))
     return out

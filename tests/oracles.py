@@ -10,7 +10,7 @@ import numpy as np
 
 from toric_surface_lab.intlinalg import mat_apply, solve2, unimodular_matrices
 from toric_surface_lab.lattice_fan import Fan
-from toric_surface_lab.symmetry import IDENTITY, mat_mul
+from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
 
 
 def brute_force_isomorphisms(f1: Fan, f2: Fan, bound: int = 3):
@@ -37,6 +37,63 @@ def brute_force_subgroups(elements) -> set[frozenset]:
             if all(mat_mul(a, b) in s for a in s for b in s):
                 out.add(frozenset(s))
     return out
+
+
+def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
+    """Every subgroup, closing each singleton and each pair by matrix products.
+
+    Same order and generators as `enumerate_subgroups`; each subgroup is
+    attached to the group's fan afresh.
+    """
+    elems = group.sorted_elements()
+    seen: dict[frozenset, tuple] = {frozenset({IDENTITY}): ()}
+    for a in elems:
+        seen.setdefault(_close((a,)), (a,))
+    for a in elems:
+        for b in elems:
+            if b > a:
+                seen.setdefault(_close((a, b)), (a, b))
+    out = []
+    for sub, gens in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))
+        out.append(g.attach(group.fan) if group.fan is not None else g)
+    return out
+
+
+def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:
+    """Signature (positives, negatives) of a nondegenerate symmetric matrix."""
+    n = len(q)
+    a = [[Fraction(x) for x in row] for row in q]
+    pos = neg = 0
+    idx = list(range(n))
+    while idx:
+        k = next((i for i in idx if a[i][i] != 0), None)
+        if k is None:
+            # All remaining diagonal entries vanish; the basis change
+            # e_j -> e_j + e_i (with a[i][j] != 0) makes a[j][j] = 2 a[i][j].
+            i = idx[0]
+            j = next((j for j in idx[1:] if a[i][j] != 0), None)
+            if j is None:
+                raise ArithmeticError("degenerate symmetric form")
+            for r in range(n):
+                a[r][j] += a[r][i]
+            for s in range(n):
+                a[j][s] += a[i][s]
+            continue
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx = [i for i in idx if i != k]
+        for i in idx:
+            ci = a[i][k] / d
+            for j in idx:
+                a[i][j] -= ci * a[k][j]
+            a[i][k] = Fraction(0)
+        for j in idx:
+            a[k][j] = Fraction(0)
+    return pos, neg
 
 
 def _rank(rows: list[list[int]]) -> int:

@@ -67,6 +67,59 @@ class TestValidate:
         assert "line" in report["error"]
 
 
+class TestMalformedInput:
+    """Each bad file exits 2 with a JSON error report, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"rays": null}',
+            b'{"rays": [1,2,3]}',
+            b'{"rays": [[true,false],[0,1],[-1,-1]]}',
+            b'{"rays": [[1.0,0],[0,1],[-1,-1]]}',
+            b"\xff\xfe{",
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"rays": [[1' + b"0" * 5000 + b',0],[0,1],[-1,-1]]}',
+        ],
+        ids=["null", "flat", "bools", "floats", "undecodable", "too-deep", "too-many-digits"],
+    )
+    def test_fan_file(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, report = run_json(capsys, ["validate", "--fan", str(bad)])
+        assert code == 2
+        assert report["status"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"generators": "x"}', '{"generators": [[[1.5,0],[0,1]]]}'],
+        ids=["string", "float"],
+    )
+    def test_group_file(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad_group.json"
+        bad.write_text(content)
+        code, report = run_json(capsys, ["classify-group", "--group", str(bad)])
+        assert code == 2
+        assert "2x2 integer matrices" in report["error"]
+
+    def test_directory_as_fan(self, capsys, tmp_path):
+        code, report = run_json(capsys, ["validate", "--fan", str(tmp_path)])
+        assert code == 2
+        assert "cannot read" in report["error"]
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, report = run_json(capsys, ["validate", "--fan", str(tmp_path / "no.json")])
+        assert code == 2
+        assert "file not found" in report["error"]
+
+    @pytest.mark.parametrize("command", ["basis", "report"])
+    def test_negative_bound(self, capsys, p2_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fan", p2_file, "--bound", "-1", "--json"])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_aut(self, capsys, dp6_file):
         code, report = run_json(capsys, ["aut", "--fan", dp6_file])

@@ -18,7 +18,6 @@ from toric_surface_lab.grothendieck import (
     verify_klyachko,
     verify_permutation_basis,
 )
-from toric_surface_lab.intlinalg import symmetric_signature
 from toric_surface_lab.lattice_fan import (
     blow_up,
     hirzebruch_fan,
@@ -26,6 +25,8 @@ from toric_surface_lab.lattice_fan import (
 )
 from toric_surface_lab.minimal_model import minimalize
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
+
+from oracles import symmetric_signature
 
 
 def unit_divisor(fan, *idx, sign=-1):

@@ -7,6 +7,7 @@ from toric_surface_lab.lattice_fan import (
     AdjacentContraction,
     apply_matrix,
     Fan,
+    FanError,
     NonPrimitiveRay,
     NotComplete,
     NotCounterclockwise,
@@ -61,6 +62,26 @@ class TestValidate:
     def test_double_winding(self):
         rays = [(1, 0), (0, 1), (-1, 0), (0, -1)] * 2
         with pytest.raises(NotComplete):
+            validate_fan(rays)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(True, False), (0, 1), (-1, -1)],
+            [(1.0, 0), (0, 1), (-1, -1)],
+            [(1, 0, 0), (0, 1), (-1, -1)],
+            [1, 2, 3],
+            [None, (0, 1), (-1, -1)],
+        ],
+        ids=["bools", "floats", "triple", "flat", "none"],
+    )
+    def test_entry_not_an_int_pair(self, rays):
+        with pytest.raises(NonPrimitiveRay):
+            validate_fan(rays)
+
+    @pytest.mark.parametrize("rays", [None, "abc", {(1, 0): 1}])
+    def test_not_a_ray_list(self, rays):
+        with pytest.raises(FanError):
             validate_fan(rays)
 
     def test_canonical_rotation(self):

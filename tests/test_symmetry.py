@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.intlinalg import mat_inv, mat_mul
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
@@ -14,7 +15,9 @@ from toric_surface_lab.lattice_fan import (
 from toric_surface_lab.symmetry import (
     CONJUGACY_LABELS,
     TABLE_GENERATORS,
+    GEN_A,
     NotFinite,
+    SymmetryError,
     SymmetryGroup,
     classify_subgroup,
     compute_aut,
@@ -24,7 +27,7 @@ from toric_surface_lab.symmetry import (
     trivial_group,
 )
 
-from oracles import brute_force_subgroups
+from oracles import brute_force_subgroups, closure_subgroups
 
 
 def random_unimodular(rng: random.Random, bound: int = 3):
@@ -73,6 +76,15 @@ class TestComputeAut:
     def test_generators_generate(self):
         g = compute_aut(dp6_fan())
         assert SymmetryGroup.from_generators(g.generators).elements == g.elements
+
+    @pytest.mark.parametrize(
+        "generators",
+        ["x", None, [[[1.5, 0], [0, 1]]], [[[True, 0], [0, 1]]], [[1, 0]], [[[1, 0]]]],
+        ids=["string", "none", "float", "bool", "vector", "one-row"],
+    )
+    def test_from_generators_rejects_non_matrices(self, generators):
+        with pytest.raises(SymmetryError):
+            SymmetryGroup.from_generators(generators)
 
 
 class TestClassify:
@@ -137,6 +149,36 @@ class TestSubgroups:
     def test_generators_regenerate(self):
         for sub in enumerate_subgroups(compute_aut(square_fan())):
             assert SymmetryGroup.from_generators(sub.generators).elements == sub.elements
+
+    def test_table_closure_matches_oracles_on_corpus(self):
+        """Every 16-ray corpus automorphism group, in its own and two random bases."""
+        def described(subs):
+            return [(s.elements, s.generators, s.fan, s.ray_permutations) for s in subs]
+
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}
+        rng = random.Random(29)
+        for fan in fans.values():
+            images = [fan] + [apply_matrix(random_unimodular(rng), fan) for _ in range(2)]
+            for image in images:
+                aut = compute_aut(image)
+                got = enumerate_subgroups(aut)
+                assert described(got) == described(closure_subgroups(aut))
+                for sub in got:
+                    fresh = SymmetryGroup(sub.elements, sub.generators).attach(image)
+                    assert sub.ray_permutations == fresh.ray_permutations
+                assert {s.elements for s in got} == brute_force_subgroups(aut.elements)
+            # The last basis again, unattached and attached without ray permutations.
+            for bare in (
+                SymmetryGroup(aut.elements, aut.generators),
+                SymmetryGroup(aut.elements, aut.generators, fan=images[-1]),
+            ):
+                assert described(enumerate_subgroups(bare)) == described(
+                    closure_subgroups(bare)
+                )
+
+    def test_rejects_element_set_that_is_not_a_group(self):
+        with pytest.raises(SymmetryError):
+            enumerate_subgroups(SymmetryGroup(frozenset({GEN_A}), (GEN_A,)))
 
 
 class TestInvariants:
