@@ -3,7 +3,9 @@
 Reads fan and group JSON files, runs the analysis pipelines and emits either
 human-readable summaries or deterministic JSON reports (schema
 "toric-surface-lab/1").  Exit codes: 0 success/verified, 1 a verification
-certificate failed, 2 invalid input.
+certificate failed, 2 invalid input, 3 an internal error (a bug: the
+traceback goes to stderr, and `--json` still prints a report, with status
+"internal-error").
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import random
 import sys
+from functools import cache
 
 from . import __version__
 from .cohomology import line_bundle_cohomology
@@ -20,6 +23,7 @@ from .derived import build_collection, verify_collection
 from .grothendieck import (
     GrothendieckError,
     RelationFailure,
+    picard,
     search_line_bundle_basis,
     standard_permutation_basis,
     verify_klyachko,
@@ -46,6 +50,7 @@ SCHEMA = "toric-surface-lab/1"
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -62,13 +67,9 @@ def _read(path: str) -> bytes:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(_read(path)).hexdigest()
-
-
-def _load_json(path: str) -> object:
+def _parse_json(path: str, raw: bytes) -> object:
     try:
-        return json.loads(_read(path))
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}"
@@ -79,8 +80,9 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_fan(path: str) -> Fan:
-    data = _load_json(path)
+def load_fan(path: str, raw: bytes) -> Fan:
+    """The fan in `raw`, the bytes read from `path` (named in messages)."""
+    data = _parse_json(path, raw)
     if not isinstance(data, dict) or "rays" not in data:
         raise InputError(f'{path}: expected an object with a "rays" key')
     try:
@@ -89,10 +91,11 @@ def load_fan(path: str) -> Fan:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_group(path: str | None, fan: Fan | None) -> SymmetryGroup:
+def load_group(path: str | None, raw: bytes | None, fan: Fan | None) -> SymmetryGroup:
+    """The group in `raw`, the bytes read from `path`; trivial without a path."""
     if path is None:
         return trivial_group(fan) if fan is not None else trivial_group()
-    data = _load_json(path)
+    data = _parse_json(path, raw)
     if not isinstance(data, dict) or "generators" not in data:
         raise InputError(f'{path}: expected an object with a "generators" key')
     try:
@@ -192,7 +195,14 @@ def decomposition_payload(dec) -> dict:
 
 
 def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
+    """Count random divisors D whose cohomology fails either check.
+
+    Serre duality: h^i(D) = h^{2-i}(K - D).  Riemann-Roch: h0 - h1 + h2
+    equals chi(D) from the Picard lattice (characters and the intersection
+    form), a route independent of the wall relations the cohomology uses.
+    """
     rng = random.Random(seed)
+    lat = picard(fan)
     violations = 0
     for _ in range(samples):
         coeffs = tuple(rng.randint(-4, 4) for _ in range(fan.n))
@@ -204,19 +214,24 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
             continue
         if forward.as_tuple() != (dual.h2, dual.h1, dual.h0):
             violations += 1
+        elif forward.euler != lat.chi(lat.divisor_coords(coeffs)):
+            violations += 1
     return {"samples": samples, "violations": violations}
 
 
-def run_command(args) -> tuple[int, dict, list[str]]:
-    """Execute one subcommand; returns (exit code, payload, human lines)."""
+def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
+    """Execute one subcommand; returns (exit code, payload, human lines).
+
+    `raw` holds the bytes of the input files, keyed "fan" and "group".
+    """
     result: dict = {}
     lines: list[str] = []
     code = EXIT_OK
 
-    fan = load_fan(args.fan) if getattr(args, "fan", None) else None
+    fan = load_fan(args.fan, raw["fan"]) if "fan" in raw else None
     group = None
     if hasattr(args, "group"):
-        group = load_group(args.group, fan)
+        group = load_group(args.group, raw.get("group"), fan)
 
     if args.command == "validate":
         result["fan"] = fan_payload(fan)
@@ -396,7 +411,9 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="toric-surface-lab",
         description=(
@@ -439,21 +456,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     inputs = {}
+    raw = {}
     try:
-        if getattr(args, "fan", None):
-            inputs["fan"] = {"path": args.fan, "sha256": _digest(args.fan)}
-        if getattr(args, "group", None):
-            inputs["group"] = {"path": args.group, "sha256": _digest(args.group)}
-        code, result, lines = run_command(args)
+        # Each file is read once; its digest and its analysis use those bytes.
+        for key in ("fan", "group"):
+            path = getattr(args, key, None)
+            if path is not None:
+                raw[key] = _read(path)
+                inputs[key] = {"path": path,
+                               "sha256": hashlib.sha256(raw[key]).hexdigest()}
+        code, result, lines = run_command(args, raw)
     except InputError as exc:
         _emit_error(args, str(exc), inputs)
         return EXIT_INVALID_INPUT
     except (FanError, SymmetryError, MinimalModelError, GrothendieckError) as exc:
         _emit_error(args, f"{type(exc).__name__}: {exc}", inputs)
         return EXIT_INVALID_INPUT
+    except Exception as exc:  # a bug; must not pass for a failed certificate
+        import traceback
+
+        traceback.print_exc()
+        _emit_error(args, f"internal error: {type(exc).__name__}: {exc}", inputs,
+                    status="internal-error")
+        return EXIT_INTERNAL_ERROR
 
     if args.json:
         report = {
@@ -471,14 +498,14 @@ def main(argv=None) -> int:
     return code
 
 
-def _emit_error(args, message: str, inputs: dict) -> None:
+def _emit_error(args, message: str, inputs: dict, status: str = "invalid-input") -> None:
     if getattr(args, "json", False):
         report = {
             "schema": SCHEMA,
             "version": __version__,
             "command": getattr(args, "command", None),
             "inputs": inputs,
-            "status": "invalid-input",
+            "status": status,
             "error": message,
         }
         print(json.dumps(report, sort_keys=True, indent=2))

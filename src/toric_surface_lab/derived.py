@@ -17,6 +17,7 @@ from .grothendieck import (
     NotClassified,
     act_on_divisor,
     line_bundle_class,
+    picard,
 )
 from .intlinalg import bareiss_det
 from .lattice_fan import Fan
@@ -122,11 +123,15 @@ def _transport_block(step, block: list[Divisor]) -> list[Divisor]:
 def _merge_blocks_by_orbits(
     fan: Fan, group: SymmetryGroup, blocks: list[list[Divisor]]
 ) -> list[list[Divisor]]:
-    """Coarsen the block partition so every group orbit stays in one block."""
+    """Coarsen the block partition so every group orbit stays in one block.
+
+    Line bundles are compared by Picard coordinates, which determine them.
+    """
     if group.fan != fan or group.ray_permutations is None:
         group = group.attach(fan)
+    lat = picard(fan)
     flat = [(bi, d) for bi, block in enumerate(blocks) for d in block]
-    class_of = {d: line_bundle_class(fan, d) for _, d in flat}
+    class_of = {d: lat.divisor_coords(d) for _, d in flat}
     block_of_class = {}
     for bi, d in flat:
         block_of_class.setdefault(class_of[d], bi)
@@ -145,7 +150,7 @@ def _merge_blocks_by_orbits(
 
     for bi, d in flat:
         for perm in group.ray_permutations.values():
-            image = line_bundle_class(fan, act_on_divisor(perm, d))
+            image = lat.divisor_coords(act_on_divisor(perm, d))
             target = block_of_class.get(image)
             if target is not None:
                 union(bi, target)
@@ -260,17 +265,14 @@ def verify_collection(
     else:
         det = 0
 
-    closed = True
-    classes = {line_bundle_class(fan, d) for d in objects}
+    lat = picard(fan)
+    closed = bool(objects)
     for block in coll.blocks:
-        block_classes = {line_bundle_class(fan, d) for d in block}
+        block_classes = {lat.divisor_coords(d) for d in block}
         for d in block:
             for perm in group.ray_permutations.values():
-                image = line_bundle_class(fan, act_on_divisor(perm, d))
-                if image not in block_classes:
+                if lat.divisor_coords(act_on_divisor(perm, d)) not in block_classes:
                     closed = False
-    if not classes:
-        closed = False
 
     return CollectionCertificate(
         self_ext_ok=self_ok,

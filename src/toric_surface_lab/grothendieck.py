@@ -2,9 +2,15 @@
 
 A class is stored as (rank, first Chern class in Picard coordinates, Euler
 characteristic).  This triple is a complete integral invariant on a rational
-surface, and the multiplication uses the Chern-character change of
-coordinates with the degree-2 component kept doubled so every intermediate
-stays an integer.
+surface.  Riemann-Roch turns the multiplicativity of the Chern character into
+the closed-form product
+
+    (r, c1, chi) * (r', c1', chi') = (r r', r c1' + r' c1,
+                                      r chi' + r' chi - r r' + c1.c1'),
+
+one intersection number per product, in integers throughout.  A line bundle
+has rank 1 and its chi is a function of c1, so line bundles are compared by
+their Picard coordinates alone.
 
 The module also builds the distinguished permutation bases of line bundles on
 the minimal surfaces, transports them through blow-ups (total transforms of
@@ -249,31 +255,20 @@ def line_bundle_class(fan: Fan, coefficients) -> K0Class:
     return K0Class(fan, 1, coords, lat.chi(coords))
 
 
-def _doubled_ch2(x: K0Class, lat: PicardLattice) -> int:
-    # 2*ch2 = c1.K + 2 chi - 2 rank, integral for every honest class.
-    return lat.pair(x.c1, lat.canonical_coords) + 2 * x.chi - 2 * x.rank
-
-
 def k0_multiply(x: K0Class, y: K0Class) -> K0Class:
-    """Ring multiplication via the Chern character.
+    """Ring multiplication in closed form.
 
-    ch = (rank, c1, ch2) is multiplicative; ch2 is carried doubled so the
-    computation is exact over the integers.
+    chi(xy) = r_x chi(y) + r_y chi(x) - r_x r_y + c1(x).c1(y): Riemann-Roch
+    applied to the multiplicative Chern character (rank, c1, ch2), where the
+    c1.K terms of the three ch2's cancel.  One intersection number per
+    product.
     """
     if x.fan != y.fan:
         raise IncompatibleFan("classes live on different fans")
-    lat = picard(x.fan)
-    r = x.rank * y.rank
-    c1 = tuple(x.rank * b + y.rank * a for a, b in zip(x.c1, y.c1))
-    t = (
-        x.rank * _doubled_ch2(y, lat)
-        + y.rank * _doubled_ch2(x, lat)
-        + 2 * lat.pair(x.c1, y.c1)
-    )
-    num = t - lat.pair(c1, lat.canonical_coords)
-    if num % 2:
-        raise GrothendieckError("non-integral Euler characteristic in product")
-    return K0Class(x.fan, r, c1, num // 2 + r)
+    rx, ry = x.rank, y.rank
+    c1 = tuple(rx * b + ry * a for a, b in zip(x.c1, y.c1))
+    chi = rx * y.chi + ry * x.chi - rx * ry + picard(x.fan).pair(x.c1, y.c1)
+    return K0Class(x.fan, rx * ry, c1, chi)
 
 
 def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
@@ -509,12 +504,17 @@ def _transport_divisor(step, coefficients) -> tuple[int, ...]:
 def _orbit_partition(
     fan: Fan, group: SymmetryGroup, elements: list[K0Class], divisors: list[tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Orbits of basis elements (as classes) under the attached group."""
+    """Orbits of basis elements (line-bundle classes) under the attached group.
+
+    Images are compared by Picard coordinates: for line bundles these
+    determine the class.
+    """
     if group.fan != fan or group.ray_permutations is None:
         group = group.attach(fan)
+    lat = picard(fan)
     index_of = {}
     for i, cls in enumerate(elements):
-        index_of.setdefault(cls, i)
+        index_of.setdefault(cls.c1, i)
     assigned = [False] * len(elements)
     orbits = []
     for i in range(len(elements)):
@@ -525,7 +525,7 @@ def _orbit_partition(
         while frontier:
             j = frontier.pop()
             for perm in group.ray_permutations.values():
-                image = line_bundle_class(fan, act_on_divisor(perm, divisors[j]))
+                image = lat.divisor_coords(act_on_divisor(perm, divisors[j]))
                 k = index_of.get(image)
                 if k is None:
                     raise NotInvariant(
@@ -630,39 +630,43 @@ def search_line_bundle_basis(
         group = group.attach(fan)
     n = fan.n
 
-    class_rep: dict[K0Class, tuple[int, ...]] = {}
+    # Candidate line bundles, keyed by Picard coordinates (which determine
+    # the class); model_vector() is (1, *c1, chi), so sorting by coordinates
+    # is sorting by class.
+    lat = picard(fan)
+    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=n):
-        cls = line_bundle_class(fan, coeffs)
-        old = class_rep.get(cls)
+        coords = lat.divisor_coords(coeffs)
+        old = rep.get(coords)
         key = (max(map(abs, coeffs), default=0), coeffs)
         if old is None or key < (max(map(abs, old), default=0), old):
-            class_rep[cls] = coeffs
+            rep[coords] = coeffs
+
+    def size_order(coords: tuple[int, ...]) -> tuple:
+        return (max(map(abs, coords), default=0), coords)
 
     # Partition candidate classes into group orbits.  The candidate set is
     # closed under the action (a permutation of bounded coefficients is again
     # bounded), so every image has a representative.
-    remaining = set(class_rep)
-    orbits: list[list[K0Class]] = []
-    for cls in sorted(
-        class_rep, key=lambda c: (max(map(abs, c.c1), default=0), c.model_vector())
-    ):
-        if cls not in remaining:
+    remaining = set(rep)
+    coord_orbits: list[list[tuple[int, ...]]] = []
+    for coords in sorted(rep, key=size_order):
+        if coords not in remaining:
             continue
-        orbit = {cls}
-        frontier = [cls]
+        orbit = {coords}
+        frontier = [coords]
         while frontier:
             x = frontier.pop()
             for perm in group.ray_permutations.values():
-                image = line_bundle_class(fan, act_on_divisor(perm, class_rep[x]))
+                image = lat.divisor_coords(act_on_divisor(perm, rep[x]))
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
         remaining -= orbit
-        orbits.append(
-            sorted(orbit, key=lambda c: (max(map(abs, c.c1), default=0), c.model_vector()))
-        )
+        if len(orbit) <= n:
+            coord_orbits.append(sorted(orbit, key=size_order))
 
-    orbits = [o for o in orbits if len(o) <= n]
+    orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
 
     def rank_of(rows: list[list[int]]) -> int:
         return len(hermite_pivots(rows)) if rows else 0
@@ -695,7 +699,7 @@ def search_line_bundle_basis(
         return None
     assert found is not None
     classes = [cls for i in found for cls in orbits[i]]
-    divisors = [class_rep[cls] for cls in classes]
+    divisors = [rep[cls.c1] for cls in classes]
     orbit_partition, stab = _orbit_partition(fan, group, classes, divisors)
     return PermutationBasis(
         fan=fan,

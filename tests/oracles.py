@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from toric_surface_lab.grothendieck import GrothendieckError, K0Class, picard
 from toric_surface_lab.intlinalg import mat_apply, solve2, unimodular_matrices
 from toric_surface_lab.lattice_fan import Fan
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
@@ -58,6 +59,27 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
         g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))
         out.append(g.attach(group.fan) if group.fan is not None else g)
     return out
+
+
+def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
+    """K0 product through the Chern character, with ch2 carried doubled.
+
+    ch = (rank, c1, ch2) is multiplicative and 2 ch2 = c1.K + 2 chi - 2 rank
+    is an integer for every class, so the route stays exact; the parity of
+    the resulting numerator is checked.
+    """
+    lat = picard(x.fan)
+
+    def doubled_ch2(z: K0Class) -> int:
+        return lat.pair(z.c1, lat.canonical_coords) + 2 * z.chi - 2 * z.rank
+
+    r = x.rank * y.rank
+    c1 = tuple(x.rank * b + y.rank * a for a, b in zip(x.c1, y.c1))
+    t = x.rank * doubled_ch2(y) + y.rank * doubled_ch2(x) + 2 * lat.pair(x.c1, y.c1)
+    num = t - lat.pair(c1, lat.canonical_coords)
+    if num % 2:
+        raise GrothendieckError("non-integral Euler characteristic in product")
+    return K0Class(x.fan, r, c1, num // 2 + r)
 
 
 def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:

@@ -1,13 +1,22 @@
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import toric_surface_lab
+from toric_surface_lab import cli
 from toric_surface_lab.cli import main
+from toric_surface_lab.cohomology import CohomologyVector, line_bundle_cohomology
 
 
 @pytest.fixture
@@ -205,6 +214,171 @@ class TestHugeTwist:
         code, report = run_json(capsys, [command, "--fan", f2e40_file])
         assert code == 0
         assert report["result"]["collection"]["verified"] is True
+
+
+class TestInputsReadOnce:
+    DP6 = b'{"rays": [[1,0],[1,1],[0,1],[-1,0],[-1,-1],[0,-1]]}'
+    P2 = b'{"rays": [[1,0],[0,1],[-1,-1]]}'
+
+    def test_digest_is_of_the_analysed_bytes(self, capsys, monkeypatch, tmp_path, d12_file):
+        """A fan file that changes between reads (dP6, then P2) is read once,
+        and the reported digest is that of the fan analysed."""
+        fan_path = str(tmp_path / "changing.json")
+        versions = [self.DP6, self.P2]
+        opened: dict[str, int] = {}
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            key = str(file)
+            opened[key] = opened.get(key, 0) + 1
+            if key == fan_path:
+                return io.BytesIO(versions[min(opened[key], 2) - 1])
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, report = run_json(capsys, ["classify", "--fan", fan_path, "--group", d12_file])
+        monkeypatch.undo()
+        assert opened == {fan_path: 1, d12_file: 1}
+        assert code == 0  # D12 acts on dP6; on P2 it would be exit 2
+        assert report["result"]["minimal_model"]["kind"] == "dP6"
+        assert report["inputs"]["fan"]["sha256"] == hashlib.sha256(self.DP6).hexdigest()
+        assert report["inputs"]["group"]["sha256"] == hashlib.sha256(
+            Path(d12_file).read_bytes()).hexdigest()
+
+    def test_error_inputs(self, capsys, tmp_path, p2_file):
+        """A missing file gives no digest; malformed JSON gives one."""
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(b'{"generators": [')
+        code, report = run_json(capsys, ["minimalize", "--fan", p2_file,
+                                         "--group", str(tmp_path / "no.json")])
+        assert code == 2
+        assert set(report["inputs"]) == {"fan"}
+        code, report = run_json(capsys, ["minimalize", "--fan", p2_file,
+                                         "--group", str(broken)])
+        assert code == 2
+        assert report["inputs"]["group"]["sha256"] == hashlib.sha256(
+            broken.read_bytes()).hexdigest()
+
+    def test_empty_path_is_invalid_input(self, capsys):
+        code, report = run_json(capsys, ["validate", "--fan", ""])
+        assert code == 2
+        assert "file not found" in report["error"]
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+class TestSpotCheck:
+    def test_wrong_h1_is_caught(self, monkeypatch, dp6):
+        """An h1 that is off by one everywhere still satisfies Serre duality
+        (h1 is self-dual), so only the Riemann-Roch comparison can see it."""
+
+        def wrong(fan, coeffs):
+            h = line_bundle_cohomology(fan, coeffs)
+            return CohomologyVector(h.h0, h.h1 + 1, h.h2)
+
+        monkeypatch.setattr(cli, "line_bundle_cohomology", wrong)
+        d = (1, -2, 0, 3, 0, -1)
+        dual = tuple(-1 - c for c in d)
+        forward, back = wrong(dp6, d), wrong(dp6, dual)
+        assert forward.as_tuple() == (back.h2, back.h1, back.h0)
+        assert cli._spot_check_cohomology(dp6, seed=0, samples=20) == {
+            "samples": 20, "violations": 20}
+
+    def test_report_fails_on_wrong_h1(self, capsys, monkeypatch, dp6_file):
+        monkeypatch.setattr(
+            cli, "line_bundle_cohomology",
+            lambda fan, c: CohomologyVector(0, 1, 0),
+        )
+        code, report = run_json(capsys, ["report", "--fan", dp6_file])
+        assert code == 1
+        assert report["status"] == "verification-failed"
+        assert "cohomology spot check failed" in report["result"]["failures"]
+
+    def test_honest_cohomology_passes(self, dp6):
+        assert cli._spot_check_cohomology(dp6, seed=3)["violations"] == 0
+
+
+class TestInternalError:
+    def test_bug_exits_3_with_json_report(self, capsys, monkeypatch, p2_file):
+        def boom(fan):
+            raise KeyError("unexpected")
+
+        monkeypatch.setattr(cli, "compute_aut", boom)
+        code = main(["aut", "--fan", p2_file, "--json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 3
+        assert report["status"] == "internal-error"
+        assert report["inputs"]["fan"]["path"] == p2_file
+        assert "KeyError" in report["error"]
+        assert "Traceback" in captured.err
+
+    def test_bug_without_json(self, capsys, monkeypatch, p2_file):
+        monkeypatch.setattr(cli, "compute_aut", lambda fan: 1 / 0)
+        assert main(["aut", "--fan", p2_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: ZeroDivisionError" in captured.err
+
+    def test_argparse_exit_2_is_kept(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "--json"])
+        assert exc.value.code == 2
+
+
+# A fixed alphabet: general text makes hypothesis build a Unicode table on a
+# fresh checkout, which alone costs seconds.
+texts = st.text(alphabet='ab"\\{[é\x00', max_size=5) | st.sampled_from(["rays", "generators"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=12,
+)
+small = st.integers(-3, 3)
+ray_sets = st.lists(st.lists(small, min_size=2, max_size=2), min_size=3, max_size=7)
+matrices = st.lists(st.lists(small, min_size=2, max_size=2), min_size=2, max_size=2)
+VALID_RAYS = [
+    [[1, 0], [0, 1], [-1, -1]],
+    [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    [[1, 0], [2, 1], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+]
+rotated_valid = st.tuples(st.sampled_from(VALID_RAYS), st.integers(0, 6)).map(
+    lambda p: p[0][p[1] % len(p[0]):] + p[0][:p[1] % len(p[0])])
+fan_values = (json_values | st.fixed_dictionaries({"rays": json_values})
+              | (ray_sets | rotated_valid).map(lambda r: {"rays": r}))
+group_values = (st.none() | json_values
+                | st.lists(matrices, max_size=3).map(lambda g: {"generators": g}))
+FUZZ_COMMANDS = ["validate", "aut", "classify-group", "minimalize", "classify",
+                 "k0-verify", "basis", "collection", "decompose", "report"]
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(FUZZ_COMMANDS), fan=fan_values, group=group_values)
+def test_fuzz_exit_codes(command, fan, group):
+    """Any JSON value as fan or group file: exit 0, 1 or 2, and `--json`
+    stdout parses.  Budget: 100 examples, about 3 s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fan_path = os.path.join(tmp, "fan.json")
+        group_path = os.path.join(tmp, "group.json")
+        with open(fan_path, "w") as handle:
+            json.dump(fan, handle)
+        argv = [command, "--json"]
+        if command != "classify-group":
+            argv += ["--fan", fan_path]
+        if group is not None and command not in ("validate", "aut", "k0-verify"):
+            with open(group_path, "w") as handle:
+                json.dump(group, handle)
+            argv += ["--group", group_path]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv)
+    assert code in (0, 1, 2), buf.getvalue()
+    report = json.loads(buf.getvalue())
+    assert report["status"] in ("ok", "verification-failed", "invalid-input")
 
 
 def test_cli_import_does_not_load_numpy():

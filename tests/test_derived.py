@@ -51,6 +51,20 @@ class TestCores:
         assert [len(b) for b in coll.blocks] == [1, 3, 2]
         assert verify_collection(coll, dp6, c6).ok
 
+    def test_split_orbit_block_is_not_group_closed(self, dp6, dp6_aut):
+        """Splitting the 3-orbit block keeps every Ext check (its objects are
+        mutually orthogonal) but the blocks are no longer unions of orbits."""
+        coll = collection_for(dp6, dp6_aut)
+        head, orbit, tail = coll.blocks
+        split = ExceptionalCollection(
+            fan=dp6, blocks=(head, *((d,) for d in orbit), tail), provenance="split"
+        )
+        cert = verify_collection(split, dp6, dp6_aut)
+        assert cert.self_ext_ok and cert.block_ok and cert.order_ok
+        assert not cert.blocks_group_closed
+        assert not cert.ok
+        assert verify_collection(split, dp6, trivial_group(dp6)).ok
+
 
 class TestReversed:
     def test_reversed_plane_fails_with_known_pair(self, p2, p2_aut):

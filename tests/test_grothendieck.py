@@ -3,7 +3,9 @@ import random
 import pytest
 
 from toric_surface_lab.cohomology import line_bundle_cohomology
+from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.grothendieck import (
+    K0Class,
     NotABasis,
     act_on_class,
     act_on_divisor,
@@ -20,13 +22,14 @@ from toric_surface_lab.grothendieck import (
 )
 from toric_surface_lab.lattice_fan import (
     blow_up,
+    dp6_fan,
     hirzebruch_fan,
     p2_fan,
 )
 from toric_surface_lab.minimal_model import minimalize
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 
-from oracles import symmetric_signature
+from oracles import chern_multiply, symmetric_signature
 
 
 def unit_divisor(fan, *idx, sign=-1):
@@ -127,6 +130,46 @@ class TestLineBundleClass:
                 coeffs = tuple(rng.randint(-3, 3) for _ in range(fan.n))
                 cls = line_bundle_class(fan, coeffs)
                 assert cls.chi == line_bundle_cohomology(fan, coeffs).euler
+
+
+class TestClosedFormProduct:
+    """`k0_multiply` (closed form) against `chern_multiply` (Chern character)."""
+
+    @staticmethod
+    def cone_classes(fan):
+        n = fan.n
+        one = structure_class(fan)
+        o_ray = [
+            one - line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
+            for i in range(n)
+        ]
+        return [one, *o_ray, *(chern_multiply(o_ray[i], o_ray[j]) for i, j in fan.cones())]
+
+    def test_every_klyachko_cone_product_on_corpus(self):
+        fans = {entry.fan.rays: entry.fan for entry in standard_corpus(max_rays=16)}
+        products = 0
+        for fan in fans.values():
+            cones = self.cone_classes(fan)
+            for i, x in enumerate(cones):
+                for y in cones[i:]:
+                    assert k0_multiply(x, y) == chern_multiply(x, y)
+                    products += 1
+        assert products > 10_000
+
+    @pytest.mark.parametrize("make_fan", [p2_fan, lambda: hirzebruch_fan(3), dp6_fan])
+    def test_random_triples(self, make_fan):
+        """(rank, c1, chi) is a complete invariant and every triple occurs."""
+        fan = make_fan()
+        rng = random.Random(17)
+
+        def triple():
+            return K0Class(fan, rng.randint(-2, 2),
+                           tuple(rng.randint(-3, 3) for _ in range(fan.n - 2)),
+                           rng.randint(-3, 3))
+
+        for _ in range(300):
+            x, y = triple(), triple()
+            assert k0_multiply(x, y) == chern_multiply(x, y)
 
 
 class TestMultiplication:
