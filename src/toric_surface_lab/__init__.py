@@ -40,6 +40,7 @@ from .minimal_model import (
     ContractionTrace,
     MinimalLabel,
     classify_minimal,
+    classify_pair,
     contractible_orbits,
     is_g_minimal,
     minimalize,
@@ -81,6 +82,7 @@ __all__ = [
     "is_g_minimal",
     "minimalize",
     "classify_minimal",
+    "classify_pair",
     "PicardLattice",
     "K0Class",
     "PermutationBasis",

@@ -18,10 +18,12 @@ import sys
 from functools import cache
 
 from . import __version__
-from .cohomology import line_bundle_cohomology
+from .cohomology import _chi, line_bundle_cohomology
 from .derived import build_collection, verify_collection
 from .grothendieck import (
     GrothendieckError,
+    NotABasis,
+    NotInvariant,
     RelationFailure,
     picard,
     search_line_bundle_basis,
@@ -30,13 +32,8 @@ from .grothendieck import (
     verify_permutation_basis,
 )
 from .lattice_fan import Fan, FanError, self_intersections, validate_fan
-from .minimal_model import (
-    MinimalModelError,
-    classify_minimal,
-    is_g_minimal,
-    minimalize,
-)
-from .motivic import decompose, decomposition_string
+from .minimal_model import MinimalModelError, classify_pair, minimalize
+from .motivic import UnverifiedBasis, decompose, decomposition_string
 from .symmetry import (
     SymmetryError,
     SymmetryGroup,
@@ -185,38 +182,60 @@ def decomposition_payload(dec) -> dict:
         "product": decomposition_string(dec),
         "notes": list(dec.notes),
     }
-    if dec.family is not None:
-        payload["family"] = {
-            "index": dec.family.index,
-            "slots": list(dec.family.slots),
-            "description": dec.family.description,
-        }
+    payload["family"] = {
+        "index": dec.family.index,
+        "slots": list(dec.family.slots),
+        "description": dec.family.description,
+    }
     return payload
 
 
 def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     """Count random divisors D whose cohomology fails either check.
 
-    Serre duality: h^i(D) = h^{2-i}(K - D).  Riemann-Roch: h0 - h1 + h2
-    equals chi(D) from the Picard lattice (characters and the intersection
-    form), a route independent of the wall relations the cohomology uses.
+    Each sample costs two h0 evaluations, h0(D) and h0(K - D), in one
+    line_bundle_cohomology(D) call; the vector of K - D is built from them.
+
+    Serre duality, h^i(D) = h^{2-i}(K - D): h2(D) is defined as h0(K - D),
+    so the comparison reduces to chi(D) = chi(K - D) of the closed form plus
+    h1 >= 0 on both sides.  It catches an h1 that disagrees with
+    h0 + h2 - chi, not a wrong h0.
+
+    Riemann-Roch: h0 - h1 + h2 equals chi(D) from the Picard lattice
+    (characters and the intersection form), a route independent of the
+    wall relations and the closed form the cohomology uses.  It catches an
+    Euler characteristic that is wrong however h1 was derived, such as an
+    h1 off by one everywhere, which duality cannot see.
     """
     rng = random.Random(seed)
     lat = picard(fan)
+    a = self_intersections(fan)
     violations = 0
     for _ in range(samples):
         coeffs = tuple(rng.randint(-4, 4) for _ in range(fan.n))
         try:
             forward = line_bundle_cohomology(fan, coeffs)
-            dual = line_bundle_cohomology(fan, tuple(-1 - c for c in coeffs))
         except ArithmeticError:
             violations += 1
             continue
-        if forward.as_tuple() != (dual.h2, dual.h1, dual.h0):
+        # The vector of K - D is (h2, dual_h1, h0) of D's own values, with
+        # dual_h1 from the closed-form chi(K - D), as the cohomology has it.
+        dual_h1 = forward.h2 + forward.h0 - _chi(a, tuple(-1 - c for c in coeffs))
+        if dual_h1 < 0 or forward.h1 != dual_h1:
             violations += 1
         elif forward.euler != lat.chi(lat.divisor_coords(coeffs)):
             violations += 1
     return {"samples": samples, "violations": violations}
+
+
+def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str | None]:
+    """The payload of a library-built basis and None, or, when its
+    certificate fails, an error payload and the reason (exit 1, not 2)."""
+    try:
+        cert = verify_permutation_basis(basis, fan, group)
+    except (NotABasis, NotInvariant) as exc:
+        return {"error": str(exc)}, str(exc)
+    return basis_payload(basis, cert), None
 
 
 def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
@@ -257,8 +276,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         )
 
     elif args.command == "classify":
-        trace = minimalize(fan, group)
-        label = classify_minimal(trace.terminal_fan, trace.terminal_group)
+        trace, label = classify_pair(fan, group)
         result["already_minimal"] = not trace.steps
         result["trace"] = trace_payload(trace)
         result["minimal_model"] = label_payload(label)
@@ -266,40 +284,50 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                      f"(family {label.family})")
 
     elif args.command == "k0-verify":
-        cert = verify_klyachko(fan)
-        result["k0"] = {
-            "rank": cert.rank,
-            "span_index": cert.span_index,
-            "orbit_closure_pairs": cert.orbit_closure_pairs,
-            "character_relations": cert.character_relations,
-        }
-        lines.append(f"K0 free of rank {cert.rank}, span index {cert.span_index}, "
-                     f"{cert.orbit_closure_pairs} product relations hold")
+        try:
+            cert = verify_klyachko(fan)
+        except RelationFailure as exc:
+            code = EXIT_VERIFICATION_FAILED
+            result["k0"] = {"error": str(exc)}
+            lines.append(f"K0 presentation FAILED verification: {exc}")
+        else:
+            result["k0"] = {
+                "rank": cert.rank,
+                "span_index": cert.span_index,
+                "orbit_closure_pairs": cert.orbit_closure_pairs,
+                "character_relations": cert.character_relations,
+            }
+            lines.append(f"K0 free of rank {cert.rank}, span index {cert.span_index}, "
+                         f"{cert.orbit_closure_pairs} product relations hold")
 
     elif args.command == "basis":
-        if args.bound is not None:
+        if args.bound is None:
+            trace, label = classify_pair(fan, group)
+            basis = standard_permutation_basis(trace, label, group)
+            head = {}
+        else:
             basis = search_line_bundle_basis(fan, group, args.bound)
-            if basis is None:
-                result["basis"] = {"found": False, "bound": args.bound}
-                lines.append(f"no group-closed basis within coefficient bound "
-                             f"{args.bound}")
+            head = {"found": basis is not None, "bound": args.bound}
+        if basis is None:
+            result["basis"] = head
+            lines.append(f"no group-closed basis within coefficient bound "
+                         f"{args.bound}")
+        else:
+            payload, error = _certified_basis(basis, fan, group)
+            result["basis"] = {**head, **payload}
+            if error is not None:
+                code = EXIT_VERIFICATION_FAILED
+                lines.append(f"basis FAILED verification: {error}")
+            elif args.bound is None:
+                lines.append(f"permutation basis with orbit sizes {basis.orbit_sizes()}, "
+                             f"determinant {payload['determinant']}")
             else:
-                cert = verify_permutation_basis(basis, fan, group)
-                result["basis"] = {"found": True, "bound": args.bound,
-                                   **basis_payload(basis, cert)}
                 lines.append(f"search found a basis with orbit sizes "
                              f"{basis.orbit_sizes()}")
-        else:
-            trace = minimalize(fan, group)
-            basis = standard_permutation_basis(trace, group)
-            cert = verify_permutation_basis(basis, fan, group)
-            result["basis"] = basis_payload(basis, cert)
-            lines.append(f"permutation basis with orbit sizes {basis.orbit_sizes()}, "
-                         f"determinant {cert.determinant}")
 
     elif args.command == "collection":
-        trace = minimalize(fan, group)
-        coll = build_collection(trace, group)
+        trace, label = classify_pair(fan, group)
+        coll = build_collection(trace, label, group)
         if args.order == "reversed":
             coll = coll.reversed()
         cert = verify_collection(coll, fan, group)
@@ -318,9 +346,9 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                 )
 
     elif args.command == "decompose":
-        trace = minimalize(fan, group)
-        basis = standard_permutation_basis(trace, group)
-        dec = decompose(basis, trace, group)
+        trace, label = classify_pair(fan, group)
+        basis = standard_permutation_basis(trace, label, group)
+        dec = decompose(basis, label, group)
         result["decomposition"] = decomposition_payload(dec)
         lines.append(f"motivic decomposition: {decomposition_string(dec)}")
 
@@ -334,6 +362,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
 
 
 def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[str]]:
+    """Every stage once: one contraction, one label, one basis certificate."""
     result: dict = {"fan": fan_payload(fan), "group": group_payload(group)}
     lines: list[str] = []
     failures: list[str] = []
@@ -341,10 +370,9 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     aut = compute_aut(fan)
     result["automorphisms"] = group_payload(aut)
 
-    result["g_minimal"] = is_g_minimal(fan, group)
-    trace = minimalize(fan, group)
+    trace, label = classify_pair(fan, group)
+    result["g_minimal"] = not trace.steps
     result["trace"] = trace_payload(trace)
-    label = classify_minimal(trace.terminal_fan, trace.terminal_group)
     result["minimal_model"] = label_payload(label)
     lines.append(f"minimal model: {label.kind}/{label.group_label} "
                  f"after {len(trace.steps)} contraction step(s)")
@@ -356,17 +384,18 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         failures.append(f"k0: {exc}")
         result["k0"] = {"error": str(exc)}
 
-    basis = standard_permutation_basis(trace, group)
+    # decompose certifies the basis; the report shows that certificate.
+    basis = standard_permutation_basis(trace, label, group)
     try:
-        bcert = verify_permutation_basis(basis, fan, group)
-        result["basis"] = basis_payload(basis, bcert)
+        dec = decompose(basis, label, group)
+        result["basis"] = basis_payload(basis, dec.basis_certificate)
         lines.append(f"basis orbit sizes: {basis.orbit_sizes()}")
-    except GrothendieckError as exc:
+    except UnverifiedBasis as exc:
         failures.append(f"basis: {exc}")
         result["basis"] = {"error": str(exc)}
-        bcert = None
+        dec = None
 
-    coll = build_collection(trace, group)
+    coll = build_collection(trace, label, group)
     ccert = verify_collection(coll, fan, group)
     result["collection"] = collection_payload(coll, ccert)
     if not ccert.ok:
@@ -376,8 +405,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
             f"collection verified: block sizes {[len(b) for b in coll.blocks]}"
         )
 
-    if bcert is not None:
-        dec = decompose(basis, trace, group)
+    if dec is not None:
         result["decomposition"] = decomposition_payload(dec)
         lines.append(f"decomposition: {decomposition_string(dec)}")
 
@@ -390,12 +418,10 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         if searched is None:
             result["basis_search"] = {"found": False, "bound": args.bound}
         else:
-            scert = verify_permutation_basis(searched, fan, group)
-            result["basis_search"] = {
-                "found": True,
-                "bound": args.bound,
-                **basis_payload(searched, scert),
-            }
+            payload, error = _certified_basis(searched, fan, group)
+            result["basis_search"] = {"found": True, "bound": args.bound, **payload}
+            if error is not None:
+                failures.append(f"basis search: {error}")
 
     result["failures"] = failures
     code = EXIT_VERIFICATION_FAILED if failures else EXIT_OK

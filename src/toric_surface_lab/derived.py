@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import ext_line_bundles
+from .cohomology import ext_line_bundles, line_bundle_cohomology
 from .grothendieck import (
     NotClassified,
     act_on_divisor,
@@ -21,12 +21,7 @@ from .grothendieck import (
 )
 from .intlinalg import bareiss_det
 from .lattice_fan import Fan
-from .minimal_model import (
-    ContractionTrace,
-    MinimalLabel,
-    MinimalModelError,
-    classify_minimal,
-)
+from .minimal_model import ContractionTrace, MinimalLabel
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -165,44 +160,33 @@ def _merge_blocks_by_orbits(
     return [merged[root] for root in order]
 
 
-def build_collection(source, group: SymmetryGroup) -> ExceptionalCollection:
-    """Ordered exceptional blocks for a minimal pair or a contraction trace.
+def build_collection(
+    trace: ContractionTrace, label: MinimalLabel, group: SymmetryGroup
+) -> ExceptionalCollection:
+    """Ordered exceptional blocks for a contraction trace.
 
-    Order: the structure sheaf, then one block O(E_i) per blow-up step
-    (outermost contraction first, total transforms taken for inner steps),
-    then the remaining core line bundles pulled back.
+    `label` classifies the trace's terminal pair; a minimal pair is a trace
+    without steps.  Order: the structure sheaf, then one block O(E_i) per
+    blow-up step (outermost contraction first, total transforms taken for
+    inner steps), then the remaining core line bundles pulled back.
     """
-    if isinstance(source, ContractionTrace):
-        trace = source
-        try:
-            label = classify_minimal(trace.terminal_fan, trace.terminal_group)
-        except MinimalModelError as exc:
-            raise NotClassified(str(exc)) from exc
-        blocks = _core_collection_blocks(label)
-        for step_index in range(len(trace.steps) - 1, -1, -1):
-            step = trace.steps[step_index]
-            blocks = [_transport_block(step, b) for b in blocks]
-            exc_block = []
-            for ray in step.contracted:
-                i = step.before.rays.index(ray)
-                exc_block.append(
-                    tuple(1 if e == i else 0 for e in range(step.before.n))
-                )
-            blocks = [blocks[0], exc_block] + blocks[1:]
-        fan = trace.initial_fan
-        provenance = f"{label} core + {len(trace.steps)} blow-up step(s)"
-    elif isinstance(source, MinimalLabel):
-        blocks = _core_collection_blocks(source)
-        fan = source.fan
-        provenance = f"{source} core"
-    else:
-        raise NotClassified(f"cannot build a collection from {type(source).__name__}")
-
+    blocks = _core_collection_blocks(label)
+    for step_index in range(len(trace.steps) - 1, -1, -1):
+        step = trace.steps[step_index]
+        blocks = [_transport_block(step, b) for b in blocks]
+        exc_block = []
+        for ray in step.contracted:
+            i = step.before.rays.index(ray)
+            exc_block.append(
+                tuple(1 if e == i else 0 for e in range(step.before.n))
+            )
+        blocks = [blocks[0], exc_block] + blocks[1:]
+    fan = trace.initial_fan
     blocks = _merge_blocks_by_orbits(fan, group, blocks)
     return ExceptionalCollection(
         fan=fan,
         blocks=tuple(tuple(b) for b in blocks),
-        provenance=provenance,
+        provenance=f"{label} core + {len(trace.steps)} blow-up step(s)",
     )
 
 
@@ -228,13 +212,15 @@ def verify_collection(
         if first is None:
             first = v
 
+    # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared
+    # for each object.
+    self_ext = line_bundle_cohomology(fan, (0,) * fan.n).as_tuple()
     for bi, block in enumerate(coll.blocks):
         for d in block:
-            ext = ext_line_bundles(fan, d, d).as_tuple()
             checked += 1
-            if ext != (1, 0, 0):
+            if self_ext != (1, 0, 0):
                 self_ok = False
-                note(ExtViolation("self", bi, d, bi, d, ext))
+                note(ExtViolation("self", bi, d, bi, d, self_ext))
 
     for bi, block in enumerate(coll.blocks):
         for i, d1 in enumerate(block):

@@ -26,12 +26,7 @@ from functools import lru_cache
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
 from .lattice_fan import Fan
-from .minimal_model import (
-    ContractionTrace,
-    MinimalLabel,
-    MinimalModelError,
-    classify_minimal,
-)
+from .minimal_model import ContractionTrace, MinimalLabel
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -105,18 +100,19 @@ class PicardLattice:
         return self.fan.n - 2
 
     def divisor_coords(self, coefficients) -> tuple[int, ...]:
-        """Picard coordinates of the divisor sum(c_e D_e)."""
-        c = tuple(int(x) for x in coefficients)
+        """Picard coordinates of the divisor sum(c_e D_e).
+
+        A linear map: D_e is the e-th basis vector for e >= 2, and the first
+        two rays contribute c_0 and c_1 times their own coordinates.
+        """
+        c = tuple(map(int, coefficients))
         if len(c) != self.fan.n:
             raise IncompatibleFan(
                 f"expected {self.fan.n} coefficients, got {len(c)}"
             )
-        rays = self.fan.rays
-        m = solve2(rays[0], rays[1], (-c[0], -c[1]))
-        return tuple(
-            c[e] + m[0] * rays[e][0] + m[1] * rays[e][1]
-            for e in range(2, self.fan.n)
-        )
+        c0, c1 = c[0], c[1]
+        r0, r1 = self.ray_coords[0], self.ray_coords[1]
+        return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
 
     def pair(self, d1, d2) -> int:
         """Intersection number d1.d2, in O(rank).
@@ -169,21 +165,19 @@ def picard(fan: Fan) -> PicardLattice:
     # The basis classes are the ray divisors D_2..D_{N-1}, so the gram matrix
     # is the ray intersection table restricted to them.
     gram = tuple(tuple(inter[i + 2][j + 2] for j in range(rank)) for i in range(rank))
-    partial = PicardLattice(
-        fan=fan,
-        relation_matrix=relation,
-        ray_coords=(),
-        gram=gram,
-        canonical_coords=(0,) * rank,
-    )
-    ray_coords = tuple(
-        partial.divisor_coords(tuple(1 if e == i else 0 for e in range(n)))
-        for i in range(n)
-    )
-    k_coords = partial.divisor_coords((-1,) * n)
     det = bareiss_det([list(row) for row in gram]) if rank else 1
     if det not in (1, -1):
         raise GrothendieckError(f"intersection form has determinant {det}")
+
+    def first_ray_coords(c0: int, c1: int) -> tuple[int, ...]:
+        # Clear c0 D_0 + c1 D_1 with the character m, <m, v_0> = -c0 and
+        # <m, v_1> = -c1; what is left is sum <m, v_e> D_e over e >= 2.
+        m = solve2(rays[0], rays[1], (-c0, -c1))
+        return tuple(m[0] * v[0] + m[1] * v[1] for v in rays[2:])
+
+    unit = [tuple(int(e == i) for e in range(rank)) for i in range(rank)]
+    ray_coords = (first_ray_coords(1, 0), first_ray_coords(0, 1), *unit)
+    k_coords = tuple(-1 - a - b for a, b in zip(ray_coords[0], ray_coords[1]))
     return PicardLattice(
         fan=fan,
         relation_matrix=relation,
@@ -501,6 +495,17 @@ def _transport_divisor(step, coefficients) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _class_orbit(
+    lat: PicardLattice, perms, divisor: tuple[int, ...]
+) -> set[tuple[int, ...]]:
+    """Picard coordinates of the orbit of the class of `divisor`.
+
+    `perms` holds the ray permutation of every group element, so the images
+    of one representative already are the whole orbit.
+    """
+    return {lat.divisor_coords(act_on_divisor(perm, divisor)) for perm in perms}
+
+
 def _orbit_partition(
     fan: Fan, group: SymmetryGroup, elements: list[K0Class], divisors: list[tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -512,6 +517,7 @@ def _orbit_partition(
     if group.fan != fan or group.ray_permutations is None:
         group = group.attach(fan)
     lat = picard(fan)
+    perms = group.ray_permutations.values()
     index_of = {}
     for i, cls in enumerate(elements):
         index_of.setdefault(cls.c1, i)
@@ -520,20 +526,10 @@ def _orbit_partition(
     for i in range(len(elements)):
         if assigned[i]:
             continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for perm in group.ray_permutations.values():
-                image = lat.divisor_coords(act_on_divisor(perm, divisors[j]))
-                k = index_of.get(image)
-                if k is None:
-                    raise NotInvariant(
-                        f"image of basis element {divisors[j]} leaves the set"
-                    )
-                if k not in orbit:
-                    orbit.add(k)
-                    frontier.append(k)
+        images = _class_orbit(lat, perms, divisors[i])
+        if not images <= index_of.keys():
+            raise NotInvariant(f"image of basis element {divisors[i]} leaves the set")
+        orbit = {i} | {index_of[image] for image in images}
         for j in orbit:
             assigned[j] = True
         orbits.append(tuple(sorted(orbit)))
@@ -541,38 +537,28 @@ def _orbit_partition(
     return tuple(orbits), stab
 
 
-def standard_permutation_basis(source, group: SymmetryGroup) -> PermutationBasis:
-    """The distinguished permutation basis for a minimal pair or a trace.
+def standard_permutation_basis(
+    trace: ContractionTrace, label: MinimalLabel, group: SymmetryGroup
+) -> PermutationBasis:
+    """The distinguished permutation basis of a contraction trace.
 
-    For a contraction trace the core basis of the terminal surface is pulled
-    back step by step (total transforms) and the classes O(E) of each step's
+    `label` classifies the trace's terminal pair; a minimal pair is a trace
+    without steps.  The core basis of the terminal surface is pulled back
+    step by step (total transforms) and the classes O(E) of each step's
     exceptional orbit are appended.
     """
-    if isinstance(source, ContractionTrace):
-        trace = source
-        try:
-            label = classify_minimal(trace.terminal_fan, trace.terminal_group)
-        except MinimalModelError as exc:
-            raise NotClassified(str(exc)) from exc
-        divisors, roles = core_basis_divisors(label)
-        divisors = list(divisors)
-        tags: list[tuple[str, object]] = [("core", role) for role in roles]
-        for step_index in range(len(trace.steps) - 1, -1, -1):
-            step = trace.steps[step_index]
-            divisors = [_transport_divisor(step, c) for c in divisors]
-            for ray in step.contracted:
-                i = step.before.rays.index(ray)
-                exc = tuple(1 if e == i else 0 for e in range(step.before.n))
-                divisors.append(exc)
-                tags.append(("exc", step_index))
-        fan = trace.initial_fan
-    elif isinstance(source, MinimalLabel):
-        divisors_t, roles = core_basis_divisors(source)
-        divisors = list(divisors_t)
-        tags = [("core", role) for role in roles]
-        fan = source.fan
-    else:
-        raise NotClassified(f"cannot build a basis from {type(source).__name__}")
+    divisors, roles = core_basis_divisors(label)
+    divisors = list(divisors)
+    tags: list[tuple[str, object]] = [("core", role) for role in roles]
+    for step_index in range(len(trace.steps) - 1, -1, -1):
+        step = trace.steps[step_index]
+        divisors = [_transport_divisor(step, c) for c in divisors]
+        for ray in step.contracted:
+            i = step.before.rays.index(ray)
+            exc = tuple(1 if e == i else 0 for e in range(step.before.n))
+            divisors.append(exc)
+            tags.append(("exc", step_index))
+    fan = trace.initial_fan
 
     elements = [line_bundle_class(fan, c) for c in divisors]
     orbits, stab = _orbit_partition(fan, group, elements, divisors)
@@ -615,6 +601,45 @@ def verify_permutation_basis(
     )
 
 
+def _candidate_orbits(
+    fan: Fan, group: SymmetryGroup, bound: int
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """Candidate classes of the basis search and their group orbits.
+
+    Returns the least divisor with coefficients in [-bound, bound] of each
+    candidate class, keyed by Picard coordinates (which determine the
+    class), and the orbits of at most N classes in canonical order (small
+    classes first).  `group` must be attached to `fan`.
+    """
+    # model_vector() is (1, *c1, chi), so sorting by coordinates is sorting
+    # by class.
+    lat = picard(fan)
+    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=fan.n):
+        coords = lat.divisor_coords(coeffs)
+        old = rep.get(coords)
+        key = (max(map(abs, coeffs), default=0), coeffs)
+        if old is None or key < (max(map(abs, old), default=0), old):
+            rep[coords] = coeffs
+
+    def size_order(coords: tuple[int, ...]) -> tuple:
+        return (max(map(abs, coords), default=0), coords)
+
+    # The candidate set is closed under the action (a permutation of bounded
+    # coefficients is again bounded), so every image has a representative.
+    perms = group.ray_permutations.values()
+    remaining = set(rep)
+    coord_orbits: list[list[tuple[int, ...]]] = []
+    for coords in sorted(rep, key=size_order):
+        if coords not in remaining:
+            continue
+        orbit = _class_orbit(lat, perms, rep[coords])
+        remaining -= orbit
+        if len(orbit) <= fan.n:
+            coord_orbits.append(sorted(orbit, key=size_order))
+    return rep, coord_orbits
+
+
 def search_line_bundle_basis(
     fan: Fan, group: SymmetryGroup, bound: int
 ) -> PermutationBasis | None:
@@ -629,43 +654,7 @@ def search_line_bundle_basis(
     if group.fan != fan or group.ray_permutations is None:
         group = group.attach(fan)
     n = fan.n
-
-    # Candidate line bundles, keyed by Picard coordinates (which determine
-    # the class); model_vector() is (1, *c1, chi), so sorting by coordinates
-    # is sorting by class.
-    lat = picard(fan)
-    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=n):
-        coords = lat.divisor_coords(coeffs)
-        old = rep.get(coords)
-        key = (max(map(abs, coeffs), default=0), coeffs)
-        if old is None or key < (max(map(abs, old), default=0), old):
-            rep[coords] = coeffs
-
-    def size_order(coords: tuple[int, ...]) -> tuple:
-        return (max(map(abs, coords), default=0), coords)
-
-    # Partition candidate classes into group orbits.  The candidate set is
-    # closed under the action (a permutation of bounded coefficients is again
-    # bounded), so every image has a representative.
-    remaining = set(rep)
-    coord_orbits: list[list[tuple[int, ...]]] = []
-    for coords in sorted(rep, key=size_order):
-        if coords not in remaining:
-            continue
-        orbit = {coords}
-        frontier = [coords]
-        while frontier:
-            x = frontier.pop()
-            for perm in group.ray_permutations.values():
-                image = lat.divisor_coords(act_on_divisor(perm, rep[x]))
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        remaining -= orbit
-        if len(orbit) <= n:
-            coord_orbits.append(sorted(orbit, key=size_order))
-
+    rep, coord_orbits = _candidate_orbits(fan, group, bound)
     orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
 
     def rank_of(rows: list[list[int]]) -> int:

@@ -99,9 +99,23 @@ def _angle_before(v: Vec, w: Vec) -> bool:
 
 @dataclass(frozen=True)
 class Fan:
-    """Counterclockwise primitive rays of a smooth complete fan in Z^2."""
+    """Counterclockwise primitive rays of a smooth complete fan in Z^2.
+
+    The hash of the rays is computed once, at construction: the lru caches
+    keyed by the fan look it up on every call.
+    """
 
     rays: tuple[Vec, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.rays))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle and copy rebuild from the rays, so the hash is recomputed.
+        return (Fan, (self.rays,))
 
     @property
     def n(self) -> int:

@@ -33,6 +33,7 @@ __all__ = [
     "is_g_minimal",
     "minimalize",
     "classify_minimal",
+    "classify_pair",
     "MINIMAL_KINDS_BY_GROUP",
 ]
 
@@ -230,3 +231,12 @@ def classify_minimal(fan: Fan, group: SymmetryGroup) -> MinimalLabel:
     return MinimalLabel(
         kind=kind, group_label=label, family=family, fan=fan, hirzebruch_a=a
     )
+
+
+def classify_pair(fan: Fan, group: SymmetryGroup) -> tuple[ContractionTrace, MinimalLabel]:
+    """Contract a pair to its minimal model and label the endpoint, once.
+
+    The trace has no steps exactly when the pair is already G-minimal.
+    """
+    trace = minimalize(fan, group)
+    return trace, classify_minimal(trace.terminal_fan, trace.terminal_group)

@@ -18,17 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grothendieck import (
+    BasisCertificate,
     GrothendieckError,
     PermutationBasis,
     verify_permutation_basis,
 )
-from .minimal_model import (
-    ContractionTrace,
-    MinimalLabel,
-    MinimalModelError,
-    NotMinimal,
-    classify_minimal,
-)
+from .minimal_model import MinimalLabel, NotMinimal
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -77,8 +72,9 @@ class FamilyDescriptor:
 @dataclass(frozen=True)
 class MotivicDecomposition:
     factors: tuple[AlgebraFactor, ...]
-    family: FamilyDescriptor | None
+    family: FamilyDescriptor
     notes: tuple[str, ...]
+    basis_certificate: BasisCertificate  # the certificate of the decomposed basis
 
     def total_degree(self) -> int:
         return sum(f.base_degree for f in self.factors)
@@ -140,13 +136,13 @@ def _core_slot_label(family_index: str, role: str, odd_ruling: bool) -> str:
 
 
 def decompose(
-    basis: PermutationBasis, source, group: SymmetryGroup
+    basis: PermutationBasis, label: MinimalLabel, group: SymmetryGroup
 ) -> MotivicDecomposition:
-    """One factor per basis orbit, named after the minimal family when known.
+    """One factor per basis orbit, named after the minimal family of `label`.
 
-    `source` is the MinimalLabel or ContractionTrace the basis was built
-    from.  The basis is re-certified first; a failing certificate raises
-    UnverifiedBasis.
+    `label` classifies the terminal pair of the trace the basis was built
+    from.  The basis is certified first; a failing certificate raises
+    UnverifiedBasis, and a passing one is returned with the decomposition.
     """
     try:
         cert = verify_permutation_basis(basis, basis.fan, group)
@@ -155,25 +151,15 @@ def decompose(
     if not cert.ok:
         raise UnverifiedBasis("basis certificate failed")
 
-    label: MinimalLabel | None = None
-    if isinstance(source, MinimalLabel):
-        label = source
-    elif isinstance(source, ContractionTrace):
-        try:
-            label = classify_minimal(source.terminal_fan, source.terminal_group)
-        except MinimalModelError:
-            label = None
-
-    family = annotate_family(label) if label is not None else None
+    family = annotate_family(label)
     odd_ruling = (
-        label is not None
-        and label.kind.startswith("F(")
+        label.kind.startswith("F(")
         and label.hirzebruch_a is not None
         and label.hirzebruch_a % 2 == 1
     )
 
     notes: list[str] = []
-    if family is not None and family.index == "(iv)":
+    if family.index == "(iv)":
         notes.append(DP6_PAIRING_NOTE)
     if odd_ruling:
         notes.append(ODD_RULING_NOTE)
@@ -190,7 +176,7 @@ def decompose(
             # Blow-up orbits give etale factors: split over the degree-|orbit|
             # etale base algebra.
             brauer = "k"
-        elif kinds == {"core"} and family is not None:
+        elif kinds == {"core"}:
             slot_labels = {
                 _core_slot_label(family.index, role, odd_ruling) for role in roles
             }
@@ -210,7 +196,10 @@ def decompose(
             )
         )
     return MotivicDecomposition(
-        factors=tuple(factors), family=family, notes=tuple(notes)
+        factors=tuple(factors),
+        family=family,
+        notes=tuple(notes),
+        basis_certificate=cert,
     )
 
 

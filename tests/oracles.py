@@ -8,7 +8,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from toric_surface_lab.grothendieck import GrothendieckError, K0Class, picard
+from toric_surface_lab.grothendieck import (
+    GrothendieckError,
+    K0Class,
+    PicardLattice,
+    act_on_divisor,
+    picard,
+)
 from toric_surface_lab.intlinalg import mat_apply, solve2, unimodular_matrices
 from toric_surface_lab.lattice_fan import Fan
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
@@ -80,6 +86,39 @@ def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
     if num % 2:
         raise GrothendieckError("non-integral Euler characteristic in product")
     return K0Class(x.fan, r, c1, num // 2 + r)
+
+
+def solve2_divisor_coords(fan: Fan, coefficients) -> tuple[int, ...]:
+    """Picard coordinates of sum(c_e D_e) by a 2x2 solve per divisor.
+
+    The character m with <m, v_0> = -c_0 and <m, v_1> = -c_1 clears the
+    first two coefficients; what is left, c_e + <m, v_e> for e >= 2, are the
+    coordinates in the basis D_2..D_{N-1}.
+    """
+    c = [int(x) for x in coefficients]
+    rays = fan.rays
+    m = solve2(rays[0], rays[1], (-c[0], -c[1]))
+    return tuple(c[e] + m[0] * rays[e][0] + m[1] * rays[e][1] for e in range(2, fan.n))
+
+
+def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:
+    """Picard coordinates of the orbit of a divisor's class, by a closure.
+
+    Expands every member of the orbit found so far under every permutation
+    until nothing new appears, so it does not rely on `perms` being a whole
+    group.
+    """
+    orbit = {lat.divisor_coords(divisor): tuple(divisor)}
+    frontier = [tuple(divisor)]
+    while frontier:
+        d = frontier.pop()
+        for perm in perms:
+            image = act_on_divisor(perm, d)
+            key = lat.divisor_coords(image)
+            if key not in orbit:
+                orbit[key] = image
+                frontier.append(image)
+    return set(orbit)
 
 
 def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:

@@ -35,6 +35,7 @@ from toric_surface_lab.lattice_fan import (
 from toric_surface_lab.minimal_model import (
     TableViolation,
     classify_minimal,
+    classify_pair,
     minimalize,
 )
 from toric_surface_lab.motivic import decompose, decomposition_string
@@ -160,15 +161,15 @@ def test_criterion_5_bases(corpus):
     ok = True
     for fan, signature in expected.values():
         g = compute_aut(fan)
-        basis = standard_permutation_basis(minimalize(fan, g), g)
+        basis = standard_permutation_basis(*classify_pair(fan, g), g)
         if basis.orbit_sizes() != signature:
             ok = False
         if not verify_permutation_basis(basis, fan, g).ok:
             ok = False
     transported = 0
     for entry in corpus:
-        trace = minimalize(entry.fan, entry.group)
-        basis = standard_permutation_basis(trace, entry.group)
+        trace, label = classify_pair(entry.fan, entry.group)
+        basis = standard_permutation_basis(trace, label, entry.group)
         cert = verify_permutation_basis(basis, entry.fan, entry.group)
         if not (cert.ok and basis.size == entry.fan.n):
             ok = False
@@ -209,19 +210,19 @@ def test_criterion_8_collections(corpus):
     ok = True
     for fan in (p2_fan(), hirzebruch_fan(2), square_fan(), dp6_fan()):
         g = compute_aut(fan)
-        coll = build_collection(minimalize(fan, g), g)
+        coll = build_collection(*classify_pair(fan, g), g)
         if not verify_collection(coll, fan, g).ok:
             ok = False
     verified = 0
     for entry in corpus:
-        coll = build_collection(minimalize(entry.fan, entry.group), entry.group)
+        coll = build_collection(*classify_pair(entry.fan, entry.group), entry.group)
         if not verify_collection(coll, entry.fan, entry.group).ok:
             ok = False
         verified += 1
     p2 = p2_fan()
     g = compute_aut(p2)
     reversed_cert = verify_collection(
-        build_collection(minimalize(p2, g), g).reversed(), p2, g
+        build_collection(*classify_pair(p2, g), g).reversed(), p2, g
     )
     v = reversed_cert.first_violation
     ok = ok and not reversed_cert.ok and v is not None and v.ext == (3, 0, 0)
@@ -243,9 +244,9 @@ def test_criterion_9_decomposition_shapes():
     seen = []
     for fan, glabel, expected in cases:
         group = compute_aut(fan) if glabel is None else subgroup_with_label(fan, glabel)
-        trace = minimalize(fan, group)
-        basis = standard_permutation_basis(trace, group)
-        got = decomposition_string(decompose(basis, trace, group))
+        trace, label = classify_pair(fan, group)
+        basis = standard_permutation_basis(trace, label, group)
+        got = decomposition_string(decompose(basis, label, group))
         seen.append(got)
         if got != expected:
             ok = False

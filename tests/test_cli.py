@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toric_surface_lab
-from toric_surface_lab import cli
+from toric_surface_lab import cli, grothendieck
 from toric_surface_lab.cli import main
 from toric_surface_lab.cohomology import CohomologyVector, line_bundle_cohomology
 
@@ -298,6 +299,81 @@ class TestSpotCheck:
 
     def test_honest_cohomology_passes(self, dp6):
         assert cli._spot_check_cohomology(dp6, seed=3)["violations"] == 0
+
+
+class TestFailedCertificates:
+    """A certificate the library fails on its own objects exits 1, not 2."""
+
+    def test_k0_relation_failure_exits_1(self, capsys, monkeypatch, p2_file):
+        real = grothendieck.k0_multiply
+
+        def off_by_one(x, y):
+            z = real(x, y)
+            return dataclasses.replace(z, chi=z.chi + 1)
+
+        monkeypatch.setattr(grothendieck, "k0_multiply", off_by_one)
+        code, report = run_json(capsys, ["k0-verify", "--fan", p2_file])
+        assert code == 1
+        assert report["status"] == "verification-failed"
+        assert set(report["result"]["k0"]) == {"error"}
+        code, report = run_json(capsys, ["report", "--fan", p2_file])
+        assert code == 1
+        assert report["result"]["failures"][0] == "k0: " + report["result"]["k0"]["error"]
+
+    @pytest.mark.parametrize("error", [grothendieck.NotABasis, grothendieck.NotInvariant])
+    @pytest.mark.parametrize("bound", [None, "1"])
+    def test_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
+                                               d12_file, error, bound):
+        def failing(basis, fan, group):
+            raise error("planted failure")
+
+        monkeypatch.setattr(cli, "verify_permutation_basis", failing)
+        argv = ["basis", "--fan", dp6_file, "--group", d12_file]
+        code, report = run_json(capsys, argv + (["--bound", bound] if bound else []))
+        assert code == 1
+        assert report["status"] == "verification-failed"
+        assert report["result"]["basis"]["error"] == "planted failure"
+        if bound:
+            assert report["result"]["basis"]["found"] is True
+
+
+class TestStageCounts:
+    """One in-process report on the 12-ray D12 fan computes each stage once."""
+
+    COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
+               "cohomology.line_bundle_cohomology")
+
+    def test_report_runs_each_stage_once(self, capsys, monkeypatch):
+        counts = dict.fromkeys(self.COUNTED, 0)
+        modules = [m for name, m in sys.modules.items()
+                   if name.startswith("toric_surface_lab.")]
+        for key in self.COUNTED:
+            module, attr = key.split(".")
+            original = getattr(sys.modules[f"toric_surface_lab.{module}"], attr)
+
+            def shim(*args, _key=key, _original=original):
+                counts[_key] += 1
+                return _original(*args)
+
+            for ns in modules:  # every module binding of the function
+                for name, value in list(vars(ns).items()):
+                    if value is original:
+                        monkeypatch.setattr(ns, name, shim)
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        code, report = run_json(capsys, ["report", "--fan", "dp6-12.json",
+                                         "--group", "d12.json"])
+        monkeypatch.undo()
+        assert code == 0
+        result = report["result"]
+        objects = sum(len(block) for block in result["collection"]["blocks"])
+        assert objects == 12
+        assert counts == {
+            "minimal_model.classify_minimal": 1,
+            "grothendieck.verify_permutation_basis": 1,
+            "cohomology.line_bundle_cohomology": (
+                result["cohomology_spot_check"]["samples"]
+                + result["collection"]["pairs_checked"] - (objects - 1)),
+        }
 
 
 class TestInternalError:

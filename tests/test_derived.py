@@ -8,13 +8,13 @@ from toric_surface_lab.derived import (
 )
 from toric_surface_lab.grothendieck import line_bundle_class
 from toric_surface_lab.lattice_fan import blow_up, p2_fan
-from toric_surface_lab.minimal_model import minimalize
+from toric_surface_lab.minimal_model import classify_pair
 from toric_surface_lab.symmetry import compute_aut, trivial_group
 from toric_surface_lab.corpus import subgroup_with_label
 
 
 def collection_for(fan, group):
-    return build_collection(minimalize(fan, group), group)
+    return build_collection(*classify_pair(fan, group), group)
 
 
 class TestCores:

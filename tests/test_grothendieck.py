@@ -4,6 +4,7 @@ import pytest
 
 from toric_surface_lab.cohomology import line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
+from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     K0Class,
     NotABasis,
@@ -20,16 +21,35 @@ from toric_surface_lab.grothendieck import (
     verify_klyachko,
     verify_permutation_basis,
 )
+from toric_surface_lab.intlinalg import mat_inv, mat_mul
 from toric_surface_lab.lattice_fan import (
+    apply_matrix,
     blow_up,
     dp6_fan,
     hirzebruch_fan,
     p2_fan,
 )
-from toric_surface_lab.minimal_model import minimalize
+from toric_surface_lab.minimal_model import classify_pair, minimalize
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 
-from oracles import chern_multiply, symmetric_signature
+from oracles import (
+    bfs_class_orbit,
+    chern_multiply,
+    solve2_divisor_coords,
+    symmetric_signature,
+)
+
+
+def random_basis(rng, fan, group):
+    """The pair rewritten in a random lattice basis (entries within 3)."""
+    while True:
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1:
+            break
+    image = apply_matrix(m, fan)
+    mi = mat_inv(m)
+    gens = [mat_mul(m, mat_mul(g, mi)) for g in group.generators]
+    return image, SymmetryGroup.from_generators(gens, image)
 
 
 def unit_divisor(fan, *idx, sign=-1):
@@ -108,6 +128,27 @@ class TestPicard:
                         assert got == 1
                     else:
                         assert got == 0
+
+
+class TestDivisorCoords:
+    """The linear map through `ray_coords` against a 2x2 solve per divisor."""
+
+    def test_matches_solve2_route_on_corpus(self):
+        rng = random.Random(23)
+        entries = {e.fan.rays: e for e in standard_corpus(max_rays=16)}
+        checked = 0
+        for entry in entries.values():
+            for fan in (entry.fan, random_basis(rng, entry.fan, entry.group)[0]):
+                lat = picard(fan)
+                for _ in range(10):
+                    c = tuple(rng.randint(-5, 5) for _ in range(fan.n))
+                    assert lat.divisor_coords(c) == solve2_divisor_coords(fan, c)
+                    checked += 1
+        assert checked > 2_000
+
+    def test_wrong_length_rejected(self, p2):
+        with pytest.raises(grothendieck.IncompatibleFan):
+            picard(p2).divisor_coords((1, 0))
 
 
 class TestLineBundleClass:
@@ -274,23 +315,23 @@ class TestStandardBasis:
     def test_fa_four_singletons(self):
         fan = hirzebruch_fan(3)
         g = compute_aut(fan)
-        basis = standard_permutation_basis(minimalize(fan, g), g)
+        basis = standard_permutation_basis(*classify_pair(fan, g), g)
         assert basis.orbit_sizes() == (1, 1, 1, 1)
         cert = verify_permutation_basis(basis, fan, g)
         assert cert.ok
 
     def test_p2_three_singletons(self, p2, p2_aut):
-        basis = standard_permutation_basis(minimalize(p2, p2_aut), p2_aut)
+        basis = standard_permutation_basis(*classify_pair(p2, p2_aut), p2_aut)
         assert basis.orbit_sizes() == (1, 1, 1)
         divisors = set(basis.divisors)
         assert (0, 0, 0) in divisors
 
     def test_square_signature(self, square, square_aut):
-        basis = standard_permutation_basis(minimalize(square, square_aut), square_aut)
+        basis = standard_permutation_basis(*classify_pair(square, square_aut), square_aut)
         assert basis.orbit_sizes() == (1, 2, 1)
 
     def test_dp6_signature(self, dp6, dp6_aut):
-        basis = standard_permutation_basis(minimalize(dp6, dp6_aut), dp6_aut)
+        basis = standard_permutation_basis(*classify_pair(dp6, dp6_aut), dp6_aut)
         assert basis.orbit_sizes() == (1, 3, 2)
         assert basis.stabilizer_indices == (1, 3, 2)
 
@@ -298,14 +339,14 @@ class TestStandardBasis:
         from toric_surface_lab.minimal_model import classify_minimal
 
         label = classify_minimal(dp6, dp6_aut)
-        basis = standard_permutation_basis(label, dp6_aut)
+        basis = standard_permutation_basis(minimalize(dp6, dp6_aut), label, dp6_aut)
         assert basis.orbit_sizes() == (1, 3, 2)
         assert verify_permutation_basis(basis, dp6, dp6_aut).ok
 
     def test_transport_on_corpus(self, small_corpus):
         for entry in small_corpus:
-            trace = minimalize(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, entry.group)
+            trace, label = classify_pair(entry.fan, entry.group)
+            basis = standard_permutation_basis(trace, label, entry.group)
             assert basis.size == entry.fan.n
             cert = verify_permutation_basis(basis, entry.fan, entry.group)
             assert cert.ok
@@ -359,6 +400,39 @@ class TestSearch:
         b2 = search_line_bundle_basis(p2, g, 2)
         assert b1.divisors == b2.divisors
 
+    def test_class_orbit_matches_bfs_closure(self, small_corpus):
+        rng = random.Random(29)
+        for entry in small_corpus[:40]:
+            lat = picard(entry.fan)
+            perms = entry.group.ray_permutations.values()
+            for _ in range(5):
+                d = tuple(rng.randint(-3, 3) for _ in range(entry.fan.n))
+                assert grothendieck._class_orbit(lat, perms, d) == bfs_class_orbit(
+                    lat, perms, d)
+
+    def test_one_representative_orbits_match_bfs_closure_in_search(self, monkeypatch):
+        """Orbits from the images of one representative equal the closure's
+        on the candidates of bounds 0 and 1, in two bases per pair of at
+        most 6 rays; where the whole search is cheap (at most 5 rays) its
+        results are compared too."""
+        rng = random.Random(37)
+
+        def results(fan, group, bound):
+            orbits = grothendieck._candidate_orbits(fan, group, bound)
+            return orbits, search_line_bundle_basis(fan, group, bound) if fan.n <= 5 else None
+
+        searched = 0
+        for entry in (e for e in standard_corpus(max_rays=16) if e.fan.n <= 6):
+            for fan, group in ((entry.fan, entry.group),
+                               random_basis(rng, entry.fan, entry.group)):
+                for bound in (0, 1):
+                    fast = results(fan, group, bound)
+                    monkeypatch.setattr(grothendieck, "_class_orbit", bfs_class_orbit)
+                    assert results(fan, group, bound) == fast
+                    monkeypatch.undo()
+                    searched += fast[1] is not None
+        assert searched > 0
+
 
 class TestAction:
     def test_divisor_action_permutes(self, square):
@@ -370,8 +444,8 @@ class TestAction:
     def test_f1_blowup_transport_matches_known_shape(self):
         f1 = blow_up(p2_fan(), [0])
         g = SymmetryGroup.from_generators([((0, 1), (1, 0))], f1)
-        trace = minimalize(f1, g)
-        basis = standard_permutation_basis(trace, g)
+        trace, label = classify_pair(f1, g)
+        basis = standard_permutation_basis(trace, label, g)
         tags = dict(zip(basis.divisors, basis.tags))
         exceptional = [d for d, t in tags.items() if t[0] == "exc"]
         assert exceptional == [(0, 1, 0, 0)]

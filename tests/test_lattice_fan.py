@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -218,3 +220,27 @@ class TestProperties:
     def test_fan_values_are_hashable_and_equal(self):
         assert hash(p2_fan()) == hash(validate_fan([(0, 1), (-1, -1), (1, 0)]))
         assert Fan(p2_fan().rays) == p2_fan()
+
+
+class TestHashOnce:
+    """The hash is computed once per Fan; equal fans must still hash equal."""
+
+    @pytest.mark.parametrize("make_fan", [p2_fan, lambda: hirzebruch_fan(3), dp6_fan])
+    def test_equal_fans_built_different_ways(self, make_fan):
+        from toric_surface_lab.intlinalg import mat_inv
+
+        fan = make_fan()
+        m = ((2, 1), (1, 1))
+        rotated = list(fan.rays[2:] + fan.rays[:2])
+        twins = [
+            validate_fan(rotated),
+            Fan(tuple(tuple(v) for v in fan.rays)),
+            apply_matrix(mat_inv(m), apply_matrix(m, fan)),
+            pickle.loads(pickle.dumps(fan)),
+            copy.deepcopy(fan),
+            copy.copy(fan),
+        ]
+        for twin in twins:
+            assert twin == fan
+            assert hash(twin) == hash(fan) == hash(fan.rays)
+            assert len({twin, fan}) == 1

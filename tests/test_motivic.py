@@ -5,7 +5,7 @@ from toric_surface_lab.grothendieck import (
     standard_permutation_basis,
 )
 from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan, p2_fan
-from toric_surface_lab.minimal_model import classify_minimal, minimalize
+from toric_surface_lab.minimal_model import classify_minimal, classify_pair
 from toric_surface_lab.motivic import (
     UnverifiedBasis,
     annotate_family,
@@ -17,9 +17,9 @@ from toric_surface_lab.corpus import subgroup_with_label
 
 
 def pipeline(fan, group):
-    trace = minimalize(fan, group)
-    basis = standard_permutation_basis(trace, group)
-    return decompose(basis, trace, group)
+    trace, label = classify_pair(fan, group)
+    basis = standard_permutation_basis(trace, label, group)
+    return decompose(basis, label, group)
 
 
 class TestFamilyStrings:
@@ -52,9 +52,9 @@ class TestFamilyStrings:
 class TestFactorData:
     def test_counts_and_degrees(self, small_corpus):
         for entry in small_corpus[:30]:
-            trace = minimalize(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, entry.group)
-            dec = decompose(basis, trace, entry.group)
+            trace, label = classify_pair(entry.fan, entry.group)
+            basis = standard_permutation_basis(trace, label, entry.group)
+            dec = decompose(basis, label, entry.group)
             assert len(dec.factors) == len(basis.orbits)
             assert dec.total_degree() == entry.fan.n
             for factor, orbit in zip(dec.factors, basis.orbits):
@@ -62,9 +62,9 @@ class TestFactorData:
 
     def test_unit_orbit_is_split(self, small_corpus):
         for entry in small_corpus[:30]:
-            trace = minimalize(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, entry.group)
-            dec = decompose(basis, trace, entry.group)
+            trace, label = classify_pair(entry.fan, entry.group)
+            basis = standard_permutation_basis(trace, label, entry.group)
+            dec = decompose(basis, label, entry.group)
             unit_index = next(
                 i for i, d in enumerate(basis.divisors) if all(c == 0 for c in d)
             )
@@ -78,9 +78,9 @@ class TestFactorData:
         from toric_surface_lab.symmetry import SymmetryGroup
 
         group = SymmetryGroup(elements=c6.elements, generators=c6.generators).attach(blown)
-        trace = minimalize(blown, group)
-        basis = standard_permutation_basis(trace, group)
-        dec = decompose(basis, trace, group)
+        trace, label = classify_pair(blown, group)
+        basis = standard_permutation_basis(trace, label, group)
+        dec = decompose(basis, label, group)
         core = pipeline(dp6, c6)
         exceptional = [f for f in dec.factors if f.slot_roles[0].isdigit()]
         assert len(dec.factors) == len(core.factors) + len(exceptional)
@@ -134,8 +134,8 @@ class TestStability:
 class TestErrors:
     def test_unverified_basis_rejected(self, f2):
         g = trivial_group(f2)
-        trace = minimalize(f2, g)
-        good = standard_permutation_basis(trace, g)
+        trace, label = classify_pair(f2, g)
+        good = standard_permutation_basis(trace, label, g)
         tampered = PermutationBasis(
             fan=good.fan,
             divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
@@ -145,4 +145,4 @@ class TestErrors:
             tags=good.tags,
         )
         with pytest.raises(UnverifiedBasis):
-            decompose(tampered, trace, g)
+            decompose(tampered, label, g)
