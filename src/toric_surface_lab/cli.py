@@ -145,7 +145,9 @@ def basis_payload(basis, cert) -> dict:
         "divisors": [list(d) for d in basis.divisors],
         "orbits": [list(o) for o in basis.orbits],
         "orbit_sizes": list(basis.orbit_sizes()),
-        "stabilizer_indices": list(basis.stabilizer_indices),
+        # Orbit-stabilizer: the stabilizer of an element has index equal to
+        # the size of its orbit.
+        "stabilizer_indices": list(basis.orbit_sizes()),
         "determinant": cert.determinant,
     }
 

@@ -71,17 +71,11 @@ def minimal_seed_pairs(label: str) -> list[CorpusEntry]:
     return out
 
 
-def _reattach(group: SymmetryGroup, fan: Fan) -> SymmetryGroup:
-    return SymmetryGroup(elements=group.elements, generators=group.generators).attach(
-        fan
-    )
-
-
 def _orbit_union_blowup(entry: CorpusEntry, orbit_subset) -> CorpusEntry | None:
     cones = sorted(c for orbit in orbit_subset for c in orbit)
     fan = blow_up(entry.fan, cones)
     return CorpusEntry(
-        fan=fan, group=_reattach(entry.group, fan), group_label=entry.group_label
+        fan=fan, group=entry.group.attach(fan), group_label=entry.group_label
     )
 
 

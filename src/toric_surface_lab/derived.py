@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import ext_line_bundles, line_bundle_cohomology
-from .grothendieck import (
-    NotClassified,
-    act_on_divisor,
-    line_bundle_class,
-    picard,
-)
+from .grothendieck import _class_orbit, _ray_sum, core_blocks, line_bundle_class, picard
 from .intlinalg import bareiss_det
 from .lattice_fan import Fan
-from .minimal_model import ContractionTrace, MinimalLabel
+from .minimal_model import ContractionTrace, Divisor, MinimalLabel, pullback
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -31,8 +26,6 @@ __all__ = [
     "build_collection",
     "verify_collection",
 ]
-
-Divisor = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,38 +76,6 @@ class CollectionCertificate:
         )
 
 
-def _core_collection_blocks(label: MinimalLabel) -> list[list[Divisor]]:
-    fan = label.fan
-    n = fan.n
-
-    def d(*idx) -> Divisor:
-        out = [0] * n
-        for i in idx:
-            out[i] += 1
-        return tuple(out)
-
-    if label.kind == "P2":
-        return [[d()], [d(0)], [d(0, 0)]]
-    if n == 4:
-        from .grothendieck import hirzebruch_marking
-
-        f, s = hirzebruch_marking(fan)
-        return [[d()], [d(f)], [d(s)], [d(f, s)]]
-    if label.kind == "dP6":
-        return [
-            [d()],
-            [d(0, 5), d(1, 2), d(3, 4)],
-            [d(0, 1, 2), d(3, 4, 5)],
-        ]
-    raise NotClassified(f"no core collection for kind {label.kind}")
-
-
-def _transport_block(step, block: list[Divisor]) -> list[Divisor]:
-    from .grothendieck import _transport_divisor
-
-    return [_transport_divisor(step, c) for c in block]
-
-
 def _merge_blocks_by_orbits(
     fan: Fan, group: SymmetryGroup, blocks: list[list[Divisor]]
 ) -> list[list[Divisor]]:
@@ -122,14 +83,12 @@ def _merge_blocks_by_orbits(
 
     Line bundles are compared by Picard coordinates, which determine them.
     """
-    if group.fan != fan or group.ray_permutations is None:
-        group = group.attach(fan)
+    perms = group.on(fan).ray_permutations.values()
     lat = picard(fan)
     flat = [(bi, d) for bi, block in enumerate(blocks) for d in block]
-    class_of = {d: lat.divisor_coords(d) for _, d in flat}
     block_of_class = {}
     for bi, d in flat:
-        block_of_class.setdefault(class_of[d], bi)
+        block_of_class.setdefault(lat.divisor_coords(d), bi)
     parent = list(range(len(blocks)))
 
     def find(x: int) -> int:
@@ -144,8 +103,7 @@ def _merge_blocks_by_orbits(
             parent[max(rx, ry)] = min(rx, ry)
 
     for bi, d in flat:
-        for perm in group.ray_permutations.values():
-            image = lat.divisor_coords(act_on_divisor(perm, d))
+        for image in _class_orbit(lat, perms, d):
             target = block_of_class.get(image)
             if target is not None:
                 union(bi, target)
@@ -170,17 +128,13 @@ def build_collection(
     blow-up step (outermost contraction first, total transforms taken for
     inner steps), then the remaining core line bundles pulled back.
     """
-    blocks = _core_collection_blocks(label)
-    for step_index in range(len(trace.steps) - 1, -1, -1):
-        step = trace.steps[step_index]
-        blocks = [_transport_block(step, b) for b in blocks]
-        exc_block = []
-        for ray in step.contracted:
-            i = step.before.rays.index(ray)
-            exc_block.append(
-                tuple(1 if e == i else 0 for e in range(step.before.n))
-            )
-        blocks = [blocks[0], exc_block] + blocks[1:]
+    core = core_blocks(label)
+    transforms, exceptional = pullback(
+        trace, [_ray_sum(label.fan.n, rays) for block in core for _, rays in block]
+    )
+    pulled = iter(transforms)
+    blocks = [[next(pulled) for _ in block] for block in core]
+    blocks = blocks[:1] + exceptional + blocks[1:]
     fan = trace.initial_fan
     blocks = _merge_blocks_by_orbits(fan, group, blocks)
     return ExceptionalCollection(
@@ -200,8 +154,7 @@ def verify_collection(
     object to every object of an earlier block; unimodularity of the K-class
     matrix (the fullness certificate); blocks closed under the group.
     """
-    if group.fan != fan or group.ray_permutations is None:
-        group = group.attach(fan)
+    perms = group.on(fan).ray_permutations.values()
     zero = (0, 0, 0)
     first: ExtViolation | None = None
     self_ok = block_ok = order_ok = True
@@ -256,9 +209,8 @@ def verify_collection(
     for block in coll.blocks:
         block_classes = {lat.divisor_coords(d) for d in block}
         for d in block:
-            for perm in group.ray_permutations.values():
-                if lat.divisor_coords(act_on_divisor(perm, d)) not in block_classes:
-                    closed = False
+            if not _class_orbit(lat, perms, d) <= block_classes:
+                closed = False
 
     return CollectionCertificate(
         self_ext_ok=self_ok,

@@ -13,7 +13,7 @@ has rank 1 and its chi is a function of c1, so line bundles are compared by
 their Picard coordinates alone.
 
 The module also builds the distinguished permutation bases of line bundles on
-the minimal surfaces, transports them through blow-ups (total transforms of
+the minimal surfaces, pulls them back through blow-ups (total transforms of
 the old basis plus the classes O(E) of the exceptional divisors) and
 certifies candidate bases.
 """
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
-from .lattice_fan import Fan
-from .minimal_model import ContractionTrace, MinimalLabel
+from .lattice_fan import Fan, self_intersections
+from .minimal_model import ContractionTrace, MinimalLabel, pullback
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -47,12 +47,11 @@ __all__ = [
     "structure_class",
     "verify_klyachko",
     "fa_recurrence_check",
-    "core_basis_divisors",
+    "core_blocks",
     "standard_permutation_basis",
     "verify_permutation_basis",
     "search_line_bundle_basis",
     "act_on_divisor",
-    "act_on_class",
 ]
 
 
@@ -90,7 +89,6 @@ class PicardLattice:
     """
 
     fan: Fan
-    relation_matrix: tuple[tuple[int, ...], tuple[int, ...]]
     ray_coords: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     canonical_coords: tuple[int, ...]
@@ -146,10 +144,6 @@ def picard(fan: Fan) -> PicardLattice:
     """
     rays = fan.rays
     n = fan.n
-    relation = (
-        tuple(v[0] for v in rays),
-        tuple(v[1] for v in rays),
-    )
     inter = [[0] * n for _ in range(n)]
     for i in range(n):
         inter[i][(i + 1) % n] = 1
@@ -180,7 +174,6 @@ def picard(fan: Fan) -> PicardLattice:
     k_coords = tuple(-1 - a - b for a, b in zip(ray_coords[0], ray_coords[1]))
     return PicardLattice(
         fan=fan,
-        relation_matrix=relation,
         ray_coords=ray_coords,
         gram=gram,
         canonical_coords=k_coords,
@@ -273,16 +266,6 @@ def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
     return tuple(out)
 
 
-def act_on_class(fan: Fan, perm: tuple[int, ...], x: K0Class) -> K0Class:
-    """Image of a class under a fan symmetry with ray permutation `perm`."""
-    lat = picard(fan)
-    lift = [0] * fan.n
-    for j, d in enumerate(x.c1):
-        lift[j + 2] = d
-    coords = lat.divisor_coords(act_on_divisor(perm, lift))
-    return K0Class(fan, x.rank, coords, x.chi)
-
-
 @dataclass(frozen=True)
 class KlyachkoCertificate:
     fan: Fan
@@ -363,8 +346,6 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
 
 def hirzebruch_marking(fan: Fan) -> tuple[int, int]:
     """(fiber ray index, section ray index) for a 4-ray fan."""
-    from .lattice_fan import self_intersections
-
     if fan.n != 4:
         raise GrothendieckError("not a 4-ray fan")
     a_seq = self_intersections(fan)
@@ -407,7 +388,6 @@ class PermutationBasis:
     divisors: tuple[tuple[int, ...], ...]
     elements: tuple[K0Class, ...]
     orbits: tuple[tuple[int, ...], ...]
-    stabilizer_indices: tuple[int, ...]
     tags: tuple[tuple[str, object], ...]
 
     @property
@@ -423,75 +403,45 @@ class BasisCertificate:
     determinant: int
     closed: bool
     orbit_sizes: tuple[int, ...]
-    stabilizer_indices: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
         return self.determinant in (1, -1) and self.closed
 
 
-CORE_SLOT_ROLES = {
-    "P2": ("one", "J", "J2"),
-    "F": ("one", "J_fiber", "J_section", "J_both"),
-    "dP6": ("one", "R", "R", "R", "Q", "Q"),
-}
+def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
+    """(slot role, ray indices) of each core line bundle of a minimal
+    surface, grouped into the blocks of its exceptional collection.
 
-
-def core_basis_divisors(label: MinimalLabel) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    """Divisor representatives of the distinguished core basis, with roles.
-
-    P2: 1, J, J^2 (J the ideal sheaf of a line); 4-ray fans: 1, J1 (fiber),
-    J2 (negative section), J1 J2; hexagonal fan: 1, the three classes
-    J(u_i) J(u_{i+3+...}) pairing opposite-adjacent rays, and the two classes
-    of consecutive ray triples.
+    The indices name D, the sum of their ray divisors; the collection holds
+    O(D) and the permutation basis the ideal-sheaf product O(-D).  P2: 1, J,
+    J^2; 4-ray fans: 1, J1 (fiber), J2 (negative section), J1 J2; hexagonal
+    fan: 1, the three opposite-adjacent pairs, the two ray triples.
     """
-    fan = label.fan
-    n = fan.n
-
-    def e(*idx) -> tuple[int, ...]:
-        out = [0] * n
-        for i in idx:
-            out[i] -= 1
-        return tuple(out)
-
     if label.kind == "P2":
-        return ((0,) * n, e(0), e(0, 0)), CORE_SLOT_ROLES["P2"]
-    if n == 4:
-        f, s = hirzebruch_marking(fan)
-        return ((0,) * n, e(f), e(s), e(f, s)), CORE_SLOT_ROLES["F"]
-    if label.kind == "dP6":
-        divs = (
-            (0,) * n,
-            e(0, 5),
-            e(1, 2),
-            e(3, 4),
-            e(0, 1, 2),
-            e(3, 4, 5),
+        return ((("one", ()),), (("J", (0,)),), (("J2", (0, 0)),))
+    if label.fan.n == 4:
+        f, s = hirzebruch_marking(label.fan)
+        return (
+            (("one", ()),),
+            (("J_fiber", (f,)),),
+            (("J_section", (s,)),),
+            (("J_both", (f, s)),),
         )
-        return divs, CORE_SLOT_ROLES["dP6"]
+    if label.kind == "dP6":
+        return (
+            (("one", ()),),
+            (("R", (0, 5)), ("R", (1, 2)), ("R", (3, 4))),
+            (("Q", (0, 1, 2)), ("Q", (3, 4, 5))),
+        )
     raise NotClassified(f"no core basis for kind {label.kind}")
 
 
-def _transport_divisor(step, coefficients) -> tuple[int, ...]:
-    """Total transform of a divisor through one blow-up (trace step reversed).
-
-    Coefficients are indexed by the rays of step.after; the result is indexed
-    by the rays of step.before.  An inserted ray picks up the sum of its two
-    neighbours' coefficients (the support function is linear on the
-    subdivided cone).
-    """
-    after, before = step.after, step.before
-    coeff_of = {ray: c for ray, c in zip(after.rays, coefficients)}
-    inserted = set(step.contracted)
-    out = []
-    nb = before.n
-    for i, ray in enumerate(before.rays):
-        if ray in inserted:
-            left = before.rays[(i - 1) % nb]
-            right = before.rays[(i + 1) % nb]
-            out.append(coeff_of[left] + coeff_of[right])
-        else:
-            out.append(coeff_of[ray])
+def _ray_sum(n: int, rays) -> tuple[int, ...]:
+    """The divisor sum(D_i for i in rays) on a fan with n rays."""
+    out = [0] * n
+    for i in rays:
+        out[i] += 1
     return tuple(out)
 
 
@@ -508,16 +458,14 @@ def _class_orbit(
 
 def _orbit_partition(
     fan: Fan, group: SymmetryGroup, elements: list[K0Class], divisors: list[tuple[int, ...]]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Orbits of basis elements (line-bundle classes) under the attached group.
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of basis elements (line-bundle classes) under the group.
 
     Images are compared by Picard coordinates: for line bundles these
     determine the class.
     """
-    if group.fan != fan or group.ray_permutations is None:
-        group = group.attach(fan)
+    perms = group.on(fan).ray_permutations.values()
     lat = picard(fan)
-    perms = group.ray_permutations.values()
     index_of = {}
     for i, cls in enumerate(elements):
         index_of.setdefault(cls.c1, i)
@@ -533,8 +481,7 @@ def _orbit_partition(
         for j in orbit:
             assigned[j] = True
         orbits.append(tuple(sorted(orbit)))
-    stab = tuple(len(o) for o in orbits)
-    return tuple(orbits), stab
+    return tuple(orbits)
 
 
 def standard_permutation_basis(
@@ -543,31 +490,28 @@ def standard_permutation_basis(
     """The distinguished permutation basis of a contraction trace.
 
     `label` classifies the trace's terminal pair; a minimal pair is a trace
-    without steps.  The core basis of the terminal surface is pulled back
-    step by step (total transforms) and the classes O(E) of each step's
-    exceptional orbit are appended.
+    without steps.  The core basis O(-D) of the terminal surface is pulled
+    back (total transforms), followed by the classes O(E) of each step's
+    exceptional orbit, the last step first.
     """
-    divisors, roles = core_basis_divisors(label)
-    divisors = list(divisors)
-    tags: list[tuple[str, object]] = [("core", role) for role in roles]
-    for step_index in range(len(trace.steps) - 1, -1, -1):
-        step = trace.steps[step_index]
-        divisors = [_transport_divisor(step, c) for c in divisors]
-        for ray in step.contracted:
-            i = step.before.rays.index(ray)
-            exc = tuple(1 if e == i else 0 for e in range(step.before.n))
-            divisors.append(exc)
-            tags.append(("exc", step_index))
+    core = [slot for block in core_blocks(label) for slot in block]
+    transforms, exceptional = pullback(
+        trace, [_ray_sum(label.fan.n, rays) for _, rays in core]
+    )
+    # The pullback is linear, so O(-D) pulls back to minus the transform of D.
+    divisors = [tuple(-c for c in d) for d in transforms]
+    tags: list[tuple[str, object]] = [("core", role) for role, _ in core]
+    for step_index, block in reversed(list(enumerate(exceptional))):
+        divisors += block
+        tags += [("exc", step_index)] * len(block)
     fan = trace.initial_fan
 
     elements = [line_bundle_class(fan, c) for c in divisors]
-    orbits, stab = _orbit_partition(fan, group, elements, divisors)
     return PermutationBasis(
         fan=fan,
         divisors=tuple(divisors),
         elements=tuple(elements),
-        orbits=orbits,
-        stabilizer_indices=stab,
+        orbits=_orbit_partition(fan, group, elements, divisors),
         tags=tuple(tags),
     )
 
@@ -592,12 +536,11 @@ def verify_permutation_basis(
     det = bareiss_det([list(cls.model_vector()) for cls in elements])
     if det not in (1, -1):
         raise NotABasis(f"coordinate matrix has determinant {det}")
-    orbits, stab = _orbit_partition(fan, group, elements, divisors)
+    orbits = _orbit_partition(fan, group, elements, divisors)
     return BasisCertificate(
         determinant=det,
         closed=True,
         orbit_sizes=tuple(len(o) for o in orbits),
-        stabilizer_indices=stab,
     )
 
 
@@ -651,8 +594,7 @@ def search_line_bundle_basis(
     orbits of total size N is returned.  Absence only means absence within
     the bound.
     """
-    if group.fan != fan or group.ray_permutations is None:
-        group = group.attach(fan)
+    group = group.on(fan)
     n = fan.n
     rep, coord_orbits = _candidate_orbits(fan, group, bound)
     orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
@@ -689,12 +631,10 @@ def search_line_bundle_basis(
     assert found is not None
     classes = [cls for i in found for cls in orbits[i]]
     divisors = [rep[cls.c1] for cls in classes]
-    orbit_partition, stab = _orbit_partition(fan, group, classes, divisors)
     return PermutationBasis(
         fan=fan,
         divisors=tuple(divisors),
         elements=tuple(classes),
-        orbits=orbit_partition,
-        stabilizer_indices=stab,
+        orbits=_orbit_partition(fan, group, classes, divisors),
         tags=tuple(("search", None) for _ in classes),
     )

@@ -8,6 +8,7 @@ and return new fans.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -38,6 +39,7 @@ __all__ = [
     "self_intersections",
     "blow_up",
     "blow_down",
+    "lattice_maps",
     "fans_isomorphic",
     "apply_matrix",
     "p2_fan",
@@ -256,29 +258,29 @@ def apply_matrix(m: Mat2, fan: Fan) -> Fan:
     return validate_fan(images)
 
 
-def fans_isomorphic(f1: Fan, f2: Fan) -> Mat2 | None:
-    """A unimodular matrix carrying the ray set of f1 onto that of f2, if any.
+def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
+    """Each unimodular matrix carrying the ray set of f1 onto that of f2.
 
-    Maps one adjacent ray pair of f1 (a lattice basis) to every adjacent pair
-    of f2 in both orientations and keeps the first candidate that matches.
+    Such a map sends the basis v_0, v_1 to some w_j, w_{j+-1} and, by the
+    wall relations v_{k-1} + v_{k+1} = -a_k v_k, each v_k to w_{j+-k}: a
+    candidate is a map exactly when the self-intersections agree along it.
+    Candidates come for j = 0..n-1, the next neighbour first.
     """
-    if f1.n != f2.n:
-        return None
-    if sorted(self_intersections(f1)) != sorted(self_intersections(f2)):
-        return None
-    v0, v1 = f1.rays[0], f1.rays[1]
-    vinv = mat_inv(columns_to_matrix(v0, v1))
-    target = set(f2.rays)
-    n = f2.n
+    n = f1.n
+    if f2.n != n:
+        return
+    a1, a2 = self_intersections(f1), self_intersections(f2)
+    vinv = mat_inv(columns_to_matrix(f1.rays[0], f1.rays[1]))
     for j in range(n):
-        for w0, w1 in (
-            (f2.rays[j], f2.rays[(j + 1) % n]),
-            (f2.rays[j], f2.rays[(j - 1) % n]),
-        ):
-            m = mat_mul(columns_to_matrix(w0, w1), vinv)
-            if all(mat_apply(m, v) in target for v in f1.rays):
-                return m
-    return None
+        for s in (1, -1):
+            if all(a1[k] == a2[(j + s * k) % n] for k in range(n)):
+                w0, w1 = f2.rays[j], f2.rays[(j + s) % n]
+                yield mat_mul(columns_to_matrix(w0, w1), vinv)
+
+
+def fans_isomorphic(f1: Fan, f2: Fan) -> Mat2 | None:
+    """A unimodular matrix carrying the ray set of f1 onto that of f2, if any."""
+    return next(lattice_maps(f1, f2), None)
 
 
 def p2_fan() -> Fan:

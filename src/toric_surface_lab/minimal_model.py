@@ -34,8 +34,12 @@ __all__ = [
     "minimalize",
     "classify_minimal",
     "classify_pair",
+    "pullback",
     "MINIMAL_KINDS_BY_GROUP",
 ]
+
+
+Divisor = tuple[int, ...]
 
 
 class MinimalModelError(ValueError):
@@ -77,15 +81,9 @@ class MinimalLabel:
         return f"{self.kind}/{self.group_label}"
 
 
-def _require_attached(fan: Fan, group: SymmetryGroup) -> SymmetryGroup:
-    if group.fan != fan or group.ray_permutations is None:
-        return group.attach(fan)
-    return group
-
-
 def contractible_orbits(fan: Fan, group: SymmetryGroup) -> list[tuple[int, ...]]:
     """Ray-index orbits consisting of pairwise non-adjacent (-1)-rays."""
-    group = _require_attached(fan, group)
+    group = group.on(fan)
     a = self_intersections(fan)
     n = fan.n
     out = []
@@ -124,7 +122,7 @@ def minimalize(fan: Fan, group: SymmetryGroup) -> ContractionTrace:
     orbits and contracts it one orbit per recorded step, so traces are
     reproducible and every contracted set is a single group orbit.
     """
-    group = _require_attached(fan, group)
+    group = group.on(fan)
     initial = fan
     steps: list[ContractionStep] = []
     current = fan
@@ -142,9 +140,7 @@ def minimalize(fan: Fan, group: SymmetryGroup) -> ContractionTrace:
             after = blow_down(current, indices)
             steps.append(ContractionStep(before=current, contracted=rays, after=after))
             current = after
-            g = SymmetryGroup(elements=g.elements, generators=g.generators).attach(
-                current
-            )
+            g = g.attach(current)
     return ContractionTrace(
         initial_fan=initial,
         steps=tuple(steps),
@@ -178,7 +174,7 @@ def classify_minimal(fan: Fan, group: SymmetryGroup) -> MinimalLabel:
     Raises NotMinimal if the pair still has a contractible orbit and
     TableViolation if the endpoint does not match any allowed row.
     """
-    group = _require_attached(fan, group)
+    group = group.on(fan)
     if not is_g_minimal(fan, group):
         raise NotMinimal(f"{fan} still has contractible orbits")
     label = classify_subgroup(group)
@@ -240,3 +236,34 @@ def classify_pair(fan: Fan, group: SymmetryGroup) -> tuple[ContractionTrace, Min
     """
     trace = minimalize(fan, group)
     return trace, classify_minimal(trace.terminal_fan, trace.terminal_group)
+
+
+def pullback(
+    trace: ContractionTrace, divisors
+) -> tuple[list[Divisor], list[list[Divisor]]]:
+    """Total transforms on the initial fan of divisors on the terminal fan,
+    and `exceptional[k]`: the classes O(E) of the rays contracted in step k,
+    pulled back to the initial fan.
+
+    An inserted ray takes the sum of its two neighbours' coefficients: the
+    support function is linear on the subdivided cone.
+    """
+    transforms = [tuple(d) for d in divisors]
+    exceptional: list[list[Divisor]] = []
+    for step in reversed(trace.steps):
+        transforms = [_total_transform(step, d) for d in transforms]
+        exceptional = [[_total_transform(step, d) for d in block] for block in exceptional]
+        rays = step.before.rays
+        exceptional.insert(0, [tuple(int(v == ray) for v in rays) for ray in step.contracted])
+    return transforms, exceptional
+
+
+def _total_transform(step: ContractionStep, d: Divisor) -> Divisor:
+    """A divisor on step.after as one on step.before."""
+    coeff = dict(zip(step.after.rays, d))
+    rays = step.before.rays
+    n = len(rays)
+    return tuple(
+        coeff[v] if v in coeff else coeff[rays[i - 1]] + coeff[rays[(i + 1) % n]]
+        for i, v in enumerate(rays)
+    )

@@ -82,13 +82,13 @@ class MotivicDecomposition:
 
 def annotate_family(label: MinimalLabel) -> FamilyDescriptor:
     """Named factor slots of the minimal family a classified pair belongs to."""
-    if label.kind == "P2":
+    if label.family == "(ii)":
         return FamilyDescriptor(
             index="(ii)",
             slots=("k", "A", "A^{⊗2}"),
             description="twisted plane: k x A x A^{tensor 2}",
         )
-    if label.kind == "P1xP1":
+    if label.family == "(iii)":
         return FamilyDescriptor(
             index="(iii)",
             slots=("k", "B", "A"),
@@ -97,13 +97,13 @@ def annotate_family(label: MinimalLabel) -> FamilyDescriptor:
                 "discriminant base"
             ),
         )
-    if label.kind == "dP6":
+    if label.family == "(iv)":
         return FamilyDescriptor(
             index="(iv)",
             slots=("k", "P", "Q"),
             description="hexagonal del Pezzo: k x P x Q",
         )
-    if label.kind.startswith("F("):
+    if label.family == "(i)":
         a = label.hirzebruch_a
         if a is not None and a % 2 == 1:
             return FamilyDescriptor(
@@ -116,7 +116,7 @@ def annotate_family(label: MinimalLabel) -> FamilyDescriptor:
             slots=("k", "Q", "k", "Q"),
             description="ruled surface over a conic: k x Q x k x Q",
         )
-    raise NotMinimal(f"unrecognized minimal kind {label.kind}")
+    raise NotMinimal(f"unrecognized minimal family {label.family}")
 
 
 def _core_slot_label(family_index: str, role: str, odd_ruling: bool) -> str:

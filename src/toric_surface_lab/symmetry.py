@@ -21,7 +21,6 @@ from .intlinalg import (
     IDENTITY,
     MINUS_IDENTITY,
     Mat2,
-    columns_to_matrix,
     det2,
     is_int_pair,
     mat_apply,
@@ -29,9 +28,10 @@ from .intlinalg import (
     mat_inv,
     mat_mul,
     mat_transpose,
+    primitive_kernel_vector,
     unimodular_matrices,
 )
-from .lattice_fan import Fan
+from .lattice_fan import Fan, lattice_maps
 
 __all__ = [
     "SymmetryGroup",
@@ -181,6 +181,12 @@ class SymmetryGroup:
             ray_permutations=perms,
         )
 
+    def on(self, fan: Fan) -> "SymmetryGroup":
+        """The group attached to `fan`: itself if it already is."""
+        if self.fan == fan and self.ray_permutations is not None:
+            return self
+        return self.attach(fan)
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -188,55 +194,28 @@ class SymmetryGroup:
     def sorted_elements(self) -> list[Mat2]:
         return sorted(self.elements)
 
-    def ray_orbits(self) -> list[tuple[int, ...]]:
-        """Orbits of ray indices, each sorted, ordered by smallest member."""
+    def _permutations(self) -> list[tuple[int, ...]]:
+        """The ray permutation of every element, so the images of one member
+        already are its whole orbit."""
         if self.fan is None or self.ray_permutations is None:
             raise SymmetryError("group is not attached to a fan")
-        n = self.fan.n
-        seen = [False] * n
-        orbits = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                j = frontier.pop()
-                for perm in self.ray_permutations.values():
-                    k = perm[j]
-                    if k not in orbit:
-                        orbit.add(k)
-                        frontier.append(k)
-            for j in orbit:
-                seen[j] = True
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+        return list(self.ray_permutations.values())
+
+    def ray_orbits(self) -> list[tuple[int, ...]]:
+        """Orbits of ray indices, each sorted, ordered by smallest member."""
+        perms = self._permutations()
+        return sorted({tuple(sorted({p[i] for p in perms})) for i in range(self.fan.n)})
 
     def cone_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of maximal-cone indices (cone i spans rays i, i+1)."""
-        if self.fan is None or self.ray_permutations is None:
-            raise SymmetryError("group is not attached to a fan")
+        perms = self._permutations()
         n = self.fan.n
-        cone_of_pair = {frozenset((i, (i + 1) % n)): i for i in range(n)}
-        seen = [False] * n
-        orbits = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                j = frontier.pop()
-                for perm in self.ray_permutations.values():
-                    pair = frozenset((perm[j], perm[(j + 1) % n]))
-                    k = cone_of_pair[pair]
-                    if k not in orbit:
-                        orbit.add(k)
-                        frontier.append(k)
-            for j in orbit:
-                seen[j] = True
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+
+        def image(p: tuple[int, ...], i: int) -> int:
+            a, b = p[i], p[(i + 1) % n]
+            return a if (a + 1) % n == b else b
+
+        return sorted({tuple(sorted({image(p, i) for p in perms})) for i in range(n)})
 
 
 def trivial_group(fan: Fan | None = None) -> SymmetryGroup:
@@ -244,24 +223,8 @@ def trivial_group(fan: Fan | None = None) -> SymmetryGroup:
 
 
 def compute_aut(fan: Fan) -> SymmetryGroup:
-    """The full group of unimodular matrices permuting the ray set.
-
-    Candidates are built by sending the first adjacent ray pair (a lattice
-    basis) to every adjacent pair in both orientations, then filtered.
-    """
-    v0, v1 = fan.rays[0], fan.rays[1]
-    vinv = mat_inv(columns_to_matrix(v0, v1))
-    rayset = set(fan.rays)
-    n = fan.n
-    elems = set()
-    for j in range(n):
-        for w0, w1 in (
-            (fan.rays[j], fan.rays[(j + 1) % n]),
-            (fan.rays[j], fan.rays[(j - 1) % n]),
-        ):
-            m = mat_mul(columns_to_matrix(w0, w1), vinv)
-            if all(mat_apply(m, v) in rayset for v in fan.rays):
-                elems.add(m)
+    """The full group of unimodular matrices permuting the ray set."""
+    elems = set(lattice_maps(fan, fan))
     gens = _small_generating_set(elems)
     return SymmetryGroup(elements=frozenset(elems), generators=gens).attach(fan)
 
@@ -286,8 +249,6 @@ def reflection_lattice_index(m: Mat2) -> int:
     """
     if mat_det(m) != -1 or element_order(m) != 2:
         raise SymmetryError(f"{m} is not a det=-1 involution")
-    from .intlinalg import primitive_kernel_vector
-
     m_minus = ((m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1))
     m_plus = ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
     fixed = primitive_kernel_vector(m_minus)
@@ -423,8 +384,8 @@ def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     each subgroup inherits its elements' ray permutations from the group
     instead of recomputing them.
     """
-    if group.fan is not None and group.ray_permutations is None:
-        group = group.attach(group.fan)
+    if group.fan is not None:
+        group = group.on(group.fan)
     elems = group.sorted_elements()
     index = {g: i for i, g in enumerate(elems)}
     try:

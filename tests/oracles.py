@@ -15,7 +15,13 @@ from toric_surface_lab.grothendieck import (
     act_on_divisor,
     picard,
 )
-from toric_surface_lab.intlinalg import mat_apply, solve2, unimodular_matrices
+from toric_surface_lab.intlinalg import (
+    columns_to_matrix,
+    mat_apply,
+    mat_inv,
+    solve2,
+    unimodular_matrices,
+)
 from toric_surface_lab.lattice_fan import Fan
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
 
@@ -30,6 +36,67 @@ def brute_force_isomorphisms(f1: Fan, f2: Fan, bound: int = 3):
         if all(mat_apply(m, v) in target for v in f1.rays):
             out.append(m)
     return out
+
+
+def candidate_filter_maps(f1: Fan, f2: Fan) -> list:
+    """Every unimodular map of the rays of f1 onto those of f2, in candidate order.
+
+    Each candidate sends v_0, v_1 to an adjacent pair of f2 (j = 0..n-1, the
+    next neighbour before the previous one) and is kept when it carries
+    every ray of f1 into the ray set of f2.
+    """
+    if f1.n != f2.n:
+        return []
+    vinv = mat_inv(columns_to_matrix(f1.rays[0], f1.rays[1]))
+    target = set(f2.rays)
+    n = f2.n
+    out = []
+    for j in range(n):
+        for w0, w1 in (
+            (f2.rays[j], f2.rays[(j + 1) % n]),
+            (f2.rays[j], f2.rays[(j - 1) % n]),
+        ):
+            m = mat_mul(columns_to_matrix(w0, w1), vinv)
+            if all(mat_apply(m, v) in target for v in f1.rays):
+                out.append(m)
+    return out
+
+
+def _bfs_orbits(n: int, moves) -> list[tuple[int, ...]]:
+    """Orbits of 0..n-1 under the closure of `moves(j)`, the images of j."""
+    seen = [False] * n
+    orbits = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        orbit = {i}
+        frontier = [i]
+        while frontier:
+            for k in moves(frontier.pop()):
+                if k not in orbit:
+                    orbit.add(k)
+                    frontier.append(k)
+        for j in orbit:
+            seen[j] = True
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def bfs_ray_orbits(group: SymmetryGroup) -> list[tuple[int, ...]]:
+    """Ray orbits by a closure that does not rely on `ray_permutations`
+    holding every group element."""
+    perms = list(group.ray_permutations.values())
+    return _bfs_orbits(group.fan.n, lambda j: [p[j] for p in perms])
+
+
+def bfs_cone_orbits(group: SymmetryGroup) -> list[tuple[int, ...]]:
+    """Maximal-cone orbits (cone i spans rays i, i+1) by the same closure."""
+    perms = list(group.ray_permutations.values())
+    n = group.fan.n
+    cone_of_pair = {frozenset((i, (i + 1) % n)): i for i in range(n)}
+    return _bfs_orbits(
+        n, lambda j: [cone_of_pair[frozenset((p[j], p[(j + 1) % n]))] for p in perms]
+    )
 
 
 def brute_force_subgroups(elements) -> set[frozenset]:
@@ -99,6 +166,16 @@ def solve2_divisor_coords(fan: Fan, coefficients) -> tuple[int, ...]:
     rays = fan.rays
     m = solve2(rays[0], rays[1], (-c[0], -c[1]))
     return tuple(c[e] + m[0] * rays[e][0] + m[1] * rays[e][1] for e in range(2, fan.n))
+
+
+def act_on_class(fan: Fan, perm: tuple[int, ...], x: K0Class) -> K0Class:
+    """Image of a class under a fan symmetry with ray permutation `perm`."""
+    lat = picard(fan)
+    lift = [0] * fan.n
+    for j, d in enumerate(x.c1):
+        lift[j + 2] = d
+    coords = lat.divisor_coords(act_on_divisor(perm, lift))
+    return K0Class(fan, x.rank, coords, x.chi)
 
 
 def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:

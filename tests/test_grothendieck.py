@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from toric_surface_lab.cli import basis_payload
 from toric_surface_lab.cohomology import line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     K0Class,
     NotABasis,
-    act_on_class,
     act_on_divisor,
     fa_recurrence_check,
     hirzebruch_marking,
@@ -33,6 +33,7 @@ from toric_surface_lab.minimal_model import classify_pair, minimalize
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 
 from oracles import (
+    act_on_class,
     bfs_class_orbit,
     chern_multiply,
     solve2_divisor_coords,
@@ -333,7 +334,8 @@ class TestStandardBasis:
     def test_dp6_signature(self, dp6, dp6_aut):
         basis = standard_permutation_basis(*classify_pair(dp6, dp6_aut), dp6_aut)
         assert basis.orbit_sizes() == (1, 3, 2)
-        assert basis.stabilizer_indices == (1, 3, 2)
+        cert = verify_permutation_basis(basis, dp6, dp6_aut)
+        assert basis_payload(basis, cert)["stabilizer_indices"] == [1, 3, 2]
 
     def test_from_minimal_label_directly(self, dp6, dp6_aut):
         from toric_surface_lab.minimal_model import classify_minimal
@@ -344,12 +346,21 @@ class TestStandardBasis:
         assert verify_permutation_basis(basis, dp6, dp6_aut).ok
 
     def test_transport_on_corpus(self, small_corpus):
+        multi_step = 0
         for entry in small_corpus:
             trace, label = classify_pair(entry.fan, entry.group)
             basis = standard_permutation_basis(trace, label, entry.group)
             assert basis.size == entry.fan.n
             cert = verify_permutation_basis(basis, entry.fan, entry.group)
             assert cert.ok
+            # The core classes come first, then the O(E) of the last step first.
+            exc = [("exc", k) for k in reversed(range(len(trace.steps)))
+                   for _ in trace.steps[k].contracted]
+            core = basis.size - len(exc)
+            assert basis.tags[core:] == tuple(exc)
+            assert all(kind == "core" for kind, _ in basis.tags[:core])
+            multi_step += len(trace.steps) > 1
+        assert multi_step > 0
 
 
 class TestVerifyBasis:

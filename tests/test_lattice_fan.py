@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from toric_surface_lab.intlinalg import mat_apply
+from toric_surface_lab.corpus import standard_corpus
+from toric_surface_lab.intlinalg import mat_apply, unimodular_matrices
 from toric_surface_lab.lattice_fan import (
     AdjacentContraction,
     apply_matrix,
@@ -21,6 +22,7 @@ from toric_surface_lab.lattice_fan import (
     dp6_fan,
     fans_isomorphic,
     hirzebruch_fan,
+    lattice_maps,
     p2_fan,
     self_intersections,
     square_fan,
@@ -28,7 +30,7 @@ from toric_surface_lab.lattice_fan import (
 )
 from toric_surface_lab.symmetry import compute_aut
 
-from oracles import brute_force_isomorphisms
+from oracles import brute_force_isomorphisms, candidate_filter_maps
 
 
 class TestValidate:
@@ -202,6 +204,29 @@ class TestIsomorphism:
 
     def test_f2_not_isomorphic_to_square(self):
         assert fans_isomorphic(hirzebruch_fan(2), square_fan()) is None
+
+    def test_lattice_maps_match_candidate_filter_on_corpus(self):
+        """Same matrices in the same order as filtering every candidate by its
+        images, on each 16-ray corpus fan and a random-basis image of it, and
+        on a non-isomorphic fan of the same ray count (one with the same
+        multiset of self-intersections where the corpus has one)."""
+        fans = list({e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values())
+        pool = unimodular_matrices(3)
+        rng = random.Random(41)
+        same_multiset = 0
+        for fan in fans:
+            image = apply_matrix(rng.choice(pool), fan)
+            pairs = [(fan, fan), (image, image), (fan, image), (image, fan)]
+            others = [f for f in fans if f.n == fan.n and not candidate_filter_maps(fan, f)]
+            others.sort(key=lambda f: sorted(self_intersections(f))
+                        != sorted(self_intersections(fan)))
+            if others:
+                same_multiset += sorted(self_intersections(others[0])) == sorted(
+                    self_intersections(fan))
+                pairs += [(fan, others[0]), (image, others[0])]
+            for f1, f2 in pairs:
+                assert list(lattice_maps(f1, f2)) == candidate_filter_maps(f1, f2)
+        assert same_multiset > 0
 
 
 class TestProperties:

@@ -16,13 +16,15 @@ from toric_surface_lab.minimal_model import (
     contractible_orbits,
     is_g_minimal,
     minimalize,
+    pullback,
 )
 from toric_surface_lab.symmetry import (
     SymmetryGroup,
     compute_aut,
     trivial_group,
 )
-from toric_surface_lab.corpus import subgroup_with_label
+from toric_surface_lab.corpus import standard_corpus, subgroup_with_label
+from toric_surface_lab.grothendieck import picard
 
 
 @pytest.fixture
@@ -183,3 +185,37 @@ class TestClassifyMinimal:
             "C1", "C2", "C3", "C4", "C6",
             "D2", "D2'", "D4", "D4'", "D6", "D6'", "D8", "D12",
         }
+
+
+class TestPullback:
+    def test_projection_formula_on_corpus(self):
+        """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
+        divisors D, D' of the minimal model and every exceptional class E, on
+        each 16-ray corpus pair with at least one contraction step (170).
+        The formula cannot tell E from -E or one step's E from another's, so
+        each E is also read on its own ray."""
+        checked = 0
+        for entry in standard_corpus(max_rays=16):
+            trace = minimalize(entry.fan, entry.group)
+            if not trace.steps:
+                continue
+            down, up = picard(trace.terminal_fan), picard(trace.initial_fan)
+            n = trace.terminal_fan.n
+            rays = [tuple(int(e == i) for e in range(n)) for i in range(n)]
+            transforms, exceptional = pullback(trace, rays)
+            # E_k keeps coefficient 1 on its own ray, which survives to step k.
+            for step, block in zip(trace.steps, exceptional):
+                own = [trace.initial_fan.rays.index(v) for v in step.contracted]
+                assert [[x[i] for i in own] for x in block] == [
+                    [int(i == j) for i in own] for j in own]
+            d = [down.divisor_coords(r) for r in rays]
+            pd = [up.divisor_coords(t) for t in transforms]
+            e = [up.divisor_coords(x) for block in exceptional for x in block]
+            for i in range(n):
+                for j in range(n):
+                    assert up.pair(pd[i], pd[j]) == down.pair(d[i], d[j])
+                assert all(up.pair(pd[i], x) == 0 for x in e)
+            for i, x in enumerate(e):
+                assert [up.pair(x, y) for y in e] == [-(i == j) for j in range(len(e))]
+            checked += 1
+        assert checked > 0

@@ -141,7 +141,6 @@ class TestErrors:
             divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
             elements=good.elements,
             orbits=good.orbits,
-            stabilizer_indices=good.stabilizer_indices,
             tags=good.tags,
         )
         with pytest.raises(UnverifiedBasis):

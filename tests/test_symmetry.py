@@ -27,7 +27,12 @@ from toric_surface_lab.symmetry import (
     trivial_group,
 )
 
-from oracles import brute_force_subgroups, closure_subgroups
+from oracles import (
+    bfs_cone_orbits,
+    bfs_ray_orbits,
+    brute_force_subgroups,
+    closure_subgroups,
+)
 
 
 def random_unimodular(rng: random.Random, bound: int = 3):
@@ -179,6 +184,27 @@ class TestSubgroups:
     def test_rejects_element_set_that_is_not_a_group(self):
         with pytest.raises(SymmetryError):
             enumerate_subgroups(SymmetryGroup(frozenset({GEN_A}), (GEN_A,)))
+
+
+class TestOrbits:
+    def test_orbits_match_bfs_closure_on_corpus(self):
+        """Ray and cone orbits from the images of one member equal the BFS
+        closure's, for every 16-ray corpus pair and its full automorphism
+        group, in the pair's own basis and in a random one."""
+        rng = random.Random(43)
+        for entry in standard_corpus(max_rays=16):
+            m = random_unimodular(rng)
+            mi = mat_inv(m)
+            image = apply_matrix(m, entry.fan)
+            conj = [mat_mul(m, mat_mul(g, mi)) for g in entry.group.generators]
+            for group in (
+                entry.group,
+                compute_aut(entry.fan),
+                SymmetryGroup.from_generators(conj, image),
+                compute_aut(image),
+            ):
+                assert group.ray_orbits() == bfs_ray_orbits(group)
+                assert group.cone_orbits() == bfs_cone_orbits(group)
 
 
 class TestInvariants:
