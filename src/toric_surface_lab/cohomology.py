@@ -10,14 +10,18 @@ Toric Varieties, ch. 3).  Each lowering strictly decreases D.H for a fixed
 ample H, and an effective D has D.H >= 0, so the loop ends.
 
 h2 comes from duality as h0 of K - D, and h1 from the Euler characteristic.
-All arithmetic is on Python integers, and the cost grows with the size of
-the coefficients, not with the area of the polytope.
+One D.H serves both sides: K - D has coefficients -1 - c_e, so
+(K - D).H = K.H - D.H, with K.H = -sum H.D_e read from the same per-fan
+table as the degrees H.D_e.  A side of negative degree has h0 = 0 and is
+not reduced.  All arithmetic is on Python integers, and the cost grows with
+the size of the coefficients, not with the area of the polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .lattice_fan import Fan, FanError, self_intersections
 
@@ -39,14 +43,16 @@ class CohomologyVector:
 
 
 @lru_cache(maxsize=256)
-def _ample_weights(fan: Fan) -> tuple[int, ...]:
-    """Degrees H.D_e of an ample divisor H, built from the self-intersections.
+def _ample_weights(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The per-fan table (a, weights, k_degree): the self-intersections a_e,
+    the degrees H.D_e of an ample divisor H, and K.H = -sum H.D_e.
 
-    Blow down (-1)-curves on the self-intersection sequence (delete a -1,
-    raise both neighbours by one) until P2 or F(a) with a != 1 remains.
-    There H is a line, or the positive section plus a fibre.  Each blow-up
-    on the way back replaces H by 2 pi^*H - E, which stays ample: the new
-    ray gets 2(c_left + c_right) - 1 and every old coefficient doubles.
+    H is built from the self-intersections.  Blow down (-1)-curves on the
+    sequence (delete a -1, raise both neighbours by one) until P2 or F(a)
+    with a != 1 remains.  There H is a line, or the positive section plus a
+    fibre.  Each blow-up on the way back replaces H by 2 pi^*H - E, which
+    stays ample: the new ray gets 2(c_left + c_right) - 1 and every old
+    coefficient doubles.
     """
     a = self_intersections(fan)
     seq = list(a)
@@ -71,7 +77,7 @@ def _ample_weights(fan: Fan) -> tuple[int, ...]:
     weights = tuple(a[i] * h[i] + h[i - 1] + h[(i + 1) % n] for i in range(n))
     if min(weights) <= 0:
         raise FanError(f"divisor {h} is not ample on {fan}: degrees {weights}")
-    return weights
+    return a, weights, -sum(weights)
 
 
 def _chi(a, c) -> int:
@@ -87,17 +93,12 @@ def _chi(a, c) -> int:
     return 1 + twice // 2
 
 
-def h0(fan: Fan, coeffs) -> int:
-    """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
-    c = [int(x) for x in coeffs]
+def _reduce(a, weights, c: list[int], degree: int) -> int:
+    """h0 of D = sum c_e D_e with D.H = degree >= 0; lowers `c` in place.
+
+    Walk the rays cyclically until n facet lengths in a row are >= 0.
+    """
     n = len(c)
-    if n != fan.n:
-        raise ValueError(f"expected {fan.n} coefficients")
-    a = self_intersections(fan)
-    weights = _ample_weights(fan)
-    degree = sum(w * x for w, x in zip(weights, c))  # D.H
-    if degree < 0:
-        return 0
     i = clean = 0
     while clean < n:
         length = a[i] * c[i] + c[i - 1] + c[(i + 1) % n]
@@ -116,13 +117,31 @@ def h0(fan: Fan, coeffs) -> int:
     return _chi(a, c)
 
 
+def h0(fan: Fan, coeffs) -> int:
+    """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
+    c = [int(x) for x in coeffs]
+    if len(c) != fan.n:
+        raise ValueError(f"expected {fan.n} coefficients")
+    a, weights, _ = _ample_weights(fan)
+    degree = sum(map(mul, weights, c))  # D.H
+    return _reduce(a, weights, c, degree) if degree >= 0 else 0
+
+
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     """Exact (h0, h1, h2) of O(D) for D = sum(c_e D_e) over the split field."""
-    coeffs = tuple(int(c) for c in coeffs)
-    dim0 = h0(fan, coeffs)  # checks the number of coefficients
-    dual = tuple(-1 - c for c in coeffs)  # adjoint divisor minus D
-    dim2 = h0(fan, dual)
-    chi = _chi(self_intersections(fan), coeffs)
+    coeffs = tuple(map(int, coeffs))
+    if len(coeffs) != fan.n:
+        raise ValueError(f"expected {fan.n} coefficients")
+    a, weights, k_degree = _ample_weights(fan)
+    degree = sum(map(mul, weights, coeffs))  # D.H
+    dim0 = _reduce(a, weights, list(coeffs), degree) if degree >= 0 else 0
+    dual_degree = k_degree - degree  # (K - D).H
+    dim2 = (
+        _reduce(a, weights, [-1 - x for x in coeffs], dual_degree)
+        if dual_degree >= 0
+        else 0
+    )
+    chi = _chi(a, coeffs)
     dim1 = dim0 + dim2 - chi
     if dim1 < 0:
         raise ArithmeticError(
@@ -133,7 +152,7 @@ def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
 
 def ext_line_bundles(fan: Fan, first, second) -> CohomologyVector:
     """Ext groups Ext^r(O(D1), O(D2)) = H^r(O(D2 - D1))."""
-    diff = tuple(int(b) - int(a) for a, b in zip(first, second))
-    if len(diff) != fan.n:
+    first, second = tuple(first), tuple(second)
+    if len(first) != fan.n or len(second) != fan.n:
         raise ValueError(f"expected {fan.n} coefficients")
-    return line_bundle_cohomology(fan, diff)
+    return line_bundle_cohomology(fan, [int(b) - int(a) for a, b in zip(first, second)])

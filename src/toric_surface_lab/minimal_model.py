@@ -140,12 +140,29 @@ def minimalize(fan: Fan, group: SymmetryGroup) -> ContractionTrace:
             after = blow_down(current, indices)
             steps.append(ContractionStep(before=current, contracted=rays, after=after))
             current = after
-            g = g.attach(current)
+            g = _descend(g, current)
     return ContractionTrace(
         initial_fan=initial,
         steps=tuple(steps),
         terminal_fan=current,
         terminal_group=g,
+    )
+
+
+def _descend(g: SymmetryGroup, after: Fan) -> SymmetryGroup:
+    """`g` attached to `after`, the fan left by contracting a g-stable set of
+    rays of `g.fan`.
+
+    Each ray permutation drops the contracted indices and renumbers the
+    rest, in O(|G| n), where a fresh attach maps every ray through every
+    element and looks each image up in the ray list.
+    """
+    position = {v: i for i, v in enumerate(g.fan.rays)}
+    kept = [position[v] for v in after.rays]
+    renumber = {i: j for j, i in enumerate(kept)}
+    perms = {h: tuple(renumber[p[i]] for i in kept) for h, p in g.ray_permutations.items()}
+    return SymmetryGroup(
+        elements=g.elements, generators=g.generators, fan=after, ray_permutations=perms
     )
 
 

@@ -67,6 +67,39 @@ class FamilyDescriptor:
     index: str
     slots: tuple[str, ...]
     description: str
+    roles: tuple[tuple[str, str], ...]  # core slot role -> factor slot
+    notes: tuple[str, ...]  # the notes of every decomposition in the family
+
+
+def _family(index, slots, description, roles, notes=()) -> FamilyDescriptor:
+    return FamilyDescriptor(index, slots, description, (("one", "k"), *roles.items()), notes)
+
+
+# One row per minimal family; the ruled surfaces have two, by the parity of
+# the twist.  Core slot roles are those of grothendieck.core_blocks.
+_RULED_EVEN = _family(
+    "(i)", ("k", "Q", "k", "Q"), "ruled surface over a conic: k x Q x k x Q",
+    {"J_fiber": "Q", "J_section": "k", "J_both": "Q"},
+)
+_RULED_ODD = _family(
+    "(i)", ("k", "k", "k", "k"), "ruled surface with odd twist: all factors split",
+    {"J_fiber": "k", "J_section": "k", "J_both": "k"}, (ODD_RULING_NOTE,),
+)
+_FAMILIES = {
+    "(ii)": _family(
+        "(ii)", ("k", "A", "A^{⊗2}"), "twisted plane: k x A x A^{tensor 2}",
+        {"J": "A", "J2": "A^{⊗2}"},
+    ),
+    "(iii)": _family(
+        "(iii)", ("k", "B", "A"),
+        "quadric surface: k x B x A with B over the quadratic discriminant base",
+        {"J_fiber": "B", "J_section": "B", "J_both": "A"},
+    ),
+    "(iv)": _family(
+        "(iv)", ("k", "P", "Q"), "hexagonal del Pezzo: k x P x Q",
+        {"R": "P", "Q": "Q"}, (DP6_PAIRING_NOTE,),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -81,58 +114,17 @@ class MotivicDecomposition:
 
 
 def annotate_family(label: MinimalLabel) -> FamilyDescriptor:
-    """Named factor slots of the minimal family a classified pair belongs to."""
-    if label.family == "(ii)":
-        return FamilyDescriptor(
-            index="(ii)",
-            slots=("k", "A", "A^{⊗2}"),
-            description="twisted plane: k x A x A^{tensor 2}",
-        )
-    if label.family == "(iii)":
-        return FamilyDescriptor(
-            index="(iii)",
-            slots=("k", "B", "A"),
-            description=(
-                "quadric surface: k x B x A with B over the quadratic "
-                "discriminant base"
-            ),
-        )
-    if label.family == "(iv)":
-        return FamilyDescriptor(
-            index="(iv)",
-            slots=("k", "P", "Q"),
-            description="hexagonal del Pezzo: k x P x Q",
-        )
+    """Named factor slots of the minimal family a classified pair belongs to.
+
+    The only place the odd-twist rule is applied: an odd twist makes the
+    quaternion label of a ruled surface trivial.
+    """
     if label.family == "(i)":
         a = label.hirzebruch_a
-        if a is not None and a % 2 == 1:
-            return FamilyDescriptor(
-                index="(i)",
-                slots=("k", "k", "k", "k"),
-                description="ruled surface with odd twist: all factors split",
-            )
-        return FamilyDescriptor(
-            index="(i)",
-            slots=("k", "Q", "k", "Q"),
-            description="ruled surface over a conic: k x Q x k x Q",
-        )
-    raise NotMinimal(f"unrecognized minimal family {label.family}")
-
-
-def _core_slot_label(family_index: str, role: str, odd_ruling: bool) -> str:
-    if role == "one":
-        return "k"
-    if odd_ruling:
-        return "k"
-    if family_index == "(i)":
-        return {"J_fiber": "Q", "J_section": "k", "J_both": "Q"}[role]
-    if family_index == "(ii)":
-        return {"J": "A", "J2": "A^{⊗2}"}[role]
-    if family_index == "(iii)":
-        return {"J_fiber": "B", "J_section": "B", "J_both": "A"}[role]
-    if family_index == "(iv)":
-        return {"R": "P", "Q": "Q"}[role]
-    return "End(pushforward of orbit representative)"
+        return _RULED_ODD if a is not None and a % 2 == 1 else _RULED_EVEN
+    if label.family not in _FAMILIES:
+        raise NotMinimal(f"unrecognized minimal family {label.family}")
+    return _FAMILIES[label.family]
 
 
 def decompose(
@@ -152,17 +144,7 @@ def decompose(
         raise UnverifiedBasis("basis certificate failed")
 
     family = annotate_family(label)
-    odd_ruling = (
-        label.kind.startswith("F(")
-        and label.hirzebruch_a is not None
-        and label.hirzebruch_a % 2 == 1
-    )
-
-    notes: list[str] = []
-    if family.index == "(iv)":
-        notes.append(DP6_PAIRING_NOTE)
-    if odd_ruling:
-        notes.append(ODD_RULING_NOTE)
+    slot_of_role = dict(family.roles)
 
     factors = []
     for orbit in basis.orbits:
@@ -177,9 +159,7 @@ def decompose(
             # etale base algebra.
             brauer = "k"
         elif kinds == {"core"}:
-            slot_labels = {
-                _core_slot_label(family.index, role, odd_ruling) for role in roles
-            }
+            slot_labels = {slot_of_role[role] for role in roles}
             if len(slot_labels) != 1:
                 raise UnverifiedBasis(
                     f"orbit {orbit} mixes factor slots {sorted(slot_labels)}"
@@ -198,7 +178,7 @@ def decompose(
     return MotivicDecomposition(
         factors=tuple(factors),
         family=family,
-        notes=tuple(notes),
+        notes=family.notes,
         basis_certificate=cert,
     )
 

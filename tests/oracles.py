@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from toric_surface_lab.cohomology import _chi, h0
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
@@ -22,7 +23,7 @@ from toric_surface_lab.intlinalg import (
     solve2,
     unimodular_matrices,
 )
-from toric_surface_lab.lattice_fan import Fan
+from toric_surface_lab.lattice_fan import Fan, self_intersections
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
 
 
@@ -344,6 +345,20 @@ def box_h0(fan: Fan, coeffs) -> int:
     pairing = pts @ np.array(fan.rays, dtype=np.int64).T
     mask = (pairing >= -np.array(coeffs, dtype=np.int64)).all(axis=1)
     return int(mask.sum())
+
+
+def two_pass_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
+    """(h0, h1, h2) of O(D) from two separate public h0 calls.
+
+    The composition the one-pass kernel replaced: h0(D), h2(D) = h0(K - D)
+    with K - D = sum(-1 - c_e) D_e, each with its own D.H and its own table
+    lookups, and h1 = h0 + h2 - chi(D).
+    """
+    coeffs = tuple(int(c) for c in coeffs)
+    dim0 = h0(fan, coeffs)
+    dim2 = h0(fan, tuple(-1 - c for c in coeffs))
+    chi = _chi(self_intersections(fan), coeffs)
+    return (dim0, dim0 + dim2 - chi, dim2)
 
 
 def chamber_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:

@@ -2,15 +2,26 @@ import itertools
 import random
 import time
 
+import pytest
+
 from toric_surface_lab.cohomology import (
+    _ample_weights,
     ext_line_bundles,
     h0,
     line_bundle_cohomology,
 )
+from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.grothendieck import line_bundle_class, picard
-from toric_surface_lab.lattice_fan import blow_up, dp6_fan, hirzebruch_fan, p2_fan
+from toric_surface_lab.intlinalg import unimodular_matrices
+from toric_surface_lab.lattice_fan import (
+    apply_matrix,
+    blow_up,
+    dp6_fan,
+    hirzebruch_fan,
+    p2_fan,
+)
 
-from oracles import box_h0, chamber_cohomology
+from oracles import box_h0, chamber_cohomology, two_pass_cohomology
 
 
 class TestExamples:
@@ -29,6 +40,12 @@ class TestExamples:
 
     def test_ext_backward_vanishes(self, p2):
         assert ext_line_bundles(p2, (1, 0, 0), (0, 0, 0)).as_tuple() == (0, 0, 0)
+
+    def test_ext_rejects_length_mismatch(self, p2):
+        """A divisor of the wrong length is an error, not cut to the shorter."""
+        for first, second in (((0, 0, 0), (1, 0, 0, 5)), ((1, 0, 0, 5), (0, 0, 0))):
+            with pytest.raises(ValueError, match="expected 3 coefficients"):
+                ext_line_bundles(p2, first, second)
 
     def test_self_ext(self, f2):
         rng = random.Random(2)
@@ -157,3 +174,47 @@ class TestHugeTwist:
             assert forward.as_tuple() == (dual.h2, dual.h1, dual.h0)
             assert forward.euler == lat.chi(lat.divisor_coords(d))
         assert time.perf_counter() - start < 1.0
+
+
+class TestOnePass:
+    """One D.H for both sides against the two-h0 composition it replaced."""
+
+    TWISTS = (10, 10**2, 10**3, 10**4, 10**5, 2**40)
+
+    def _cases(self):
+        """(fan, D, sample): every corpus fan in its own basis and in a seeded
+        random one, |c| <= 4 and |c| <= 24; then F(a), one D per s = c1 + c3.
+        `sample` marks the small slice that box_h0 can count."""
+        rng = random.Random(71)
+        pool = unimodular_matrices(3)
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values()
+        for fan in fans:
+            for image in (fan, apply_matrix(rng.choice(pool), fan)):
+                for bound in (4, 24):
+                    for k in range(6):
+                        d = tuple(rng.randint(-bound, bound) for _ in range(image.n))
+                        yield image, d, bound == 4 and k == 0
+        for a in self.TWISTS:
+            fan = hirzebruch_fan(a)
+            for s in range(-8, 9):
+                c1 = rng.randint(max(-4, s - 4), min(4, s + 4))
+                yield fan, (rng.randint(-4, 4), c1, rng.randint(-4, 4), s - c1), False
+
+    def test_matches_two_pass(self):
+        signs = set()
+        boxed = 0
+        for fan, d, sample in self._cases():
+            dual = tuple(-1 - x for x in d)
+            _, weights, k_degree = _ample_weights(fan)
+            degree = sum(w * x for w, x in zip(weights, d))
+            signs.add((degree < 0, k_degree - degree < 0))
+            h = line_bundle_cohomology(fan, d)
+            assert h.as_tuple() == two_pass_cohomology(fan, d), (fan, d)
+            assert (h.h0, h.h2) == (h0(fan, d), h0(fan, dual)), (fan, d)
+            if sample:
+                assert (h.h0, h.h2) == (box_h0(fan, d), box_h0(fan, dual)), (fan, d)
+                boxed += 1
+        # (D.H < 0, (K - D).H < 0): each branch of the kernel was taken.  The
+        # two degrees sum to K.H = -sum H.D_e < 0, so both >= 0 cannot occur.
+        assert signs == {(True, True), (True, False), (False, True)}
+        assert boxed > 100

@@ -12,6 +12,7 @@ from toric_surface_lab.lattice_fan import (
 from toric_surface_lab.minimal_model import (
     MINIMAL_KINDS_BY_GROUP,
     NotMinimal,
+    _descend,
     classify_minimal,
     contractible_orbits,
     is_g_minimal,
@@ -117,6 +118,24 @@ class TestMinimalize:
                 members = {step.before.rays.index(v) for v in step.contracted}
                 for perm in g.ray_permutations.values():
                     assert {perm[i] for i in members} == members
+
+    def test_derived_permutations_match_attach(self):
+        """Every step's permutations, derived by dropping the contracted
+        indices, equal a fresh attach to the step's fan, in the same order."""
+        steps = 0
+        for entry in standard_corpus(max_rays=16):
+            trace = minimalize(entry.fan, entry.group)
+            g = entry.group.on(entry.fan)
+            for step in trace.steps:
+                g = _descend(g, step.after)
+                fresh = g.attach(step.after)
+                assert list(g.ray_permutations.items()) == list(
+                    fresh.ray_permutations.items()
+                ), (entry.fan, step.contracted)
+                steps += 1
+            assert trace.terminal_group.fan == trace.terminal_fan
+            assert trace.terminal_group.ray_permutations == g.ray_permutations
+        assert steps > 100
 
     def test_conjugation_commutes(self):
         fan = blow_up(dp6_fan(), [0, 2, 4])
