@@ -1,8 +1,11 @@
-"""Golden `--json` outputs: each CLI run's stdout must keep its recorded sha256.
+"""Golden CLI outputs: each run's stdout must keep its recorded sha256.
 
+`digests.json` maps every `--json` run to its stdout digest, and
+`plain_digests.json` maps the same runs without `--json` to
+[exit code, stdout digest], so the human-readable lines are pinned too.
 The inputs live in tests/golden/ and every run uses paths relative to that
 directory, so the `inputs.path` fields of the reports are stable.  After an
-intended change of output, re-record the map with
+intended change of output, re-record both maps with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,6 +25,7 @@ from toric_surface_lab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
+PLAIN_DIGESTS = GOLDEN / "plain_digests.json"
 
 FAN_COMMANDS = ("validate", "aut", "minimalize", "classify", "k0-verify", "basis",
                 "collection", "decompose", "report")
@@ -44,11 +48,20 @@ def golden_runs() -> list[list[str]]:
     return runs
 
 
-def stdout_digest(argv: list[str]) -> str:
+def plain_runs() -> list[list[str]]:
+    return [[a for a in argv if a != "--json"] for argv in golden_runs()]
+
+
+def run_digest(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the sha256 of the stdout of one CLI run."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli.main(argv)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        code = cli.main(argv)
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def stdout_digest(argv: list[str]) -> str:
+    return run_digest(argv)[1]
 
 
 @pytest.mark.parametrize("argv", golden_runs(), ids=" ".join)
@@ -58,13 +71,25 @@ def test_json_stdout_matches_golden_digest(argv, monkeypatch):
     assert stdout_digest(argv) == expected[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", plain_runs(), ids=" ".join)
+def test_plain_stdout_and_exit_code_match_golden(argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = json.loads(PLAIN_DIGESTS.read_text())
+    assert list(run_digest(argv)) == expected[" ".join(argv)]
+
+
 def test_golden_map_covers_exactly_the_runs():
     expected = json.loads(DIGESTS.read_text())
     assert sorted(expected) == sorted(" ".join(argv) for argv in golden_runs())
+    plain = json.loads(PLAIN_DIGESTS.read_text())
+    assert sorted(plain) == sorted(" ".join(argv) for argv in plain_runs())
 
 
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     digests = {" ".join(argv): stdout_digest(argv) for argv in golden_runs()}
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(digests)} digests in {DIGESTS}")
+    plain = {" ".join(argv): list(run_digest(argv)) for argv in plain_runs()}
+    PLAIN_DIGESTS.write_text(json.dumps(plain, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(digests)} digests in {DIGESTS} "
+          f"and {len(plain)} in {PLAIN_DIGESTS}")
