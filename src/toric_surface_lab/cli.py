@@ -240,151 +240,137 @@ def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str |
     return basis_payload(basis, cert), None
 
 
+def _k0(fan: Fan) -> tuple[dict, str | None]:
+    """The K0 certificate's payload and None, or an error payload and the reason."""
+    try:
+        cert = verify_klyachko(fan)
+    except RelationFailure as exc:
+        return {"error": str(exc)}, str(exc)
+    return {
+        "rank": cert.rank,
+        "span_index": cert.span_index,
+        "orbit_closure_pairs": cert.orbit_closure_pairs,
+        "character_relations": cert.character_relations,
+    }, None
+
+
+def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, str | None]:
+    """The payload of the basis search within `bound` and its failure reason."""
+    basis = search_line_bundle_basis(fan, group, bound)
+    if basis is None:
+        return {"found": False, "bound": bound}, None
+    payload, error = _certified_basis(basis, fan, group)
+    return {"found": True, "bound": bound, **payload}, error
+
+
+def _collection(trace, label, fan: Fan, group: SymmetryGroup,
+                order: str) -> tuple[dict, str | None]:
+    """The payload of the verified collection in `order` and its failure reason."""
+    coll = build_collection(trace, label, group)
+    if order == "reversed":
+        coll = coll.reversed()
+    cert = verify_collection(coll, fan, group)
+    return collection_payload(coll, cert), None if cert.ok else "collection certificate failed"
+
+
 def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
     """Execute one subcommand; returns (exit code, payload, human lines).
 
     `raw` holds the bytes of the input files, keyed "fan" and "group".
+    Commands return in pipeline order: first those that need no contraction
+    trace, then those of one trace and label, then those of its basis.
     """
-    result: dict = {}
-    lines: list[str] = []
-    code = EXIT_OK
-
+    command = args.command
     fan = load_fan(args.fan, raw["fan"]) if "fan" in raw else None
-    group = None
-    if hasattr(args, "group"):
-        group = load_group(args.group, raw.get("group"), fan)
-
-    if args.command == "validate":
-        result["fan"] = fan_payload(fan)
-        lines.append(f"valid fan with {fan.n} rays")
-
-    elif args.command == "aut":
-        aut = compute_aut(fan)
-        result["automorphisms"] = group_payload(aut)
-        lines.append(f"fan automorphism group of order {aut.order} "
-                     f"({result['automorphisms']['label']})")
-
-    elif args.command == "classify-group":
+    group = load_group(args.group, raw.get("group"), fan) if hasattr(args, "group") else None
+    if command == "report":
+        return full_report(fan, group, args)
+    if command == "validate":
+        return EXIT_OK, {"fan": fan_payload(fan)}, [f"valid fan with {fan.n} rays"]
+    if command == "aut":
+        aut = group_payload(compute_aut(fan))
+        return EXIT_OK, {"automorphisms": aut}, [
+            f"fan automorphism group of order {aut['order']} ({aut['label']})"]
+    if command == "classify-group":
         label = classify_subgroup(group)
-        result["group"] = {"order": group.order, "label": label}
-        lines.append(f"group of order {group.order}: class {label}")
-
-    elif args.command == "minimalize":
+        return EXIT_OK, {"group": {"order": group.order, "label": label}}, [
+            f"group of order {group.order}: class {label}"]
+    if command == "minimalize":
         trace = minimalize(fan, group)
-        result["trace"] = trace_payload(trace)
-        lines.append(
+        return EXIT_OK, {"trace": trace_payload(trace)}, [
             f"{len(trace.steps)} contraction step(s), terminal fan has "
-            f"{trace.terminal_fan.n} rays"
-        )
-
-    elif args.command == "classify":
-        trace, label = classify_pair(fan, group)
-        result["already_minimal"] = not trace.steps
-        result["trace"] = trace_payload(trace)
-        result["minimal_model"] = label_payload(label)
-        lines.append(f"minimal model: {label.kind} with group {label.group_label} "
-                     f"(family {label.family})")
-
-    elif args.command == "k0-verify":
-        try:
-            cert = verify_klyachko(fan)
-        except RelationFailure as exc:
-            code = EXIT_VERIFICATION_FAILED
-            result["k0"] = {"error": str(exc)}
-            lines.append(f"K0 presentation FAILED verification: {exc}")
+            f"{trace.terminal_fan.n} rays"]
+    if command == "k0-verify":
+        k0, error = _k0(fan)
+        line = (f"K0 presentation FAILED verification: {error}" if error else
+                f"K0 free of rank {k0['rank']}, span index {k0['span_index']}, "
+                f"{k0['orbit_closure_pairs']} product relations hold")
+        return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"k0": k0}, [line]
+    if command == "basis" and args.bound is not None:
+        basis, error = _searched_basis(fan, group, args.bound)
+        if error:
+            line = f"basis FAILED verification: {error}"
+        elif not basis["found"]:
+            line = f"no group-closed basis within coefficient bound {args.bound}"
         else:
-            result["k0"] = {
-                "rank": cert.rank,
-                "span_index": cert.span_index,
-                "orbit_closure_pairs": cert.orbit_closure_pairs,
-                "character_relations": cert.character_relations,
-            }
-            lines.append(f"K0 free of rank {cert.rank}, span index {cert.span_index}, "
-                         f"{cert.orbit_closure_pairs} product relations hold")
+            line = f"search found a basis with orbit sizes {tuple(basis['orbit_sizes'])}"
+        return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": basis}, [line]
 
-    elif args.command == "basis":
-        if args.bound is None:
-            trace, label = classify_pair(fan, group)
-            basis = standard_permutation_basis(trace, label, group)
-            head = {}
-        else:
-            basis = search_line_bundle_basis(fan, group, args.bound)
-            head = {"found": basis is not None, "bound": args.bound}
-        if basis is None:
-            result["basis"] = head
-            lines.append(f"no group-closed basis within coefficient bound "
-                         f"{args.bound}")
-        else:
-            payload, error = _certified_basis(basis, fan, group)
-            result["basis"] = {**head, **payload}
-            if error is not None:
-                code = EXIT_VERIFICATION_FAILED
-                lines.append(f"basis FAILED verification: {error}")
-            elif args.bound is None:
-                lines.append(f"permutation basis with orbit sizes {basis.orbit_sizes()}, "
-                             f"determinant {payload['determinant']}")
-            else:
-                lines.append(f"search found a basis with orbit sizes "
-                             f"{basis.orbit_sizes()}")
+    trace, label = classify_pair(fan, group)
+    if command == "classify":
+        return EXIT_OK, {
+            "already_minimal": not trace.steps,
+            "trace": trace_payload(trace),
+            "minimal_model": label_payload(label),
+        }, [f"minimal model: {label.kind} with group {label.group_label} "
+            f"(family {label.family})"]
+    if command == "collection":
+        coll, error = _collection(trace, label, fan, group, args.order)
+        if error is None:
+            return EXIT_OK, {"collection": coll}, [
+                "exceptional collection verified: blocks of sizes "
+                f"{[len(b) for b in coll['blocks']]}"]
+        lines = ["collection FAILED verification"]
+        v = coll.get("first_violation")
+        if v is not None:
+            lines.append(f"first violated pair: Ext(O({v['source']}), "
+                         f"O({v['target']})) = {tuple(v['ext'])}")
+        return EXIT_VERIFICATION_FAILED, {"collection": coll}, lines
 
-    elif args.command == "collection":
-        trace, label = classify_pair(fan, group)
-        coll = build_collection(trace, label, group)
-        if args.order == "reversed":
-            coll = coll.reversed()
-        cert = verify_collection(coll, fan, group)
-        result["collection"] = collection_payload(coll, cert)
-        if cert.ok:
-            lines.append(f"exceptional collection verified: blocks of sizes "
-                         f"{[len(b) for b in coll.blocks]}")
-        else:
-            code = EXIT_VERIFICATION_FAILED
-            v = cert.first_violation
-            lines.append("collection FAILED verification")
-            if v is not None:
-                lines.append(
-                    f"first violated pair: Ext(O({list(v.source)}), "
-                    f"O({list(v.target)})) = {v.ext}"
-                )
-
-    elif args.command == "decompose":
-        trace, label = classify_pair(fan, group)
-        basis = standard_permutation_basis(trace, label, group)
+    basis = standard_permutation_basis(trace, label, group)
+    if command == "basis":
+        payload, error = _certified_basis(basis, fan, group)
+        line = (f"basis FAILED verification: {error}" if error else
+                f"permutation basis with orbit sizes {basis.orbit_sizes()}, "
+                f"determinant {payload['determinant']}")
+        return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": payload}, [line]
+    if command == "decompose":
         dec = decompose(basis, label, group)
-        result["decomposition"] = decomposition_payload(dec)
-        lines.append(f"motivic decomposition: {decomposition_string(dec)}")
-
-    elif args.command == "report":
-        code, result, lines = full_report(fan, group, args)
-
-    else:  # pragma: no cover
-        raise InputError(f"unknown command {args.command}")
-
-    return code, result, lines
+        return EXIT_OK, {"decomposition": decomposition_payload(dec)}, [
+            f"motivic decomposition: {decomposition_string(dec)}"]
+    raise InputError(f"unknown command {command}")  # pragma: no cover
 
 
 def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[str]]:
     """Every stage once: one contraction, one label, one basis certificate."""
-    result: dict = {"fan": fan_payload(fan), "group": group_payload(group)}
-    lines: list[str] = []
+    result: dict = {
+        "fan": fan_payload(fan),
+        "group": group_payload(group),
+        "automorphisms": group_payload(compute_aut(fan)),
+    }
     failures: list[str] = []
-
-    aut = compute_aut(fan)
-    result["automorphisms"] = group_payload(aut)
 
     trace, label = classify_pair(fan, group)
     result["g_minimal"] = not trace.steps
     result["trace"] = trace_payload(trace)
     result["minimal_model"] = label_payload(label)
-    lines.append(f"minimal model: {label.kind}/{label.group_label} "
-                 f"after {len(trace.steps)} contraction step(s)")
+    lines = [f"minimal model: {label.kind}/{label.group_label} "
+             f"after {len(trace.steps)} contraction step(s)"]
 
-    try:
-        cert = verify_klyachko(fan)
-        result["k0"] = {"rank": cert.rank, "span_index": cert.span_index}
-    except RelationFailure as exc:
-        failures.append(f"k0: {exc}")
-        result["k0"] = {"error": str(exc)}
+    k0, error = _k0(fan)
+    result["k0"] = k0 if error else {key: k0[key] for key in ("rank", "span_index")}
+    if error:
+        failures.append(f"k0: {error}")
 
     # decompose certifies the basis; the report shows that certificate.
     basis = standard_permutation_basis(trace, label, group)
@@ -397,15 +383,12 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         result["basis"] = {"error": str(exc)}
         dec = None
 
-    coll = build_collection(trace, label, group)
-    ccert = verify_collection(coll, fan, group)
-    result["collection"] = collection_payload(coll, ccert)
-    if not ccert.ok:
-        failures.append("collection certificate failed")
+    result["collection"], error = _collection(trace, label, fan, group, "normal")
+    if error:
+        failures.append(error)
     else:
-        lines.append(
-            f"collection verified: block sizes {[len(b) for b in coll.blocks]}"
-        )
+        lines.append("collection verified: block sizes "
+                     f"{[len(b) for b in result['collection']['blocks']]}")
 
     if dec is not None:
         result["decomposition"] = decomposition_payload(dec)
@@ -416,20 +399,14 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         failures.append("cohomology spot check failed")
 
     if args.bound is not None:
-        searched = search_line_bundle_basis(fan, group, args.bound)
-        if searched is None:
-            result["basis_search"] = {"found": False, "bound": args.bound}
-        else:
-            payload, error = _certified_basis(searched, fan, group)
-            result["basis_search"] = {"found": True, "bound": args.bound, **payload}
-            if error is not None:
-                failures.append(f"basis search: {error}")
+        result["basis_search"], error = _searched_basis(fan, group, args.bound)
+        if error:
+            failures.append(f"basis search: {error}")
 
     result["failures"] = failures
-    code = EXIT_VERIFICATION_FAILED if failures else EXIT_OK
     if failures:
         lines.append("FAILED: " + "; ".join(failures))
-    return code, result, lines
+    return EXIT_VERIFICATION_FAILED if failures else EXIT_OK, result, lines
 
 
 def non_negative_int(text: str) -> int:
@@ -511,32 +488,29 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_ERROR
 
     if args.json:
-        report = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": args.command,
-            "inputs": inputs,
-            "status": "ok" if code == EXIT_OK else "verification-failed",
-            "result": result,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
+        status = "ok" if code == EXIT_OK else "verification-failed"
+        print(_json_report(args, inputs, status, result=result))
     else:
         for line in lines:
             print(line)
     return code
 
 
+def _json_report(args, inputs: dict, status: str, **body) -> str:
+    """The deterministic `--json` report: the run's header and `body`."""
+    return json.dumps({
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": getattr(args, "command", None),
+        "inputs": inputs,
+        "status": status,
+        **body,
+    }, sort_keys=True, indent=2)
+
+
 def _emit_error(args, message: str, inputs: dict, status: str = "invalid-input") -> None:
     if getattr(args, "json", False):
-        report = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": getattr(args, "command", None),
-            "inputs": inputs,
-            "status": status,
-            "error": message,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_report(args, inputs, status, error=message))
     else:
         print(f"error: {message}", file=sys.stderr)
 

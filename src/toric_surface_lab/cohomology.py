@@ -19,17 +19,16 @@ the size of the coefficients, not with the area of the polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
+from typing import NamedTuple
 
 from .lattice_fan import Fan, FanError, self_intersections
 
 __all__ = ["CohomologyVector", "line_bundle_cohomology", "ext_line_bundles", "h0"]
 
 
-@dataclass(frozen=True)
-class CohomologyVector:
+class CohomologyVector(NamedTuple):
     h0: int
     h1: int
     h2: int
@@ -119,7 +118,7 @@ def _reduce(a, weights, c: list[int], degree: int) -> int:
 
 def h0(fan: Fan, coeffs) -> int:
     """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
-    c = [int(x) for x in coeffs]
+    c = [index(x) for x in coeffs]
     if len(c) != fan.n:
         raise ValueError(f"expected {fan.n} coefficients")
     a, weights, _ = _ample_weights(fan)
@@ -129,7 +128,7 @@ def h0(fan: Fan, coeffs) -> int:
 
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     """Exact (h0, h1, h2) of O(D) for D = sum(c_e D_e) over the split field."""
-    coeffs = tuple(map(int, coeffs))
+    coeffs = tuple(map(index, coeffs))
     if len(coeffs) != fan.n:
         raise ValueError(f"expected {fan.n} coefficients")
     a, weights, k_degree = _ample_weights(fan)
@@ -155,4 +154,4 @@ def ext_line_bundles(fan: Fan, first, second) -> CohomologyVector:
     first, second = tuple(first), tuple(second)
     if len(first) != fan.n or len(second) != fan.n:
         raise ValueError(f"expected {fan.n} coefficients")
-    return line_bundle_cohomology(fan, [int(b) - int(a) for a, b in zip(first, second)])
+    return line_bundle_cohomology(fan, [index(b) - index(a) for a, b in zip(first, second)])

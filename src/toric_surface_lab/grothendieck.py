@@ -21,6 +21,7 @@ certifies candidate bases.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,7 +104,7 @@ class PicardLattice:
         A linear map: D_e is the e-th basis vector for e >= 2, and the first
         two rays contribute c_0 and c_1 times their own coordinates.
         """
-        c = tuple(map(int, coefficients))
+        c = tuple(map(operator.index, coefficients))
         if len(c) != self.fan.n:
             raise IncompatibleFan(
                 f"expected {self.fan.n} coefficients, got {len(c)}"
@@ -527,7 +528,7 @@ def verify_permutation_basis(
     if isinstance(basis, PermutationBasis):
         divisors = list(basis.divisors)
     else:
-        divisors = [tuple(int(x) for x in c) for c in basis]
+        divisors = [tuple(map(operator.index, c)) for c in basis]
     elements = [line_bundle_class(fan, c) for c in divisors]
     if len(elements) != fan.n:
         raise NotABasis(

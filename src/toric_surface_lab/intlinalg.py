@@ -89,16 +89,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def primitive_kernel_vector(m: Mat2) -> Vec:
-    """A primitive integer vector v with m @ v = 0, for a rank<=1 matrix m."""
-    for row in m:
-        if row != (0, 0):
-            x, y = -row[1], row[0]
-            g = abs(xgcd(x, y)[0])
-            return (x // g, y // g)
-    return (1, 0)
-
-
 def bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(rows)

@@ -220,27 +220,13 @@ def classify_minimal(fan: Fan, group: SymmetryGroup) -> MinimalLabel:
     else:
         raise TableViolation(f"minimal fan with {n} rays")
 
-    ok = False
-    for entry in allowed:
-        if entry == kind:
-            ok = True
-        elif entry == "F-any" and kind.startswith("F(") and a != 1:
-            ok = True
-        elif entry == "F-odd" and kind.startswith("F(") and a is not None and a % 2 == 1 and a >= 3:
-            ok = True
-        elif entry == "F-even" and kind.startswith("F(") and a is not None and a % 2 == 0:
-            ok = True
-    if not ok:
+    # The endpoint's row tags; F(1) was rejected, so an odd twist is >= 3.
+    rows = {kind}
+    if kind.startswith("F("):
+        rows |= {"F-any", "F-even" if a % 2 == 0 else "F-odd"}
+    if rows.isdisjoint(allowed):
         raise TableViolation(f"minimal pair ({kind}, {label}) is not a table row")
-
-    if kind == "P2":
-        family = "(ii)"
-    elif kind == "P1xP1":
-        family = "(iii)"
-    elif kind == "dP6":
-        family = "(iv)"
-    else:
-        family = "(i)"
+    family = {"P2": "(ii)", "P1xP1": "(iii)", "dP6": "(iv)"}.get(kind, "(i)")
     return MinimalLabel(
         kind=kind, group_label=label, family=family, fan=fan, hirzebruch_a=a
     )

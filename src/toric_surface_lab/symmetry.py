@@ -21,14 +21,12 @@ from .intlinalg import (
     IDENTITY,
     MINUS_IDENTITY,
     Mat2,
-    det2,
     is_int_pair,
     mat_apply,
     mat_det,
     mat_inv,
     mat_mul,
     mat_transpose,
-    primitive_kernel_vector,
     unimodular_matrices,
 )
 from .lattice_fan import Fan, lattice_maps
@@ -242,26 +240,21 @@ def _small_generating_set(elems) -> tuple[Mat2, ...]:
     return tuple(gens) if gens else (IDENTITY,)
 
 
-def reflection_lattice_index(m: Mat2) -> int:
-    """Index of (fixed line) + (antifixed line) in Z^2 for a det=-1 involution.
-
-    1 for conjugates of the axis flip C', 2 for conjugates of the swap C.
-    """
-    if mat_det(m) != -1 or element_order(m) != 2:
-        raise SymmetryError(f"{m} is not a det=-1 involution")
-    m_minus = ((m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1))
-    m_plus = ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
-    fixed = primitive_kernel_vector(m_minus)
-    anti = primitive_kernel_vector(m_plus)
-    idx = abs(det2(fixed, anti))
-    if idx not in (1, 2):
-        raise SymmetryError(f"unexpected eigenlattice index {idx} for {m}")
-    return idx
+def _signature(elems) -> tuple[tuple[int, int], ...]:
+    """The sorted (det, trace) pairs of the elements, a conjugation invariant."""
+    return tuple(sorted((mat_det(g), g[0][0] + g[1][1]) for g in elems))
 
 
 @lru_cache(maxsize=1)
-def _table_element_sets() -> dict[str, frozenset[Mat2]]:
-    return {label: _close(gens) for label, gens in TABLE_GENERATORS.items()}
+def _tables_by_signature() -> dict[tuple, dict[str, frozenset[Mat2]]]:
+    """The class representatives' element sets by label, grouped by signature:
+    one class per signature, or one of the pairs D2/D2', D4/D4' and D6/D6',
+    which only a conjugator tells apart."""
+    tables: dict[tuple, dict[str, frozenset[Mat2]]] = {}
+    for label, gens in TABLE_GENERATORS.items():
+        elems = _close(gens)
+        tables.setdefault(_signature(elems), {})[label] = elems
+    return tables
 
 
 @lru_cache(maxsize=2)
@@ -302,48 +295,17 @@ def _conjugate_group(elems, u: Mat2) -> frozenset[Mat2]:
     return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
 
 
-def _candidate_labels(elems) -> list[str]:
-    n = len(elems)
-    if n == 1:
-        return ["C1"]
-    reflections = [g for g in elems if mat_det(g) == -1]
-    rotations = [g for g in elems if mat_det(g) == 1]
-    if n == 2:
-        if not reflections:
-            return ["C2"]
-        return ["D2"] if reflection_lattice_index(reflections[0]) == 2 else ["D2'"]
-    if n == 3:
-        return ["C3"]
-    if n == 4:
-        if any(element_order(g) == 4 for g in rotations):
-            return ["C4"]
-        if len(reflections) != 2:
-            return []
-        idx = {reflection_lattice_index(g) for g in reflections}
-        if idx == {2}:
-            return ["D4"]
-        if idx == {1}:
-            return ["D4'"]
-        return []
-    if n == 6:
-        if any(element_order(g) == 6 for g in rotations):
-            return ["C6"]
-        # Dihedral of order 6: D6 and D6' share all elementwise invariants.
-        return ["D6", "D6'"]
-    if n == 8:
-        return ["D8"]
-    if n == 12:
-        return ["D12"]
-    return []
-
-
 def classify_subgroup(group, conjugator_bound: int = 5) -> str:
     """Conjugacy label of a finite subgroup of GL(2,Z).
 
-    Accepts a SymmetryGroup or an iterable of generator matrices.  The group
-    is first conjugated onto a reduced lattice basis (via its invariant
-    quadratic form), then matched against the class representatives by an
-    exhaustive conjugator search with entries bounded by `conjugator_bound`.
+    Accepts a SymmetryGroup or an iterable of generator matrices.  The
+    sorted (det, trace) pairs of the elements preselect the candidate
+    classes: a single label, or one of the pairs D2/D2', D4/D4', D6/D6'.
+    The group is then conjugated onto a reduced lattice basis (via its
+    invariant quadratic form) and matched against the candidates'
+    representatives by an exhaustive conjugator search with entries bounded
+    by `conjugator_bound`, so a label is returned only together with a
+    conjugator that carries the group onto its representative.
 
     Raises NotFinite for generators of infinite order and
     UnclassifiedSubgroup if no representative matches (which indicates a bug).
@@ -352,19 +314,17 @@ def classify_subgroup(group, conjugator_bound: int = 5) -> str:
         elems = group.elements
     else:
         elems = _close(tuple(tuple(map(tuple, g)) for g in group))
-    candidates = _candidate_labels(elems)
+    signature = _signature(elems)
+    candidates = _tables_by_signature().get(signature)
     if not candidates:
         raise UnclassifiedSubgroup(
-            f"order {len(elems)} does not occur among finite subgroups of GL(2,Z)"
+            f"no finite subgroup of GL(2,Z) has the (det, trace) signature {signature}"
         )
-    u = _invariant_form_reduction(elems)
-    reduced = _conjugate_group(elems, u)
-    tables = _table_element_sets()
+    reduced = _conjugate_group(elems, _invariant_form_reduction(elems))
     for p in _conjugator_pool(conjugator_bound):
-        pinv = mat_inv(p)
-        image = frozenset(mat_mul(p, mat_mul(g, pinv)) for g in reduced)
-        for label in candidates:
-            if image == tables[label]:
+        image = _conjugate_group(reduced, p)
+        for label, table in candidates.items():
+            if image == table:
                 return label
     raise UnclassifiedSubgroup(
         f"conjugator search (bound {conjugator_bound}) exhausted for {sorted(elems)}"

@@ -2,9 +2,11 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from toric_surface_lab.cohomology import (
+    CohomologyVector,
     _ample_weights,
     ext_line_bundles,
     h0,
@@ -52,6 +54,31 @@ class TestExamples:
         for _ in range(10):
             d = tuple(rng.randint(-3, 3) for _ in range(4))
             assert ext_line_bundles(f2, d, d).as_tuple() == (1, 0, 0)
+
+
+class TestCoefficientTypes:
+    """Coefficients are integers: a float raises instead of being truncated,
+    and numpy integers are accepted."""
+
+    def test_float_coefficients_raise(self, p2):
+        with pytest.raises(TypeError):
+            line_bundle_cohomology(p2, [0.9, 0, 0])
+        with pytest.raises(TypeError):
+            ext_line_bundles(p2, (0, 0, 0), (2.9, 0, 0))
+        with pytest.raises(TypeError):
+            h0(p2, [1.0, 0, 0])
+
+    def test_numpy_integers_accepted(self, p2):
+        two_h = np.array([2, 0, 0], dtype=np.int64)
+        assert line_bundle_cohomology(p2, two_h) == (6, 0, 0)
+        assert ext_line_bundles(p2, np.zeros(3, dtype=np.int64), two_h) == (6, 0, 0)
+        assert h0(p2, two_h) == 6
+
+    def test_vector_is_a_named_tuple(self):
+        v = CohomologyVector(3, 1, 0)
+        assert v == (3, 1, 0) == v.as_tuple()
+        assert (v.h0, v.h1, v.h2, v.euler) == (3, 1, 0, 2)
+        assert repr(v) == "CohomologyVector(h0=3, h1=1, h2=0)"
 
 
 class TestDualityAndEuler:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from toric_surface_lab.cli import basis_payload
@@ -150,6 +151,15 @@ class TestDivisorCoords:
     def test_wrong_length_rejected(self, p2):
         with pytest.raises(grothendieck.IncompatibleFan):
             picard(p2).divisor_coords((1, 0))
+
+    def test_float_coefficients_raise(self, p2):
+        with pytest.raises(TypeError):
+            picard(p2).divisor_coords((0.9, 0, 0))
+
+    def test_numpy_integers_accepted(self, dp6):
+        c = (1, -2, 0, 3, 0, 1)
+        assert picard(dp6).divisor_coords(np.array(c, dtype=np.int64)) == (
+            picard(dp6).divisor_coords(c))
 
 
 class TestLineBundleClass:
@@ -387,6 +397,21 @@ class TestVerifyBasis:
         cert = verify_permutation_basis(divisors, dp6, dp6_aut)
         assert cert.ok
         assert sorted(cert.orbit_sizes) == [1, 2, 3]
+
+    def test_coefficient_types(self, dp6, dp6_aut):
+        """Float coefficients raise; numpy integer rows certify as ints do."""
+        divisors = [
+            (0,) * 6,
+            unit_divisor(dp6, 0, 5),
+            unit_divisor(dp6, 1, 2),
+            unit_divisor(dp6, 3, 4),
+            unit_divisor(dp6, 0, 1, 2),
+            unit_divisor(dp6, 3, 4, 5),
+        ]
+        cert = verify_permutation_basis(np.array(divisors, dtype=np.int64), dp6, dp6_aut)
+        assert cert == verify_permutation_basis(divisors, dp6, dp6_aut)
+        with pytest.raises(TypeError):
+            verify_permutation_basis([[float(x) for x in d] for d in divisors], dp6, dp6_aut)
 
 
 class TestSearch:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from toric_surface_lab.corpus import standard_corpus
-from toric_surface_lab.intlinalg import mat_inv, mat_mul
+from toric_surface_lab.intlinalg import mat_inv, mat_mul, xgcd
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
     dp6_fan,
@@ -23,7 +23,6 @@ from toric_surface_lab.symmetry import (
     compute_aut,
     element_order,
     enumerate_subgroups,
-    reflection_lattice_index,
     trivial_group,
 )
 
@@ -42,6 +41,21 @@ def random_unimodular(rng: random.Random, bound: int = 3):
             (rng.randint(-bound, bound), rng.randint(-bound, bound)),
         )
         if m[0][0] * m[1][1] - m[0][1] * m[1][0] in (1, -1):
+            return m
+
+
+def large_unimodular(rng: random.Random, bound: int = 10**6):
+    """A GL(2,Z) matrix with entries up to `bound`: a coprime first column
+    (a, c), the second column (b, d) from xgcd, then a random shear and sign."""
+    while True:
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        g, s, t = xgcd(a, c)  # s a + t c = g
+        if g != 1:
+            continue
+        k = rng.randint(-3, 3)
+        sign = rng.choice((1, -1))
+        m = ((a, sign * (k * a - t)), (c, sign * (k * c + s)))
+        if all(abs(x) <= bound for row in m for x in row):
             return m
 
 
@@ -107,7 +121,6 @@ class TestClassify:
     def test_shear_reflection_is_d2(self):
         # Eigenlattice of index 2 marks the swap type.
         m = ((1, 1), (0, -1))
-        assert reflection_lattice_index(m) == 2
         assert classify_subgroup([m]) == "D2"
 
     def test_not_finite(self):
@@ -115,13 +128,16 @@ class TestClassify:
             classify_subgroup([((1, 1), (0, 1))])
 
     def test_conjugation_invariance(self):
-        rng = random.Random(11)
-        for label, gens in TABLE_GENERATORS.items():
-            for _ in range(25):
-                m = random_unimodular(rng)
-                mi = mat_inv(m)
-                conj = [mat_mul(m, mat_mul(g, mi)) for g in gens]
-                assert classify_subgroup(conj) == label
+        """Conjugates by small matrices (entries <= 3) and by large ones
+        (entries up to 10^6) keep the label of their class."""
+        for draw, seed, per_class in ((random_unimodular, 11, 25), (large_unimodular, 13, 100)):
+            rng = random.Random(seed)
+            for label, gens in TABLE_GENERATORS.items():
+                for _ in range(per_class):
+                    m = draw(rng)
+                    mi = mat_inv(m)
+                    conj = [mat_mul(m, mat_mul(g, mi)) for g in gens]
+                    assert classify_subgroup(conj) == label
 
     def test_labels_mutually_exclusive(self):
         assert len(set(CONJUGACY_LABELS)) == 13
