@@ -6,7 +6,7 @@ blow-up chains.  Used by the verification suites and the self-test paths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice_fan import Fan, blow_up, dp6_fan, hirzebruch_fan, p2_fan, square_fan
 from .symmetry import (
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     fan: Fan
     group: SymmetryGroup
     group_label: str

@@ -10,7 +10,7 @@ orbits so they can descend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import ext_line_bundles, line_bundle_cohomology
 from .grothendieck import _class_orbit, _ray_sum, core_blocks, line_bundle_class, picard
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExceptionalCollection:
+class ExceptionalCollection(NamedTuple):
     fan: Fan
     blocks: tuple[tuple[Divisor, ...], ...]
     provenance: str
@@ -45,8 +44,7 @@ class ExceptionalCollection:
         )
 
 
-@dataclass(frozen=True)
-class ExtViolation:
+class ExtViolation(NamedTuple):
     kind: str  # "self", "block" or "order"
     source_block: int
     source: Divisor
@@ -55,8 +53,7 @@ class ExtViolation:
     ext: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class CollectionCertificate:
+class CollectionCertificate(NamedTuple):
     self_ext_ok: bool
     block_ok: bool
     order_ok: bool

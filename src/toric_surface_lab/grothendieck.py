@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
 from .lattice_fan import Fan, self_intersections
@@ -80,8 +80,7 @@ class NotInvariant(GrothendieckError):
     pass
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(NamedTuple):
     """Divisor classes modulo linear equivalence, with intersection form.
 
     The chosen basis consists of the classes of the ray divisors D_2..D_{N-1}
@@ -181,8 +180,7 @@ def picard(fan: Fan) -> PicardLattice:
     )
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(NamedTuple):
     """An element of K0 in (rank, c1, chi) coordinates."""
 
     fan: Fan
@@ -217,6 +215,9 @@ class K0Class:
 
     def __mul__(self, other: "K0Class") -> "K0Class":
         return k0_multiply(self, other)
+
+    def __rmul__(self, other):
+        return NotImplemented  # so `2 * x` raises instead of repeating the tuple
 
     def power(self, k: int) -> "K0Class":
         if k < 0:
@@ -267,8 +268,7 @@ def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KlyachkoCertificate:
+class KlyachkoCertificate(NamedTuple):
     fan: Fan
     rank: int
     span_index: int
@@ -376,8 +376,7 @@ def fa_recurrence_check(fan: Fan, m_values) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PermutationBasis:
+class PermutationBasis(NamedTuple):
     """A group-closed Z-basis of K0 given by explicit divisor representatives.
 
     `tags` records where each element came from: ("core", slot_role) for the
@@ -399,8 +398,7 @@ class PermutationBasis:
         return tuple(len(o) for o in self.orbits)
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
+class BasisCertificate(NamedTuple):
     determinant: int
     closed: bool
     orbit_sizes: tuple[int, ...]

@@ -145,18 +145,3 @@ def hermite_pivots(rows: list[list[int]]) -> list[int]:
         if row == m:
             break
     return pivots
-
-
-def unimodular_matrices(bound: int) -> list[Mat2]:
-    """All GL(2,Z) matrices with entries bounded by `bound`, small ones first."""
-    out = []
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c in (1, -1):
-                        out.append(((a, b), (c, d)))
-    out.sort(key=lambda m: (max(abs(x) for row in m for x in row),
-                            [x for row in m for x in row]))
-    return out

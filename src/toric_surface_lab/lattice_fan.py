@@ -9,7 +9,6 @@ and return new fans.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -99,18 +98,28 @@ def _angle_before(v: Vec, w: Vec) -> bool:
     return det2(v, w) > 0
 
 
-@dataclass(frozen=True)
 class Fan:
     """Counterclockwise primitive rays of a smooth complete fan in Z^2.
 
-    The hash of the rays is computed once, at construction: the lru caches
-    keyed by the fan look it up on every call.
+    Immutable.  The hash of the rays is computed once, at construction: the
+    lru caches keyed by the fan look it up on every call.
     """
 
-    rays: tuple[Vec, ...]
+    __slots__ = ("rays", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.rays))
+    def __init__(self, rays: tuple[Vec, ...]) -> None:
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_hash", hash(rays))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Fan:
+            return NotImplemented
+        return self.rays == other.rays
 
     def __hash__(self) -> int:
         return self._hash

@@ -10,7 +10,7 @@ group class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice_fan import (
     Fan,
@@ -54,23 +54,20 @@ class TableViolation(MinimalModelError):
     """A minimal pair outside the classification table; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class ContractionStep:
+class ContractionStep(NamedTuple):
     before: Fan
     contracted: tuple[tuple[int, int], ...]  # ray vectors removed in this step
     after: Fan
 
 
-@dataclass(frozen=True)
-class ContractionTrace:
+class ContractionTrace(NamedTuple):
     initial_fan: Fan
     steps: tuple[ContractionStep, ...]
     terminal_fan: Fan
     terminal_group: SymmetryGroup
 
 
-@dataclass(frozen=True)
-class MinimalLabel:
+class MinimalLabel(NamedTuple):
     kind: str  # "P2", "F(a)", "P1xP1" or "dP6"
     group_label: str
     family: str  # "(i)".."(iv)"

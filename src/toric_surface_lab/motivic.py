@@ -15,7 +15,7 @@ families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grothendieck import (
     BasisCertificate,
@@ -54,16 +54,14 @@ class UnverifiedBasis(GrothendieckError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraFactor:
+class AlgebraFactor(NamedTuple):
     base_degree: int
     brauer_label: str
     source_orbit: tuple[int, ...]
     slot_roles: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     index: str
     slots: tuple[str, ...]
     description: str
@@ -102,8 +100,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class MotivicDecomposition:
+class MotivicDecomposition(NamedTuple):
     factors: tuple[AlgebraFactor, ...]
     family: FamilyDescriptor
     notes: tuple[str, ...]

@@ -14,7 +14,7 @@ D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .intlinalg import (
@@ -27,7 +27,6 @@ from .intlinalg import (
     mat_inv,
     mat_mul,
     mat_transpose,
-    unimodular_matrices,
 )
 from .lattice_fan import Fan, lattice_maps
 
@@ -135,20 +134,46 @@ def _close(generators) -> frozenset[Mat2]:
     return frozenset(elems)
 
 
-@dataclass(frozen=True)
 class SymmetryGroup:
     """A finite subgroup of GL(2,Z), optionally attached to a fan.
 
     When attached, `ray_permutations[g]` maps ray index i of the fan to the
-    index of g applied to ray i.
+    index of g applied to ray i.  Immutable; equality and hash ignore the
+    ray permutations.
     """
 
-    elements: frozenset[Mat2]
-    generators: tuple[Mat2, ...]
-    fan: Fan | None = None
-    ray_permutations: dict[Mat2, tuple[int, ...]] | None = field(
-        default=None, compare=False
-    )
+    __slots__ = ("elements", "generators", "fan", "ray_permutations")
+
+    def __init__(self, elements: frozenset[Mat2], generators: tuple[Mat2, ...],
+                 fan: Fan | None = None,
+                 ray_permutations: dict[Mat2, tuple[int, ...]] | None = None) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "ray_permutations", ray_permutations)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.elements, self.generators, self.fan)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SymmetryGroup:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (SymmetryGroup, self._key() + (self.ray_permutations,))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SymmetryGroup({fields})"
 
     @classmethod
     def from_generators(cls, generators, fan: Fan | None = None) -> "SymmetryGroup":
@@ -257,9 +282,22 @@ def _tables_by_signature() -> dict[tuple, dict[str, frozenset[Mat2]]]:
     return tables
 
 
-@lru_cache(maxsize=2)
-def _conjugator_pool(bound: int) -> tuple[Mat2, ...]:
-    return tuple(unimodular_matrices(bound))
+@lru_cache(maxsize=16)
+def _conjugator_shell(k: int) -> tuple[Mat2, ...]:
+    """The GL(2,Z) matrices whose largest |entry| is k, in lexicographic order."""
+    r = range(-k, k + 1)
+    return tuple(
+        ((a, b), (c, d)) for a in r for b in r for c in r for d in r
+        if a * d - b * c in (1, -1) and max(abs(a), abs(b), abs(c), abs(d)) == k
+    )
+
+
+def _conjugator_pool(bound: int) -> Iterator[Mat2]:
+    """The GL(2,Z) matrices with entries bounded by `bound`, small ones first:
+    shell by shell in largest |entry|, each shell built when the search
+    first reaches it."""
+    for k in range(bound + 1):
+        yield from _conjugator_shell(k)
 
 
 def _invariant_form_reduction(elems) -> Mat2:

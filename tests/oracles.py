@@ -17,14 +17,29 @@ from toric_surface_lab.grothendieck import (
     picard,
 )
 from toric_surface_lab.intlinalg import (
+    Mat2,
     columns_to_matrix,
     mat_apply,
     mat_inv,
     solve2,
-    unimodular_matrices,
 )
 from toric_surface_lab.lattice_fan import Fan, self_intersections
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
+
+
+def unimodular_matrices(bound: int) -> list[Mat2]:
+    """All GL(2,Z) matrices with entries bounded by `bound`, small ones first."""
+    out = []
+    rng = range(-bound, bound + 1)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    if a * d - b * c in (1, -1):
+                        out.append(((a, b), (c, d)))
+    out.sort(key=lambda m: (max(abs(x) for row in m for x in row),
+                            [x for row in m for x in row]))
+    return out
 
 
 def brute_force_isomorphisms(f1: Fan, f2: Fan, bound: int = 3):

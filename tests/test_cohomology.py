@@ -14,7 +14,6 @@ from toric_surface_lab.cohomology import (
 )
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.grothendieck import line_bundle_class, picard
-from toric_surface_lab.intlinalg import unimodular_matrices
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
     blow_up,
@@ -23,7 +22,7 @@ from toric_surface_lab.lattice_fan import (
     p2_fan,
 )
 
-from oracles import box_h0, chamber_cohomology, two_pass_cohomology
+from oracles import box_h0, chamber_cohomology, two_pass_cohomology, unimodular_matrices
 
 
 class TestExamples:

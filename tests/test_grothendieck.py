@@ -267,6 +267,13 @@ class TestMultiplication:
                 rhs = k0_multiply(act_on_class(dp6, perm, x), act_on_class(dp6, perm, y))
                 assert lhs == rhs
 
+    def test_integer_times_class_raises(self, p2):
+        x = line_bundle_class(p2, (1, 0, 0))
+        for k in (2, 0, -1):
+            with pytest.raises(TypeError):
+                k * x
+        assert x * x == k0_multiply(x, x)
+
     def test_incompatible_fans(self, p2, f2):
         from toric_surface_lab.grothendieck import IncompatibleFan
 

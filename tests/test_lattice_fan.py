@@ -5,7 +5,7 @@ import random
 import pytest
 
 from toric_surface_lab.corpus import standard_corpus
-from toric_surface_lab.intlinalg import mat_apply, unimodular_matrices
+from toric_surface_lab.intlinalg import mat_apply
 from toric_surface_lab.lattice_fan import (
     AdjacentContraction,
     apply_matrix,
@@ -30,7 +30,7 @@ from toric_surface_lab.lattice_fan import (
 )
 from toric_surface_lab.symmetry import compute_aut
 
-from oracles import brute_force_isomorphisms, candidate_filter_maps
+from oracles import brute_force_isomorphisms, candidate_filter_maps, unimodular_matrices
 
 
 class TestValidate:

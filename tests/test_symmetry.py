@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.intlinalg import mat_inv, mat_mul, xgcd
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
+    blow_up,
     dp6_fan,
     hirzebruch_fan,
     p2_fan,
     self_intersections,
     square_fan,
 )
+from toric_surface_lab.minimal_model import minimalize
 from toric_surface_lab.symmetry import (
     CONJUGACY_LABELS,
     TABLE_GENERATORS,
@@ -19,6 +22,7 @@ from toric_surface_lab.symmetry import (
     NotFinite,
     SymmetryError,
     SymmetryGroup,
+    _conjugator_pool,
     classify_subgroup,
     compute_aut,
     element_order,
@@ -31,6 +35,7 @@ from oracles import (
     bfs_ray_orbits,
     brute_force_subgroups,
     closure_subgroups,
+    unimodular_matrices,
 )
 
 
@@ -139,6 +144,13 @@ class TestClassify:
                     conj = [mat_mul(m, mat_mul(g, mi)) for g in gens]
                     assert classify_subgroup(conj) == label
 
+    def test_conjugator_pool_is_the_oracle_sequence(self):
+        """Built shell by shell, the pool is still every matrix with entries
+        bounded by the bound, in the oracle's order, so the first matching
+        conjugator, and with it the label, is the same."""
+        for bound in range(6):
+            assert list(_conjugator_pool(bound)) == unimodular_matrices(bound)
+
     def test_labels_mutually_exclusive(self):
         assert len(set(CONJUGACY_LABELS)) == 13
 
@@ -243,3 +255,50 @@ class TestInvariants:
             for sub in enumerate_subgroups(compute_aut(fan)):
                 realized.add(classify_subgroup(sub))
         assert realized == set(CONJUGACY_LABELS)
+
+
+class TestRecords:
+    """Fan and SymmetryGroup are immutable slots classes."""
+
+    def test_attribute_assignment_raises(self):
+        fan = dp6_fan()
+        group = compute_aut(fan)
+        for record, name in ((fan, "rays"), (fan, "n"), (fan, "extra"),
+                             (group, "elements"), (group, "ray_permutations"),
+                             (group, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert fan == dp6_fan() and group == compute_aut(fan)
+
+    def test_group_equality_ignores_ray_permutations(self):
+        fan = dp6_fan()
+        aut = compute_aut(fan)
+        bare = SymmetryGroup(aut.elements, aut.generators, fan)
+        assert bare.ray_permutations is None
+        for twin in (bare, bare.attach(fan), aut.attach(fan), aut.on(fan),
+                     SymmetryGroup(aut.elements, aut.generators, fan, {})):
+            assert twin == aut and aut == twin
+            assert not (twin != aut) and not (aut != twin)
+            assert hash(twin) == hash(aut)
+        assert len(aut.generators) > 1
+        for other in (SymmetryGroup(aut.elements, aut.generators),
+                      SymmetryGroup(aut.elements, aut.generators[::-1], fan),
+                      (aut.elements, aut.generators, fan)):
+            assert other != aut and aut != other
+            assert not (other == aut) and not (aut == other)
+
+    def test_pickle_round_trip(self):
+        blown = blow_up(dp6_fan(), range(6))
+        aut = compute_aut(blown)
+        trace = minimalize(blown, aut)
+        assert trace.steps and trace.terminal_group.order == 12
+        for record in (blown, aut, trace):
+            twin = pickle.loads(pickle.dumps(record))
+            assert twin == record and hash(twin) == hash(record)
+        twin = pickle.loads(pickle.dumps(aut))
+        assert twin.ray_permutations == aut.ray_permutations
+        twin = pickle.loads(pickle.dumps(trace))
+        assert twin.terminal_group.ray_permutations == trace.terminal_group.ray_permutations
+        assert type(twin.steps[0].after) is type(blown)
