@@ -588,48 +588,42 @@ def search_line_bundle_basis(
     """Exhaustive search for a group-closed line-bundle basis.
 
     Candidates are the classes of divisors with coefficients in
-    [-bound, bound]; group orbits of candidate classes are tried in a fixed
-    canonical order (small classes first) and the first unimodular union of
-    orbits of total size N is returned.  Absence only means absence within
-    the bound.
+    [-bound, bound]; group orbits of candidate classes are tried depth first
+    in a fixed canonical order (small classes first) and the first union of
+    orbits of total size N that is a Z-basis of K0 is returned.  A subset of
+    a basis spans a saturated sublattice (a direct summand), so a branch is
+    followed only while its rows (1, c1, chi) span one: while their maximal
+    minors have gcd 1, that is while the Hermite pivots of their transpose
+    are all 1.  A leaf of N such rows is then unimodular, and no branch with
+    a unimodular completion is cut.  Absence only means absence within the
+    bound.
     """
     group = group.on(fan)
     n = fan.n
     rep, coord_orbits = _candidate_orbits(fan, group, bound)
-    orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
+    lat = picard(fan)
+    orbit_rows: dict[int, list[tuple[int, ...]]] = {}
 
-    def rank_of(rows: list[list[int]]) -> int:
-        return len(hermite_pivots(rows)) if rows else 0
-
-    found: list[int] | None = None
-
-    def dfs(start: int, picked: list[int], size: int) -> bool:
-        nonlocal found
-        if size == n:
-            rows = [
-                list(cls.model_vector()) for i in picked for cls in orbits[i]
-            ]
-            if bareiss_det(rows) in (1, -1):
-                found = list(picked)
-                return True
-            return False
-        for i in range(start, len(orbits)):
-            if size + len(orbits[i]) > n:
+    def dfs(start: int, picked: list[int], rows: list[tuple[int, ...]]) -> list[int] | None:
+        if len(rows) == n:
+            return picked
+        for i in range(start, len(coord_orbits)):
+            if len(rows) + len(coord_orbits[i]) > n:
                 continue
-            rows = [
-                list(cls.model_vector()) for j in picked + [i] for cls in orbits[j]
-            ]
-            if rank_of(rows) < size + len(orbits[i]):
-                continue
-            if dfs(i + 1, picked + [i], size + len(orbits[i])):
-                return True
-        return False
-
-    if not dfs(0, [], 0):
+            if i not in orbit_rows:
+                orbit_rows[i] = [(1, *c, lat.chi(c)) for c in coord_orbits[i]]
+            grown = rows + orbit_rows[i]
+            if hermite_pivots(list(zip(*grown))) == [1] * len(grown):
+                found = dfs(i + 1, picked + [i], grown)
+                if found is not None:
+                    return found
         return None
-    assert found is not None
-    classes = [cls for i in found for cls in orbits[i]]
-    divisors = [rep[cls.c1] for cls in classes]
+
+    found = dfs(0, [], [])
+    if found is None:
+        return None
+    divisors = [rep[c] for i in found for c in coord_orbits[i]]
+    classes = [line_bundle_class(fan, d) for d in divisors]
     return PermutationBasis(
         fan=fan,
         divisors=tuple(divisors),

@@ -14,7 +14,6 @@ D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 
 from .intlinalg import (
@@ -265,39 +264,18 @@ def _small_generating_set(elems) -> tuple[Mat2, ...]:
     return tuple(gens) if gens else (IDENTITY,)
 
 
-def _signature(elems) -> tuple[tuple[int, int], ...]:
-    """The sorted (det, trace) pairs of the elements, a conjugation invariant."""
-    return tuple(sorted((mat_det(g), g[0][0] + g[1][1]) for g in elems))
-
-
 @lru_cache(maxsize=1)
-def _tables_by_signature() -> dict[tuple, dict[str, frozenset[Mat2]]]:
-    """The class representatives' element sets by label, grouped by signature:
-    one class per signature, or one of the pairs D2/D2', D4/D4' and D6/D6',
-    which only a conjugator tells apart."""
-    tables: dict[tuple, dict[str, frozenset[Mat2]]] = {}
-    for label, gens in TABLE_GENERATORS.items():
-        elems = _close(gens)
-        tables.setdefault(_signature(elems), {})[label] = elems
-    return tables
+def _labels_by_table() -> dict[frozenset[Mat2], str]:
+    """The label of each class representative, keyed by its element set."""
+    return {_close(gens): label for label, gens in TABLE_GENERATORS.items()}
 
 
-@lru_cache(maxsize=16)
-def _conjugator_shell(k: int) -> tuple[Mat2, ...]:
-    """The GL(2,Z) matrices whose largest |entry| is k, in lexicographic order."""
-    r = range(-k, k + 1)
-    return tuple(
-        ((a, b), (c, d)) for a in r for b in r for c in r for d in r
-        if a * d - b * c in (1, -1) and max(abs(a), abs(b), abs(c), abs(d)) == k
-    )
-
-
-def _conjugator_pool(bound: int) -> Iterator[Mat2]:
-    """The GL(2,Z) matrices with entries bounded by `bound`, small ones first:
-    shell by shell in largest |entry|, each shell built when the search
-    first reaches it."""
-    for k in range(bound + 1):
-        yield from _conjugator_shell(k)
+# The GL(2,Z) matrices with entries in {-1, 0, 1}, in lexicographic order:
+# the conjugators between reduced groups (see classify_subgroup).
+_CONJUGATORS: tuple[Mat2, ...] = tuple(
+    ((a, b), (c, d)) for a in (-1, 0, 1) for b in (-1, 0, 1)
+    for c in (-1, 0, 1) for d in (-1, 0, 1) if a * d - b * c in (1, -1)
+)
 
 
 def _invariant_form_reduction(elems) -> Mat2:
@@ -333,40 +311,32 @@ def _conjugate_group(elems, u: Mat2) -> frozenset[Mat2]:
     return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
 
 
-def classify_subgroup(group, conjugator_bound: int = 5) -> str:
+def classify_subgroup(group) -> str:
     """Conjugacy label of a finite subgroup of GL(2,Z).
 
-    Accepts a SymmetryGroup or an iterable of generator matrices.  The
-    sorted (det, trace) pairs of the elements preselect the candidate
-    classes: a single label, or one of the pairs D2/D2', D4/D4', D6/D6'.
-    The group is then conjugated onto a reduced lattice basis (via its
-    invariant quadratic form) and matched against the candidates'
-    representatives by an exhaustive conjugator search with entries bounded
-    by `conjugator_bound`, so a label is returned only together with a
-    conjugator that carries the group onto its representative.
+    Accepts a SymmetryGroup or a list or tuple of generator matrices, which
+    go through SymmetryGroup.from_generators.  The group is conjugated onto
+    a reduced lattice basis of its invariant quadratic form, where its
+    elements, automorphs of a reduced form, have entries in {-1, 0, 1}.
+    Each finite group with such entries is carried onto its class
+    representative by one of the 40 GL(2,Z) matrices with such entries
+    (checked exhaustively in the tests), so only those are tried, and a
+    label is returned only together with a conjugator for it.
 
-    Raises NotFinite for generators of infinite order and
-    UnclassifiedSubgroup if no representative matches (which indicates a bug).
+    Raises SymmetryError for generators that are not 2x2 integer matrices,
+    NotFinite for generators of infinite order and UnclassifiedSubgroup if
+    no representative matches (which indicates a bug).
     """
-    if isinstance(group, SymmetryGroup):
-        elems = group.elements
-    else:
-        elems = _close(tuple(tuple(map(tuple, g)) for g in group))
-    signature = _signature(elems)
-    candidates = _tables_by_signature().get(signature)
-    if not candidates:
-        raise UnclassifiedSubgroup(
-            f"no finite subgroup of GL(2,Z) has the (det, trace) signature {signature}"
-        )
+    if not isinstance(group, SymmetryGroup):
+        group = SymmetryGroup.from_generators(group)
+    elems = group.elements
     reduced = _conjugate_group(elems, _invariant_form_reduction(elems))
-    for p in _conjugator_pool(conjugator_bound):
-        image = _conjugate_group(reduced, p)
-        for label, table in candidates.items():
-            if image == table:
-                return label
-    raise UnclassifiedSubgroup(
-        f"conjugator search (bound {conjugator_bound}) exhausted for {sorted(elems)}"
-    )
+    labels = _labels_by_table()
+    for p in _CONJUGATORS:
+        label = labels.get(_conjugate_group(reduced, p))
+        if label is not None:
+            return label
+    raise UnclassifiedSubgroup(f"no conjugator matches for {sorted(elems)}")
 
 
 def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:

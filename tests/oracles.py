@@ -12,12 +12,17 @@ from toric_surface_lab.cohomology import _chi, h0
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
+    PermutationBasis,
     PicardLattice,
+    _orbit_partition,
     act_on_divisor,
+    line_bundle_class,
     picard,
 )
 from toric_surface_lab.intlinalg import (
     Mat2,
+    bareiss_det,
+    hermite_pivots,
     columns_to_matrix,
     mat_apply,
     mat_inv,
@@ -148,6 +153,48 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
         g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))
         out.append(g.attach(group.fan) if group.fan is not None else g)
     return out
+
+
+def rank_pruned_basis_search(fan: Fan, group: SymmetryGroup, rep, coord_orbits):
+    """The basis search with a rank test per node and a determinant per leaf.
+
+    Runs on candidates `rep, coord_orbits` as `_candidate_orbits` returns
+    them, in the same depth-first order as `search_line_bundle_basis`; a
+    branch is cut only when its rows are linearly dependent, and each leaf
+    of N rows is kept if its determinant is +-1.  Exponential in the number
+    of rank-full, non-unimodular leaves.
+    """
+    group = group.on(fan)
+    n = fan.n
+    orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
+
+    def rows_of(picked: list[int]) -> list[list[int]]:
+        return [list(cls.model_vector()) for i in picked for cls in orbits[i]]
+
+    def dfs(start: int, picked: list[int], size: int) -> list[int] | None:
+        if size == n:
+            return picked if bareiss_det(rows_of(picked)) in (1, -1) else None
+        for i in range(start, len(orbits)):
+            grown = size + len(orbits[i])
+            if grown > n or len(hermite_pivots(rows_of(picked + [i]))) < grown:
+                continue
+            found = dfs(i + 1, picked + [i], grown)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs(0, [], 0)
+    if found is None:
+        return None
+    classes = [cls for i in found for cls in orbits[i]]
+    divisors = [rep[cls.c1] for cls in classes]
+    return PermutationBasis(
+        fan=fan,
+        divisors=tuple(divisors),
+        elements=tuple(classes),
+        orbits=_orbit_partition(fan, group, classes, divisors),
+        tags=tuple(("search", None) for _ in classes),
+    )
 
 
 def chern_multiply(x: K0Class, y: K0Class) -> K0Class:

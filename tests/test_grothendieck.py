@@ -37,8 +37,22 @@ from oracles import (
     act_on_class,
     bfs_class_orbit,
     chern_multiply,
+    rank_pruned_basis_search,
     solve2_divisor_coords,
     symmetric_signature,
+)
+
+
+# A trivial-group 6-ray pair and the divisors of the first basis the
+# rank-pruned reference DFS finds on it at bound 1 (in 9-12 s).
+PINNED_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 3), (-1, 2), (0, -1))
+PINNED_DIVISORS = (
+    (0, 0, 0, 0, 0, 0),
+    (-1, -1, -1, 0, 0, -1),
+    (-1, -1, -1, 0, 0, 0),
+    (-1, -1, -1, 0, 1, -1),
+    (-1, -1, -1, 0, 1, 0),
+    (-1, -1, -1, 1, 0, -1),
 )
 
 
@@ -454,27 +468,34 @@ class TestSearch:
                     lat, perms, d)
 
     def test_one_representative_orbits_match_bfs_closure_in_search(self, monkeypatch):
-        """Orbits from the images of one representative equal the closure's
-        on the candidates of bounds 0 and 1, in two bases per pair of at
-        most 6 rays; where the whole search is cheap (at most 5 rays) its
-        results are compared too."""
+        """On the candidates of bounds 0 and 1, in two bases per pair of at
+        most 6 rays, the orbits from the images of one representative equal
+        the orbits of a closure, and the search equals the rank-pruned
+        reference DFS on the closure's candidates.  For trivial groups on 6
+        rays at bound 1, where the reference takes seconds per pair, the
+        search's results are certified instead; one is pinned to the
+        reference's."""
         rng = random.Random(37)
-
-        def results(fan, group, bound):
-            orbits = grothendieck._candidate_orbits(fan, group, bound)
-            return orbits, search_line_bundle_basis(fan, group, bound) if fan.n <= 5 else None
-
-        searched = 0
+        searched = certified = 0
         for entry in (e for e in standard_corpus(max_rays=16) if e.fan.n <= 6):
             for fan, group in ((entry.fan, entry.group),
                                random_basis(rng, entry.fan, entry.group)):
                 for bound in (0, 1):
-                    fast = results(fan, group, bound)
+                    candidates = grothendieck._candidate_orbits(fan, group, bound)
+                    basis = search_line_bundle_basis(fan, group, bound)
                     monkeypatch.setattr(grothendieck, "_class_orbit", bfs_class_orbit)
-                    assert results(fan, group, bound) == fast
+                    closure = grothendieck._candidate_orbits(fan, group, bound)
+                    assert closure == candidates
+                    if fan.n == 6 and group.order == 1 and bound == 1:
+                        assert verify_permutation_basis(basis, fan, group).ok
+                        certified += 1
+                        if fan.rays == PINNED_RAYS:
+                            assert basis.divisors == PINNED_DIVISORS
+                    else:
+                        assert rank_pruned_basis_search(fan, group, *closure) == basis
                     monkeypatch.undo()
-                    searched += fast[1] is not None
-        assert searched > 0
+                    searched += basis is not None
+        assert searched > 0 and certified == 34
 
 
 class TestAction:

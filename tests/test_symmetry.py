@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -22,7 +23,11 @@ from toric_surface_lab.symmetry import (
     NotFinite,
     SymmetryError,
     SymmetryGroup,
-    _conjugator_pool,
+    _CONJUGATORS,
+    _close,
+    _conjugate_group,
+    _invariant_form_reduction,
+    _labels_by_table,
     classify_subgroup,
     compute_aut,
     element_order,
@@ -64,6 +69,26 @@ def large_unimodular(rng: random.Random, bound: int = 10**6):
             return m
 
 
+NON_MATRICES = pytest.mark.parametrize(
+    "generators",
+    ["x", None, [[[1.5, 0], [0, 1]]], [[[True, 0], [0, 1]]], [[1, 0]], [[[1, 0]]],
+     [[[0.0, 1], [1, 0]]], [[[1, 0, 0], [0, 1, 0]]]],
+    ids=["string", "none", "float", "bool", "vector", "one-row", "float-swap",
+         "three-entry-rows"],
+)
+
+
+def first_label(elems, conjugators):
+    """The label of the first representative that a conjugator carries
+    `elems` onto, or None."""
+    labels = _labels_by_table()
+    for p in conjugators:
+        label = labels.get(_conjugate_group(elems, p))
+        if label is not None:
+            return label
+    return None
+
+
 class TestComputeAut:
     def test_orders(self):
         assert compute_aut(p2_fan()).order == 6
@@ -101,11 +126,7 @@ class TestComputeAut:
         g = compute_aut(dp6_fan())
         assert SymmetryGroup.from_generators(g.generators).elements == g.elements
 
-    @pytest.mark.parametrize(
-        "generators",
-        ["x", None, [[[1.5, 0], [0, 1]]], [[[True, 0], [0, 1]]], [[1, 0]], [[[1, 0]]]],
-        ids=["string", "none", "float", "bool", "vector", "one-row"],
-    )
+    @NON_MATRICES
     def test_from_generators_rejects_non_matrices(self, generators):
         with pytest.raises(SymmetryError):
             SymmetryGroup.from_generators(generators)
@@ -132,9 +153,17 @@ class TestClassify:
         with pytest.raises(NotFinite):
             classify_subgroup([((1, 1), (0, 1))])
 
+    @NON_MATRICES
+    def test_rejects_non_matrices(self, generators):
+        """A list of generators goes through the same checks as
+        SymmetryGroup.from_generators."""
+        with pytest.raises(SymmetryError):
+            classify_subgroup(generators)
+
     def test_conjugation_invariance(self):
         """Conjugates by small matrices (entries <= 3) and by large ones
-        (entries up to 10^6) keep the label of their class."""
+        (entries up to 10^6) keep the label of their class, and their
+        reduced groups have entries in {-1, 0, 1}."""
         for draw, seed, per_class in ((random_unimodular, 11, 25), (large_unimodular, 13, 100)):
             rng = random.Random(seed)
             for label, gens in TABLE_GENERATORS.items():
@@ -143,13 +172,35 @@ class TestClassify:
                     mi = mat_inv(m)
                     conj = [mat_mul(m, mat_mul(g, mi)) for g in gens]
                     assert classify_subgroup(conj) == label
+                    elems = SymmetryGroup.from_generators(conj).elements
+                    reduced = _conjugate_group(elems, _invariant_form_reduction(elems))
+                    assert {x for g in reduced for row in g for x in row} <= {-1, 0, 1}
 
-    def test_conjugator_pool_is_the_oracle_sequence(self):
-        """Built shell by shell, the pool is still every matrix with entries
-        bounded by the bound, in the oracle's order, so the first matching
-        conjugator, and with it the label, is the same."""
-        for bound in range(6):
-            assert list(_conjugator_pool(bound)) == unimodular_matrices(bound)
+    def test_conjugators_are_the_unit_entry_matrices(self):
+        assert _CONJUGATORS == tuple(unimodular_matrices(1))
+
+    def test_unit_entry_conjugators_suffice(self):
+        """Every finite group generated by at most two finite-order matrices
+        with entries in {-1, 0, 1} (a superset of the reduced groups) gets
+        the same label from the 40 conjugators as from all 616 with entries
+        up to 5."""
+        finite = [m for m in unimodular_matrices(1) if element_order(m) is not None]
+        groups = set()
+        for gens in itertools.chain(
+            [()], ((a,) for a in finite), itertools.combinations(finite, 2)
+        ):
+            try:
+                groups.add(_close(gens))
+            except NotFinite:
+                continue
+        assert len(groups) == 32
+        pool = unimodular_matrices(5)
+        assert len(pool) == 616
+        for elems in groups:
+            label = first_label(elems, _CONJUGATORS)
+            assert label is not None
+            assert first_label(elems, pool) == label
+            assert classify_subgroup(SymmetryGroup(elems, tuple(sorted(elems)))) == label
 
     def test_labels_mutually_exclusive(self):
         assert len(set(CONJUGACY_LABELS)) == 13
