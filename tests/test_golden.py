@@ -30,15 +30,18 @@ PLAIN_DIGESTS = GOLDEN / "plain_digests.json"
 FAN_COMMANDS = ("validate", "aut", "minimalize", "classify", "k0-verify", "basis",
                 "collection", "decompose", "report")
 GROUPLESS = {"validate", "aut", "k0-verify"}
+# Inputs run with a group file; the rest use the full automorphism group.
+# p1p1-8 with d8 reaches P1xP1/D8, a row whose group swaps the rulings.
+GROUPS = {"dp6": "d12.json", "dp6-12": "d12.json", "p1p1-8": "d8.json"}
 
 
 def golden_runs() -> list[list[str]]:
     runs = []
-    for key in ("p2", "f2", "dp6", "dp6-12", "f1e5", "f2e40"):
+    for key in ("p2", "f2", "dp6", "dp6-12", "f1e5", "f2e40", "p1p1-8"):
         for command in FAN_COMMANDS:
             argv = [command, "--fan", f"{key}.json"]
-            if key.startswith("dp6") and command not in GROUPLESS:
-                argv += ["--group", "d12.json"]
+            if key in GROUPS and command not in GROUPLESS:
+                argv += ["--group", GROUPS[key]]
             runs.append(argv + ["--json"])
     runs.append(["report", "--fan", "dp6.json", "--group", "d12.json", "--bound", "1", "--json"])
     runs.append(["collection", "--fan", "dp6.json", "--group", "d12.json",
