@@ -266,7 +266,7 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
 def _collection(trace, label, fan: Fan, group: SymmetryGroup,
                 order: str) -> tuple[dict, str | None]:
     """The payload of the verified collection in `order` and its failure reason."""
-    coll = build_collection(trace, label, group)
+    coll = build_collection(trace, label)
     if order == "reversed":
         coll = coll.reversed()
     cert = verify_collection(coll, fan, group)

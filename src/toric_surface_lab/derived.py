@@ -4,8 +4,10 @@ trace and certified by exact Ext computations.
 The minimal cores carry the classical collections (structure sheaf plus
 twists); each blow-up step contributes the block of classes O(E) of its
 exceptional orbit, placed right after the structure sheaf (the right mutation
-of the pair (O_E(-1), O) is (O, O(E))).  Blocks are kept unions of group
-orbits so they can descend.
+of the pair (O_E(-1), O) is (O, O(E))).  Every block is one group orbit, so
+the collection descends: `minimalize` contracts one orbit per step, and the
+group acts on the pulled-back core through the terminal group, whose orbits
+are the blocks of `core_blocks`.  `verify_collection` checks it independently.
 """
 
 from __future__ import annotations
@@ -73,57 +75,14 @@ class CollectionCertificate(NamedTuple):
         )
 
 
-def _merge_blocks_by_orbits(
-    fan: Fan, group: SymmetryGroup, blocks: list[list[Divisor]]
-) -> list[list[Divisor]]:
-    """Coarsen the block partition so every group orbit stays in one block.
-
-    Line bundles are compared by Picard coordinates, which determine them.
-    """
-    perms = group.on(fan).ray_permutations.values()
-    lat = picard(fan)
-    flat = [(bi, d) for bi, block in enumerate(blocks) for d in block]
-    block_of_class = {}
-    for bi, d in flat:
-        block_of_class.setdefault(lat.divisor_coords(d), bi)
-    parent = list(range(len(blocks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for bi, d in flat:
-        for image in _class_orbit(lat, perms, d):
-            target = block_of_class.get(image)
-            if target is not None:
-                union(bi, target)
-    merged: dict[int, list[Divisor]] = {}
-    order: list[int] = []
-    for bi, block in enumerate(blocks):
-        root = find(bi)
-        if root not in merged:
-            merged[root] = []
-            order.append(root)
-        merged[root].extend(block)
-    return [merged[root] for root in order]
-
-
-def build_collection(
-    trace: ContractionTrace, label: MinimalLabel, group: SymmetryGroup
-) -> ExceptionalCollection:
+def build_collection(trace: ContractionTrace, label: MinimalLabel) -> ExceptionalCollection:
     """Ordered exceptional blocks for a contraction trace.
 
     `label` classifies the trace's terminal pair; a minimal pair is a trace
     without steps.  Order: the structure sheaf, then one block O(E_i) per
     blow-up step (outermost contraction first, total transforms taken for
-    inner steps), then the remaining core line bundles pulled back.
+    inner steps), then the remaining core blocks of `core_blocks(label)`
+    pulled back.
     """
     core = core_blocks(label)
     transforms, exceptional = pullback(
@@ -132,10 +91,8 @@ def build_collection(
     pulled = iter(transforms)
     blocks = [[next(pulled) for _ in block] for block in core]
     blocks = blocks[:1] + exceptional + blocks[1:]
-    fan = trace.initial_fan
-    blocks = _merge_blocks_by_orbits(fan, group, blocks)
     return ExceptionalCollection(
-        fan=fan,
+        fan=trace.initial_fan,
         blocks=tuple(tuple(b) for b in blocks),
         provenance=f"{label} core + {len(trace.steps)} blow-up step(s)",
     )

@@ -85,12 +85,14 @@ class PicardLattice(NamedTuple):
 
     The chosen basis consists of the classes of the ray divisors D_2..D_{N-1}
     (all but the first two rays); the first two rays form a lattice basis, so
-    a character can always be used to clear their coefficients.
+    a character can always be used to clear their coefficients.  Adjacent
+    ray divisors meet once and others not at all, so the form is tridiagonal:
+    ones beside the diagonal `band`, the self-intersections of D_2..D_{N-1}.
     """
 
     fan: Fan
     ray_coords: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    band: tuple[int, ...]
     canonical_coords: tuple[int, ...]
 
     @property
@@ -113,16 +115,11 @@ class PicardLattice(NamedTuple):
         return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
 
     def pair(self, d1, d2) -> int:
-        """Intersection number d1.d2, in O(rank).
-
-        The basis rays D_2..D_{N-1} are consecutive, adjacent ray divisors
-        meet once and others not at all, so the Gram matrix is tridiagonal
-        with ones beside the diagonal; only that band is summed.
-        """
+        """Intersection number d1.d2, in O(rank), from the band."""
         total = x0 = y0 = 0
-        for i, row in enumerate(self.gram):
+        for i, a in enumerate(self.band):
             x, y = d1[i], d2[i]
-            total += x * (row[i] * y + y0) + x0 * y
+            total += x * (a * y + y0) + x0 * y
             x0, y0 = x, y
         return total
 
@@ -144,22 +141,16 @@ def picard(fan: Fan) -> PicardLattice:
     """
     rays = fan.rays
     n = fan.n
-    inter = [[0] * n for _ in range(n)]
-    for i in range(n):
-        inter[i][(i + 1) % n] = 1
-        inter[i][(i - 1) % n] = 1
-    for i in range(n):
-        g, s, t = xgcd(rays[i][0], rays[i][1])
-        m = (-s, -t)  # <m, v_i> = -1
-        before, after = rays[(i - 1) % n], rays[(i + 1) % n]
-        inter[i][i] = (
-            m[0] * before[0] + m[1] * before[1] + m[0] * after[0] + m[1] * after[1]
-        )
-    rank = n - 2
-    # The basis classes are the ray divisors D_2..D_{N-1}, so the gram matrix
-    # is the ray intersection table restricted to them.
-    gram = tuple(tuple(inter[i + 2][j + 2] for j in range(rank)) for i in range(rank))
-    det = bareiss_det([list(row) for row in gram]) if rank else 1
+    band = []
+    for i in range(2, n):
+        _, s, t = xgcd(*rays[i])  # m = (-s, -t) has <m, v_i> = -1
+        (b0, b1), (a0, a1) = rays[i - 1], rays[(i + 1) % n]
+        band.append(-s * (b0 + a0) - t * (b1 + a1))
+    # The determinant of the tridiagonal form is the continuant
+    # d_k = a_k d_(k-1) - d_(k-2), with d_0 = 1 and d_(-1) = 0.
+    det, prev = 1, 0
+    for a in band:
+        det, prev = a * det - prev, det
     if det not in (1, -1):
         raise GrothendieckError(f"intersection form has determinant {det}")
 
@@ -169,13 +160,13 @@ def picard(fan: Fan) -> PicardLattice:
         m = solve2(rays[0], rays[1], (-c0, -c1))
         return tuple(m[0] * v[0] + m[1] * v[1] for v in rays[2:])
 
-    unit = [tuple(int(e == i) for e in range(rank)) for i in range(rank)]
+    unit = [tuple(int(e == i) for e in range(n - 2)) for i in range(n - 2)]
     ray_coords = (first_ray_coords(1, 0), first_ray_coords(0, 1), *unit)
     k_coords = tuple(-1 - a - b for a, b in zip(ray_coords[0], ray_coords[1]))
     return PicardLattice(
         fan=fan,
         ray_coords=ray_coords,
-        gram=gram,
+        band=tuple(band),
         canonical_coords=k_coords,
     )
 
@@ -400,12 +391,16 @@ class PermutationBasis(NamedTuple):
 
 class BasisCertificate(NamedTuple):
     determinant: int
-    closed: bool
     orbit_sizes: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        return self.determinant in (1, -1) and self.closed
+        return self.determinant in (1, -1)
+
+
+# Group classes whose P1xP1 rows exchange the two rulings: they contain a
+# conjugate of the swap C or the quarter turn B.  C1, C2 and D4' keep them.
+_RULING_SWAPS = frozenset({"D2", "C4", "D4", "D8"})
 
 
 def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
@@ -416,17 +411,22 @@ def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]],
     O(D) and the permutation basis the ideal-sheaf product O(-D).  P2: 1, J,
     J^2; 4-ray fans: 1, J1 (fiber), J2 (negative section), J1 J2; hexagonal
     fan: 1, the three opposite-adjacent pairs, the two ray triples.
+
+    Each block is closed under the row's group (blow-up blocks are single
+    orbits, as `minimalize` contracts one orbit per step).  The P1xP1 rows in
+    _RULING_SWAPS exchange the rulings, so J1 and J2 share one block there;
+    every other 4-ray row fixes each class.
     """
     if label.kind == "P2":
         return ((("one", ()),), (("J", (0,)),), (("J2", (0, 0)),))
     if label.fan.n == 4:
         f, s = hirzebruch_marking(label.fan)
-        return (
-            (("one", ()),),
-            (("J_fiber", (f,)),),
-            (("J_section", (s,)),),
-            (("J_both", (f, s)),),
-        )
+        fiber, section = ("J_fiber", (f,)), ("J_section", (s,))
+        if label.kind == "P1xP1" and label.group_label in _RULING_SWAPS:
+            middle = ((fiber, section),)
+        else:
+            middle = ((fiber,), (section,))
+        return ((("one", ()),), *middle, (("J_both", (f, s)),))
     if label.kind == "dP6":
         return (
             (("one", ()),),
@@ -538,7 +538,6 @@ def verify_permutation_basis(
     orbits = _orbit_partition(fan, group, elements, divisors)
     return BasisCertificate(
         determinant=det,
-        closed=True,
         orbit_sizes=tuple(len(o) for o in orbits),
     )
 

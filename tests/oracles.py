@@ -14,6 +14,7 @@ from toric_surface_lab.grothendieck import (
     K0Class,
     PermutationBasis,
     PicardLattice,
+    _class_orbit,
     _orbit_partition,
     act_on_divisor,
     line_bundle_class,
@@ -27,8 +28,9 @@ from toric_surface_lab.intlinalg import (
     mat_apply,
     mat_inv,
     solve2,
+    xgcd,
 )
-from toric_surface_lab.lattice_fan import Fan, self_intersections
+from toric_surface_lab.lattice_fan import Fan, apply_matrix, self_intersections
 from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
 
 
@@ -155,6 +157,18 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     return out
 
 
+def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGroup]:
+    """The pair rewritten in a random lattice basis (entries within 3)."""
+    while True:
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1:
+            break
+    image = apply_matrix(m, fan)
+    mi = mat_inv(m)
+    gens = [mat_mul(m, mat_mul(g, mi)) for g in group.generators]
+    return image, SymmetryGroup.from_generators(gens, image)
+
+
 def rank_pruned_basis_search(fan: Fan, group: SymmetryGroup, rep, coord_orbits):
     """The basis search with a rank test per node and a determinant per leaf.
 
@@ -259,6 +273,62 @@ def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:
                 orbit[key] = image
                 frontier.append(image)
     return set(orbit)
+
+
+def full_gram(fan: Fan) -> list[list[int]]:
+    """The intersection form on D_2..D_{N-1} as a full matrix.
+
+    Builds the N x N table of ray intersections (ones for adjacent rays,
+    zeros for the rest, each self-intersection from a character m with
+    <m, v_i> = -1) and restricts it to the Picard basis rays.
+    """
+    rays = fan.rays
+    n = fan.n
+    inter = [[0] * n for _ in range(n)]
+    for i in range(n):
+        inter[i][(i + 1) % n] = 1
+        inter[i][(i - 1) % n] = 1
+    for i in range(n):
+        _, s, t = xgcd(rays[i][0], rays[i][1])
+        before, after = rays[(i - 1) % n], rays[(i + 1) % n]
+        inter[i][i] = -s * (before[0] + after[0]) - t * (before[1] + after[1])
+    return [row[2:] for row in inter[2:]]
+
+
+def merge_blocks_by_orbits(
+    fan: Fan, group: SymmetryGroup, blocks
+) -> list[list[tuple[int, ...]]]:
+    """Coarsen a block partition until every group orbit of classes lies in
+    one block, by a union-find over the blocks.
+
+    Line bundles are compared by Picard coordinates, which determine them.
+    Merged blocks keep the position of their first block and the order of
+    their members.
+    """
+    perms = group.on(fan).ray_permutations.values()
+    lat = picard(fan)
+    flat = [(bi, d) for bi, block in enumerate(blocks) for d in block]
+    block_of_class = {}
+    for bi, d in flat:
+        block_of_class.setdefault(lat.divisor_coords(d), bi)
+    parent = list(range(len(blocks)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for bi, d in flat:
+        for image in _class_orbit(lat, perms, d):
+            target = block_of_class.get(image)
+            if target is not None:
+                rx, ry = find(bi), find(target)
+                parent[max(rx, ry)] = min(rx, ry)
+    merged: dict[int, list[tuple[int, ...]]] = {}
+    for bi, block in enumerate(blocks):
+        merged.setdefault(find(bi), []).extend(block)
+    return list(merged.values())
 
 
 def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:

@@ -210,19 +210,19 @@ def test_criterion_8_collections(corpus):
     ok = True
     for fan in (p2_fan(), hirzebruch_fan(2), square_fan(), dp6_fan()):
         g = compute_aut(fan)
-        coll = build_collection(*classify_pair(fan, g), g)
+        coll = build_collection(*classify_pair(fan, g))
         if not verify_collection(coll, fan, g).ok:
             ok = False
     verified = 0
     for entry in corpus:
-        coll = build_collection(*classify_pair(entry.fan, entry.group), entry.group)
+        coll = build_collection(*classify_pair(entry.fan, entry.group))
         if not verify_collection(coll, entry.fan, entry.group).ok:
             ok = False
         verified += 1
     p2 = p2_fan()
     g = compute_aut(p2)
     reversed_cert = verify_collection(
-        build_collection(*classify_pair(p2, g), g).reversed(), p2, g
+        build_collection(*classify_pair(p2, g)).reversed(), p2, g
     )
     v = reversed_cert.first_violation
     ok = ok and not reversed_cert.ok and v is not None and v.ext == (3, 0, 0)

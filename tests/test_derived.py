@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from toric_surface_lab.cohomology import ext_line_bundles
 from toric_surface_lab.derived import (
@@ -9,12 +10,14 @@ from toric_surface_lab.derived import (
 from toric_surface_lab.grothendieck import line_bundle_class
 from toric_surface_lab.lattice_fan import blow_up, p2_fan
 from toric_surface_lab.minimal_model import classify_pair
-from toric_surface_lab.symmetry import compute_aut, trivial_group
-from toric_surface_lab.corpus import subgroup_with_label
+from toric_surface_lab.symmetry import compute_aut, enumerate_subgroups, trivial_group
+from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
+
+from oracles import merge_blocks_by_orbits, random_basis
 
 
 def collection_for(fan, group):
-    return build_collection(*classify_pair(fan, group), group)
+    return build_collection(*classify_pair(fan, group))
 
 
 class TestCores:
@@ -64,6 +67,51 @@ class TestCores:
         assert not cert.blocks_group_closed
         assert not cert.ok
         assert verify_collection(split, dp6, trivial_group(dp6)).ok
+
+
+class TestBlocksAreOrbits:
+    def test_union_find_from_singletons_rebuilds_the_blocks(self):
+        """Every block is exactly one group orbit of classes, on every corpus
+        fan with every subgroup of its automorphism group, in its own and a
+        random lattice basis: the orbit union-find started from one block
+        per object gives back the blocks, in order."""
+        rng = random.Random(41)
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values()
+        pairs = fused = 0
+        for fan in fans:
+            for sub in enumerate_subgroups(compute_aut(fan)):
+                for f, g in ((fan, sub), random_basis(rng, fan, sub)):
+                    trace, label = classify_pair(f, g)
+                    blocks = [list(b) for b in build_collection(trace, label).blocks]
+                    singletons = [[d] for block in blocks for d in block]
+                    assert merge_blocks_by_orbits(f, g, singletons) == blocks, (f, label)
+                    pairs += 1
+                    fused += label.kind == "P1xP1" and len(blocks[-2]) == 2
+        assert pairs == 2 * 337
+        assert fused > 0
+
+    def test_ruling_swap_fuses_only_on_the_quadric(self):
+        """P1xP1 rows whose group swaps the rulings fuse the fiber and
+        section bundles; the D2 rows of odd ruled surfaces keep them apart."""
+        shapes = {}
+        for label in ("C1", "C2", "C4", "D2", "D4", "D4'", "D8"):
+            for entry in (e for e in minimal_seed_pairs(label) if e.fan.n == 4):
+                _, minimal = classify_pair(entry.fan, entry.group)
+                coll = collection_for(entry.fan, entry.group)
+                shapes[str(minimal)] = [len(b) for b in coll.blocks]
+        assert shapes == {
+            "P1xP1/C1": [1, 1, 1, 1],
+            "F(2)/C1": [1, 1, 1, 1],
+            "F(3)/C1": [1, 1, 1, 1],
+            "P1xP1/C2": [1, 1, 1, 1],
+            "P1xP1/C4": [1, 2, 1],
+            "P1xP1/D2": [1, 2, 1],
+            "F(3)/D2": [1, 1, 1, 1],
+            "F(5)/D2": [1, 1, 1, 1],
+            "P1xP1/D4": [1, 2, 1],
+            "P1xP1/D4'": [1, 1, 1, 1],
+            "P1xP1/D8": [1, 2, 1],
+        }
 
 
 class TestReversed:

@@ -8,6 +8,7 @@ from toric_surface_lab.cohomology import line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
+    GrothendieckError,
     K0Class,
     NotABasis,
     act_on_divisor,
@@ -22,9 +23,9 @@ from toric_surface_lab.grothendieck import (
     verify_klyachko,
     verify_permutation_basis,
 )
-from toric_surface_lab.intlinalg import mat_inv, mat_mul
+from toric_surface_lab.intlinalg import bareiss_det
 from toric_surface_lab.lattice_fan import (
-    apply_matrix,
+    Fan,
     blow_up,
     dp6_fan,
     hirzebruch_fan,
@@ -37,6 +38,8 @@ from oracles import (
     act_on_class,
     bfs_class_orbit,
     chern_multiply,
+    full_gram,
+    random_basis,
     rank_pruned_basis_search,
     solve2_divisor_coords,
     symmetric_signature,
@@ -56,18 +59,6 @@ PINNED_DIVISORS = (
 )
 
 
-def random_basis(rng, fan, group):
-    """The pair rewritten in a random lattice basis (entries within 3)."""
-    while True:
-        m = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1:
-            break
-    image = apply_matrix(m, fan)
-    mi = mat_inv(m)
-    gens = [mat_mul(m, mat_mul(g, mi)) for g in group.generators]
-    return image, SymmetryGroup.from_generators(gens, image)
-
-
 def unit_divisor(fan, *idx, sign=-1):
     out = [0] * fan.n
     for i in idx:
@@ -79,7 +70,8 @@ class TestPicard:
     def test_p2_rank_and_form(self, p2):
         lat = picard(p2)
         assert lat.rank == 1
-        assert lat.gram == ((1,),)
+        assert lat.band == (1,)
+        assert full_gram(p2) == [[1]]
 
     def test_f2_rank_and_named_basis_form(self, f2):
         lat = picard(f2)
@@ -104,9 +96,27 @@ class TestPicard:
                 continue
             seen.add(fan)
             lat = picard(fan)
-            gram = [list(r) for r in lat.gram]
+            gram = full_gram(fan)
             assert all(gram[i][j] == gram[j][i] for i in range(lat.rank) for j in range(lat.rank))
             assert symmetric_signature(gram) == (1, fan.n - 3)
+
+    def test_band_is_the_full_gram_diagonal_and_unimodular(self):
+        """On every corpus fan: `band` is the diagonal of the full form, and
+        the full form's Bareiss determinant is +-1, as the continuant in
+        `picard` has it."""
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values()
+        for fan in fans:
+            gram = full_gram(fan)
+            assert picard(fan).band == tuple(gram[i][i] for i in range(fan.n - 2))
+            assert bareiss_det(gram) in (1, -1)
+        assert len(fans) > 100
+
+    def test_non_unimodular_form_rejected(self):
+        """The continuant check fires on a fan that skipped validation: the
+        rays (1, 0), (1, 2), (0, 1), (-1, -1) have a cone of determinant 2."""
+        fan = Fan(((1, 0), (1, 2), (0, 1), (-1, -1)))
+        with pytest.raises(GrothendieckError, match="determinant"):
+            picard(fan)
 
     def test_canonical_square_is_twelve_minus_n(self, small_corpus):
         for entry in small_corpus:
@@ -118,11 +128,12 @@ class TestPicard:
         rng = random.Random(31)
         for entry in small_corpus[:40]:
             lat = picard(entry.fan)
+            gram = full_gram(entry.fan)
             for _ in range(5):
                 d1 = [rng.randint(-5, 5) for _ in range(lat.rank)]
                 d2 = [rng.randint(-5, 5) for _ in range(lat.rank)]
                 full = sum(
-                    d1[i] * d2[j] * lat.gram[i][j]
+                    d1[i] * d2[j] * gram[i][j]
                     for i in range(lat.rank)
                     for j in range(lat.rank)
                 )
