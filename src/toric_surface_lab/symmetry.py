@@ -109,26 +109,35 @@ def element_order(m: Mat2) -> int | None:
 
 
 def _close(generators) -> frozenset[Mat2]:
-    elems = {IDENTITY}
-    frontier = [tuple(map(tuple, g)) for g in generators]
-    for g in frontier:
+    """The group generated by `generators`: a closure by generators.
+
+    A breadth-first search from the identity multiplies each new element on
+    the right by the generators only, so it costs O(|G| #gens) products.  In
+    a finite group the monoid the generators span is the group, so this is
+    the set of all products.  NotFinite is raised for a generator of infinite
+    order, then for a new element of infinite order, and once the closure
+    passes 12 elements, which also stops the search on an infinite group.
+    """
+    gens = [tuple(map(tuple, g)) for g in generators]
+    for g in gens:
         if element_order(g) is None:
             raise NotFinite(f"generator {g} has infinite order")
-    elems.update(frontier)
+    elems = {IDENTITY}
+    frontier = [IDENTITY]
     while frontier:
         new = []
-        for g in frontier:
-            for h in list(elems):
-                for p in (mat_mul(g, h), mat_mul(h, g)):
-                    if p not in elems:
-                        if element_order(p) is None:
-                            raise NotFinite(f"element {p} has infinite order")
-                        elems.add(p)
-                        new.append(p)
-                        if len(elems) > _MAX_FINITE_ORDER:
-                            raise NotFinite(
-                                "closure exceeds the maximal finite order 12"
-                            )
+        for h in frontier:
+            for g in gens:
+                p = mat_mul(h, g)
+                if p not in elems:
+                    if element_order(p) is None:
+                        raise NotFinite(f"element {p} has infinite order")
+                    elems.add(p)
+                    new.append(p)
+                    if len(elems) > _MAX_FINITE_ORDER:
+                        raise NotFinite(
+                            "closure exceeds the maximal finite order 12"
+                        )
         frontier = new
     return frozenset(elems)
 
@@ -190,12 +199,13 @@ class SymmetryGroup:
 
     def attach(self, fan: Fan) -> "SymmetryGroup":
         """Bind the group to a fan, computing the induced ray permutations."""
+        index = {v: i for i, v in enumerate(fan.rays)}
         perms = {}
         for g in sorted(self.elements):
             images = [mat_apply(g, v) for v in fan.rays]
-            if set(images) != set(fan.rays):
+            if set(images) != index.keys():
                 raise NotAFanSymmetry(f"{g} does not preserve the ray set")
-            perms[g] = tuple(fan.rays.index(w) for w in images)
+            perms[g] = tuple(index[w] for w in images)
         return SymmetryGroup(
             elements=self.elements,
             generators=self.generators,
@@ -311,6 +321,23 @@ def _conjugate_group(elems, u: Mat2) -> frozenset[Mat2]:
     return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
 
 
+@lru_cache(maxsize=64)
+def _label_of_reduced(reduced: frozenset[Mat2]) -> str | None:
+    """The label of the first class representative that a conjugator in
+    _CONJUGATORS carries a reduced group onto, or None if none does.
+
+    Memoized by the reduced element set, so each distinct reduced group is
+    searched once.  Reduced groups have entries in {-1, 0, 1}, and at most 32
+    finite groups do (counted in the tests), so the bound is never reached.
+    """
+    labels = _labels_by_table()
+    for p in _CONJUGATORS:
+        label = labels.get(_conjugate_group(reduced, p))
+        if label is not None:
+            return label
+    return None
+
+
 def classify_subgroup(group) -> str:
     """Conjugacy label of a finite subgroup of GL(2,Z).
 
@@ -321,7 +348,9 @@ def classify_subgroup(group) -> str:
     Each finite group with such entries is carried onto its class
     representative by one of the 40 GL(2,Z) matrices with such entries
     (checked exhaustively in the tests), so only those are tried, and a
-    label is returned only together with a conjugator for it.
+    label is returned only together with a conjugator for it.  That search
+    runs once per distinct reduced group: its result is memoized by the
+    reduced element set.
 
     Raises SymmetryError for generators that are not 2x2 integer matrices,
     NotFinite for generators of infinite order and UnclassifiedSubgroup if
@@ -330,13 +359,10 @@ def classify_subgroup(group) -> str:
     if not isinstance(group, SymmetryGroup):
         group = SymmetryGroup.from_generators(group)
     elems = group.elements
-    reduced = _conjugate_group(elems, _invariant_form_reduction(elems))
-    labels = _labels_by_table()
-    for p in _CONJUGATORS:
-        label = labels.get(_conjugate_group(reduced, p))
-        if label is not None:
-            return label
-    raise UnclassifiedSubgroup(f"no conjugator matches for {sorted(elems)}")
+    label = _label_of_reduced(_conjugate_group(elems, _invariant_form_reduction(elems)))
+    if label is None:
+        raise UnclassifiedSubgroup(f"no conjugator matches for {sorted(elems)}")
+    return label
 
 
 def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:

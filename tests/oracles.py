@@ -27,11 +27,20 @@ from toric_surface_lab.intlinalg import (
     columns_to_matrix,
     mat_apply,
     mat_inv,
+    mat_mul,
     solve2,
     xgcd,
 )
 from toric_surface_lab.lattice_fan import Fan, apply_matrix, self_intersections
-from toric_surface_lab.symmetry import IDENTITY, SymmetryGroup, _close, mat_mul
+from toric_surface_lab.symmetry import (
+    IDENTITY,
+    TABLE_GENERATORS,
+    NotFinite,
+    SymmetryGroup,
+    UnclassifiedSubgroup,
+    _invariant_form_reduction,
+    element_order,
+)
 
 
 def unimodular_matrices(bound: int) -> list[Mat2]:
@@ -122,6 +131,60 @@ def bfs_cone_orbits(group: SymmetryGroup) -> list[tuple[int, ...]]:
     )
 
 
+def pairwise_close(generators) -> frozenset:
+    """The group generated by `generators`, multiplying every new element by
+    every element on both sides until nothing new appears.
+
+    Raises NotFinite for a generator or product of infinite order and once
+    the set passes 12 elements.
+    """
+    elems = {IDENTITY}
+    frontier = [tuple(map(tuple, g)) for g in generators]
+    for g in frontier:
+        if element_order(g) is None:
+            raise NotFinite(f"generator {g} has infinite order")
+    elems.update(frontier)
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in list(elems):
+                for p in (mat_mul(g, h), mat_mul(h, g)):
+                    if p not in elems:
+                        if element_order(p) is None:
+                            raise NotFinite(f"element {p} has infinite order")
+                        elems.add(p)
+                        new.append(p)
+                        if len(elems) > 12:
+                            raise NotFinite("closure exceeds the maximal finite order 12")
+        frontier = new
+    return frozenset(elems)
+
+
+@lru_cache(maxsize=1)
+def _pairwise_table() -> tuple[dict, list]:
+    """The class representatives by `pairwise_close`, and the conjugators."""
+    labels = {pairwise_close(gens): label for label, gens in TABLE_GENERATORS.items()}
+    return labels, unimodular_matrices(1)
+
+
+def loop_classify(group: SymmetryGroup) -> str:
+    """Conjugacy label of a finite group, without a memo: the reduced group
+    is conjugated by every matrix with entries in {-1, 0, 1} until it lands
+    on a class representative, closed by `pairwise_close`."""
+    labels, conjugators = _pairwise_table()
+
+    def conjugate(elems, u):
+        uinv = mat_inv(u)
+        return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
+
+    reduced = conjugate(group.elements, _invariant_form_reduction(group.elements))
+    for p in conjugators:
+        label = labels.get(conjugate(reduced, p))
+        if label is not None:
+            return label
+    raise UnclassifiedSubgroup(f"no conjugator matches for {group.sorted_elements()}")
+
+
 def brute_force_subgroups(elements) -> set[frozenset]:
     """All subsets containing the identity that are closed under products."""
     elems = sorted(elements)
@@ -145,11 +208,11 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     elems = group.sorted_elements()
     seen: dict[frozenset, tuple] = {frozenset({IDENTITY}): ()}
     for a in elems:
-        seen.setdefault(_close((a,)), (a,))
+        seen.setdefault(pairwise_close((a,)), (a,))
     for a in elems:
         for b in elems:
             if b > a:
-                seen.setdefault(_close((a, b)), (a, b))
+                seen.setdefault(pairwise_close((a, b)), (a, b))
     out = []
     for sub, gens in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))

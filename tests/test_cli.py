@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toric_surface_lab
-from toric_surface_lab import cli, grothendieck
+from toric_surface_lab import cli, grothendieck, motivic
 from toric_surface_lab.cli import main
 from toric_surface_lab.cohomology import CohomologyVector, line_bundle_cohomology
 
@@ -110,6 +110,19 @@ class TestMalformedInput:
         code, report = run_json(capsys, ["classify-group", "--group", str(bad)])
         assert code == 2
         assert "2x2 integer matrices" in report["error"]
+
+    def test_group_file_without_generators(self, capsys, tmp_path):
+        bad = tmp_path / "no_generators.json"
+        bad.write_text('{"gens": [[[0,1],[1,0]]]}')
+        message = f'{bad}: expected an object with a "generators" key'
+        code, report = run_json(capsys, ["classify-group", "--group", str(bad)])
+        assert code == 2
+        assert report["status"] == "invalid-input"
+        assert report["error"] == message
+        assert main(["classify-group", "--group", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_directory_as_fan(self, capsys, tmp_path):
         code, report = run_json(capsys, ["validate", "--fan", str(tmp_path)])
@@ -334,6 +347,20 @@ class TestFailedCertificates:
         assert report["result"]["basis"]["error"] == "planted failure"
         if bound:
             assert report["result"]["basis"]["found"] is True
+
+    def test_report_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
+                                                      d12_file):
+        def failing(basis, fan, group):
+            raise grothendieck.NotABasis("planted failure")
+
+        monkeypatch.setattr(motivic, "verify_permutation_basis", failing)
+        code, report = run_json(capsys, ["report", "--fan", dp6_file, "--group", d12_file])
+        assert code == 1
+        assert report["status"] == "verification-failed"
+        result = report["result"]
+        assert result["basis"] == {"error": "planted failure"}
+        assert result["failures"] == ["basis: planted failure"]
+        assert "decomposition" not in result
 
 
 class TestStageCounts:

@@ -20,12 +20,15 @@ from toric_surface_lab.minimal_model import (
     pullback,
 )
 from toric_surface_lab.symmetry import (
+    TABLE_GENERATORS,
     SymmetryGroup,
     compute_aut,
+    enumerate_subgroups,
     trivial_group,
 )
 from toric_surface_lab.corpus import standard_corpus, subgroup_with_label
-from toric_surface_lab.grothendieck import picard
+from toric_surface_lab.grothendieck import _RULING_SWAPS, core_blocks, picard
+from toric_surface_lab.motivic import annotate_family
 
 
 @pytest.fixture
@@ -204,6 +207,36 @@ class TestClassifyMinimal:
             "C1", "C2", "C3", "C4", "C6",
             "D2", "D2'", "D4", "D4'", "D6", "D6'", "D8", "D12",
         }
+
+
+def test_classification_table_agrees_across_modules():
+    """The table's rows, read from the four modules that key on them.
+
+    Every allowed (kind, label) row is realized by a minimal pair on P2,
+    P1xP1, dP6, F(2) or F(3), and every core block role of that row is a
+    factor-slot role of its motivic family.
+    """
+    assert set(MINIMAL_KINDS_BY_GROUP) == set(TABLE_GENERATORS)
+    assert len(MINIMAL_KINDS_BY_GROUP) == len(TABLE_GENERATORS) == 13
+    quadric_rows = {g for g, kinds in MINIMAL_KINDS_BY_GROUP.items() if "P1xP1" in kinds}
+    assert _RULING_SWAPS <= quadric_rows
+
+    allowed = {(kind, g) for g, kinds in MINIMAL_KINDS_BY_GROUP.items() for kind in kinds}
+    realized = set()
+    for fan in (p2_fan(), square_fan(), dp6_fan(), hirzebruch_fan(2), hirzebruch_fan(3)):
+        for sub in enumerate_subgroups(compute_aut(fan)):
+            if not is_g_minimal(fan, sub):
+                continue
+            label = classify_minimal(fan, sub)
+            rows = {label.kind}
+            if label.kind.startswith("F("):
+                rows |= {"F-any", "F-even" if label.hirzebruch_a % 2 == 0 else "F-odd"}
+            realized |= {(kind, label.group_label) for kind in rows} & allowed
+            slot_roles = dict(annotate_family(label).roles)
+            for block in core_blocks(label):
+                for role, _ in block:
+                    assert role in slot_roles, (str(label), role)
+    assert realized == allowed
 
 
 class TestPullback:

@@ -27,6 +27,7 @@ from toric_surface_lab.symmetry import (
     _close,
     _conjugate_group,
     _invariant_form_reduction,
+    _label_of_reduced,
     _labels_by_table,
     classify_subgroup,
     compute_aut,
@@ -40,6 +41,8 @@ from oracles import (
     bfs_ray_orbits,
     brute_force_subgroups,
     closure_subgroups,
+    loop_classify,
+    pairwise_close,
     unimodular_matrices,
 )
 
@@ -76,6 +79,20 @@ NON_MATRICES = pytest.mark.parametrize(
     ids=["string", "none", "float", "bool", "vector", "one-row", "float-swap",
          "three-entry-rows"],
 )
+
+
+def conjugated(group: SymmetryGroup, m) -> SymmetryGroup:
+    """m G m^-1, closed from the conjugated generators."""
+    mi = mat_inv(m)
+    return SymmetryGroup.from_generators([mat_mul(m, mat_mul(g, mi)) for g in group.generators])
+
+
+def closure_outcome(close, gens):
+    """The closure of `gens`, or NotFinite if `close` raises it."""
+    try:
+        return close(gens)
+    except NotFinite:
+        return NotFinite
 
 
 def first_label(elems, conjugators):
@@ -130,6 +147,32 @@ class TestComputeAut:
     def test_from_generators_rejects_non_matrices(self, generators):
         with pytest.raises(SymmetryError):
             SymmetryGroup.from_generators(generators)
+
+
+class TestClose:
+    def test_matches_pairwise_close_on_corpus_generators(self):
+        """Every 16-ray corpus automorphism group and each of its subgroups,
+        closed from its generators."""
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}
+        for fan in fans.values():
+            aut = compute_aut(fan)
+            assert _close(aut.generators) == pairwise_close(aut.generators) == aut.elements
+            for sub in enumerate_subgroups(aut):
+                assert _close(sub.generators) == pairwise_close(sub.generators) == sub.elements
+
+    def test_matches_pairwise_close_on_unit_entry_sets(self):
+        """Every set of at most two 2x2 matrices with entries in {-1, 0, 1},
+        singular and infinite-order ones included: the same group, or
+        NotFinite from both."""
+        mats = [((a, b), (c, d)) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)]
+        sets = itertools.chain([()], ((m,) for m in mats), itertools.combinations(mats, 2))
+        groups = set()
+        for gens in sets:
+            got = closure_outcome(_close, gens)
+            assert got == closure_outcome(pairwise_close, gens), gens
+            if got is not NotFinite:
+                groups.add(got)
+        assert len(groups) == 32
 
 
 class TestClassify:
@@ -201,6 +244,27 @@ class TestClassify:
             assert label is not None
             assert first_label(elems, pool) == label
             assert classify_subgroup(SymmetryGroup(elems, tuple(sorted(elems)))) == label
+
+    def test_matches_uncached_oracle_on_corpus_subgroups(self):
+        """Every subgroup of every 16-ray corpus pair's automorphism group, in
+        its own basis and in 3 seeded random bases."""
+        rng = random.Random(61)
+        for entry in standard_corpus(max_rays=16):
+            for sub in enumerate_subgroups(compute_aut(entry.fan)):
+                for group in [sub] + [conjugated(sub, random_unimodular(rng)) for _ in range(3)]:
+                    assert classify_subgroup(group) == loop_classify(group)
+
+    def test_conjugate_of_a_classified_group_is_a_cache_hit(self):
+        assert _label_of_reduced.cache_info().maxsize is not None
+        rng = random.Random(67)
+        for label in ("C2", "D8", "D12"):
+            rep = SymmetryGroup.from_generators(TABLE_GENERATORS[label])
+            assert classify_subgroup(rep) == label
+            for draw in (random_unimodular, large_unimodular):
+                before = _label_of_reduced.cache_info()
+                assert classify_subgroup(conjugated(rep, draw(rng))) == label
+                after = _label_of_reduced.cache_info()
+                assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_labels_mutually_exclusive(self):
         assert len(set(CONJUGACY_LABELS)) == 13
