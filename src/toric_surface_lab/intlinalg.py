@@ -56,10 +56,6 @@ def mat_apply(m: Mat2, v: Vec) -> Vec:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def mat_transpose(m: Mat2) -> Mat2:
-    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
 def columns_to_matrix(c0: Vec, c1: Vec) -> Mat2:
     return ((c0[0], c1[0]), (c0[1], c1[1]))
 

@@ -10,22 +10,26 @@ Class representatives are generated by
 
 with C1=<I>, C2=<-I>, C3=<A^2>, C4=<B>, C6=<A>, D2=<C>, D2'=<C'>,
 D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
+
+Every finite subgroup is cyclic or dihedral, generated by one rotation and
+one reflection; its class (classify_subgroup) and its subgroups
+(enumerate_subgroups) are read off those two elements.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import accumulate, combinations
+from math import gcd
 
 from .intlinalg import (
     IDENTITY,
     MINUS_IDENTITY,
     Mat2,
+    det2,
     is_int_pair,
     mat_apply,
     mat_det,
-    mat_inv,
     mat_mul,
-    mat_transpose,
 )
 from .lattice_fan import Fan, lattice_maps
 
@@ -274,148 +278,102 @@ def _small_generating_set(elems) -> tuple[Mat2, ...]:
     return tuple(gens) if gens else (IDENTITY,)
 
 
-@lru_cache(maxsize=1)
-def _labels_by_table() -> dict[frozenset[Mat2], str]:
-    """The label of each class representative, keyed by its element set."""
-    return {_close(gens): label for label, gens in TABLE_GENERATORS.items()}
-
-
-# The GL(2,Z) matrices with entries in {-1, 0, 1}, in lexicographic order:
-# the conjugators between reduced groups (see classify_subgroup).
-_CONJUGATORS: tuple[Mat2, ...] = tuple(
-    ((a, b), (c, d)) for a in (-1, 0, 1) for b in (-1, 0, 1)
-    for c in (-1, 0, 1) for d in (-1, 0, 1) if a * d - b * c in (1, -1)
-)
-
-
-def _invariant_form_reduction(elems) -> Mat2:
-    """A unimodular U such that U^{-1} g U has small entries for all g.
-
-    U is the Lagrange-Gauss reduction of the group-invariant positive
-    definite form sum_g g^T g.
-    """
-    f00 = f01 = f11 = 0
-    for g in elems:
-        gt = mat_transpose(g)
-        q = mat_mul(gt, g)
-        f00 += q[0][0]
-        f01 += q[0][1]
-        f11 += q[1][1]
-    u: Mat2 = IDENTITY
-    while True:
-        if f00 > f11:
-            u = mat_mul(u, ((0, 1), (1, 0)))
-            f00, f11 = f11, f00
-        # Shift e2 by -r e1 to minimize the off-diagonal entry.
-        r = (2 * f01 + f00) // (2 * f00)
-        if r != 0:
-            u = mat_mul(u, ((1, -r), (0, 1)))
-            f11 = f11 - 2 * r * f01 + r * r * f00
-            f01 = f01 - r * f00
-        if 2 * abs(f01) <= f00 <= f11:
-            return u
-
-
-def _conjugate_group(elems, u: Mat2) -> frozenset[Mat2]:
-    uinv = mat_inv(u)
-    return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
-
-
-@lru_cache(maxsize=64)
-def _label_of_reduced(reduced: frozenset[Mat2]) -> str | None:
-    """The label of the first class representative that a conjugator in
-    _CONJUGATORS carries a reduced group onto, or None if none does.
-
-    Memoized by the reduced element set, so each distinct reduced group is
-    searched once.  Reduced groups have entries in {-1, 0, 1}, and at most 32
-    finite groups do (counted in the tests), so the bound is never reached.
-    """
-    labels = _labels_by_table()
-    for p in _CONJUGATORS:
-        label = labels.get(_conjugate_group(reduced, p))
-        if label is not None:
-            return label
-    return None
+def _rotation_and_reflection(elems) -> tuple[Mat2, Mat2 | None]:
+    """r, a rotation (det 1) of largest order, and s, the least reflection
+    (det -1) or None: a finite group is <r> or <r> with the coset <r>s.
+    SymmetryError is raised unless r and s generate exactly `elems`, so an
+    element set that is not a group is never labelled."""
+    ordered = sorted(elems)
+    r = max((g for g in ordered if mat_det(g) == 1),
+            key=lambda g: element_order(g) or 0, default=IDENTITY)
+    s = next((g for g in ordered if mat_det(g) == -1), None)
+    if _close((r,) if s is None else (r, s)) != elems:
+        raise SymmetryError(f"the elements are not a group: {ordered}")
+    return r, s
 
 
 def classify_subgroup(group) -> str:
     """Conjugacy label of a finite subgroup of GL(2,Z).
 
     Accepts a SymmetryGroup or a list or tuple of generator matrices, which
-    go through SymmetryGroup.from_generators.  The group is conjugated onto
-    a reduced lattice basis of its invariant quadratic form, where its
-    elements, automorphs of a reduced form, have entries in {-1, 0, 1}.
-    Each finite group with such entries is carried onto its class
-    representative by one of the 40 GL(2,Z) matrices with such entries
-    (checked exhaustively in the tests), so only those are tried, and a
-    label is returned only together with a conjugator for it.  That search
-    runs once per distinct reduced group: its result is memoized by the
-    reduced element set.
+    go through SymmetryGroup.from_generators.  With r and s as in
+    _rotation_and_reflection and m the order of r, the class is read off
+    closed-form invariants:
 
-    Raises SymmetryError for generators that are not 2x2 integer matrices,
-    NotFinite for generators of infinite order and UnclassifiedSubgroup if
-    no representative matches (which indicates a bug).
+    * no reflection: C_m;
+    * m = 4 or 6: D8 or D12;
+    * m <= 2: D2' or D4' when s = I mod 2 (the eigenvectors of s span Z^2),
+      otherwise D2 or D4;
+    * m = 3: for v a primitive vector fixed by s, the lattice spanned by v
+      and r v has index 1 for D6 and 3 for D6'.
+
+    Raises SymmetryError for generators that are not 2x2 integer matrices
+    and for an element set that is not a group, and NotFinite for generators
+    of infinite order.
     """
     if not isinstance(group, SymmetryGroup):
         group = SymmetryGroup.from_generators(group)
-    elems = group.elements
-    label = _label_of_reduced(_conjugate_group(elems, _invariant_form_reduction(elems)))
-    if label is None:
-        raise UnclassifiedSubgroup(f"no conjugator matches for {sorted(elems)}")
-    return label
+    r, s = _rotation_and_reflection(group.elements)
+    m = element_order(r)
+    if s is None:
+        return f"C{m}"
+    if m >= 4:
+        return f"D{2 * m}"
+    (a, b), (c, d) = s
+    if m <= 2:
+        # A reflection with even off-diagonal entries has odd diagonal ones.
+        return f"D{2 * m}" + ("'" if b % 2 == c % 2 == 0 else "")
+    # (b, 1 - a) and (1 - d, c) both lie in the kernel of s - I.
+    v = (b, 1 - a) if (b, a) != (0, 1) else (1 - d, c)
+    v = (v[0] // gcd(*v), v[1] // gcd(*v))
+    return "D6" if abs(det2(v, mat_apply(r, v))) == 1 else "D6'"
+
+
+def _generators(members: list[Mat2]) -> tuple[Mat2, ...]:
+    """The first element, in sorted order, that generates the subgroup, or
+    else the first pair with a reflection whose rotation (its rotation
+    element, or the product of its two reflections) has order |H|/2."""
+    for g in members:
+        if element_order(g) == len(members):
+            return (g,)
+    for a, b in combinations(members, 2):
+        if mat_det(a) == mat_det(b) == 1:
+            continue
+        rotation = a if mat_det(a) == 1 else b if mat_det(b) == 1 else mat_mul(a, b)
+        if 2 * element_order(rotation) == len(members):
+            return (a, b)
+    raise UnclassifiedSubgroup(f"no generating pair for {members}")
 
 
 def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     """All subgroups, each with a generating set of at most two elements.
 
-    Finite subgroups of GL(2,Z) are cyclic or dihedral, so two generators
-    always suffice.  Every singleton and every pair is closed inside the
-    group's multiplication table, built once over the sorted elements; in a
-    finite group the products of generators already form the subgroup.
-    Subgroups are ordered by size, then by their sorted elements, and each
-    keeps the first singleton or pair (in sorted order) that generates it.
-    A group with a fan is attached to it once, if it is not already, and
-    each subgroup inherits its elements' ray permutations from the group
-    instead of recomputing them.
+    With r and s as in _rotation_and_reflection and m the order of r, they
+    are, for each divisor d of m, the cyclic <r^(m/d)> and, when s exists,
+    the dihedral <r^(m/d), r^j s> for each j < m/d; ordered by size, then by
+    sorted elements, with the generators of _generators.  A group with a fan
+    is attached to it once, and each subgroup inherits its elements' ray
+    permutations from the group instead of recomputing them.
     """
     if group.fan is not None:
         group = group.on(group.fan)
-    elems = group.sorted_elements()
-    index = {g: i for i, g in enumerate(elems)}
-    try:
-        unit = index[IDENTITY]
-        table = [[index[mat_mul(a, b)] for b in elems] for a in elems]
-    except KeyError as exc:
-        raise SymmetryError(f"the elements are not a group: {exc} is missing") from None
-
-    def close(gens: tuple[int, ...]) -> frozenset[int]:
-        reached = {unit}
-        stack = [unit]
-        while stack:
-            row = table[stack.pop()]
-            for g in gens:
-                k = row[g]
-                if k not in reached:
-                    reached.add(k)
-                    stack.append(k)
-        return frozenset(reached)
-
-    n = len(elems)
-    seen: dict[frozenset[int], tuple[int, ...]] = {frozenset({unit}): ()}
-    for a in range(n):
-        seen.setdefault(close((a,)), (a,))
-    for a in range(n):
-        for b in range(a + 1, n):
-            seen.setdefault(close((a, b)), (a, b))
-    # Index order is matrix order, so sorting indices sorts the matrices.
+    r, s = _rotation_and_reflection(group.elements)
+    m = element_order(r)
+    powers = list(accumulate([r] * (m - 1), mat_mul, initial=IDENTITY))
+    subs = []
+    for step in (m // d for d in range(1, m + 1) if m % d == 0):
+        rotations = powers[::step]
+        subs.append(rotations)
+        if s is not None:
+            for j in range(step):
+                subs.append(rotations + [mat_mul(g, s) for g in powers[j::step]])
     perms = group.ray_permutations
-    out = []
-    for sub, gens in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        members = [elems[i] for i in sorted(sub)]
-        out.append(SymmetryGroup(
+    return [
+        SymmetryGroup(
             elements=frozenset(members),
-            generators=tuple(elems[i] for i in gens) or (IDENTITY,),
+            generators=_generators(members),
             fan=group.fan,
             ray_permutations=None if perms is None else {h: perms[h] for h in members},
-        ))
-    return out
+        )
+        for members in sorted(map(sorted, subs), key=lambda h: (len(h), h))
+    ]

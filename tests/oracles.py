@@ -38,7 +38,6 @@ from toric_surface_lab.symmetry import (
     NotFinite,
     SymmetryGroup,
     UnclassifiedSubgroup,
-    _invariant_form_reduction,
     element_order,
 )
 
@@ -167,19 +166,49 @@ def _pairwise_table() -> tuple[dict, list]:
     return labels, unimodular_matrices(1)
 
 
+def invariant_form_reduction(elems) -> Mat2:
+    """A unimodular U such that U^{-1} g U has small entries for all g.
+
+    U is the Lagrange-Gauss reduction of the group-invariant positive
+    definite form sum_g g^T g.
+    """
+    f00 = f01 = f11 = 0
+    for (a, b), (c, d) in elems:
+        # g^T g = ((a a + c c, a b + c d), (a b + c d, b b + d d))
+        f00 += a * a + c * c
+        f01 += a * b + c * d
+        f11 += b * b + d * d
+    u: Mat2 = IDENTITY
+    while True:
+        if f00 > f11:
+            u = mat_mul(u, ((0, 1), (1, 0)))
+            f00, f11 = f11, f00
+        # Shift e2 by -r e1 to minimize the off-diagonal entry.
+        r = (2 * f01 + f00) // (2 * f00)
+        if r != 0:
+            u = mat_mul(u, ((1, -r), (0, 1)))
+            f11 = f11 - 2 * r * f01 + r * r * f00
+            f01 = f01 - r * f00
+        if 2 * abs(f01) <= f00 <= f11:
+            return u
+
+
+def conjugate_group(elems, u: Mat2) -> frozenset:
+    """U^{-1} G U."""
+    uinv = mat_inv(u)
+    return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
+
+
 def loop_classify(group: SymmetryGroup) -> str:
-    """Conjugacy label of a finite group, without a memo: the reduced group
-    is conjugated by every matrix with entries in {-1, 0, 1} until it lands
-    on a class representative, closed by `pairwise_close`."""
+    """Conjugacy label of a finite group by search, independent of the
+    closed form of `classify_subgroup`: the group is reduced by
+    `invariant_form_reduction`, then conjugated by every matrix with entries
+    in {-1, 0, 1} until it lands on a class representative, closed by
+    `pairwise_close`."""
     labels, conjugators = _pairwise_table()
-
-    def conjugate(elems, u):
-        uinv = mat_inv(u)
-        return frozenset(mat_mul(uinv, mat_mul(g, u)) for g in elems)
-
-    reduced = conjugate(group.elements, _invariant_form_reduction(group.elements))
+    reduced = conjugate_group(group.elements, invariant_form_reduction(group.elements))
     for p in conjugators:
-        label = labels.get(conjugate(reduced, p))
+        label = labels.get(conjugate_group(reduced, p))
         if label is not None:
             return label
     raise UnclassifiedSubgroup(f"no conjugator matches for {group.sorted_elements()}")

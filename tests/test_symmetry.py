@@ -20,15 +20,11 @@ from toric_surface_lab.symmetry import (
     CONJUGACY_LABELS,
     TABLE_GENERATORS,
     GEN_A,
+    GEN_B,
     NotFinite,
     SymmetryError,
     SymmetryGroup,
-    _CONJUGATORS,
     _close,
-    _conjugate_group,
-    _invariant_form_reduction,
-    _label_of_reduced,
-    _labels_by_table,
     classify_subgroup,
     compute_aut,
     element_order,
@@ -41,6 +37,8 @@ from oracles import (
     bfs_ray_orbits,
     brute_force_subgroups,
     closure_subgroups,
+    conjugate_group,
+    invariant_form_reduction,
     loop_classify,
     pairwise_close,
     unimodular_matrices,
@@ -87,6 +85,18 @@ def conjugated(group: SymmetryGroup, m) -> SymmetryGroup:
     return SymmetryGroup.from_generators([mat_mul(m, mat_mul(g, mi)) for g in group.generators])
 
 
+def table_conjugates():
+    """(label, conjugated generators) for each class representative: 25
+    conjugates by matrices with entries <= 3 and 100 with entries up to 10^6."""
+    for draw, seed, per_class in ((random_unimodular, 11, 25), (large_unimodular, 13, 100)):
+        rng = random.Random(seed)
+        for label, gens in TABLE_GENERATORS.items():
+            for _ in range(per_class):
+                m = draw(rng)
+                mi = mat_inv(m)
+                yield label, [mat_mul(m, mat_mul(g, mi)) for g in gens]
+
+
 def closure_outcome(close, gens):
     """The closure of `gens`, or NotFinite if `close` raises it."""
     try:
@@ -98,9 +108,9 @@ def closure_outcome(close, gens):
 def first_label(elems, conjugators):
     """The label of the first representative that a conjugator carries
     `elems` onto, or None."""
-    labels = _labels_by_table()
+    labels = {_close(gens): label for label, gens in TABLE_GENERATORS.items()}
     for p in conjugators:
-        label = labels.get(_conjugate_group(elems, p))
+        label = labels.get(conjugate_group(elems, p))
         if label is not None:
             return label
     return None
@@ -205,28 +215,25 @@ class TestClassify:
 
     def test_conjugation_invariance(self):
         """Conjugates by small matrices (entries <= 3) and by large ones
-        (entries up to 10^6) keep the label of their class, and their
-        reduced groups have entries in {-1, 0, 1}."""
-        for draw, seed, per_class in ((random_unimodular, 11, 25), (large_unimodular, 13, 100)):
-            rng = random.Random(seed)
-            for label, gens in TABLE_GENERATORS.items():
-                for _ in range(per_class):
-                    m = draw(rng)
-                    mi = mat_inv(m)
-                    conj = [mat_mul(m, mat_mul(g, mi)) for g in gens]
-                    assert classify_subgroup(conj) == label
-                    elems = SymmetryGroup.from_generators(conj).elements
-                    reduced = _conjugate_group(elems, _invariant_form_reduction(elems))
-                    assert {x for g in reduced for row in g for x in row} <= {-1, 0, 1}
+        (entries up to 10^6) keep the label of their class."""
+        for label, conj in table_conjugates():
+            assert classify_subgroup(conj) == label
 
-    def test_conjugators_are_the_unit_entry_matrices(self):
-        assert _CONJUGATORS == tuple(unimodular_matrices(1))
+    def test_loop_classify_reduces_to_unit_entries(self):
+        """The search oracle on the same conjugates: each reduced group has
+        entries in {-1, 0, 1}, where its 40 conjugators reach the label."""
+        for label, conj in table_conjugates():
+            elems = SymmetryGroup.from_generators(conj).elements
+            reduced = conjugate_group(elems, invariant_form_reduction(elems))
+            assert {x for g in reduced for row in g for x in row} <= {-1, 0, 1}
+            assert loop_classify(SymmetryGroup(elems, tuple(conj))) == label
 
     def test_unit_entry_conjugators_suffice(self):
         """Every finite group generated by at most two finite-order matrices
         with entries in {-1, 0, 1} (a superset of the reduced groups) gets
-        the same label from the 40 conjugators as from all 616 with entries
-        up to 5."""
+        the same label from the closed form as from the first of the 616
+        matrices with entries up to 5 that carries it onto a class
+        representative."""
         finite = [m for m in unimodular_matrices(1) if element_order(m) is not None]
         groups = set()
         for gens in itertools.chain(
@@ -240,9 +247,8 @@ class TestClassify:
         pool = unimodular_matrices(5)
         assert len(pool) == 616
         for elems in groups:
-            label = first_label(elems, _CONJUGATORS)
+            label = first_label(elems, pool)
             assert label is not None
-            assert first_label(elems, pool) == label
             assert classify_subgroup(SymmetryGroup(elems, tuple(sorted(elems)))) == label
 
     def test_matches_uncached_oracle_on_corpus_subgroups(self):
@@ -253,18 +259,6 @@ class TestClassify:
             for sub in enumerate_subgroups(compute_aut(entry.fan)):
                 for group in [sub] + [conjugated(sub, random_unimodular(rng)) for _ in range(3)]:
                     assert classify_subgroup(group) == loop_classify(group)
-
-    def test_conjugate_of_a_classified_group_is_a_cache_hit(self):
-        assert _label_of_reduced.cache_info().maxsize is not None
-        rng = random.Random(67)
-        for label in ("C2", "D8", "D12"):
-            rep = SymmetryGroup.from_generators(TABLE_GENERATORS[label])
-            assert classify_subgroup(rep) == label
-            for draw in (random_unimodular, large_unimodular):
-                before = _label_of_reduced.cache_info()
-                assert classify_subgroup(conjugated(rep, draw(rng))) == label
-                after = _label_of_reduced.cache_info()
-                assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_labels_mutually_exclusive(self):
         assert len(set(CONJUGACY_LABELS)) == 13
@@ -325,8 +319,18 @@ class TestSubgroups:
                 )
 
     def test_rejects_element_set_that_is_not_a_group(self):
-        with pytest.raises(SymmetryError):
-            enumerate_subgroups(SymmetryGroup(frozenset({GEN_A}), (GEN_A,)))
+        """{A} lacks the identity.  <B> with the coset <B>s, s = [[1,1],[0,-1]],
+        has the dihedral shape but is not closed: s B s = [[1,2],[-1,-1]] is
+        not in <B>."""
+        s = ((1, 1), (0, -1))
+        rotations = SymmetryGroup.from_generators([GEN_B]).elements
+        coset = rotations | {mat_mul(g, s) for g in rotations}
+        assert len(coset) == 8 and mat_mul(s, mat_mul(GEN_B, s)) not in rotations
+        for elems in (frozenset({GEN_A}), coset):
+            group = SymmetryGroup(elems, tuple(sorted(elems)))
+            for f in (enumerate_subgroups, classify_subgroup):
+                with pytest.raises(SymmetryError):
+                    f(group)
 
 
 class TestOrbits:
