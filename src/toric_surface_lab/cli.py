@@ -241,11 +241,12 @@ def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str |
 
 
 def _k0(fan: Fan) -> tuple[dict, str | None]:
-    """The K0 certificate's payload and None, or an error payload and the reason."""
+    """The K0 certificate's payload and None, or an error payload with the
+    first violation and the reason."""
     try:
         cert = verify_klyachko(fan)
     except RelationFailure as exc:
-        return {"error": str(exc)}, str(exc)
+        return {"error": str(exc), "first_violation": exc.first_violation}, str(exc)
     return {
         "rank": cert.rank,
         "span_index": cert.span_index,

@@ -12,13 +12,18 @@ from toric_surface_lab.cohomology import _chi, h0
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
+    KlyachkoCertificate,
     PermutationBasis,
     PicardLattice,
+    RelationFailure,
     _class_orbit,
     _orbit_partition,
     act_on_divisor,
+    k0_multiply,
     line_bundle_class,
     picard,
+    structure_class,
+    zero_class,
 )
 from toric_surface_lab.intlinalg import (
     Mat2,
@@ -322,6 +327,71 @@ def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
     if num % 2:
         raise GrothendieckError("non-integral Euler characteristic in product")
     return K0Class(x.fan, r, c1, num // 2 + r)
+
+
+def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
+    """The K0 certificate with one k0_multiply per product relation, O(n^3).
+
+    Checks that the classes attached to all cones span with index one, that
+    products of disjoint-cone classes are again cone classes (or vanish), and
+    that the character relations on the ray ideal-sheaf classes hold.
+    """
+    n = fan.n
+    one = structure_class(fan)
+    j_ray = [
+        line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
+        for i in range(n)
+    ]
+    o_ray = [one - j for j in j_ray]
+    cones: list[tuple[frozenset[int], K0Class]] = [(frozenset(), one)]
+    cones += [(frozenset({i}), o_ray[i]) for i in range(n)]
+    cone_pairs = fan.cones()
+    cones += [
+        (frozenset(pair), k0_multiply(o_ray[pair[0]], o_ray[pair[1]]))
+        for pair in cone_pairs
+    ]
+    cone_sets = {rays: cls for rays, cls in cones}
+
+    rows = [list(cls.model_vector()) for _, cls in cones]
+    pivots = hermite_pivots(rows)
+    rank = len(pivots)
+    index = 1
+    for p in pivots:
+        index *= abs(p)
+    if rank != n or index != 1:
+        raise RelationFailure(
+            f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1"
+        )
+
+    zero = zero_class(fan)
+    checked = 0
+    for (s1, c1), (s2, c2) in itertools.combinations_with_replacement(cones, 2):
+        if s1 & s2:
+            continue
+        union = s1 | s2
+        expected = cone_sets.get(union, zero)
+        got = k0_multiply(c1, c2)
+        if got != expected:
+            raise RelationFailure(
+                f"product of cones {sorted(s1)} and {sorted(s2)} is {got}, "
+                f"expected {expected}"
+            )
+        checked += 1
+
+    rel2 = 0
+    for m in ((1, 0), (0, 1)):
+        coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
+        if line_bundle_class(fan, coeffs) != one:
+            raise RelationFailure(f"character relation fails for {m}")
+        rel2 += 1
+
+    return KlyachkoCertificate(
+        fan=fan,
+        rank=rank,
+        span_index=index,
+        orbit_closure_pairs=checked,
+        character_relations=rel2,
+    )
 
 
 def solve2_divisor_coords(fan: Fan, coefficients) -> tuple[int, ...]:

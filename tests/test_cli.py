@@ -327,10 +327,32 @@ class TestFailedCertificates:
         code, report = run_json(capsys, ["k0-verify", "--fan", p2_file])
         assert code == 1
         assert report["status"] == "verification-failed"
-        assert set(report["result"]["k0"]) == {"error"}
+        assert set(report["result"]["k0"]) == {"error", "first_violation"}
+        # The point classes get chi = 2, so the cone classes (1, 0, 1),
+        # (0, 1, 1) and (0, 0, 2) span a sublattice of index 1 * 1 * 2.
+        assert report["result"]["k0"]["first_violation"] == {
+            "kind": "span", "rank": 3, "index": 2}
         code, report = run_json(capsys, ["report", "--fan", p2_file])
         assert code == 1
         assert report["result"]["failures"][0] == "k0: " + report["result"]["k0"]["error"]
+        assert report["result"]["k0"]["first_violation"]["kind"] == "span"
+
+    def test_k0_product_witness(self, capsys, monkeypatch, dp6_file):
+        real = grothendieck.picard
+
+        def planted(fan):
+            lat = real(fan)
+            return lat._replace(band=(lat.band[0] + 2, *lat.band[1:]))
+
+        monkeypatch.setattr(grothendieck, "picard", planted)
+        for command in ("k0-verify", "report"):
+            code, report = run_json(capsys, [command, "--fan", dp6_file])
+            assert code == 1
+            witness = report["result"]["k0"]["first_violation"]
+            assert witness["kind"] == "product"
+            first, second = witness["cones"]
+            assert not set(first) & set(second)
+            assert witness["got"] != witness["expected"]
 
     @pytest.mark.parametrize("error", [grothendieck.NotABasis, grothendieck.NotInvariant])
     @pytest.mark.parametrize("bound", [None, "1"])

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
     NotABasis,
+    RelationFailure,
     act_on_divisor,
     fa_recurrence_check,
     hirzebruch_marking,
@@ -30,6 +33,8 @@ from toric_surface_lab.lattice_fan import (
     dp6_fan,
     hirzebruch_fan,
     p2_fan,
+    square_fan,
+    validate_fan,
 )
 from toric_surface_lab.minimal_model import classify_pair, minimalize
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
@@ -39,6 +44,7 @@ from oracles import (
     bfs_class_orbit,
     chern_multiply,
     full_gram,
+    pairwise_klyachko,
     random_basis,
     rank_pruned_basis_search,
     solve2_divisor_coords,
@@ -343,6 +349,106 @@ class TestKlyachko:
                 continue
             seen.add(entry.fan)
             assert verify_klyachko(entry.fan).ok
+
+
+def ci_fan(n: int) -> Fan:
+    """The n-ray blow-up chain of the square that CI certifies at 256 rays."""
+    f, i = square_fan(), 0
+    while f.n < n:
+        f = blow_up(f, (i % f.n, (i + 1) % f.n))
+        i += 3
+    return f
+
+
+DP6_12 = validate_fan(json.loads(
+    (Path(__file__).parent / "golden" / "dp6-12.json").read_text())["rays"])
+
+
+class TestKlyachkoOracle:
+    """The band-product relation loop against the pairwise oracle."""
+
+    def test_matches_pairwise_oracle(self):
+        rng = random.Random(15)
+        entries = {e.fan.rays: e for e in standard_corpus(max_rays=16)}
+        fans = [ci_fan(32), ci_fan(64)]
+        for entry in entries.values():
+            fans += [entry.fan, random_basis(rng, entry.fan, entry.group)[0]]
+        for fan in fans:
+            cert = verify_klyachko(fan)
+            assert cert == pairwise_klyachko(fan)
+            assert cert.ok
+            assert cert.orbit_closure_pairs == 2 * fan.n ** 2 - 2 * fan.n + 1
+        assert len(fans) > 250
+
+    @pytest.mark.parametrize("fan", [dp6_fan(), DP6_12], ids=["dp6", "dp6-12"])
+    def test_planted_band_fault(self, monkeypatch, fan):
+        """A diagonal entry of the form raised by 2 passes the span check
+        and breaks a product relation.  Both routes report the same first
+        failure, and its witness checks by hand."""
+        real = grothendieck.picard
+        for position in range(fan.n - 2):
+            def planted(f, position=position):
+                lat = real(f)
+                band = list(lat.band)
+                band[position] += 2
+                return lat._replace(band=tuple(band))
+
+            monkeypatch.setattr(grothendieck, "picard", planted)
+            with pytest.raises(RelationFailure) as expected:
+                pairwise_klyachko(fan)
+            with pytest.raises(RelationFailure) as got:
+                verify_klyachko(fan)
+            monkeypatch.undo()
+            assert str(got.value) == str(expected.value)
+            witness = got.value.first_violation
+            assert witness["kind"] == "product"
+            first, second = witness["cones"]
+            assert not set(first) & set(second)
+            assert witness["got"] != witness["expected"]
+            assert f"cones {first} and {second} is" in str(got.value)
+            if fan == dp6_fan() and position == 0:
+                assert witness["cones"] == [[0], [2]]
+
+    def test_planted_cone_class_c1(self, monkeypatch, dp6):
+        """A 2-cone class with c1 != 0 passes the span check and fails the
+        product of its two rays, whose c1 is r c1' + r' c1 = 0."""
+        real = grothendieck.k0_multiply
+        calls = []
+
+        def wrong_first_call(x, y):
+            z = real(x, y)
+            calls.append(z)
+            if len(calls) == 1:
+                return z._replace(c1=(z.c1[0] + 1, *z.c1[1:]))
+            return z
+
+        monkeypatch.setattr(grothendieck, "k0_multiply", wrong_first_call)
+        with pytest.raises(RelationFailure) as failure:
+            verify_klyachko(dp6)
+        witness = failure.value.first_violation
+        assert witness["kind"] == "product"
+        assert witness["cones"] == [[0], [1]]
+        assert witness["got"] == [0, 0, 0, 0, 0, 1]
+        assert witness["expected"] == [0, 1, 0, 0, 0, 1]
+
+    def test_character_witness(self, monkeypatch, dp6):
+        """A model wrong only off the unit divisors fails the character
+        relation of m = (1, 0), and nothing before it."""
+        real = grothendieck.line_bundle_class
+
+        def wrong_off_units(fan, coefficients):
+            cls = real(fan, coefficients)
+            if list(coefficients).count(0) == fan.n - 1:
+                return cls
+            return cls._replace(chi=cls.chi + 1)
+
+        monkeypatch.setattr(grothendieck, "line_bundle_class", wrong_off_units)
+        with pytest.raises(RelationFailure) as failure:
+            verify_klyachko(dp6)
+        assert failure.value.first_violation == {"kind": "character", "m": [1, 0]}
+        # div(x^m) = sum <m, v_e> D_e is principal: O(-div) is the unit.
+        coeffs = tuple(-v[0] for v in dp6.rays)
+        assert real(dp6, coeffs) == structure_class(dp6)
 
 
 class TestRecurrence:
