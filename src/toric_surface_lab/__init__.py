@@ -47,7 +47,6 @@ from .minimal_model import (
 )
 from .motivic import (
     MotivicDecomposition,
-    annotate_family,
     decompose,
     decomposition_string,
 )
@@ -102,6 +101,5 @@ __all__ = [
     "verify_collection",
     "MotivicDecomposition",
     "decompose",
-    "annotate_family",
     "decomposition_string",
 ]

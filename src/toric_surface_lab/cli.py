@@ -135,7 +135,7 @@ def label_payload(label) -> dict:
     return {
         "kind": label.kind,
         "group_label": label.group_label,
-        "family": label.family,
+        "family": label.row.index,
         "hirzebruch_twist": label.hirzebruch_a,
     }
 
@@ -324,7 +324,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
             "trace": trace_payload(trace),
             "minimal_model": label_payload(label),
         }, [f"minimal model: {label.kind} with group {label.group_label} "
-            f"(family {label.family})"]
+            f"(family {label.row.index})"]
     if command == "collection":
         coll, error = _collection(trace, label, fan, group, args.order)
         if error is None:

@@ -39,7 +39,6 @@ __all__ = [
     "GrothendieckError",
     "IncompatibleFan",
     "RelationFailure",
-    "NotClassified",
     "NotABasis",
     "NotInvariant",
     "picard",
@@ -76,10 +75,6 @@ class RelationFailure(GrothendieckError):
     def __init__(self, message: str, first_violation: dict | None = None):
         super().__init__(message)
         self.first_violation = first_violation
-
-
-class NotClassified(GrothendieckError):
-    pass
 
 
 class NotABasis(GrothendieckError):
@@ -355,18 +350,12 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         else:
             same_c1 = not es
         if r1 * r2 != er or chi != ex or not same_c1:
-            rays1, rays2 = cones[i][0], cones[j][0]
-            got = K0Class(fan, r1 * r2, tuple(r1 * b + r2 * a for a, b in zip(c1, c2)), chi)
-            expected = zero if k is None else cones[k][1]
+            rays1, rays2 = list(cones[i][0]), list(cones[j][0])
+            got = [r1 * r2, *(r1 * b + r2 * a for a, b in zip(c1, c2)), chi]
+            expected = list((zero if k is None else cones[k][1]).model_vector())
             raise RelationFailure(
-                f"product of cones {list(rays1)} and {list(rays2)} is {got}, "
-                f"expected {expected}",
-                {
-                    "kind": "product",
-                    "cones": [list(rays1), list(rays2)],
-                    "got": list(got.model_vector()),
-                    "expected": list(expected.model_vector()),
-                },
+                f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
+                {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
             )
         checked += 1
 
@@ -450,42 +439,21 @@ class BasisCertificate(NamedTuple):
         return self.determinant in (1, -1)
 
 
-# Group classes whose P1xP1 rows exchange the two rulings: they contain a
-# conjugate of the swap C or the quarter turn B.  C1, C2 and D4' keep them.
-_RULING_SWAPS = frozenset({"D2", "C4", "D4", "D8"})
-
-
 def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
     """(slot role, ray indices) of each core line bundle of a minimal
     surface, grouped into the blocks of its exceptional collection.
 
     The indices name D, the sum of their ray divisors; the collection holds
-    O(D) and the permutation basis the ideal-sheaf product O(-D).  P2: 1, J,
-    J^2; 4-ray fans: 1, J1 (fiber), J2 (negative section), J1 J2; hexagonal
-    fan: 1, the three opposite-adjacent pairs, the two ray triples.
-
-    Each block is closed under the row's group (blow-up blocks are single
-    orbits, as `minimalize` contracts one orbit per step).  The P1xP1 rows in
-    _RULING_SWAPS exchange the rulings, so J1 and J2 share one block there;
-    every other 4-ray row fixes each class.
+    O(D) and the permutation basis the ideal-sheaf product O(-D).  The
+    blocks are those of the label's table row, whose rays on a 4-ray fan
+    count from the negative section s of `hirzebruch_marking`.
     """
-    if label.kind == "P2":
-        return ((("one", ()),), (("J", (0,)),), (("J2", (0, 0)),))
-    if label.fan.n == 4:
-        f, s = hirzebruch_marking(label.fan)
-        fiber, section = ("J_fiber", (f,)), ("J_section", (s,))
-        if label.kind == "P1xP1" and label.group_label in _RULING_SWAPS:
-            middle = ((fiber, section),)
-        else:
-            middle = ((fiber,), (section,))
-        return ((("one", ()),), *middle, (("J_both", (f, s)),))
-    if label.kind == "dP6":
-        return (
-            (("one", ()),),
-            (("R", (0, 5)), ("R", (1, 2)), ("R", (3, 4))),
-            (("Q", (0, 1, 2)), ("Q", (3, 4, 5))),
-        )
-    raise NotClassified(f"no core basis for kind {label.kind}")
+    n = label.fan.n
+    s = hirzebruch_marking(label.fan)[1] if n == 4 else 0
+    return tuple(
+        tuple((role, tuple((r + s) % n for r in rays)) for role, rays, _ in block)
+        for block in label.row.blocks
+    )
 
 
 def _ray_sum(n: int, rays) -> tuple[int, ...]:

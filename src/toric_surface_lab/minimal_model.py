@@ -35,7 +35,8 @@ __all__ = [
     "classify_minimal",
     "classify_pair",
     "pullback",
-    "MINIMAL_KINDS_BY_GROUP",
+    "TABLE",
+    "TableRow",
 ]
 
 
@@ -70,7 +71,7 @@ class ContractionTrace(NamedTuple):
 class MinimalLabel(NamedTuple):
     kind: str  # "P2", "F(a)", "P1xP1" or "dP6"
     group_label: str
-    family: str  # "(i)".."(iv)"
+    row: "TableRow"
     fan: Fan
     hirzebruch_a: int | None = None
 
@@ -163,70 +164,126 @@ def _descend(g: SymmetryGroup, after: Fan) -> SymmetryGroup:
     )
 
 
-# Allowed endpoint kinds for each group class.  "F(a)" entries carry a parity
-# or value constraint checked in classify_minimal.
-MINIMAL_KINDS_BY_GROUP: dict[str, tuple[str, ...]] = {
-    "C1": ("P2", "P1xP1", "F-any"),
-    "D2": ("P2", "P1xP1", "F-odd"),
-    "D2'": ("F-even",),
-    "C2": ("P1xP1",),
-    "C4": ("P1xP1",),
-    "D4": ("P1xP1",),
-    "D4'": ("P1xP1",),
-    "D8": ("P1xP1",),
-    "C3": ("P2",),
-    "D6": ("P2",),
-    "C6": ("dP6",),
-    "D6'": ("dP6",),
-    "D12": ("dP6",),
-}
+DP6_PAIRING_NOTE = (
+    "dP6 slot bookkeeping: the factor named P sits on the size-3 orbit "
+    "(cubic etale base by stabilizer index) although the classical rank-9 "
+    "description of P carries the quadratic base; the orbit sizes recorded "
+    "here are authoritative for the base degrees, the names follow the "
+    "family convention."
+)
+
+ODD_RULING_NOTE = (
+    "ruled surface with odd twist: the quaternion label is trivial, every "
+    "factor splits."
+)
+
+
+class TableRow(NamedTuple):
+    """One row of the minimality table: an endpoint, the group classes it is
+    minimal for, and the named factor slots of its K-motive.
+
+    `blocks` lists the core line bundles O(D) of the endpoint's exceptional
+    collection, block by block, as (slot role, rays of D, factor slot).  Each
+    block is closed under the row's groups.  On 4-ray fans a ray is counted
+    from the negative section: the section is 0 and the fiber -1.
+    """
+
+    kind: str
+    groups: frozenset[str]
+    index: str  # the family, "(i)".."(iv)"
+    slots: tuple[str, ...]
+    description: str
+    notes: tuple[str, ...]
+    blocks: tuple[tuple[tuple[str, tuple[int, ...], str], ...], ...]
+
+    @property
+    def roles(self) -> dict[str, str]:
+        """Factor slot of each core slot role."""
+        return {role: slot for block in self.blocks for role, _, slot in block}
+
+
+def _ruled_blocks(fiber: str, section: str, both: str, swapped: bool = False):
+    blocks = ((("J_fiber", (-1,), fiber),), (("J_section", (0,), section),))
+    if swapped:  # the group exchanges the rulings: J1 and J2 share a block
+        blocks = (blocks[0] + blocks[1],)
+    return ((("one", (), "k"),), *blocks, (("J_both", (-1, 0), both),))
+
+
+_QUADRIC = ("(iii)", ("k", "B", "A"),
+            "quadric surface: k x B x A with B over the quadratic discriminant base", ())
+
+# The minimal pairs, one row per endpoint.  A fan is read as the first row
+# whose kind fits it and whose groups hold its group class, so the square
+# fan is the quadric except under D2', which reads it as F(0).  The quadric
+# rows split by whether the group exchanges the two rulings (it contains a
+# conjugate of the swap C or the quarter turn B); an odd twist makes the
+# quaternion label of a ruled surface trivial.
+TABLE: tuple[TableRow, ...] = (
+    TableRow(
+        "P2", frozenset({"C1", "D2", "C3", "D6"}), "(ii)", ("k", "A", "A^{⊗2}"),
+        "twisted plane: k x A x A^{tensor 2}", (),
+        ((("one", (), "k"),), (("J", (0,), "A"),), (("J2", (0, 0), "A^{⊗2}"),)),
+    ),
+    TableRow("P1xP1", frozenset({"C1", "C2", "D4'"}), *_QUADRIC, _ruled_blocks("B", "B", "A")),
+    TableRow(
+        "P1xP1", frozenset({"D2", "C4", "D4", "D8"}), *_QUADRIC,
+        _ruled_blocks("B", "B", "A", swapped=True),
+    ),
+    TableRow(
+        "F-even", frozenset({"C1", "D2'"}), "(i)", ("k", "Q", "k", "Q"),
+        "ruled surface over a conic: k x Q x k x Q", (), _ruled_blocks("Q", "k", "Q"),
+    ),
+    TableRow(
+        "F-odd", frozenset({"C1", "D2"}), "(i)", ("k", "k", "k", "k"),
+        "ruled surface with odd twist: all factors split", (ODD_RULING_NOTE,),
+        _ruled_blocks("k", "k", "k"),
+    ),
+    TableRow(
+        "dP6", frozenset({"C6", "D6'", "D12"}), "(iv)", ("k", "P", "Q"),
+        "hexagonal del Pezzo: k x P x Q", (DP6_PAIRING_NOTE,),
+        (
+            (("one", (), "k"),),
+            (("R", (0, 5), "P"), ("R", (1, 2), "P"), ("R", (3, 4), "P")),
+            (("Q", (0, 1, 2), "Q"), ("Q", (3, 4, 5), "Q")),
+        ),
+    ),
+)
 
 
 def classify_minimal(fan: Fan, group: SymmetryGroup) -> MinimalLabel:
     """Identify a G-minimal pair as a row of the minimality table.
 
     Raises NotMinimal if the pair still has a contractible orbit and
-    TableViolation if the endpoint does not match any allowed row.
+    TableViolation if the endpoint does not match any row.
     """
     group = group.on(fan)
     if not is_g_minimal(fan, group):
         raise NotMinimal(f"{fan} still has contractible orbits")
     label = classify_subgroup(group)
-    allowed = MINIMAL_KINDS_BY_GROUP[label]
 
     n = fan.n
-    a_seq = self_intersections(fan)
+    a = None
     if n == 3:
         if fans_isomorphic(fan, p2_fan()) is None:
             raise TableViolation(f"3-ray fan {fan} is not the plane fan")
-        kind, a = "P2", None
+        kinds = ("P2",)
     elif n == 4:
-        a = max(a_seq)
+        a = max(self_intersections(fan))
         if a == 1:
             raise TableViolation("F(1) can never be a minimal endpoint")
-        if a == 0:
-            # Same fan, two table rows: the D2' row reads it as the ruled
-            # surface F(0), every other row as the quadric.
-            kind = "F(0)" if label == "D2'" else "P1xP1"
-        else:
-            kind = f"F({a})"
+        kinds = ("P1xP1", "F-even") if a == 0 else ("F-odd" if a % 2 else "F-even",)
     elif n == 6:
         if fans_isomorphic(fan, dp6_fan()) is None:
             raise TableViolation(f"6-ray fan {fan} is not the hexagonal fan")
-        kind, a = "dP6", None
+        kinds = ("dP6",)
     else:
         raise TableViolation(f"minimal fan with {n} rays")
 
-    # The endpoint's row tags; F(1) was rejected, so an odd twist is >= 3.
-    rows = {kind}
-    if kind.startswith("F("):
-        rows |= {"F-any", "F-even" if a % 2 == 0 else "F-odd"}
-    if rows.isdisjoint(allowed):
-        raise TableViolation(f"minimal pair ({kind}, {label}) is not a table row")
-    family = {"P2": "(ii)", "P1xP1": "(iii)", "dP6": "(iv)"}.get(kind, "(i)")
-    return MinimalLabel(
-        kind=kind, group_label=label, family=family, fan=fan, hirzebruch_a=a
-    )
+    row = next((r for r in TABLE if r.kind in kinds and label in r.groups), None)
+    if row is None:
+        raise TableViolation(f"minimal {n}-ray pair with group {label} is not a table row")
+    kind = f"F({a})" if row.kind.startswith("F-") else row.kind
+    return MinimalLabel(kind=kind, group_label=label, row=row, fan=fan, hirzebruch_a=a)
 
 
 def classify_pair(fan: Fan, group: SymmetryGroup) -> tuple[ContractionTrace, MinimalLabel]:

@@ -373,8 +373,8 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
         got = k0_multiply(c1, c2)
         if got != expected:
             raise RelationFailure(
-                f"product of cones {sorted(s1)} and {sorted(s2)} is {got}, "
-                f"expected {expected}"
+                f"product of cones {sorted(s1)} and {sorted(s2)} is "
+                f"{list(got.model_vector())}, expected {list(expected.model_vector())}"
             )
         checked += 1
 

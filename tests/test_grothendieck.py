@@ -406,6 +406,7 @@ class TestKlyachkoOracle:
             assert not set(first) & set(second)
             assert witness["got"] != witness["expected"]
             assert f"cones {first} and {second} is" in str(got.value)
+            assert "Fan(" not in str(got.value)
             if fan == dp6_fan() and position == 0:
                 assert witness["cones"] == [[0], [2]]
 

@@ -10,7 +10,7 @@ from toric_surface_lab.lattice_fan import (
     square_fan,
 )
 from toric_surface_lab.minimal_model import (
-    MINIMAL_KINDS_BY_GROUP,
+    TABLE,
     NotMinimal,
     _descend,
     classify_minimal,
@@ -26,9 +26,8 @@ from toric_surface_lab.symmetry import (
     enumerate_subgroups,
     trivial_group,
 )
-from toric_surface_lab.corpus import standard_corpus, subgroup_with_label
-from toric_surface_lab.grothendieck import _RULING_SWAPS, core_blocks, picard
-from toric_surface_lab.motivic import annotate_family
+from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
+from toric_surface_lab.grothendieck import picard
 
 
 @pytest.fixture
@@ -155,32 +154,32 @@ class TestClassifyMinimal:
     def test_p2_with_full_group(self):
         fan = p2_fan()
         label = classify_minimal(fan, compute_aut(fan))
-        assert (label.kind, label.group_label, label.family) == ("P2", "D6", "(ii)")
+        assert (label.kind, label.group_label, label.row.index) == ("P2", "D6", "(ii)")
 
     def test_f4_under_flip(self):
         fan = hirzebruch_fan(4)
         label = classify_minimal(fan, compute_aut(fan))
         assert (label.kind, label.group_label) == ("F(4)", "D2'")
-        assert label.family == "(i)"
+        assert label.row.index == "(i)"
 
     def test_square_with_full_group(self):
         fan = square_fan()
         label = classify_minimal(fan, compute_aut(fan))
-        assert (label.kind, label.group_label, label.family) == ("P1xP1", "D8", "(iii)")
+        assert (label.kind, label.group_label, label.row.index) == ("P1xP1", "D8", "(iii)")
 
     def test_dp6_rows(self):
         fan = dp6_fan()
         for glabel in ("C6", "D6'", "D12"):
             sub = subgroup_with_label(fan, glabel)
             label = classify_minimal(fan, sub)
-            assert (label.kind, label.group_label, label.family) == ("dP6", glabel, "(iv)")
+            assert (label.kind, label.group_label, label.row.index) == ("dP6", glabel, "(iv)")
 
     def test_f0_is_f0_under_flip_row(self):
         fan = square_fan()
         d2p = subgroup_with_label(fan, "D2'")
         label = classify_minimal(fan, d2p)
         assert label.kind == "F(0)"
-        assert label.family == "(i)"
+        assert label.row.index == "(i)"
 
     def test_f0_is_quadric_under_c2(self):
         fan = square_fan()
@@ -202,41 +201,39 @@ class TestClassifyMinimal:
                 label.kind.startswith("F(") and label.hirzebruch_a != 1
             )
 
-    def test_table_rows_complete(self):
-        assert set(MINIMAL_KINDS_BY_GROUP) == {
-            "C1", "C2", "C3", "C4", "C6",
-            "D2", "D2'", "D4", "D4'", "D6", "D6'", "D8", "D12",
-        }
-
 
 def test_classification_table_agrees_across_modules():
-    """The table's rows, read from the four modules that key on them.
-
-    Every allowed (kind, label) row is realized by a minimal pair on P2,
-    P1xP1, dP6, F(2) or F(3), and every core block role of that row is a
-    factor-slot role of its motivic family.
+    """The table's rows cover the 13 group classes, each core block names a
+    factor slot of its row, and every (row, group) pair of the table is
+    realized by a minimal pair: among the subgroups on P2, P1xP1, dP6, F(2)
+    and F(3), and among the corpus seeds of each group class.
     """
-    assert set(MINIMAL_KINDS_BY_GROUP) == set(TABLE_GENERATORS)
-    assert len(MINIMAL_KINDS_BY_GROUP) == len(TABLE_GENERATORS) == 13
-    quadric_rows = {g for g, kinds in MINIMAL_KINDS_BY_GROUP.items() if "P1xP1" in kinds}
-    assert _RULING_SWAPS <= quadric_rows
+    assert set().union(*(row.groups for row in TABLE)) == set(TABLE_GENERATORS) == {
+        "C1", "C2", "C3", "C4", "C6",
+        "D2", "D2'", "D4", "D4'", "D6", "D6'", "D8", "D12",
+    }
+    for row in TABLE:
+        for block in row.blocks:
+            assert all(slot in row.slots for _, _, slot in block), row.kind
 
-    allowed = {(kind, g) for g, kinds in MINIMAL_KINDS_BY_GROUP.items() for kind in kinds}
-    realized = set()
-    for fan in (p2_fan(), square_fan(), dp6_fan(), hirzebruch_fan(2), hirzebruch_fan(3)):
-        for sub in enumerate_subgroups(compute_aut(fan)):
-            if not is_g_minimal(fan, sub):
-                continue
-            label = classify_minimal(fan, sub)
-            rows = {label.kind}
-            if label.kind.startswith("F("):
-                rows |= {"F-any", "F-even" if label.hirzebruch_a % 2 == 0 else "F-odd"}
-            realized |= {(kind, label.group_label) for kind in rows} & allowed
-            slot_roles = dict(annotate_family(label).roles)
-            for block in core_blocks(label):
-                for role, _ in block:
-                    assert role in slot_roles, (str(label), role)
-    assert realized == allowed
+    def realized(pairs):
+        rows = set()
+        for fan, group in pairs:
+            label = classify_minimal(fan, group)
+            rows.add((label.row, label.group_label))
+        return rows
+
+    allowed = {(row, g) for row in TABLE for g in row.groups}
+    fans = (p2_fan(), square_fan(), dp6_fan(), hirzebruch_fan(2), hirzebruch_fan(3))
+    subgroups = [
+        (fan, sub)
+        for fan in fans
+        for sub in enumerate_subgroups(compute_aut(fan))
+        if is_g_minimal(fan, sub)
+    ]
+    assert realized(subgroups) == allowed
+    seeds = [(e.fan, e.group) for g in TABLE_GENERATORS for e in minimal_seed_pairs(g)]
+    assert realized(seeds) == allowed
 
 
 class TestPullback:

@@ -8,7 +8,6 @@ from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan, p2_fan
 from toric_surface_lab.minimal_model import classify_minimal, classify_pair
 from toric_surface_lab.motivic import (
     UnverifiedBasis,
-    annotate_family,
     decompose,
     decomposition_string,
 )
@@ -90,29 +89,26 @@ class TestFactorData:
 
 class TestAnnotateFamily:
     def test_quadric_slots(self, square, square_aut):
-        label = classify_minimal(square, square_aut)
-        fam = annotate_family(label)
+        fam = classify_minimal(square, square_aut).row
         assert fam.index == "(iii)"
         assert fam.slots == ("k", "B", "A")
         assert "quadratic" in fam.description
 
     def test_hexagon_slots(self, dp6, dp6_aut):
-        label = classify_minimal(dp6, dp6_aut)
-        fam = annotate_family(label)
+        fam = classify_minimal(dp6, dp6_aut).row
         assert fam.index == "(iv)"
         assert fam.slots == ("k", "P", "Q")
 
     def test_plane_slots(self, p2):
         c3 = subgroup_with_label(p2, "C3")
-        label = classify_minimal(p2, c3)
-        fam = annotate_family(label)
+        fam = classify_minimal(p2, c3).row
         assert fam.index == "(ii)"
         assert fam.slots == ("k", "A", "A^{⊗2}")
 
     def test_odd_ruled_slots(self):
         fan = hirzebruch_fan(5)
         label = classify_minimal(fan, compute_aut(fan))
-        assert annotate_family(label).slots == ("k", "k", "k", "k")
+        assert label.row.slots == ("k", "k", "k", "k")
 
 
 class TestStability:
