@@ -71,7 +71,7 @@ class ContractionTrace(NamedTuple):
 class MinimalLabel(NamedTuple):
     kind: str  # "P2", "F(a)", "P1xP1" or "dP6"
     group_label: str
-    row: "TableRow"
+    row: TableRow
     fan: Fan
     hirzebruch_a: int | None = None
 
