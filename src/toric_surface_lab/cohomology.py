@@ -131,8 +131,14 @@ def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     coeffs = tuple(map(index, coeffs))
     if len(coeffs) != fan.n:
         raise ValueError(f"expected {fan.n} coefficients")
-    a, weights, k_degree = _ample_weights(fan)
-    degree = sum(map(mul, weights, coeffs))  # D.H
+    table = _ample_weights(fan)
+    return _cohomology(table, coeffs, sum(map(mul, table[1], coeffs)))
+
+
+def _cohomology(table, coeffs, degree: int) -> CohomologyVector:
+    """(h0, h1, h2) of D from the fan's `_ample_weights` table, the integer
+    coefficients of D (not changed) and its degree D.H."""
+    a, weights, k_degree = table
     dim0 = _reduce(a, weights, list(coeffs), degree) if degree >= 0 else 0
     dual_degree = k_degree - degree  # (K - D).H
     dim2 = (
@@ -144,7 +150,7 @@ def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     dim1 = dim0 + dim2 - chi
     if dim1 < 0:
         raise ArithmeticError(
-            f"negative h1 = {dim1} for divisor {coeffs}: h0={dim0}, h2={dim2}, chi={chi}"
+            f"negative h1 = {dim1} for divisor {tuple(coeffs)}: h0={dim0}, h2={dim2}, chi={chi}"
         )
     return CohomologyVector(dim0, dim1, dim2)
 

@@ -12,10 +12,11 @@ are the blocks of `core_blocks`.  `verify_collection` checks it independently.
 
 from __future__ import annotations
 
+from operator import index, mul, sub
 from typing import NamedTuple
 
-from .cohomology import ext_line_bundles, line_bundle_cohomology
-from .grothendieck import _class_orbit, _ray_sum, core_blocks, line_bundle_class, picard
+from .cohomology import _ample_weights, _cohomology
+from .grothendieck import K0Class, _class_orbit, _ray_sum, core_blocks, picard
 from .intlinalg import bareiss_det
 from .lattice_fan import Fan
 from .minimal_model import ContractionTrace, Divisor, MinimalLabel, pullback
@@ -107,71 +108,69 @@ def verify_collection(
     vanishing between distinct objects of one block; Ext vanishing from any
     object to every object of an earlier block; unimodularity of the K-class
     matrix (the fullness certificate); blocks closed under the group.
-    """
-    perms = group.on(fan).ray_permutations.values()
-    zero = (0, 0, 0)
-    first: ExtViolation | None = None
-    self_ok = block_ok = order_ok = True
-    checked = 0
 
-    def note(v: ExtViolation) -> None:
-        nonlocal first
-        if first is None:
-            first = v
+    Each object is validated and its degree D.H taken once.  The pair
+    Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
+    vector comes from the cohomology routine of `line_bundle_cohomology`.
+    Group closure is checked once per orbit of classes in a block.
+    """
+    n = fan.n
+    table = _ample_weights(fan)
+    lat = picard(fan)
+    blocks = []
+    for block in coll.blocks:
+        row = []
+        for d in block:
+            d = tuple(map(index, d))
+            if len(d) != n:
+                raise ValueError(f"expected {n} coefficients")
+            row.append((d, sum(map(mul, table[1], d)), lat.divisor_coords(d)))
+        blocks.append(row)
+    failed: set[str] = set()
+    first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared
     # for each object.
-    self_ext = line_bundle_cohomology(fan, (0,) * fan.n).as_tuple()
-    for bi, block in enumerate(coll.blocks):
-        for d in block:
-            checked += 1
-            if self_ext != (1, 0, 0):
-                self_ok = False
-                note(ExtViolation("self", bi, d, bi, d, self_ext))
+    self_ext = _cohomology(table, (0,) * n, 0).as_tuple()
+    pairs = [("self", bi, obj, bi, obj) for bi, row in enumerate(blocks) for obj in row]
+    pairs += [("block", bi, src, bi, dst) for bi, row in enumerate(blocks)
+              for i, src in enumerate(row) for j, dst in enumerate(row) if i != j]
+    pairs += [("order", s, src, t, dst) for s in range(1, len(blocks)) for t in range(s)
+              for src in blocks[s] for dst in blocks[t]]
+    for kind, s, (d1, deg1, _), t, (d2, deg2, _) in pairs:
+        if kind == "self":
+            ext, expected = self_ext, (1, 0, 0)
+        else:
+            diff = list(map(sub, d2, d1))
+            ext, expected = _cohomology(table, diff, deg2 - deg1).as_tuple(), (0, 0, 0)
+        if ext != expected:
+            failed.add(kind)
+            if first is None:
+                first = ExtViolation(kind, s, d1, t, d2, ext)
 
-    for bi, block in enumerate(coll.blocks):
-        for i, d1 in enumerate(block):
-            for j, d2 in enumerate(block):
-                if i == j:
-                    continue
-                ext = ext_line_bundles(fan, d1, d2).as_tuple()
-                checked += 1
-                if ext != zero:
-                    block_ok = False
-                    note(ExtViolation("block", bi, d1, bi, d2, ext))
-
-    for s in range(1, len(coll.blocks)):
-        for t in range(s):
-            for d_late in coll.blocks[s]:
-                for d_early in coll.blocks[t]:
-                    ext = ext_line_bundles(fan, d_late, d_early).as_tuple()
-                    checked += 1
-                    if ext != zero:
-                        order_ok = False
-                        note(ExtViolation("order", s, d_late, t, d_early, ext))
-
-    objects = coll.objects()
-    if len(objects) == fan.n:
-        det = bareiss_det(
-            [list(line_bundle_class(fan, d).model_vector()) for d in objects]
-        )
+    coords = [x for row in blocks for _, _, x in row]  # c1 of each O(D)
+    if len(coords) == n:
+        det = bareiss_det([list(K0Class(fan, 1, x, lat.chi(x)).model_vector()) for x in coords])
     else:
         det = 0
 
-    lat = picard(fan)
-    closed = bool(objects)
-    for block in coll.blocks:
-        block_classes = {lat.divisor_coords(d) for d in block}
-        for d in block:
-            if not _class_orbit(lat, perms, d) <= block_classes:
-                closed = False
+    perms = group.on(fan).ray_permutations.values()
+    closed = bool(coords)
+    for row in blocks:
+        classes = {x for _, _, x in row}
+        covered = set()
+        for d, _, x in row:
+            if closed and x not in covered:
+                orbit = _class_orbit(lat, perms, d)
+                closed = orbit <= classes
+                covered |= orbit
 
     return CollectionCertificate(
-        self_ext_ok=self_ok,
-        block_ok=block_ok,
-        order_ok=order_ok,
+        self_ext_ok="self" not in failed,
+        block_ok="block" not in failed,
+        order_ok="order" not in failed,
         determinant=det,
         blocks_group_closed=closed,
-        pairs_checked=checked,
+        pairs_checked=len(pairs),
         first_violation=first,
     )

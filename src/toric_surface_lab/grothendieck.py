@@ -110,14 +110,18 @@ class PicardLattice(NamedTuple):
         A linear map: D_e is the e-th basis vector for e >= 2, and the first
         two rays contribute c_0 and c_1 times their own coordinates.
         """
+        c = self._checked(coefficients)
+        c0, c1 = c[0], c[1]
+        r0, r1 = self.ray_coords[0], self.ray_coords[1]
+        return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
+
+    def _checked(self, coefficients) -> tuple[int, ...]:
         c = tuple(map(operator.index, coefficients))
         if len(c) != self.fan.n:
             raise IncompatibleFan(
                 f"expected {self.fan.n} coefficients, got {len(c)}"
             )
-        c0, c1 = c[0], c[1]
-        r0, r1 = self.ray_coords[0], self.ray_coords[1]
-        return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
+        return c
 
     def pair(self, d1, d2) -> int:
         """Intersection number d1.d2, in O(rank), from the band."""
@@ -130,10 +134,26 @@ class PicardLattice(NamedTuple):
 
     def chi(self, coords) -> int:
         """Euler characteristic of a line bundle with the given class."""
-        num = self.pair(coords, coords) - self.pair(coords, self.canonical_coords)
-        if num % 2:
+        return self._euler(coords, 0, 0)
+
+    def divisor_chi(self, coefficients) -> int:
+        """chi(divisor_coords(coefficients)), in one pass from the coefficients."""
+        c = self._checked(coefficients)
+        return self._euler(c[2:], c[0], c[1])
+
+    def _euler(self, tail, c0: int, c1: int) -> int:
+        """1 + x.(x - K)/2 for the class x = tail + c0 r0 + c1 r1, with r0, r1
+        the coordinates of the first two rays, in one pass over the band."""
+        total = x0 = w0 = 0
+        r0, r1 = self.ray_coords[0], self.ray_coords[1]
+        for x, p, q, a, k in zip(tail, r0, r1, self.band, self.canonical_coords):
+            x += c0 * p + c1 * q
+            w = x - k
+            total += x * (a * w + w0) + x0 * w
+            x0, w0 = x, w
+        if total % 2:
             raise GrothendieckError("adjunction parity violated")
-        return 1 + num // 2
+        return 1 + total // 2
 
 
 @lru_cache(maxsize=256)

@@ -43,7 +43,6 @@ class AlgebraFactor(NamedTuple):
 class MotivicDecomposition(NamedTuple):
     factors: tuple[AlgebraFactor, ...]
     family: TableRow
-    notes: tuple[str, ...]
     basis_certificate: BasisCertificate  # the certificate of the decomposed basis
 
     def total_degree(self) -> int:
@@ -98,7 +97,6 @@ def decompose(
     return MotivicDecomposition(
         factors=tuple(factors),
         family=label.row,
-        notes=label.row.notes,
         basis_certificate=cert,
     )
 

@@ -8,7 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from toric_surface_lab.cohomology import _chi, h0
+from toric_surface_lab.cohomology import _chi, ext_line_bundles, h0, line_bundle_cohomology
+from toric_surface_lab.derived import CollectionCertificate, ExceptionalCollection, ExtViolation
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
@@ -36,7 +37,7 @@ from toric_surface_lab.intlinalg import (
     solve2,
     xgcd,
 )
-from toric_surface_lab.lattice_fan import Fan, apply_matrix, self_intersections
+from toric_surface_lab.lattice_fan import Fan, apply_matrix, blow_up, self_intersections, square_fan
 from toric_surface_lab.symmetry import (
     IDENTITY,
     TABLE_GENERATORS,
@@ -252,6 +253,15 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
         g = SymmetryGroup(elements=sub, generators=gens or (IDENTITY,))
         out.append(g.attach(group.fan) if group.fan is not None else g)
     return out
+
+
+def ci_fan(n: int) -> Fan:
+    """The n-ray blow-up chain of the square that CI certifies at 128 and 256 rays."""
+    f, i = square_fan(), 0
+    while f.n < n:
+        f = blow_up(f, (i % f.n, (i + 1) % f.n))
+        i += 3
+    return f
 
 
 def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGroup]:
@@ -491,6 +501,82 @@ def merge_blocks_by_orbits(
     for bi, block in enumerate(blocks):
         merged.setdefault(find(bi), []).extend(block)
     return list(merged.values())
+
+
+def pairwise_verify_collection(
+    coll: ExceptionalCollection, fan: Fan, group: SymmetryGroup
+) -> CollectionCertificate:
+    """The collection certificate with one `ext_line_bundles` call per pair
+    and the group images of every object.
+
+    Each pair re-validates both objects and takes its degree from scratch;
+    closure takes the orbit of every object, not of one per orbit.
+    """
+    perms = group.on(fan).ray_permutations.values()
+    zero = (0, 0, 0)
+    first = None
+    self_ok = block_ok = order_ok = True
+    checked = 0
+
+    def note(v: ExtViolation) -> None:
+        nonlocal first
+        if first is None:
+            first = v
+
+    self_ext = line_bundle_cohomology(fan, (0,) * fan.n).as_tuple()
+    for bi, block in enumerate(coll.blocks):
+        for d in block:
+            checked += 1
+            if self_ext != (1, 0, 0):
+                self_ok = False
+                note(ExtViolation("self", bi, d, bi, d, self_ext))
+
+    for bi, block in enumerate(coll.blocks):
+        for i, d1 in enumerate(block):
+            for j, d2 in enumerate(block):
+                if i == j:
+                    continue
+                ext = ext_line_bundles(fan, d1, d2).as_tuple()
+                checked += 1
+                if ext != zero:
+                    block_ok = False
+                    note(ExtViolation("block", bi, d1, bi, d2, ext))
+
+    for s in range(1, len(coll.blocks)):
+        for t in range(s):
+            for d_late in coll.blocks[s]:
+                for d_early in coll.blocks[t]:
+                    ext = ext_line_bundles(fan, d_late, d_early).as_tuple()
+                    checked += 1
+                    if ext != zero:
+                        order_ok = False
+                        note(ExtViolation("order", s, d_late, t, d_early, ext))
+
+    objects = coll.objects()
+    if len(objects) == fan.n:
+        det = bareiss_det(
+            [list(line_bundle_class(fan, d).model_vector()) for d in objects]
+        )
+    else:
+        det = 0
+
+    lat = picard(fan)
+    closed = bool(objects)
+    for block in coll.blocks:
+        block_classes = {lat.divisor_coords(d) for d in block}
+        for d in block:
+            if not _class_orbit(lat, perms, d) <= block_classes:
+                closed = False
+
+    return CollectionCertificate(
+        self_ext_ok=self_ok,
+        block_ok=block_ok,
+        order_ok=order_ok,
+        determinant=det,
+        blocks_group_closed=closed,
+        pairs_checked=checked,
+        first_violation=first,
+    )
 
 
 def symmetric_signature(q: list[list[int]]) -> tuple[int, int]:

@@ -309,6 +309,28 @@ class TestSpotCheck:
         assert report["status"] == "verification-failed"
         assert "cohomology spot check failed" in report["result"]["failures"]
 
+    def test_wrong_dual_chi_is_caught(self, monkeypatch, dp6):
+        """A closed-form chi(K - D) off by one breaks the duality comparison
+        on every sample."""
+        real = cli._chi
+        monkeypatch.setattr(cli, "_chi", lambda a, c: real(a, c) + 1)
+        assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
+
+    def test_draws_cover_the_box(self, monkeypatch, dp6):
+        """Each sample is one divisor of n coefficients in [-4, 4]; over the
+        samples every value occurs."""
+        drawn = []
+
+        def record(fan, coeffs):
+            drawn.append(tuple(coeffs))
+            return line_bundle_cohomology(fan, coeffs)
+
+        monkeypatch.setattr(cli, "line_bundle_cohomology", record)
+        assert cli._spot_check_cohomology(dp6, seed=5)["violations"] == 0
+        assert len(drawn) == 50
+        assert {len(d) for d in drawn} == {dp6.n}
+        assert {x for d in drawn for x in d} == set(range(-4, 5))
+
     def test_honest_cohomology_passes(self, dp6):
         assert cli._spot_check_cohomology(dp6, seed=3)["violations"] == 0
 
@@ -386,10 +408,14 @@ class TestFailedCertificates:
 
 
 class TestStageCounts:
-    """One in-process report on the 12-ray D12 fan computes each stage once."""
+    """One in-process report on the 12-ray D12 fan computes each stage once.
+
+    `cohomology._cohomology` is the one cohomology routine: each spot-check
+    sample reaches it through `line_bundle_cohomology`, and the collection
+    calls it once for H*(O_X) and once per Ext pair of distinct objects."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
-               "cohomology.line_bundle_cohomology")
+               "cohomology._cohomology")
 
     def test_report_runs_each_stage_once(self, capsys, monkeypatch):
         counts = dict.fromkeys(self.COUNTED, 0)
@@ -415,10 +441,11 @@ class TestStageCounts:
         result = report["result"]
         objects = sum(len(block) for block in result["collection"]["blocks"])
         assert objects == 12
+        assert counts["cohomology._cohomology"] == 136
         assert counts == {
             "minimal_model.classify_minimal": 1,
             "grothendieck.verify_permutation_basis": 1,
-            "cohomology.line_bundle_cohomology": (
+            "cohomology._cohomology": (
                 result["cohomology_spot_check"]["samples"]
                 + result["collection"]["pairs_checked"] - (objects - 1)),
         }

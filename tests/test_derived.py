@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from toric_surface_lab.cohomology import ext_line_bundles
 from toric_surface_lab.derived import (
     ExceptionalCollection,
@@ -13,7 +15,7 @@ from toric_surface_lab.minimal_model import classify_pair
 from toric_surface_lab.symmetry import compute_aut, enumerate_subgroups, trivial_group
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 
-from oracles import merge_blocks_by_orbits, random_basis
+from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, random_basis
 
 
 def collection_for(fan, group):
@@ -63,10 +65,25 @@ class TestCores:
             fan=dp6, blocks=(head, *((d,) for d in orbit), tail), provenance="split"
         )
         cert = verify_collection(split, dp6, dp6_aut)
+        assert cert == pairwise_verify_collection(split, dp6, dp6_aut)
         assert cert.self_ext_ok and cert.block_ok and cert.order_ok
         assert not cert.blocks_group_closed
         assert not cert.ok
         assert verify_collection(split, dp6, trivial_group(dp6)).ok
+
+
+    def test_orbit_split_behind_closed_orbits_is_not_group_closed(self, dp6, dp6_aut):
+        """Each block opens with a whole orbit and then holds part of the
+        3-orbit, so only the second orbit of a block shows the split."""
+        coll = collection_for(dp6, dp6_aut)
+        (o,), (a, b, c), tail = coll.blocks
+        split = ExceptionalCollection(
+            fan=dp6, blocks=((o, a, b), (*tail, c)), provenance="split behind orbits"
+        )
+        cert = verify_collection(split, dp6, dp6_aut)
+        assert cert == pairwise_verify_collection(split, dp6, dp6_aut)
+        assert not cert.blocks_group_closed
+        assert verify_collection(split, dp6, trivial_group(dp6)).blocks_group_closed
 
 
 class TestBlocksAreOrbits:
@@ -118,6 +135,7 @@ class TestReversed:
     def test_reversed_plane_fails_with_known_pair(self, p2, p2_aut):
         coll = collection_for(p2, p2_aut).reversed()
         cert = verify_collection(coll, p2, p2_aut)
+        assert cert == pairwise_verify_collection(coll, p2, p2_aut)
         assert not cert.ok
         v = cert.first_violation
         assert v.kind == "order"
@@ -196,3 +214,30 @@ class TestFullness:
             classes = [line_bundle_class(entry.fan, d) for d in coll.objects()]
             assert len(classes) == entry.fan.n
             assert len(set(classes)) == entry.fan.n
+
+
+class TestPairwiseOracle:
+    """The certificate against one `ext_line_bundles` call per pair and the
+    group images of every object: every field, the first violation included."""
+
+    def test_corpus_pairs_in_both_orders(self):
+        entries = standard_corpus(max_rays=16)
+        assert len(entries) == 191
+        failed = 0
+        for entry in entries:
+            coll = collection_for(entry.fan, entry.group)
+            for c in (coll, coll.reversed()):
+                cert = verify_collection(c, entry.fan, entry.group)
+                assert cert == pairwise_verify_collection(c, entry.fan, entry.group), (
+                    entry.fan, entry.group_label, c.provenance)
+                failed += not cert.ok
+        assert failed > 0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_recipe_fans(self, n):
+        fan = ci_fan(n)
+        g = trivial_group(fan)
+        coll = collection_for(fan, g)
+        for c in (coll, coll.reversed()):
+            assert verify_collection(c, fan, g) == pairwise_verify_collection(c, fan, g)
+        assert verify_collection(coll, fan, g).pairs_checked == n * (n + 1) // 2

@@ -33,7 +33,6 @@ from toric_surface_lab.lattice_fan import (
     dp6_fan,
     hirzebruch_fan,
     p2_fan,
-    square_fan,
     validate_fan,
 )
 from toric_surface_lab.minimal_model import classify_pair, minimalize
@@ -43,6 +42,7 @@ from oracles import (
     act_on_class,
     bfs_class_orbit,
     chern_multiply,
+    ci_fan,
     full_gram,
     pairwise_klyachko,
     random_basis,
@@ -191,6 +191,48 @@ class TestDivisorCoords:
         c = (1, -2, 0, 3, 0, 1)
         assert picard(dp6).divisor_coords(np.array(c, dtype=np.int64)) == (
             picard(dp6).divisor_coords(c))
+
+
+class TestDivisorChi:
+    """chi in one pass from the ray coefficients against chi of the Picard
+    coordinates, and chi against its two intersection numbers."""
+
+    def test_matches_chi_of_coords_on_corpus(self):
+        rng = random.Random(29)
+        entries = {e.fan.rays: e for e in standard_corpus(max_rays=16)}
+        checked = 0
+        for entry in entries.values():
+            for fan in (entry.fan, random_basis(rng, entry.fan, entry.group)[0]):
+                lat = picard(fan)
+                for _ in range(10):
+                    c = [rng.randint(-5, 5) for _ in range(fan.n)]
+                    x = lat.divisor_coords(c)
+                    assert lat.divisor_chi(c) == lat.chi(x)
+                    twice = lat.pair(x, x) - lat.pair(x, lat.canonical_coords)
+                    assert lat.chi(x) == 1 + twice // 2
+                    checked += 1
+        assert checked > 2_000
+
+    def test_wrong_length_rejected(self, p2):
+        for c in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(grothendieck.IncompatibleFan):
+                picard(p2).divisor_chi(c)
+
+    def test_float_coefficients_raise(self, p2):
+        with pytest.raises(TypeError):
+            picard(p2).divisor_chi((0.9, 0, 0))
+
+    def test_parity_fault_raises(self, dp6):
+        """A canonical class moved by D_2 makes x.(x - K) odd for x = D_2,
+        whose self-intersection on dP6 is -1."""
+        lat = picard(dp6)
+        k = lat.canonical_coords
+        bad = lat._replace(canonical_coords=(k[0] + 1, *k[1:]))
+        d2 = unit_divisor(dp6, 2, sign=1)
+        with pytest.raises(GrothendieckError, match="parity"):
+            bad.divisor_chi(d2)
+        with pytest.raises(GrothendieckError, match="parity"):
+            bad.chi(bad.divisor_coords(d2))
 
 
 class TestLineBundleClass:
@@ -349,15 +391,6 @@ class TestKlyachko:
                 continue
             seen.add(entry.fan)
             assert verify_klyachko(entry.fan).ok
-
-
-def ci_fan(n: int) -> Fan:
-    """The n-ray blow-up chain of the square that CI certifies at 256 rays."""
-    f, i = square_fan(), 0
-    while f.n < n:
-        f = blow_up(f, (i % f.n, (i + 1) % f.n))
-        i += 3
-    return f
 
 
 DP6_12 = validate_fan(json.loads(

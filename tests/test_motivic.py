@@ -30,7 +30,7 @@ class TestFamilyStrings:
         fan = hirzebruch_fan(3)
         dec = pipeline(fan, compute_aut(fan))
         assert decomposition_string(dec) == "k×k×k×k"
-        assert any("odd" in n for n in dec.notes)
+        assert any("odd" in n for n in dec.family.notes)
 
     def test_plane(self, p2, p2_aut):
         dec = pipeline(p2, p2_aut)
@@ -45,7 +45,7 @@ class TestFamilyStrings:
         assert decomposition_string(dec) == "k×P×Q"
         assert dec.factors[1].base_degree == 3
         assert dec.factors[2].base_degree == 2
-        assert any("orbit sizes" in n for n in dec.notes)
+        assert any("orbit sizes" in n for n in dec.family.notes)
 
 
 class TestFactorData:
