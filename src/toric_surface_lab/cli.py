@@ -143,11 +143,11 @@ def label_payload(label) -> dict:
 def basis_payload(basis, cert) -> dict:
     return {
         "divisors": [list(d) for d in basis.divisors],
-        "orbits": [list(o) for o in basis.orbits],
-        "orbit_sizes": list(basis.orbit_sizes()),
+        "orbits": [list(o) for o in cert.orbits],
+        "orbit_sizes": list(cert.orbit_sizes),
         # Orbit-stabilizer: the stabilizer of an element has index equal to
         # the size of its orbit.
-        "stabilizer_indices": list(basis.orbit_sizes()),
+        "stabilizer_indices": list(cert.orbit_sizes),
         "determinant": cert.determinant,
     }
 
@@ -341,15 +341,19 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                          f"O({v['target']})) = {tuple(v['ext'])}")
         return EXIT_VERIFICATION_FAILED, {"collection": coll}, lines
 
-    basis = standard_permutation_basis(trace, label, group)
+    basis = standard_permutation_basis(trace, label)
     if command == "basis":
         payload, error = _certified_basis(basis, fan, group)
         line = (f"basis FAILED verification: {error}" if error else
-                f"permutation basis with orbit sizes {basis.orbit_sizes()}, "
+                f"permutation basis with orbit sizes {tuple(payload['orbit_sizes'])}, "
                 f"determinant {payload['determinant']}")
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": payload}, [line]
     if command == "decompose":
-        dec = decompose(basis, label, group)
+        try:
+            dec = decompose(basis, label, group)
+        except UnverifiedBasis as exc:
+            return EXIT_VERIFICATION_FAILED, {"decomposition": {"error": str(exc)}}, [
+                f"decomposition FAILED verification: {exc}"]
         return EXIT_OK, {"decomposition": decomposition_payload(dec)}, [
             f"motivic decomposition: {decomposition_string(dec)}"]
     raise InputError(f"unknown command {command}")  # pragma: no cover
@@ -377,11 +381,11 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         failures.append(f"k0: {error}")
 
     # decompose certifies the basis; the report shows that certificate.
-    basis = standard_permutation_basis(trace, label, group)
+    basis = standard_permutation_basis(trace, label)
     try:
         dec = decompose(basis, label, group)
         result["basis"] = basis_payload(basis, dec.basis_certificate)
-        lines.append(f"basis orbit sizes: {basis.orbit_sizes()}")
+        lines.append(f"basis orbit sizes: {dec.basis_certificate.orbit_sizes}")
     except UnverifiedBasis as exc:
         failures.append(f"basis: {exc}")
         result["basis"] = {"error": str(exc)}

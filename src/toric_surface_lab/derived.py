@@ -16,8 +16,7 @@ from operator import index, mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
-from .grothendieck import K0Class, _class_orbit, _ray_sum, core_blocks, picard
-from .intlinalg import bareiss_det
+from .grothendieck import NotInvariant, _class_det, _orbit_partition, _ray_sum, core_blocks, picard
 from .lattice_fan import Fan
 from .minimal_model import ContractionTrace, Divisor, MinimalLabel, pullback
 from .symmetry import SymmetryGroup
@@ -112,7 +111,7 @@ def verify_collection(
     Each object is validated and its degree D.H taken once.  The pair
     Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
     vector comes from the cohomology routine of `line_bundle_cohomology`.
-    Group closure is checked once per orbit of classes in a block.
+    Group closure is checked by partitioning each block into orbits.
     """
     n = fan.n
     table = _ample_weights(fan)
@@ -149,21 +148,15 @@ def verify_collection(
                 first = ExtViolation(kind, s, d1, t, d2, ext)
 
     coords = [x for row in blocks for _, _, x in row]  # c1 of each O(D)
-    if len(coords) == n:
-        det = bareiss_det([list(K0Class(fan, 1, x, lat.chi(x)).model_vector()) for x in coords])
-    else:
-        det = 0
+    det = _class_det(lat, coords) if len(coords) == n else 0
 
     perms = group.on(fan).ray_permutations.values()
     closed = bool(coords)
-    for row in blocks:
-        classes = {x for _, _, x in row}
-        covered = set()
-        for d, _, x in row:
-            if closed and x not in covered:
-                orbit = _class_orbit(lat, perms, d)
-                closed = orbit <= classes
-                covered |= orbit
+    try:
+        for row in blocks:
+            _orbit_partition(lat, perms, [d for d, _, _ in row], [x for _, _, x in row])
+    except NotInvariant:
+        closed = False
 
     return CollectionCertificate(
         self_ext_ok="self" not in failed,

@@ -429,34 +429,31 @@ def fa_recurrence_check(fan: Fan, m_values) -> bool:
 
 
 class PermutationBasis(NamedTuple):
-    """A group-closed Z-basis of K0 given by explicit divisor representatives.
+    """Divisor representatives of a candidate group-closed Z-basis of K0.
 
-    `tags` records where each element came from: ("core", slot_role) for the
-    minimal-model basis, ("exc", step_index) for a class O(E) introduced by a
-    blow-up step of the contraction trace.
+    Plain data: `verify_permutation_basis` computes the classes, certifies
+    them and partitions them into orbits.  `tags` records where each element
+    came from: ("core", slot_role) for the minimal-model basis, ("exc",
+    step_index) for a class O(E) introduced by a blow-up step of the
+    contraction trace, ("search", None) for a search result.
     """
 
     fan: Fan
     divisors: tuple[tuple[int, ...], ...]
-    elements: tuple[K0Class, ...]
-    orbits: tuple[tuple[int, ...], ...]
     tags: tuple[tuple[str, object], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
 
 
 class BasisCertificate(NamedTuple):
     determinant: int
-    orbit_sizes: tuple[int, ...]
+    orbits: tuple[tuple[int, ...], ...]
 
     @property
     def ok(self) -> bool:
         return self.determinant in (1, -1)
+
+    @property
+    def orbit_sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.orbits))
 
 
 def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
@@ -496,26 +493,25 @@ def _class_orbit(
 
 
 def _orbit_partition(
-    fan: Fan, group: SymmetryGroup, elements: list[K0Class], divisors: list[tuple[int, ...]]
+    lat: PicardLattice, perms, divisors, coords
 ) -> tuple[tuple[int, ...], ...]:
-    """Orbits of basis elements (line-bundle classes) under the group.
+    """Orbits of the line bundles O(D), D in `divisors`, under the ray
+    permutations `perms`, as tuples of indices.
 
-    Images are compared by Picard coordinates: for line bundles these
-    determine the class.
+    `coords` holds their Picard coordinates, which determine the classes.
+    Raises NotInvariant when an image is not among them.
     """
-    perms = group.on(fan).ray_permutations.values()
-    lat = picard(fan)
     index_of = {}
-    for i, cls in enumerate(elements):
-        index_of.setdefault(cls.c1, i)
-    assigned = [False] * len(elements)
+    for i, x in enumerate(coords):
+        index_of.setdefault(x, i)
+    assigned = [False] * len(coords)
     orbits = []
-    for i in range(len(elements)):
+    for i, d in enumerate(divisors):
         if assigned[i]:
             continue
-        images = _class_orbit(lat, perms, divisors[i])
+        images = _class_orbit(lat, perms, d)
         if not images <= index_of.keys():
-            raise NotInvariant(f"image of basis element {divisors[i]} leaves the set")
+            raise NotInvariant(f"image of basis element {d} leaves the set")
         orbit = {i} | {index_of[image] for image in images}
         for j in orbit:
             assigned[j] = True
@@ -523,8 +519,14 @@ def _orbit_partition(
     return tuple(orbits)
 
 
+def _class_det(lat: PicardLattice, coords) -> int:
+    """Determinant of the rows (1, c1, chi) of the line bundles with Picard
+    coordinates `coords`, one per rank of K0."""
+    return bareiss_det([[1, *x, lat.chi(x)] for x in coords])
+
+
 def standard_permutation_basis(
-    trace: ContractionTrace, label: MinimalLabel, group: SymmetryGroup
+    trace: ContractionTrace, label: MinimalLabel
 ) -> PermutationBasis:
     """The distinguished permutation basis of a contraction trace.
 
@@ -543,43 +545,34 @@ def standard_permutation_basis(
     for step_index, block in reversed(list(enumerate(exceptional))):
         divisors += block
         tags += [("exc", step_index)] * len(block)
-    fan = trace.initial_fan
-
-    elements = [line_bundle_class(fan, c) for c in divisors]
-    return PermutationBasis(
-        fan=fan,
-        divisors=tuple(divisors),
-        elements=tuple(elements),
-        orbits=_orbit_partition(fan, group, elements, divisors),
-        tags=tuple(tags),
-    )
+    return PermutationBasis(trace.initial_fan, tuple(divisors), tuple(tags))
 
 
 def verify_permutation_basis(
     basis, fan: Fan, group: SymmetryGroup
 ) -> BasisCertificate:
-    """Certify unimodularity, group closure and the orbit partition.
+    """Certify unimodularity and group closure, and partition into orbits.
 
     `basis` may be a PermutationBasis or a list of divisor coefficient
-    tuples.  Raises NotABasis or NotInvariant on failure.
+    tuples.  This is where a basis gets its classes and orbits: each
+    divisor's Picard coordinates are taken once, the rows (1, c1, chi) must
+    have determinant +-1, and the group must permute the classes, whose
+    orbits the certificate holds.  Raises NotABasis or NotInvariant on
+    failure.
     """
     if isinstance(basis, PermutationBasis):
-        divisors = list(basis.divisors)
+        divisors = basis.divisors
     else:
         divisors = [tuple(map(operator.index, c)) for c in basis]
-    elements = [line_bundle_class(fan, c) for c in divisors]
-    if len(elements) != fan.n:
-        raise NotABasis(
-            f"{len(elements)} classes cannot form a basis of rank {fan.n}"
-        )
-    det = bareiss_det([list(cls.model_vector()) for cls in elements])
+    lat = picard(fan)
+    coords = [lat.divisor_coords(d) for d in divisors]
+    if len(coords) != fan.n:
+        raise NotABasis(f"{len(coords)} classes cannot form a basis of rank {fan.n}")
+    det = _class_det(lat, coords)
     if det not in (1, -1):
         raise NotABasis(f"coordinate matrix has determinant {det}")
-    orbits = _orbit_partition(fan, group, elements, divisors)
-    return BasisCertificate(
-        determinant=det,
-        orbit_sizes=tuple(len(o) for o in orbits),
-    )
+    perms = group.on(fan).ray_permutations.values()
+    return BasisCertificate(det, _orbit_partition(lat, perms, divisors, coords))
 
 
 def _candidate_orbits(
@@ -661,12 +654,5 @@ def search_line_bundle_basis(
     found = dfs(0, [], [])
     if found is None:
         return None
-    divisors = [rep[c] for i in found for c in coord_orbits[i]]
-    classes = [line_bundle_class(fan, d) for d in divisors]
-    return PermutationBasis(
-        fan=fan,
-        divisors=tuple(divisors),
-        elements=tuple(classes),
-        orbits=_orbit_partition(fan, group, classes, divisors),
-        tags=tuple(("search", None) for _ in classes),
-    )
+    divisors = tuple(rep[c] for i in found for c in coord_orbits[i])
+    return PermutationBasis(fan, divisors, (("search", None),) * n)

@@ -52,11 +52,12 @@ class MotivicDecomposition(NamedTuple):
 def decompose(
     basis: PermutationBasis, label: MinimalLabel, group: SymmetryGroup
 ) -> MotivicDecomposition:
-    """One factor per basis orbit, named after the minimal family of `label`.
+    """One factor per certified orbit, named after the minimal family of `label`.
 
     `label` classifies the terminal pair of the trace the basis was built
-    from.  The basis is certified first; a failing certificate raises
-    UnverifiedBasis, and a passing one is returned with the decomposition.
+    from.  The basis is certified first and the factors follow the orbits
+    of that certificate; a failing certificate raises UnverifiedBasis, and
+    a passing one is returned with the decomposition.
     """
     try:
         cert = verify_permutation_basis(basis, basis.fan, group)
@@ -66,7 +67,7 @@ def decompose(
     slot_of_role = label.row.roles
 
     factors = []
-    for orbit in basis.orbits:
+    for orbit in cert.orbits:
         roles = []
         kinds = set()
         for i in orbit:

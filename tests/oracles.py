@@ -18,7 +18,6 @@ from toric_surface_lab.grothendieck import (
     PicardLattice,
     RelationFailure,
     _class_orbit,
-    _orbit_partition,
     act_on_divisor,
     k0_multiply,
     line_bundle_class,
@@ -276,7 +275,7 @@ def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGrou
     return image, SymmetryGroup.from_generators(gens, image)
 
 
-def rank_pruned_basis_search(fan: Fan, group: SymmetryGroup, rep, coord_orbits):
+def rank_pruned_basis_search(fan: Fan, rep, coord_orbits):
     """The basis search with a rank test per node and a determinant per leaf.
 
     Runs on candidates `rep, coord_orbits` as `_candidate_orbits` returns
@@ -285,7 +284,6 @@ def rank_pruned_basis_search(fan: Fan, group: SymmetryGroup, rep, coord_orbits):
     of N rows is kept if its determinant is +-1.  Exponential in the number
     of rank-full, non-unimodular leaves.
     """
-    group = group.on(fan)
     n = fan.n
     orbits = [[line_bundle_class(fan, rep[c]) for c in orbit] for orbit in coord_orbits]
 
@@ -307,15 +305,8 @@ def rank_pruned_basis_search(fan: Fan, group: SymmetryGroup, rep, coord_orbits):
     found = dfs(0, [], 0)
     if found is None:
         return None
-    classes = [cls for i in found for cls in orbits[i]]
-    divisors = [rep[cls.c1] for cls in classes]
-    return PermutationBasis(
-        fan=fan,
-        divisors=tuple(divisors),
-        elements=tuple(classes),
-        orbits=_orbit_partition(fan, group, classes, divisors),
-        tags=tuple(("search", None) for _ in classes),
-    )
+    divisors = tuple(rep[cls.c1] for i in found for cls in orbits[i])
+    return PermutationBasis(fan, divisors, tuple(("search", None) for _ in divisors))
 
 
 def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
@@ -445,6 +436,22 @@ def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:
                 orbit[key] = image
                 frontier.append(image)
     return set(orbit)
+
+
+def bfs_orbit_partition(fan: Fan, group: SymmetryGroup, divisors) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the classes of `divisors` as index tuples, ordered by their
+    least index, from `bfs_class_orbit` under the group's generators alone.
+
+    Divisors are grouped by the orbit each one closes to, so no index of one
+    divisor is looked up from the images of another.
+    """
+    lat = picard(fan)
+    ray_permutations = group.on(fan).ray_permutations
+    perms = [ray_permutations[g] for g in group.generators]
+    members: dict[frozenset, list[int]] = {}
+    for i, d in enumerate(divisors):
+        members.setdefault(frozenset(bfs_class_orbit(lat, perms, d)), []).append(i)
+    return tuple(sorted(map(tuple, members.values())))
 
 
 def full_gram(fan: Fan) -> list[list[int]]:

@@ -161,17 +161,18 @@ def test_criterion_5_bases(corpus):
     ok = True
     for fan, signature in expected.values():
         g = compute_aut(fan)
-        basis = standard_permutation_basis(*classify_pair(fan, g), g)
-        if basis.orbit_sizes() != signature:
+        basis = standard_permutation_basis(*classify_pair(fan, g))
+        cert = verify_permutation_basis(basis, fan, g)
+        if cert.orbit_sizes != signature:
             ok = False
-        if not verify_permutation_basis(basis, fan, g).ok:
+        if not cert.ok:
             ok = False
     transported = 0
     for entry in corpus:
         trace, label = classify_pair(entry.fan, entry.group)
-        basis = standard_permutation_basis(trace, label, entry.group)
+        basis = standard_permutation_basis(trace, label)
         cert = verify_permutation_basis(basis, entry.fan, entry.group)
-        if not (cert.ok and basis.size == entry.fan.n):
+        if not (cert.ok and len(basis.divisors) == entry.fan.n):
             ok = False
         transported += 1
     _finish(5, ok, f"4 core signatures + {transported} transported bases verified",
@@ -245,7 +246,7 @@ def test_criterion_9_decomposition_shapes():
     for fan, glabel, expected in cases:
         group = compute_aut(fan) if glabel is None else subgroup_with_label(fan, glabel)
         trace, label = classify_pair(fan, group)
-        basis = standard_permutation_basis(trace, label, group)
+        basis = standard_permutation_basis(trace, label)
         got = decomposition_string(decompose(basis, label, group))
         seen.append(got)
         if got != expected:

@@ -406,19 +406,54 @@ class TestFailedCertificates:
         assert result["failures"] == ["basis: planted failure"]
         assert "decomposition" not in result
 
+    R_ORBIT = {("R", (0, 5)), ("R", (1, 2)), ("R", (3, 4))}
+
+    @pytest.mark.parametrize("swap, reason", [
+        ({("R", (3, 4)): None}, "11 classes cannot form a basis of rank 12"),
+        (dict.fromkeys(R_ORBIT), "9 classes cannot form a basis of rank 12"),
+        ({("R", (3, 4)): ("R", (3,))}, "leaves the set"),
+    ], ids=["one-slot-dropped", "orbit-dropped", "unimodular-not-closed"])
+    def test_library_basis_failure_exits_1(self, capsys, monkeypatch, swap, reason):
+        """A library-built basis that is too small or not group-closed fails
+        its certificate (exit 1) in every command that certifies it, not at
+        construction as invalid input (exit 2)."""
+        real = grothendieck.core_blocks
+
+        def planted(label):
+            return tuple(tuple(swap.get(slot, slot) for slot in block if swap.get(slot, slot))
+                         for block in real(label))
+
+        monkeypatch.setattr(grothendieck, "core_blocks", planted)
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        argv = ["--fan", "dp6-12.json", "--group", "d12.json"]
+        for command, key in (("basis", "basis"), ("decompose", "decomposition")):
+            code, report = run_json(capsys, [command] + argv)
+            assert (code, report["status"]) == (1, "verification-failed")
+            error = report["result"][key]["error"]
+            assert reason in error
+            assert main([command] + argv) == 1
+            assert capsys.readouterr().out == f"{key} FAILED verification: {error}\n"
+        code, report = run_json(capsys, ["report"] + argv)
+        assert (code, report["status"]) == (1, "verification-failed")
+        assert report["result"]["failures"] == ["basis: " + report["result"]["basis"]["error"]]
+        assert reason in report["result"]["basis"]["error"]
+        assert "decomposition" not in report["result"]
+
 
 class TestStageCounts:
     """One in-process report on the 12-ray D12 fan computes each stage once.
 
     `cohomology._cohomology` is the one cohomology routine: each spot-check
     sample reaches it through `line_bundle_cohomology`, and the collection
-    calls it once for H*(O_X) and once per Ext pair of distinct objects."""
+    calls it once for H*(O_X) and once per Ext pair of distinct objects.
+    The basis's divisors are partitioned into orbits once, by its
+    certificate."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
-               "cohomology._cohomology")
+               "cohomology._cohomology", "grothendieck._orbit_partition")
 
     def test_report_runs_each_stage_once(self, capsys, monkeypatch):
-        counts = dict.fromkeys(self.COUNTED, 0)
+        calls = {key: [] for key in self.COUNTED}
         modules = [m for name, m in sys.modules.items()
                    if name.startswith("toric_surface_lab.")]
         for key in self.COUNTED:
@@ -426,7 +461,7 @@ class TestStageCounts:
             original = getattr(sys.modules[f"toric_surface_lab.{module}"], attr)
 
             def shim(*args, _key=key, _original=original):
-                counts[_key] += 1
+                calls[_key].append(args)
                 return _original(*args)
 
             for ns in modules:  # every module binding of the function
@@ -441,6 +476,13 @@ class TestStageCounts:
         result = report["result"]
         objects = sum(len(block) for block in result["collection"]["blocks"])
         assert objects == 12
+        basis = [tuple(d) for d in result["basis"]["divisors"]]
+        assert len(basis) == 12
+        partitions = calls.pop("grothendieck._orbit_partition")
+        partitioned = [list(a) for args in partitions for a in args
+                       if isinstance(a, (list, tuple))]
+        assert partitioned.count(basis) == 1
+        counts = {key: len(args) for key, args in calls.items()}
         assert counts["cohomology._cohomology"] == 136
         assert counts == {
             "minimal_model.classify_minimal": 1,

@@ -41,6 +41,7 @@ from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 from oracles import (
     act_on_class,
     bfs_class_orbit,
+    bfs_orbit_partition,
     chern_multiply,
     ci_fan,
     full_gram,
@@ -498,47 +499,48 @@ class TestStandardBasis:
     def test_fa_four_singletons(self):
         fan = hirzebruch_fan(3)
         g = compute_aut(fan)
-        basis = standard_permutation_basis(*classify_pair(fan, g), g)
-        assert basis.orbit_sizes() == (1, 1, 1, 1)
+        basis = standard_permutation_basis(*classify_pair(fan, g))
         cert = verify_permutation_basis(basis, fan, g)
+        assert cert.orbit_sizes == (1, 1, 1, 1)
         assert cert.ok
 
     def test_p2_three_singletons(self, p2, p2_aut):
-        basis = standard_permutation_basis(*classify_pair(p2, p2_aut), p2_aut)
-        assert basis.orbit_sizes() == (1, 1, 1)
+        basis = standard_permutation_basis(*classify_pair(p2, p2_aut))
+        assert verify_permutation_basis(basis, p2, p2_aut).orbit_sizes == (1, 1, 1)
         divisors = set(basis.divisors)
         assert (0, 0, 0) in divisors
 
     def test_square_signature(self, square, square_aut):
-        basis = standard_permutation_basis(*classify_pair(square, square_aut), square_aut)
-        assert basis.orbit_sizes() == (1, 2, 1)
+        basis = standard_permutation_basis(*classify_pair(square, square_aut))
+        assert verify_permutation_basis(basis, square, square_aut).orbit_sizes == (1, 2, 1)
 
     def test_dp6_signature(self, dp6, dp6_aut):
-        basis = standard_permutation_basis(*classify_pair(dp6, dp6_aut), dp6_aut)
-        assert basis.orbit_sizes() == (1, 3, 2)
+        basis = standard_permutation_basis(*classify_pair(dp6, dp6_aut))
         cert = verify_permutation_basis(basis, dp6, dp6_aut)
+        assert cert.orbit_sizes == (1, 3, 2)
         assert basis_payload(basis, cert)["stabilizer_indices"] == [1, 3, 2]
 
     def test_from_minimal_label_directly(self, dp6, dp6_aut):
         from toric_surface_lab.minimal_model import classify_minimal
 
         label = classify_minimal(dp6, dp6_aut)
-        basis = standard_permutation_basis(minimalize(dp6, dp6_aut), label, dp6_aut)
-        assert basis.orbit_sizes() == (1, 3, 2)
-        assert verify_permutation_basis(basis, dp6, dp6_aut).ok
+        basis = standard_permutation_basis(minimalize(dp6, dp6_aut), label)
+        cert = verify_permutation_basis(basis, dp6, dp6_aut)
+        assert cert.orbit_sizes == (1, 3, 2)
+        assert cert.ok
 
     def test_transport_on_corpus(self, small_corpus):
         multi_step = 0
         for entry in small_corpus:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label, entry.group)
-            assert basis.size == entry.fan.n
+            basis = standard_permutation_basis(trace, label)
+            assert len(basis.divisors) == entry.fan.n
             cert = verify_permutation_basis(basis, entry.fan, entry.group)
             assert cert.ok
             # The core classes come first, then the O(E) of the last step first.
             exc = [("exc", k) for k in reversed(range(len(trace.steps)))
                    for _ in trace.steps[k].contracted]
-            core = basis.size - len(exc)
+            core = len(basis.divisors) - len(exc)
             assert basis.tags[core:] == tuple(exc)
             assert all(kind == "core" for kind, _ in basis.tags[:core])
             multi_step += len(trace.steps) > 1
@@ -584,6 +586,21 @@ class TestVerifyBasis:
         assert cert == verify_permutation_basis(divisors, dp6, dp6_aut)
         with pytest.raises(TypeError):
             verify_permutation_basis([[float(x) for x in d] for d in divisors], dp6, dp6_aut)
+
+    def test_orbits_match_bfs_partition_on_corpus(self):
+        """On every corpus pair, in its own and a random lattice basis, the
+        certificate's orbits of the standard basis equal the partition by
+        closure under the generators."""
+        rng = random.Random(43)
+        pairs = 0
+        for entry in standard_corpus(max_rays=16):
+            for fan, group in ((entry.fan, entry.group),
+                               random_basis(rng, entry.fan, entry.group)):
+                basis = standard_permutation_basis(*classify_pair(fan, group))
+                cert = verify_permutation_basis(basis, fan, group)
+                assert cert.orbits == bfs_orbit_partition(fan, group, basis.divisors)
+                pairs += 1
+        assert pairs == 2 * 191
 
 
 class TestSearch:
@@ -643,7 +660,7 @@ class TestSearch:
                         if fan.rays == PINNED_RAYS:
                             assert basis.divisors == PINNED_DIVISORS
                     else:
-                        assert rank_pruned_basis_search(fan, group, *closure) == basis
+                        assert rank_pruned_basis_search(fan, *closure) == basis
                     monkeypatch.undo()
                     searched += basis is not None
         assert searched > 0 and certified == 34
@@ -660,7 +677,7 @@ class TestAction:
         f1 = blow_up(p2_fan(), [0])
         g = SymmetryGroup.from_generators([((0, 1), (1, 0))], f1)
         trace, label = classify_pair(f1, g)
-        basis = standard_permutation_basis(trace, label, g)
+        basis = standard_permutation_basis(trace, label)
         tags = dict(zip(basis.divisors, basis.tags))
         exceptional = [d for d, t in tags.items() if t[0] == "exc"]
         assert exceptional == [(0, 1, 0, 0)]

@@ -17,7 +17,7 @@ from toric_surface_lab.corpus import subgroup_with_label
 
 def pipeline(fan, group):
     trace, label = classify_pair(fan, group)
-    basis = standard_permutation_basis(trace, label, group)
+    basis = standard_permutation_basis(trace, label)
     return decompose(basis, label, group)
 
 
@@ -52,17 +52,18 @@ class TestFactorData:
     def test_counts_and_degrees(self, small_corpus):
         for entry in small_corpus[:30]:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label, entry.group)
+            basis = standard_permutation_basis(trace, label)
             dec = decompose(basis, label, entry.group)
-            assert len(dec.factors) == len(basis.orbits)
+            orbits = dec.basis_certificate.orbits
+            assert len(dec.factors) == len(orbits)
             assert dec.total_degree() == entry.fan.n
-            for factor, orbit in zip(dec.factors, basis.orbits):
+            for factor, orbit in zip(dec.factors, orbits):
                 assert factor.base_degree == len(orbit)
 
     def test_unit_orbit_is_split(self, small_corpus):
         for entry in small_corpus[:30]:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label, entry.group)
+            basis = standard_permutation_basis(trace, label)
             dec = decompose(basis, label, entry.group)
             unit_index = next(
                 i for i, d in enumerate(basis.divisors) if all(c == 0 for c in d)
@@ -78,7 +79,7 @@ class TestFactorData:
 
         group = SymmetryGroup(elements=c6.elements, generators=c6.generators).attach(blown)
         trace, label = classify_pair(blown, group)
-        basis = standard_permutation_basis(trace, label, group)
+        basis = standard_permutation_basis(trace, label)
         dec = decompose(basis, label, group)
         core = pipeline(dp6, c6)
         exceptional = [f for f in dec.factors if f.slot_roles[0].isdigit()]
@@ -131,12 +132,10 @@ class TestErrors:
     def test_unverified_basis_rejected(self, f2):
         g = trivial_group(f2)
         trace, label = classify_pair(f2, g)
-        good = standard_permutation_basis(trace, label, g)
+        good = standard_permutation_basis(trace, label)
         tampered = PermutationBasis(
             fan=good.fan,
             divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
-            elements=good.elements,
-            orbits=good.orbits,
             tags=good.tags,
         )
         with pytest.raises(UnverifiedBasis):
