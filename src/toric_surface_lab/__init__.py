@@ -44,6 +44,7 @@ from .minimal_model import (
     contractible_orbits,
     is_g_minimal,
     minimalize,
+    pullback,
 )
 from .motivic import (
     MotivicDecomposition,
@@ -82,6 +83,7 @@ __all__ = [
     "minimalize",
     "classify_minimal",
     "classify_pair",
+    "pullback",
     "PicardLattice",
     "K0Class",
     "PermutationBasis",

@@ -16,9 +16,11 @@ import json
 import random
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from . import __version__
-from .cohomology import _chi, line_bundle_cohomology
+from .cohomology import _ample_weights, _chi, _cohomology
 from .derived import build_collection, verify_collection
 from .grothendieck import (
     GrothendieckError,
@@ -32,7 +34,7 @@ from .grothendieck import (
     verify_permutation_basis,
 )
 from .lattice_fan import Fan, FanError, self_intersections, validate_fan
-from .minimal_model import MinimalModelError, classify_pair, minimalize
+from .minimal_model import MinimalModelError, classify_pair, minimalize, pullback
 from .motivic import UnverifiedBasis, decompose, decomposition_string
 from .symmetry import (
     SymmetryError,
@@ -196,8 +198,10 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     """Count random divisors D whose cohomology fails either check.
 
     Each sample is one draw of n coefficients, uniform on [-4, 4], and
-    costs two h0 evaluations, h0(D) and h0(K - D), in one
-    line_bundle_cohomology(D) call; the vector of K - D is built from them.
+    costs two h0 evaluations, h0(D) and h0(K - D), in one call of the
+    cohomology kernel `_cohomology`; the vector of K - D is built from them.
+    The draws are n integers from a fixed tuple, so no routine re-validates
+    them.
 
     Serre duality, h^i(D) = h^{2-i}(K - D): h2(D) is defined as h0(K - D),
     so the comparison reduces to chi(D) = chi(K - D) of the closed form plus
@@ -206,20 +210,22 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
 
     Riemann-Roch: h0 - h1 + h2 equals chi(D) from the Picard lattice
     (characters and the intersection form), taken in one pass from the ray
-    coefficients: a route independent of the wall relations and the closed
-    form the cohomology uses.  It catches an Euler characteristic that is
-    wrong however h1 was derived, such as an h1 off by one everywhere, which
-    duality cannot see.
+    coefficients by `PicardLattice._euler`: a route independent of the wall
+    relations and the closed form the cohomology uses.  It catches an Euler
+    characteristic that is wrong however h1 was derived, such as a closed
+    form off by one, which the cohomology and the duality comparison share,
+    so duality cannot see it.
     """
     draw = random.Random(seed).choices
-    divisor_chi = picard(fan).divisor_chi
-    a = self_intersections(fan)
+    table = _ample_weights(fan)
+    a, weights = table[0], table[1]
+    euler = picard(fan)._euler
     values, n = tuple(range(-4, 5)), fan.n  # a tuple indexes faster than a range
     violations = 0
     for _ in range(samples):
         coeffs = draw(values, k=n)
         try:
-            h0, h1, h2 = line_bundle_cohomology(fan, coeffs)
+            h0, h1, h2 = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
         except ArithmeticError:
             violations += 1
             continue
@@ -228,7 +234,7 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
         dual_h1 = h2 + h0 - _chi(a, [-1 - c for c in coeffs])
         if dual_h1 < 0 or h1 != dual_h1:
             violations += 1
-        elif h0 - h1 + h2 != divisor_chi(coeffs):
+        elif h0 - h1 + h2 != euler(coeffs[2:], coeffs[0], coeffs[1]):
             violations += 1
     return {"samples": samples, "violations": violations}
 
@@ -267,10 +273,10 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
     return {"found": True, "bound": bound, **payload}, error
 
 
-def _collection(trace, label, fan: Fan, group: SymmetryGroup,
+def _collection(pulled, label, fan: Fan, group: SymmetryGroup,
                 order: str) -> tuple[dict, str | None]:
     """The payload of the verified collection in `order` and its failure reason."""
-    coll = build_collection(trace, label)
+    coll = build_collection(pulled, label)
     if order == "reversed":
         coll = coll.reversed()
     cert = verify_collection(coll, fan, group)
@@ -328,8 +334,9 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
             "minimal_model": label_payload(label),
         }, [f"minimal model: {label.kind} with group {label.group_label} "
             f"(family {label.row.index})"]
+    pulled = pullback(trace)
     if command == "collection":
-        coll, error = _collection(trace, label, fan, group, args.order)
+        coll, error = _collection(pulled, label, fan, group, args.order)
         if error is None:
             return EXIT_OK, {"collection": coll}, [
                 "exceptional collection verified: blocks of sizes "
@@ -341,7 +348,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                          f"O({v['target']})) = {tuple(v['ext'])}")
         return EXIT_VERIFICATION_FAILED, {"collection": coll}, lines
 
-    basis = standard_permutation_basis(trace, label)
+    basis = standard_permutation_basis(pulled, label)
     if command == "basis":
         payload, error = _certified_basis(basis, fan, group)
         line = (f"basis FAILED verification: {error}" if error else
@@ -360,7 +367,8 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
 
 
 def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[str]]:
-    """Every stage once: one contraction, one label, one basis certificate."""
+    """Every stage once: one contraction, one label, one pullback (the basis
+    and the collection share it), one basis certificate."""
     result: dict = {
         "fan": fan_payload(fan),
         "group": group_payload(group),
@@ -381,7 +389,8 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         failures.append(f"k0: {error}")
 
     # decompose certifies the basis; the report shows that certificate.
-    basis = standard_permutation_basis(trace, label)
+    pulled = pullback(trace)
+    basis = standard_permutation_basis(pulled, label)
     try:
         dec = decompose(basis, label, group)
         result["basis"] = basis_payload(basis, dec.basis_certificate)
@@ -391,7 +400,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         result["basis"] = {"error": str(exc)}
         dec = None
 
-    result["collection"], error = _collection(trace, label, fan, group, "normal")
+    result["collection"], error = _collection(pulled, label, fan, group, "normal")
     if error:
         failures.append(error)
     else:
@@ -505,15 +514,46 @@ def main(argv=None) -> int:
 
 
 def _json_report(args, inputs: dict, status: str, **body) -> str:
-    """The deterministic `--json` report: the run's header and `body`."""
-    return json.dumps({
+    """The deterministic `--json` report: the run's header and `body`,
+    written by `_json_text` as `json.dumps(..., sort_keys=True, indent=2)`
+    would write it."""
+    return _json_text({
         "schema": SCHEMA,
         "version": __version__,
         "command": getattr(args, "command", None),
         "inputs": inputs,
         "status": status,
         **body,
-    }, sort_keys=True, indent=2)
+    }, "\n")
+
+
+def _json_text(obj, pad: str) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for dicts
+    with str keys, lists, tuples, str, int, bool and None; anything else
+    raises TypeError.  `pad` is a newline and the indentation of obj's level.
+
+    The stdlib's C encoder runs only without `indent`, so the stdlib writes
+    an indented report through its pure-Python generators.  This writer
+    makes one call per value, and none for an int inside a list.
+    """
+    cls = type(obj)
+    if cls is str:
+        return encode_basestring_ascii(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if cls is list or cls is tuple:
+        items = [int.__repr__(x) if type(x) is int else _json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if cls is dict:  # encode_basestring_ascii raises TypeError on a key not a str
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, tuple):  # a NamedTuple
+        return _json_text(list(obj), pad)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _emit_error(args, message: str, inputs: dict, status: str = "invalid-input") -> None:

@@ -16,9 +16,9 @@ from operator import index, mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
-from .grothendieck import NotInvariant, _class_det, _orbit_partition, _ray_sum, core_blocks, picard
+from .grothendieck import NotInvariant, _class_det, _orbit_partition, core_blocks, picard
 from .lattice_fan import Fan
-from .minimal_model import ContractionTrace, Divisor, MinimalLabel, pullback
+from .minimal_model import Divisor, MinimalLabel, Pullback
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -75,26 +75,22 @@ class CollectionCertificate(NamedTuple):
         )
 
 
-def build_collection(trace: ContractionTrace, label: MinimalLabel) -> ExceptionalCollection:
+def build_collection(pulled: Pullback, label: MinimalLabel) -> ExceptionalCollection:
     """Ordered exceptional blocks for a contraction trace.
 
-    `label` classifies the trace's terminal pair; a minimal pair is a trace
+    `pulled` is the trace's `pullback`, which the permutation basis reads
+    too, and `label` classifies its terminal pair; a minimal pair is a trace
     without steps.  Order: the structure sheaf, then one block O(E_i) per
     blow-up step (outermost contraction first, total transforms taken for
     inner steps), then the remaining core blocks of `core_blocks(label)`
     pulled back.
     """
-    core = core_blocks(label)
-    transforms, exceptional = pullback(
-        trace, [_ray_sum(label.fan.n, rays) for block in core for _, rays in block]
-    )
-    pulled = iter(transforms)
-    blocks = [[next(pulled) for _ in block] for block in core]
-    blocks = blocks[:1] + exceptional + blocks[1:]
+    blocks = [[pulled.total(rays) for _, rays in block] for block in core_blocks(label)]
+    blocks = blocks[:1] + list(pulled.exceptional) + blocks[1:]
     return ExceptionalCollection(
-        fan=trace.initial_fan,
+        fan=pulled.fan,
         blocks=tuple(tuple(b) for b in blocks),
-        provenance=f"{label} core + {len(trace.steps)} blow-up step(s)",
+        provenance=f"{label} core + {len(pulled.exceptional)} blow-up step(s)",
     )
 
 
@@ -108,7 +104,8 @@ def verify_collection(
     object to every object of an earlier block; unimodularity of the K-class
     matrix (the fullness certificate); blocks closed under the group.
 
-    Each object is validated and its degree D.H taken once.  The pair
+    Each object is validated, and its degree D.H and Picard coordinates
+    taken, once.  The pair
     Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
     vector comes from the cohomology routine of `line_bundle_cohomology`.
     Group closure is checked by partitioning each block into orbits.
@@ -123,7 +120,7 @@ def verify_collection(
             d = tuple(map(index, d))
             if len(d) != n:
                 raise ValueError(f"expected {n} coefficients")
-            row.append((d, sum(map(mul, table[1], d)), lat.divisor_coords(d)))
+            row.append((d, sum(map(mul, table[1], d)), lat._coords(d)))
         blocks.append(row)
     failed: set[str] = set()
     first: ExtViolation | None = None

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
 from .lattice_fan import Fan, self_intersections
-from .minimal_model import ContractionTrace, MinimalLabel, pullback
+from .minimal_model import MinimalLabel, Pullback
 from .symmetry import SymmetryGroup
 
 __all__ = [
@@ -110,7 +110,10 @@ class PicardLattice(NamedTuple):
         A linear map: D_e is the e-th basis vector for e >= 2, and the first
         two rays contribute c_0 and c_1 times their own coordinates.
         """
-        c = self._checked(coefficients)
+        return self._coords(self._checked(coefficients))
+
+    def _coords(self, c) -> tuple[int, ...]:
+        """`divisor_coords` of n integer coefficients, not checked."""
         c0, c1 = c[0], c[1]
         r0, r1 = self.ray_coords[0], self.ray_coords[1]
         return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
@@ -473,14 +476,6 @@ def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]],
     )
 
 
-def _ray_sum(n: int, rays) -> tuple[int, ...]:
-    """The divisor sum(D_i for i in rays) on a fan with n rays."""
-    out = [0] * n
-    for i in rays:
-        out[i] += 1
-    return tuple(out)
-
-
 def _class_orbit(
     lat: PicardLattice, perms, divisor: tuple[int, ...]
 ) -> set[tuple[int, ...]]:
@@ -525,27 +520,22 @@ def _class_det(lat: PicardLattice, coords) -> int:
     return bareiss_det([[1, *x, lat.chi(x)] for x in coords])
 
 
-def standard_permutation_basis(
-    trace: ContractionTrace, label: MinimalLabel
-) -> PermutationBasis:
+def standard_permutation_basis(pulled: Pullback, label: MinimalLabel) -> PermutationBasis:
     """The distinguished permutation basis of a contraction trace.
 
-    `label` classifies the trace's terminal pair; a minimal pair is a trace
-    without steps.  The core basis O(-D) of the terminal surface is pulled
-    back (total transforms), followed by the classes O(E) of each step's
-    exceptional orbit, the last step first.
+    `pulled` is the trace's `pullback` and `label` classifies its terminal
+    pair; a minimal pair is a trace without steps.  The core basis O(-D) of
+    the terminal surface is pulled back (total transforms), followed by the
+    classes O(E) of each step's exceptional orbit, the last step first.
     """
     core = [slot for block in core_blocks(label) for slot in block]
-    transforms, exceptional = pullback(
-        trace, [_ray_sum(label.fan.n, rays) for _, rays in core]
-    )
     # The pullback is linear, so O(-D) pulls back to minus the transform of D.
-    divisors = [tuple(-c for c in d) for d in transforms]
+    divisors = [tuple(-c for c in pulled.total(rays)) for _, rays in core]
     tags: list[tuple[str, object]] = [("core", role) for role, _ in core]
-    for step_index, block in reversed(list(enumerate(exceptional))):
+    for step_index, block in reversed(list(enumerate(pulled.exceptional))):
         divisors += block
         tags += [("exc", step_index)] * len(block)
-    return PermutationBasis(trace.initial_fan, tuple(divisors), tuple(tags))
+    return PermutationBasis(pulled.fan, tuple(divisors), tuple(tags))
 
 
 def verify_permutation_basis(

@@ -10,6 +10,7 @@ group class.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .lattice_fan import (
@@ -35,6 +36,7 @@ __all__ = [
     "classify_minimal",
     "classify_pair",
     "pullback",
+    "Pullback",
     "TABLE",
     "TableRow",
 ]
@@ -295,24 +297,40 @@ def classify_pair(fan: Fan, group: SymmetryGroup) -> tuple[ContractionTrace, Min
     return trace, classify_minimal(trace.terminal_fan, trace.terminal_group)
 
 
-def pullback(
-    trace: ContractionTrace, divisors
-) -> tuple[list[Divisor], list[list[Divisor]]]:
-    """Total transforms on the initial fan of divisors on the terminal fan,
-    and `exceptional[k]`: the classes O(E) of the rays contracted in step k,
-    pulled back to the initial fan.
+class Pullback(NamedTuple):
+    """Total transforms on the initial fan of a contraction trace: `rays[i]`
+    of the terminal ray divisor D_i, and `exceptional[k]` of the classes
+    O(E) of the rays contracted in step k."""
+
+    fan: Fan
+    rays: tuple[Divisor, ...]
+    exceptional: tuple[tuple[Divisor, ...], ...]
+
+    def total(self, rays) -> Divisor:
+        """The total transform of sum(D_i for i in rays): the pullback is
+        linear."""
+        out = (0,) * self.fan.n
+        for i in rays:
+            out = tuple(map(add, out, self.rays[i]))
+        return out
+
+
+def pullback(trace: ContractionTrace) -> Pullback:
+    """The terminal ray divisors and each step's exceptional classes, pulled
+    back along `trace` to its initial fan.
 
     An inserted ray takes the sum of its two neighbours' coefficients: the
     support function is linear on the subdivided cone.
     """
-    transforms = [tuple(d) for d in divisors]
+    m = trace.terminal_fan.n
+    transforms = [tuple(int(e == i) for e in range(m)) for i in range(m)]
     exceptional: list[list[Divisor]] = []
     for step in reversed(trace.steps):
         transforms = [_total_transform(step, d) for d in transforms]
         exceptional = [[_total_transform(step, d) for d in block] for block in exceptional]
         rays = step.before.rays
         exceptional.insert(0, [tuple(int(v == ray) for v in rays) for ray in step.contracted])
-    return transforms, exceptional
+    return Pullback(trace.initial_fan, tuple(transforms), tuple(map(tuple, exceptional)))
 
 
 def _total_transform(step: ContractionStep, d: Divisor) -> Divisor:

@@ -790,3 +790,17 @@ def chamber_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
         for d in range(3):
             totals[d] += h[d] * int(count)
     return tuple(totals)
+
+
+def stepwise_pullback(trace, divisor) -> tuple[int, ...]:
+    """Total transform on the initial fan of one divisor on the terminal fan,
+    one contraction step at a time and without linearity: a ray that a step
+    contracted gets the sum of its two neighbours' coefficients."""
+    d = tuple(divisor)
+    for step in reversed(trace.steps):
+        coeff = dict(zip(step.after.rays, d))
+        rays = step.before.rays
+        n = len(rays)
+        d = tuple(coeff[v] if v in coeff else coeff[rays[i - 1]] + coeff[rays[(i + 1) % n]]
+                  for i, v in enumerate(rays))
+    return d

@@ -37,6 +37,7 @@ from toric_surface_lab.minimal_model import (
     classify_minimal,
     classify_pair,
     minimalize,
+    pullback,
 )
 from toric_surface_lab.motivic import decompose, decomposition_string
 from toric_surface_lab.symmetry import (
@@ -161,7 +162,8 @@ def test_criterion_5_bases(corpus):
     ok = True
     for fan, signature in expected.values():
         g = compute_aut(fan)
-        basis = standard_permutation_basis(*classify_pair(fan, g))
+        trace, label = classify_pair(fan, g)
+        basis = standard_permutation_basis(pullback(trace), label)
         cert = verify_permutation_basis(basis, fan, g)
         if cert.orbit_sizes != signature:
             ok = False
@@ -170,7 +172,7 @@ def test_criterion_5_bases(corpus):
     transported = 0
     for entry in corpus:
         trace, label = classify_pair(entry.fan, entry.group)
-        basis = standard_permutation_basis(trace, label)
+        basis = standard_permutation_basis(pullback(trace), label)
         cert = verify_permutation_basis(basis, entry.fan, entry.group)
         if not (cert.ok and len(basis.divisors) == entry.fan.n):
             ok = False
@@ -211,20 +213,21 @@ def test_criterion_8_collections(corpus):
     ok = True
     for fan in (p2_fan(), hirzebruch_fan(2), square_fan(), dp6_fan()):
         g = compute_aut(fan)
-        coll = build_collection(*classify_pair(fan, g))
+        trace, label = classify_pair(fan, g)
+        coll = build_collection(pullback(trace), label)
         if not verify_collection(coll, fan, g).ok:
             ok = False
     verified = 0
     for entry in corpus:
-        coll = build_collection(*classify_pair(entry.fan, entry.group))
+        trace, label = classify_pair(entry.fan, entry.group)
+        coll = build_collection(pullback(trace), label)
         if not verify_collection(coll, entry.fan, entry.group).ok:
             ok = False
         verified += 1
     p2 = p2_fan()
     g = compute_aut(p2)
-    reversed_cert = verify_collection(
-        build_collection(*classify_pair(p2, g)).reversed(), p2, g
-    )
+    trace, label = classify_pair(p2, g)
+    reversed_cert = verify_collection(build_collection(pullback(trace), label).reversed(), p2, g)
     v = reversed_cert.first_violation
     ok = ok and not reversed_cert.ok and v is not None and v.ext == (3, 0, 0)
     _finish(8, ok, f"4 cores + {verified} corpus collections verified; reversed "
@@ -246,7 +249,7 @@ def test_criterion_9_decomposition_shapes():
     for fan, glabel, expected in cases:
         group = compute_aut(fan) if glabel is None else subgroup_with_label(fan, glabel)
         trace, label = classify_pair(fan, group)
-        basis = standard_permutation_basis(trace, label)
+        basis = standard_permutation_basis(pullback(trace), label)
         got = decomposition_string(decompose(basis, label, group))
         seen.append(got)
         if got != expected:

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from operator import mul
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import toric_surface_lab
 from toric_surface_lab import cli, grothendieck, motivic
 from toric_surface_lab.cli import main
-from toric_surface_lab.cohomology import CohomologyVector, line_bundle_cohomology
+from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, _cohomology
+
+from test_golden import GOLDEN, golden_runs
 
 
 @pytest.fixture
@@ -284,25 +288,35 @@ def test_parser_built_once():
 
 class TestSpotCheck:
     def test_wrong_h1_is_caught(self, monkeypatch, dp6):
-        """An h1 that is off by one everywhere still satisfies Serre duality
-        (h1 is self-dual), so only the Riemann-Roch comparison can see it."""
+        """An h1 that is off by one everywhere is still self-dual (forward
+        and back agree), but it is not h0 + h2 - chi(K - D), so the duality
+        comparison sees it before Riemann-Roch is reached."""
 
-        def wrong(fan, coeffs):
-            h = line_bundle_cohomology(fan, coeffs)
+        def wrong(table, coeffs, degree):
+            h = _cohomology(table, coeffs, degree)
             return CohomologyVector(h.h0, h.h1 + 1, h.h2)
 
-        monkeypatch.setattr(cli, "line_bundle_cohomology", wrong)
+        monkeypatch.setattr(cli, "_cohomology", wrong)
+        table = _ample_weights(dp6)
         d = (1, -2, 0, 3, 0, -1)
         dual = tuple(-1 - c for c in d)
-        forward, back = wrong(dp6, d), wrong(dp6, dual)
+        forward, back = (wrong(table, c, sum(map(mul, table[1], c))) for c in (d, dual))
         assert forward.as_tuple() == (back.h2, back.h1, back.h0)
         assert cli._spot_check_cohomology(dp6, seed=0, samples=20) == {
             "samples": 20, "violations": 20}
 
+    def test_wrong_picard_chi_is_caught(self, monkeypatch, dp6):
+        """A Picard-route chi off by one everywhere leaves the cohomology and
+        its duality alone, so only the Riemann-Roch comparison can see it."""
+        real = grothendieck.PicardLattice._euler
+        monkeypatch.setattr(grothendieck.PicardLattice, "_euler",
+                            lambda lat, tail, c0, c1: real(lat, tail, c0, c1) + 1)
+        assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
+
     def test_report_fails_on_wrong_h1(self, capsys, monkeypatch, dp6_file):
         monkeypatch.setattr(
-            cli, "line_bundle_cohomology",
-            lambda fan, c: CohomologyVector(0, 1, 0),
+            cli, "_cohomology",
+            lambda table, c, degree: CohomologyVector(0, 1, 0),
         )
         code, report = run_json(capsys, ["report", "--fan", dp6_file])
         assert code == 1
@@ -321,11 +335,11 @@ class TestSpotCheck:
         samples every value occurs."""
         drawn = []
 
-        def record(fan, coeffs):
+        def record(table, coeffs, degree):
             drawn.append(tuple(coeffs))
-            return line_bundle_cohomology(fan, coeffs)
+            return _cohomology(table, coeffs, degree)
 
-        monkeypatch.setattr(cli, "line_bundle_cohomology", record)
+        monkeypatch.setattr(cli, "_cohomology", record)
         assert cli._spot_check_cohomology(dp6, seed=5)["violations"] == 0
         assert len(drawn) == 50
         assert {len(d) for d in drawn} == {dp6.n}
@@ -443,14 +457,15 @@ class TestFailedCertificates:
 class TestStageCounts:
     """One in-process report on the 12-ray D12 fan computes each stage once.
 
-    `cohomology._cohomology` is the one cohomology routine: each spot-check
-    sample reaches it through `line_bundle_cohomology`, and the collection
-    calls it once for H*(O_X) and once per Ext pair of distinct objects.
-    The basis's divisors are partitioned into orbits once, by its
-    certificate."""
+    `cohomology._cohomology` is the one cohomology routine: the spot check
+    calls it once per sample, and the collection once for H*(O_X) and once
+    per Ext pair of distinct objects.  The basis's divisors are partitioned
+    into orbits once, by its certificate.  The basis and the collection
+    read one pullback along the trace."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
-               "cohomology._cohomology", "grothendieck._orbit_partition")
+               "cohomology._cohomology", "grothendieck._orbit_partition",
+               "minimal_model.pullback")
 
     def test_report_runs_each_stage_once(self, capsys, monkeypatch):
         calls = {key: [] for key in self.COUNTED}
@@ -487,10 +502,66 @@ class TestStageCounts:
         assert counts == {
             "minimal_model.classify_minimal": 1,
             "grothendieck.verify_permutation_basis": 1,
+            "minimal_model.pullback": 1,
             "cohomology._cohomology": (
                 result["cohomology_spot_check"]["samples"]
                 + result["collection"]["pairs_checked"] - (objects - 1)),
         }
+
+
+class _Pair(NamedTuple):
+    x: int
+    label: str
+
+
+class TestJsonWriter:
+    """`cli._json_text` writes what `json.dumps(obj, sort_keys=True,
+    indent=2)` writes, byte for byte, and refuses what JSON reports never
+    hold."""
+
+    @staticmethod
+    def check(obj):
+        assert cli._json_text(obj, "\n") == json.dumps(obj, sort_keys=True, indent=2)
+
+    def test_every_golden_payload(self, monkeypatch):
+        docs = []
+        real = cli._json_text
+
+        def record(obj, pad):
+            if pad == "\n":  # a whole report, not a value inside one
+                docs.append(obj)
+            return real(obj, pad)
+
+        monkeypatch.setattr(cli, "_json_text", record)
+        monkeypatch.chdir(GOLDEN)
+        for argv in golden_runs():
+            with redirect_stdout(io.StringIO()) as buf:
+                main(argv)
+            assert buf.getvalue() == real(docs[-1], "\n") + "\n"
+        monkeypatch.undo()
+        assert len(docs) == len(golden_runs())
+        for doc in docs:
+            self.check(doc)
+
+    @pytest.mark.parametrize("obj", [
+        "plain", "", "caf\u00e9 \u221e \U0001f600 \u2028", "\x00\x01\x1f\x7f\n\t\r\b\f",
+        'a "quote" and a \\ backslash', {}, [], (), {"a": {}}, {"a": []},
+        [[], {}, [[]], [{}]], {"e": {"f": {}}}, [True, False, None],
+        {"t": True, "f": False, "n": None}, True, False, None, 0, -1, -(2**40),
+        2**40, 10**30, -(10**30), (1, (2, (3,))), _Pair(-7, "x\u00ff"),
+        [_Pair(2**40, '"'), {"pair": _Pair(0, "")}],
+        {"b": 1, "a": [2, {"\u00e9": 3}], "A": 4, "": 5, "\x00": 6, "aa": -(10**30)},
+    ])
+    def test_adversarial_payloads(self, obj):
+        self.check(obj)
+
+    @pytest.mark.parametrize("obj", [
+        1.5, {1, 2}, object(), {1: "a"}, [1, 0.0], {"k": {2: 3}}, {"s": {"x"}},
+    ], ids=["float", "set", "object", "int-key", "float-in-list", "nested-int-key",
+            "nested-set"])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj, "\n")
 
 
 class TestInternalError:

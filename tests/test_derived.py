@@ -11,7 +11,7 @@ from toric_surface_lab.derived import (
 )
 from toric_surface_lab.grothendieck import line_bundle_class
 from toric_surface_lab.lattice_fan import blow_up, p2_fan
-from toric_surface_lab.minimal_model import classify_pair
+from toric_surface_lab.minimal_model import classify_pair, pullback
 from toric_surface_lab.symmetry import compute_aut, enumerate_subgroups, trivial_group
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 
@@ -19,7 +19,8 @@ from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, 
 
 
 def collection_for(fan, group):
-    return build_collection(*classify_pair(fan, group))
+    trace, label = classify_pair(fan, group)
+    return build_collection(pullback(trace), label)
 
 
 class TestCores:
@@ -99,7 +100,7 @@ class TestBlocksAreOrbits:
             for sub in enumerate_subgroups(compute_aut(fan)):
                 for f, g in ((fan, sub), random_basis(rng, fan, sub)):
                     trace, label = classify_pair(f, g)
-                    blocks = [list(b) for b in build_collection(trace, label).blocks]
+                    blocks = [list(b) for b in build_collection(pullback(trace), label).blocks]
                     singletons = [[d] for block in blocks for d in block]
                     assert merge_blocks_by_orbits(f, g, singletons) == blocks, (f, label)
                     pairs += 1

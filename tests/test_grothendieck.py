@@ -35,7 +35,7 @@ from toric_surface_lab.lattice_fan import (
     p2_fan,
     validate_fan,
 )
-from toric_surface_lab.minimal_model import classify_pair, minimalize
+from toric_surface_lab.minimal_model import classify_pair, minimalize, pullback
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 
 from oracles import (
@@ -499,23 +499,27 @@ class TestStandardBasis:
     def test_fa_four_singletons(self):
         fan = hirzebruch_fan(3)
         g = compute_aut(fan)
-        basis = standard_permutation_basis(*classify_pair(fan, g))
+        trace, label = classify_pair(fan, g)
+        basis = standard_permutation_basis(pullback(trace), label)
         cert = verify_permutation_basis(basis, fan, g)
         assert cert.orbit_sizes == (1, 1, 1, 1)
         assert cert.ok
 
     def test_p2_three_singletons(self, p2, p2_aut):
-        basis = standard_permutation_basis(*classify_pair(p2, p2_aut))
+        trace, label = classify_pair(p2, p2_aut)
+        basis = standard_permutation_basis(pullback(trace), label)
         assert verify_permutation_basis(basis, p2, p2_aut).orbit_sizes == (1, 1, 1)
         divisors = set(basis.divisors)
         assert (0, 0, 0) in divisors
 
     def test_square_signature(self, square, square_aut):
-        basis = standard_permutation_basis(*classify_pair(square, square_aut))
+        trace, label = classify_pair(square, square_aut)
+        basis = standard_permutation_basis(pullback(trace), label)
         assert verify_permutation_basis(basis, square, square_aut).orbit_sizes == (1, 2, 1)
 
     def test_dp6_signature(self, dp6, dp6_aut):
-        basis = standard_permutation_basis(*classify_pair(dp6, dp6_aut))
+        trace, label = classify_pair(dp6, dp6_aut)
+        basis = standard_permutation_basis(pullback(trace), label)
         cert = verify_permutation_basis(basis, dp6, dp6_aut)
         assert cert.orbit_sizes == (1, 3, 2)
         assert basis_payload(basis, cert)["stabilizer_indices"] == [1, 3, 2]
@@ -524,7 +528,7 @@ class TestStandardBasis:
         from toric_surface_lab.minimal_model import classify_minimal
 
         label = classify_minimal(dp6, dp6_aut)
-        basis = standard_permutation_basis(minimalize(dp6, dp6_aut), label)
+        basis = standard_permutation_basis(pullback(minimalize(dp6, dp6_aut)), label)
         cert = verify_permutation_basis(basis, dp6, dp6_aut)
         assert cert.orbit_sizes == (1, 3, 2)
         assert cert.ok
@@ -533,7 +537,7 @@ class TestStandardBasis:
         multi_step = 0
         for entry in small_corpus:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label)
+            basis = standard_permutation_basis(pullback(trace), label)
             assert len(basis.divisors) == entry.fan.n
             cert = verify_permutation_basis(basis, entry.fan, entry.group)
             assert cert.ok
@@ -596,7 +600,8 @@ class TestVerifyBasis:
         for entry in standard_corpus(max_rays=16):
             for fan, group in ((entry.fan, entry.group),
                                random_basis(rng, entry.fan, entry.group)):
-                basis = standard_permutation_basis(*classify_pair(fan, group))
+                trace, label = classify_pair(fan, group)
+                basis = standard_permutation_basis(pullback(trace), label)
                 cert = verify_permutation_basis(basis, fan, group)
                 assert cert.orbits == bfs_orbit_partition(fan, group, basis.divisors)
                 pairs += 1
@@ -677,7 +682,7 @@ class TestAction:
         f1 = blow_up(p2_fan(), [0])
         g = SymmetryGroup.from_generators([((0, 1), (1, 0))], f1)
         trace, label = classify_pair(f1, g)
-        basis = standard_permutation_basis(trace, label)
+        basis = standard_permutation_basis(pullback(trace), label)
         tags = dict(zip(basis.divisors, basis.tags))
         exceptional = [d for d, t in tags.items() if t[0] == "exc"]
         assert exceptional == [(0, 1, 0, 0)]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toric_surface_lab.lattice_fan import (
@@ -14,6 +16,7 @@ from toric_surface_lab.minimal_model import (
     NotMinimal,
     _descend,
     classify_minimal,
+    classify_pair,
     contractible_orbits,
     is_g_minimal,
     minimalize,
@@ -27,7 +30,9 @@ from toric_surface_lab.symmetry import (
     trivial_group,
 )
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
-from toric_surface_lab.grothendieck import picard
+from toric_surface_lab.grothendieck import core_blocks, picard
+
+from oracles import stepwise_pullback
 
 
 @pytest.fixture
@@ -237,6 +242,27 @@ def test_classification_table_agrees_across_modules():
 
 
 class TestPullback:
+    def test_sums_of_pulled_rays_match_stepwise_pullback(self):
+        """`Pullback.total` sums the pulled-back terminal ray divisors; on
+        every 16-ray corpus pair it equals the step-by-step pullback of the
+        summed divisor, for every core slot of the pair's table row and for
+        seeded random multisets of rays."""
+        rng = random.Random(47)
+        checked = 0
+        for entry in standard_corpus(max_rays=16):
+            trace, label = classify_pair(entry.fan, entry.group)
+            pulled = pullback(trace)
+            assert pulled.fan == trace.initial_fan
+            assert len(pulled.exceptional) == len(trace.steps)
+            m = trace.terminal_fan.n
+            multisets = [rays for block in core_blocks(label) for _, rays in block]
+            multisets += [[rng.randrange(m) for _ in range(rng.randrange(5))] for _ in range(4)]
+            for rays in multisets:
+                divisor = [rays.count(i) for i in range(m)]
+                assert pulled.total(rays) == stepwise_pullback(trace, divisor), (entry, rays)
+                checked += 1
+        assert checked > 1000
+
     def test_projection_formula_on_corpus(self):
         """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
         divisors D, D' of the minimal model and every exceptional class E, on
@@ -251,7 +277,7 @@ class TestPullback:
             down, up = picard(trace.terminal_fan), picard(trace.initial_fan)
             n = trace.terminal_fan.n
             rays = [tuple(int(e == i) for e in range(n)) for i in range(n)]
-            transforms, exceptional = pullback(trace, rays)
+            _, transforms, exceptional = pullback(trace)
             # E_k keeps coefficient 1 on its own ray, which survives to step k.
             for step, block in zip(trace.steps, exceptional):
                 own = [trace.initial_fan.rays.index(v) for v in step.contracted]

@@ -5,7 +5,7 @@ from toric_surface_lab.grothendieck import (
     standard_permutation_basis,
 )
 from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan, p2_fan
-from toric_surface_lab.minimal_model import classify_minimal, classify_pair
+from toric_surface_lab.minimal_model import classify_minimal, classify_pair, pullback
 from toric_surface_lab.motivic import (
     UnverifiedBasis,
     decompose,
@@ -17,7 +17,7 @@ from toric_surface_lab.corpus import subgroup_with_label
 
 def pipeline(fan, group):
     trace, label = classify_pair(fan, group)
-    basis = standard_permutation_basis(trace, label)
+    basis = standard_permutation_basis(pullback(trace), label)
     return decompose(basis, label, group)
 
 
@@ -52,7 +52,7 @@ class TestFactorData:
     def test_counts_and_degrees(self, small_corpus):
         for entry in small_corpus[:30]:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label)
+            basis = standard_permutation_basis(pullback(trace), label)
             dec = decompose(basis, label, entry.group)
             orbits = dec.basis_certificate.orbits
             assert len(dec.factors) == len(orbits)
@@ -63,7 +63,7 @@ class TestFactorData:
     def test_unit_orbit_is_split(self, small_corpus):
         for entry in small_corpus[:30]:
             trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(trace, label)
+            basis = standard_permutation_basis(pullback(trace), label)
             dec = decompose(basis, label, entry.group)
             unit_index = next(
                 i for i, d in enumerate(basis.divisors) if all(c == 0 for c in d)
@@ -79,7 +79,7 @@ class TestFactorData:
 
         group = SymmetryGroup(elements=c6.elements, generators=c6.generators).attach(blown)
         trace, label = classify_pair(blown, group)
-        basis = standard_permutation_basis(trace, label)
+        basis = standard_permutation_basis(pullback(trace), label)
         dec = decompose(basis, label, group)
         core = pipeline(dp6, c6)
         exceptional = [f for f in dec.factors if f.slot_roles[0].isdigit()]
@@ -132,7 +132,7 @@ class TestErrors:
     def test_unverified_basis_rejected(self, f2):
         g = trivial_group(f2)
         trace, label = classify_pair(f2, g)
-        good = standard_permutation_basis(trace, label)
+        good = standard_permutation_basis(pullback(trace), label)
         tampered = PermutationBasis(
             fan=good.fan,
             divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
