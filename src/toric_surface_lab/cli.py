@@ -11,7 +11,6 @@ traceback goes to stderr, and `--json` still prints a report, with status
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -482,13 +481,17 @@ def main(argv=None) -> int:
     inputs = {}
     raw = {}
     try:
-        # Each file is read once; its digest and its analysis use those bytes.
+        # Each file is read once, and its analysis uses those bytes.  Only
+        # the --json report reads `inputs`, so only it pays for the digests
+        # and for hashlib's import (milliseconds).
         for key in ("fan", "group"):
             path = getattr(args, key, None)
             if path is not None:
                 raw[key] = _read(path)
-                inputs[key] = {"path": path,
-                               "sha256": hashlib.sha256(raw[key]).hexdigest()}
+                if args.json:
+                    import hashlib
+
+                    inputs[key] = {"path": path, "sha256": hashlib.sha256(raw[key]).hexdigest()}
         code, result, lines = run_command(args, raw)
     except InputError as exc:
         _emit_error(args, str(exc), inputs)

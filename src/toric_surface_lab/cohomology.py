@@ -6,8 +6,9 @@ l_e = D.D_e = a_e c_e + c_{e-1} + c_{e+1}.  While some l_e < 0 the divisor
 D_e lies in the base locus (a_e < 0; lowering c_e keeps h0) or is a nef curve
 D meets negatively (a_e >= 0; D is not effective).  Once every l_e >= 0, D is
 nef, its higher cohomology vanishes and h0 = chi(D) (Fulton, Introduction to
-Toric Varieties, ch. 3).  Each lowering strictly decreases D.H for a fixed
-ample H, and an effective D has D.H >= 0, so the loop ends.
+Toric Varieties, ch. 3).  Each lowering strictly decreases D.H for the ample
+H of a closing relation sum H.D_e v_e = 0 (see `_ample_weights`), and an
+effective D has D.H >= 0, so the loop ends.
 
 h2 comes from duality as h0 of K - D, and h1 from the Euler characteristic.
 One D.H serves both sides: K - D has coefficients -1 - c_e, so
@@ -23,7 +24,8 @@ from functools import lru_cache
 from operator import index, mul
 from typing import NamedTuple
 
-from .lattice_fan import Fan, FanError, self_intersections
+from .intlinalg import det2
+from .lattice_fan import Fan, self_intersections
 
 __all__ = ["CohomologyVector", "line_bundle_cohomology", "ext_line_bundles", "h0"]
 
@@ -46,37 +48,25 @@ def _ample_weights(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The per-fan table (a, weights, k_degree): the self-intersections a_e,
     the degrees H.D_e of an ample divisor H, and K.H = -sum H.D_e.
 
-    H is built from the self-intersections.  Blow down (-1)-curves on the
-    sequence (delete a -1, raise both neighbours by one) until P2 or F(a)
-    with a != 1 remains.  There H is a line, or the positive section plus a
-    fibre.  Each blow-up on the way back replaces H by 2 pi^*H - E, which
-    stays ample: the new ray gets 2(c_left + c_right) - 1 and every old
-    coefficient doubles.
+    H comes from a closing relation.  Positive integers l_e with
+    sum l_e v_e = 0 are the edge lengths of a lattice polygon whose normal
+    fan is this fan, and l_e = H.D_e for its ample divisor H (Fulton,
+    Introduction to Toric Varieties, section 3.4).  Every ray gets l_e = 1;
+    then t = -sum v_e, in the smooth cone (u, w) that holds it, is
+    det(t, w) u + det(u, t) w with both coordinates >= 0, and they are added
+    to l_u and l_w.
     """
-    a = self_intersections(fan)
-    seq = list(a)
-    removed = []
-    while len(seq) > 4 or (len(seq) == 4 and -1 in seq):
-        p = seq.index(-1)
-        seq[p - 1] += 1
-        seq[(p + 1) % len(seq)] += 1
-        del seq[p]
-        removed.append(p)
-    if len(seq) == 3:
-        h = [1, 0, 0]
-    else:
-        p = seq.index(max(seq))
-        h = [0] * 4
-        h[p] = h[(p + 1) % 4] = 1
-    for p in reversed(removed):
-        left, right = h[p - 1], h[p % len(h)]
-        h = [2 * x for x in h]
-        h.insert(p, 2 * (left + right) - 1)
+    rays = fan.rays
     n = fan.n
-    weights = tuple(a[i] * h[i] + h[i - 1] + h[(i + 1) % n] for i in range(n))
-    if min(weights) <= 0:
-        raise FanError(f"divisor {h} is not ample on {fan}: degrees {weights}")
-    return a, weights, -sum(weights)
+    t = (-sum(v[0] for v in rays), -sum(v[1] for v in rays))
+    weights = [1] * n
+    for i in range(n):
+        u, w = rays[i], rays[(i + 1) % n]
+        if det2(u, t) >= 0 and det2(t, w) >= 0:
+            weights[i] += det2(t, w)
+            weights[(i + 1) % n] += det2(u, t)
+            break
+    return self_intersections(fan), tuple(weights), -sum(weights)
 
 
 def _chi(a, c) -> int:

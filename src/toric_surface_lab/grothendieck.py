@@ -110,21 +110,16 @@ class PicardLattice(NamedTuple):
         A linear map: D_e is the e-th basis vector for e >= 2, and the first
         two rays contribute c_0 and c_1 times their own coordinates.
         """
-        return self._coords(self._checked(coefficients))
+        c = tuple(map(operator.index, coefficients))
+        if len(c) != self.fan.n:
+            raise IncompatibleFan(f"expected {self.fan.n} coefficients, got {len(c)}")
+        return self._coords(c)
 
     def _coords(self, c) -> tuple[int, ...]:
         """`divisor_coords` of n integer coefficients, not checked."""
         c0, c1 = c[0], c[1]
         r0, r1 = self.ray_coords[0], self.ray_coords[1]
         return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
-
-    def _checked(self, coefficients) -> tuple[int, ...]:
-        c = tuple(map(operator.index, coefficients))
-        if len(c) != self.fan.n:
-            raise IncompatibleFan(
-                f"expected {self.fan.n} coefficients, got {len(c)}"
-            )
-        return c
 
     def pair(self, d1, d2) -> int:
         """Intersection number d1.d2, in O(rank), from the band."""
@@ -138,11 +133,6 @@ class PicardLattice(NamedTuple):
     def chi(self, coords) -> int:
         """Euler characteristic of a line bundle with the given class."""
         return self._euler(coords, 0, 0)
-
-    def divisor_chi(self, coefficients) -> int:
-        """chi(divisor_coords(coefficients)), in one pass from the coefficients."""
-        c = self._checked(coefficients)
-        return self._euler(c[2:], c[0], c[1])
 
     def _euler(self, tail, c0: int, c1: int) -> int:
         """1 + x.(x - K)/2 for the class x = tail + c0 r0 + c1 r1, with r0, r1
@@ -482,9 +472,11 @@ def _class_orbit(
     """Picard coordinates of the orbit of the class of `divisor`.
 
     `perms` holds the ray permutation of every group element, so the images
-    of one representative already are the whole orbit.
+    of one representative already are the whole orbit.  `divisor` is n
+    integers whose coordinates the caller has taken, so its images, which
+    permute them, are not checked again.
     """
-    return {lat.divisor_coords(act_on_divisor(perm, divisor)) for perm in perms}
+    return {lat._coords(act_on_divisor(perm, divisor)) for perm in perms}
 
 
 def _orbit_partition(
@@ -580,7 +572,7 @@ def _candidate_orbits(
     lat = picard(fan)
     rep: dict[tuple[int, ...], tuple[int, ...]] = {}
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=fan.n):
-        coords = lat.divisor_coords(coeffs)
+        coords = lat._coords(coeffs)
         old = rep.get(coords)
         key = (max(map(abs, coeffs), default=0), coeffs)
         if old is None or key < (max(map(abs, old), default=0), old):

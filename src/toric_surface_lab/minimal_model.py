@@ -13,6 +13,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
+from .intlinalg import det2
 from .lattice_fan import (
     Fan,
     blow_down,
@@ -317,28 +318,28 @@ class Pullback(NamedTuple):
 
 def pullback(trace: ContractionTrace) -> Pullback:
     """The terminal ray divisors and each step's exceptional classes, pulled
-    back along `trace` to its initial fan.
-
-    An inserted ray takes the sum of its two neighbours' coefficients: the
-    support function is linear on the subdivided cone.
+    back along `trace` to its initial fan, each in one walk from the fan it
+    lives on: the terminal fan, or the fan before the step.
     """
-    m = trace.terminal_fan.n
-    transforms = [tuple(int(e == i) for e in range(m)) for i in range(m)]
-    exceptional: list[list[Divisor]] = []
-    for step in reversed(trace.steps):
-        transforms = [_total_transform(step, d) for d in transforms]
-        exceptional = [[_total_transform(step, d) for d in block] for block in exceptional]
-        rays = step.before.rays
-        exceptional.insert(0, [tuple(int(v == ray) for v in rays) for ray in step.contracted])
-    return Pullback(trace.initial_fan, tuple(transforms), tuple(map(tuple, exceptional)))
+    def units(coarse: Fan, rays) -> tuple[Divisor, ...]:
+        return tuple(_total_transform(coarse, trace.initial_fan,
+                                      [int(v == ray) for v in coarse.rays]) for ray in rays)
+
+    end = trace.terminal_fan
+    return Pullback(trace.initial_fan, units(end, end.rays),
+                    tuple(units(step.before, step.contracted) for step in trace.steps))
 
 
-def _total_transform(step: ContractionStep, d: Divisor) -> Divisor:
-    """A divisor on step.after as one on step.before."""
-    coeff = dict(zip(step.after.rays, d))
-    rays = step.before.rays
-    n = len(rays)
-    return tuple(
-        coeff[v] if v in coeff else coeff[rays[i - 1]] + coeff[rays[(i + 1) % n]]
-        for i, v in enumerate(rays)
-    )
+def _total_transform(coarse: Fan, fine: Fan, d) -> Divisor:
+    """A divisor on `coarse` as one on `fine`, whose rays include those of
+    `coarse` in the same order.  The support function of d is linear on each
+    cone (u, w) of `coarse`: a ray v in it is det(v, w) u + det(u, v) w, so it
+    gets det(v, w) c_u + det(u, v) c_w.
+    """
+    rays, out, j = coarse.rays, [], 0
+    for v in fine.rays:
+        u, w = rays[j - 1], rays[j % len(rays)]  # the cone that holds v
+        out.append(det2(v, w) * d[j - 1] + det2(u, v) * d[j % len(rays)])
+        if v == w:
+            j += 1
+    return tuple(out)

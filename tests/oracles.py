@@ -748,6 +748,42 @@ def two_pass_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
     return (dim0, dim0 + dim2 - chi, dim2)
 
 
+def doubling_ample_weights(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The (a, weights, k_degree) table of `cohomology._ample_weights` with H
+    built from the self-intersections instead of a closing relation.
+
+    Blow down (-1)-curves on the sequence (delete a -1, raise both
+    neighbours by one) until P2 or F(a) with a != 1 remains.  There H is a
+    line, or the positive section plus a fibre.  Each blow-up on the way back
+    replaces H by 2 pi^*H - E, which stays ample: the new ray gets
+    2(c_left + c_right) - 1 and every old coefficient doubles, so the
+    weights have about n bits.
+    """
+    a = self_intersections(fan)
+    seq = list(a)
+    removed = []
+    while len(seq) > 4 or (len(seq) == 4 and -1 in seq):
+        p = seq.index(-1)
+        seq[p - 1] += 1
+        seq[(p + 1) % len(seq)] += 1
+        del seq[p]
+        removed.append(p)
+    if len(seq) == 3:
+        h = [1, 0, 0]
+    else:
+        p = seq.index(max(seq))
+        h = [0] * 4
+        h[p] = h[(p + 1) % 4] = 1
+    for p in reversed(removed):
+        left, right = h[p - 1], h[p % len(h)]
+        h = [2 * x for x in h]
+        h.insert(p, 2 * (left + right) - 1)
+    n = fan.n
+    weights = tuple(a[i] * h[i] + h[i - 1] + h[(i + 1) % n] for i in range(n))
+    assert min(weights) > 0, (h, weights)
+    return a, weights, -sum(weights)
+
+
 def chamber_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
     """Brute-force cohomology: sum per-character chamber contributions.
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from operator import mul
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from toric_surface_lab.cohomology import (
     CohomologyVector,
     _ample_weights,
+    _reduce,
     ext_line_bundles,
     h0,
     line_bundle_cohomology,
@@ -20,9 +22,17 @@ from toric_surface_lab.lattice_fan import (
     dp6_fan,
     hirzebruch_fan,
     p2_fan,
+    self_intersections,
 )
 
-from oracles import box_h0, chamber_cohomology, two_pass_cohomology, unimodular_matrices
+from oracles import (
+    box_h0,
+    chamber_cohomology,
+    ci_fan,
+    doubling_ample_weights,
+    two_pass_cohomology,
+    unimodular_matrices,
+)
 
 
 class TestExamples:
@@ -244,3 +254,53 @@ class TestOnePass:
         # two degrees sum to K.H = -sum H.D_e < 0, so both >= 0 cannot occur.
         assert signs == {(True, True), (True, False), (False, True)}
         assert boxed > 100
+
+
+class TestAmpleClass:
+    """The H of a closing relation against the doubling construction it
+    replaced, on every corpus fan and on the 64- and 128-ray recipe fans."""
+
+    @staticmethod
+    def _fans():
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values()
+        return [*fans, ci_fan(64), ci_fan(128)]
+
+    def test_closing_relation(self):
+        """sum l_e v_e = 0 with every l_e >= 1, and l_e = H.D_e for the
+        divisor H of the polygon with those edge lengths, by the Picard
+        lattice's own intersection form."""
+        for fan in [*self._fans(), ci_fan(256)]:
+            a, weights, k_degree = _ample_weights(fan)
+            assert a == self_intersections(fan)
+            assert min(weights) >= 1 and k_degree == -sum(weights)
+            vertex, coeffs = (0, 0), []
+            for (x, y), length in zip(fan.rays, weights):
+                coeffs.append(-(vertex[0] * x + vertex[1] * y))
+                vertex = (vertex[0] + length * y, vertex[1] - length * x)
+            assert vertex == (0, 0), fan  # the polygon closes: sum l_e v_e = 0
+            lat = picard(fan)
+            h = lat.divisor_coords(coeffs)
+            units = [[int(e == i) for e in range(fan.n)] for i in range(fan.n)]
+            assert [lat.pair(h, lat.divisor_coords(u)) for u in units] == list(weights)
+
+    def test_small_at_256_rays(self):
+        """The doubling construction's weights have about n bits; these
+        stay small."""
+        assert max(_ample_weights(ci_fan(256))[1]) < 2**20
+
+    def test_h0_matches_doubling_ample_class(self):
+        """h0 does not depend on H: `h0` against `_reduce` under the
+        doubling table, for D and K - D."""
+        rng = random.Random(83)
+        values = set()
+        for fan in self._fans():
+            a, weights, _ = doubling_ample_weights(fan)
+            for _ in range(12 if fan.n <= 16 else 40):
+                d = [rng.randint(-2, 4) for _ in range(fan.n)]
+                for c in (d, [-1 - x for x in d]):
+                    degree = sum(map(mul, weights, c))
+                    old = _reduce(a, weights, list(c), degree) if degree >= 0 else 0
+                    h = h0(fan, c)
+                    assert h == old, (fan, c)
+                    values.add(min(h, 2))
+        assert values == {0, 1, 2}

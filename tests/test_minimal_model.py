@@ -32,7 +32,7 @@ from toric_surface_lab.symmetry import (
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 from toric_surface_lab.grothendieck import core_blocks, picard
 
-from oracles import stepwise_pullback
+from oracles import ci_fan, stepwise_pullback
 
 
 @pytest.fixture
@@ -262,6 +262,35 @@ class TestPullback:
                 assert pulled.total(rays) == stepwise_pullback(trace, divisor), (entry, rays)
                 checked += 1
         assert checked > 1000
+
+    @staticmethod
+    def _check_each_class(trace) -> int:
+        """Each pulled-back terminal ray divisor and each exceptional class
+        against `stepwise_pullback`; the classes O(E) of step k live on the
+        fan before it, so they go along the sub-trace that ends there."""
+        pulled = pullback(trace)
+        m = trace.terminal_fan.n
+        for i in range(m):
+            assert pulled.rays[i] == stepwise_pullback(trace, [int(e == i) for e in range(m)])
+        for k, (step, block) in enumerate(zip(trace.steps, pulled.exceptional)):
+            sub = trace._replace(steps=trace.steps[:k], terminal_fan=step.before)
+            units = [[int(v == ray) for v in step.before.rays] for ray in step.contracted]
+            assert list(block) == [stepwise_pullback(sub, u) for u in units], k
+        return m + sum(map(len, pulled.exceptional))
+
+    def test_each_class_matches_stepwise_pullback_on_corpus(self):
+        checked = 0
+        for entry in standard_corpus(max_rays=16):
+            checked += self._check_each_class(minimalize(entry.fan, entry.group))
+        assert checked > 1000
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_each_class_matches_stepwise_pullback_on_recipe_fans(self, n):
+        """The CI recipe fans contract one ray per step down to P2."""
+        fan = ci_fan(n)
+        trace = minimalize(fan, trivial_group(fan))
+        assert len(trace.steps) == n - 3
+        assert self._check_each_class(trace) == n
 
     def test_projection_formula_on_corpus(self):
         """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
