@@ -12,36 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from . import __version__
-from .cohomology import _ample_weights, _chi, _cohomology
-from .derived import build_collection, verify_collection
-from .grothendieck import (
-    GrothendieckError,
-    NotABasis,
-    NotInvariant,
-    RelationFailure,
-    picard,
-    search_line_bundle_basis,
-    standard_permutation_basis,
-    verify_klyachko,
-    verify_permutation_basis,
-)
-from .lattice_fan import Fan, FanError, self_intersections, validate_fan
-from .minimal_model import MinimalModelError, classify_pair, minimalize, pullback
-from .motivic import UnverifiedBasis, decompose, decomposition_string
-from .symmetry import (
-    SymmetryError,
-    SymmetryGroup,
-    classify_subgroup,
-    compute_aut,
-    trivial_group,
-)
+from .lattice_fan import Fan, FanError, LabError, self_intersections, validate_fan
 
 SCHEMA = "toric-surface-lab/1"
 
@@ -91,6 +68,8 @@ def load_fan(path: str, raw: bytes) -> Fan:
 
 def load_group(path: str | None, raw: bytes | None, fan: Fan | None) -> SymmetryGroup:
     """The group in `raw`, the bytes read from `path`; trivial without a path."""
+    from .symmetry import SymmetryError, SymmetryGroup, trivial_group
+
     if path is None:
         return trivial_group(fan) if fan is not None else trivial_group()
     data = _parse_json(path, raw)
@@ -111,6 +90,8 @@ def fan_payload(fan: Fan) -> dict:
 
 
 def group_payload(group: SymmetryGroup) -> dict:
+    from .symmetry import classify_subgroup
+
     return {
         "order": group.order,
         "label": classify_subgroup(group),
@@ -173,6 +154,8 @@ def collection_payload(coll, cert) -> dict:
 
 
 def decomposition_payload(dec) -> dict:
+    from .motivic import decomposition_string
+
     payload = {
         "factors": [
             {
@@ -215,14 +198,22 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     form off by one, which the cohomology and the duality comparison share,
     so duality cannot see it.
     """
-    draw = random.Random(seed).choices
+    import random
+
+    from .cohomology import _ample_weights, _chi, _cohomology
+    from .grothendieck import picard
+
     table = _ample_weights(fan)
     a, weights = table[0], table[1]
     euler = picard(fan)._euler
-    values, n = tuple(range(-4, 5)), fan.n  # a tuple indexes faster than a range
+    n = fan.n
+    # `choices` takes one random() per item, so one call for all samples
+    # draws what one call of n per sample drew.  A tuple indexes faster than
+    # a range.
+    draws = random.Random(seed).choices(tuple(range(-4, 5)), k=samples * n)
     violations = 0
-    for _ in range(samples):
-        coeffs = draw(values, k=n)
+    for start in range(0, samples * n, n):
+        coeffs = draws[start:start + n]
         try:
             h0, h1, h2 = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
         except ArithmeticError:
@@ -241,6 +232,8 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
 def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str | None]:
     """The payload of a library-built basis and None, or, when its
     certificate fails, an error payload and the reason (exit 1, not 2)."""
+    from .grothendieck import NotABasis, NotInvariant, verify_permutation_basis
+
     try:
         cert = verify_permutation_basis(basis, fan, group)
     except (NotABasis, NotInvariant) as exc:
@@ -251,6 +244,8 @@ def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str |
 def _k0(fan: Fan) -> tuple[dict, str | None]:
     """The K0 certificate's payload and None, or an error payload with the
     first violation and the reason."""
+    from .grothendieck import RelationFailure, verify_klyachko
+
     try:
         cert = verify_klyachko(fan)
     except RelationFailure as exc:
@@ -265,6 +260,8 @@ def _k0(fan: Fan) -> tuple[dict, str | None]:
 
 def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, str | None]:
     """The payload of the basis search within `bound` and its failure reason."""
+    from .grothendieck import search_line_bundle_basis
+
     basis = search_line_bundle_basis(fan, group, bound)
     if basis is None:
         return {"found": False, "bound": bound}, None
@@ -275,6 +272,8 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
 def _collection(pulled, label, fan: Fan, group: SymmetryGroup,
                 order: str) -> tuple[dict, str | None]:
     """The payload of the verified collection in `order` and its failure reason."""
+    from .derived import build_collection, verify_collection
+
     coll = build_collection(pulled, label)
     if order == "reversed":
         coll = coll.reversed()
@@ -287,7 +286,9 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
 
     `raw` holds the bytes of the input files, keyed "fan" and "group".
     Commands return in pipeline order: first those that need no contraction
-    trace, then those of one trace and label, then those of its basis.
+    trace, then those of one trace and label, then those of its basis.  Each
+    stage imports its modules where it starts, so a command loads only the
+    stages it runs.
     """
     command = args.command
     fan = load_fan(args.fan, raw["fan"]) if "fan" in raw else None
@@ -296,6 +297,15 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         return full_report(fan, group, args)
     if command == "validate":
         return EXIT_OK, {"fan": fan_payload(fan)}, [f"valid fan with {fan.n} rays"]
+    if command == "k0-verify":
+        k0, error = _k0(fan)
+        line = (f"K0 presentation FAILED verification: {error}" if error else
+                f"K0 free of rank {k0['rank']}, span index {k0['span_index']}, "
+                f"{k0['orbit_closure_pairs']} product relations hold")
+        return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"k0": k0}, [line]
+
+    from .symmetry import classify_subgroup, compute_aut
+
     if command == "aut":
         aut = group_payload(compute_aut(fan))
         return EXIT_OK, {"automorphisms": aut}, [
@@ -304,17 +314,6 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         label = classify_subgroup(group)
         return EXIT_OK, {"group": {"order": group.order, "label": label}}, [
             f"group of order {group.order}: class {label}"]
-    if command == "minimalize":
-        trace = minimalize(fan, group)
-        return EXIT_OK, {"trace": trace_payload(trace)}, [
-            f"{len(trace.steps)} contraction step(s), terminal fan has "
-            f"{trace.terminal_fan.n} rays"]
-    if command == "k0-verify":
-        k0, error = _k0(fan)
-        line = (f"K0 presentation FAILED verification: {error}" if error else
-                f"K0 free of rank {k0['rank']}, span index {k0['span_index']}, "
-                f"{k0['orbit_closure_pairs']} product relations hold")
-        return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"k0": k0}, [line]
     if command == "basis" and args.bound is not None:
         basis, error = _searched_basis(fan, group, args.bound)
         if error:
@@ -325,6 +324,13 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
             line = f"search found a basis with orbit sizes {tuple(basis['orbit_sizes'])}"
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": basis}, [line]
 
+    from .minimal_model import classify_pair, minimalize, pullback
+
+    if command == "minimalize":
+        trace = minimalize(fan, group)
+        return EXIT_OK, {"trace": trace_payload(trace)}, [
+            f"{len(trace.steps)} contraction step(s), terminal fan has "
+            f"{trace.terminal_fan.n} rays"]
     trace, label = classify_pair(fan, group)
     if command == "classify":
         return EXIT_OK, {
@@ -347,6 +353,8 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                          f"O({v['target']})) = {tuple(v['ext'])}")
         return EXIT_VERIFICATION_FAILED, {"collection": coll}, lines
 
+    from .grothendieck import standard_permutation_basis
+
     basis = standard_permutation_basis(pulled, label)
     if command == "basis":
         payload, error = _certified_basis(basis, fan, group)
@@ -355,19 +363,27 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
                 f"determinant {payload['determinant']}")
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": payload}, [line]
     if command == "decompose":
+        from .motivic import UnverifiedBasis, decompose
+
         try:
             dec = decompose(basis, label, group)
         except UnverifiedBasis as exc:
             return EXIT_VERIFICATION_FAILED, {"decomposition": {"error": str(exc)}}, [
                 f"decomposition FAILED verification: {exc}"]
-        return EXIT_OK, {"decomposition": decomposition_payload(dec)}, [
-            f"motivic decomposition: {decomposition_string(dec)}"]
+        payload = decomposition_payload(dec)
+        return EXIT_OK, {"decomposition": payload}, [
+            f"motivic decomposition: {payload['product']}"]
     raise InputError(f"unknown command {command}")  # pragma: no cover
 
 
 def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[str]]:
     """Every stage once: one contraction, one label, one pullback (the basis
     and the collection share it), one basis certificate."""
+    from .grothendieck import standard_permutation_basis
+    from .minimal_model import classify_pair, pullback
+    from .motivic import UnverifiedBasis, decompose
+    from .symmetry import compute_aut
+
     result: dict = {
         "fan": fan_payload(fan),
         "group": group_payload(group),
@@ -408,7 +424,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
 
     if dec is not None:
         result["decomposition"] = decomposition_payload(dec)
-        lines.append(f"decomposition: {decomposition_string(dec)}")
+        lines.append(f"decomposition: {result['decomposition']['product']}")
 
     result["cohomology_spot_check"] = _spot_check_cohomology(fan, args.seed)
     if result["cohomology_spot_check"]["violations"]:
@@ -496,7 +512,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit_error(args, str(exc), inputs)
         return EXIT_INVALID_INPUT
-    except (FanError, SymmetryError, MinimalModelError, GrothendieckError) as exc:
+    except LabError as exc:
         _emit_error(args, f"{type(exc).__name__}: {exc}", inputs)
         return EXIT_INVALID_INPUT
     except Exception as exc:  # a bug; must not pass for a failed certificate

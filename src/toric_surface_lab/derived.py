@@ -18,8 +18,6 @@ from typing import NamedTuple
 from .cohomology import _ample_weights, _cohomology
 from .grothendieck import NotInvariant, _class_det, _orbit_partition, core_blocks, picard
 from .lattice_fan import Fan
-from .minimal_model import Divisor, MinimalLabel, Pullback
-from .symmetry import SymmetryGroup
 
 __all__ = [
     "ExceptionalCollection",

@@ -26,9 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
-from .lattice_fan import Fan, self_intersections
-from .minimal_model import MinimalLabel, Pullback
-from .symmetry import SymmetryGroup
+from .lattice_fan import Fan, LabError, self_intersections
 
 __all__ = [
     "PicardLattice",
@@ -55,7 +53,7 @@ __all__ = [
 ]
 
 
-class GrothendieckError(ValueError):
+class GrothendieckError(LabError):
     pass
 
 
@@ -319,8 +317,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         for pair in fan.cones()
     ]
 
-    rows = [list(cls.model_vector()) for _, cls in cones]
-    pivots = hermite_pivots(rows)
+    # Equal rows span the same lattice: the n two-cone classes share one.
+    pivots = hermite_pivots(list(dict.fromkeys(cls.model_vector() for _, cls in cones)))
     rank = len(pivots)
     index = 1
     for p in pivots:

@@ -25,6 +25,7 @@ from .intlinalg import (
 
 __all__ = [
     "Fan",
+    "LabError",
     "FanError",
     "NonPrimitiveRay",
     "NotCounterclockwise",
@@ -48,7 +49,11 @@ __all__ = [
 ]
 
 
-class FanError(ValueError):
+class LabError(ValueError):
+    """Base class of the library's input errors: the CLI exits 2 on one."""
+
+
+class FanError(LabError):
     """Base class for fan construction/surgery failures."""
 
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .intlinalg import det2
 from .lattice_fan import (
     Fan,
+    LabError,
     blow_down,
     dp6_fan,
     fans_isomorphic,
@@ -46,7 +47,7 @@ __all__ = [
 Divisor = tuple[int, ...]
 
 
-class MinimalModelError(ValueError):
+class MinimalModelError(LabError):
     pass
 
 

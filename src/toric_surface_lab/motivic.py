@@ -17,8 +17,6 @@ from .grothendieck import (
     PermutationBasis,
     verify_permutation_basis,
 )
-from .minimal_model import MinimalLabel, TableRow
-from .symmetry import SymmetryGroup
 
 __all__ = [
     "AlgebraFactor",

@@ -31,7 +31,7 @@ from .intlinalg import (
     mat_det,
     mat_mul,
 )
-from .lattice_fan import Fan, lattice_maps
+from .lattice_fan import Fan, LabError, lattice_maps
 
 __all__ = [
     "SymmetryGroup",
@@ -77,7 +77,7 @@ TABLE_GENERATORS: dict[str, tuple[Mat2, ...]] = {
 CONJUGACY_LABELS = tuple(TABLE_GENERATORS)
 
 
-class SymmetryError(ValueError):
+class SymmetryError(LabError):
     """Base class for symmetry-group failures."""
 
 

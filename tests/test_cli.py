@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toric_surface_lab
-from toric_surface_lab import cli, grothendieck, motivic
+from toric_surface_lab import (
+    cli, cohomology, grothendieck, lattice_fan, minimal_model, motivic, symmetry,
+)
 from toric_surface_lab.cli import main
 from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, _cohomology
 
@@ -296,7 +298,7 @@ class TestSpotCheck:
             h = _cohomology(table, coeffs, degree)
             return CohomologyVector(h.h0, h.h1 + 1, h.h2)
 
-        monkeypatch.setattr(cli, "_cohomology", wrong)
+        monkeypatch.setattr(cohomology, "_cohomology", wrong)
         table = _ample_weights(dp6)
         d = (1, -2, 0, 3, 0, -1)
         dual = tuple(-1 - c for c in d)
@@ -315,7 +317,7 @@ class TestSpotCheck:
 
     def test_report_fails_on_wrong_h1(self, capsys, monkeypatch, dp6_file):
         monkeypatch.setattr(
-            cli, "_cohomology",
+            cohomology, "_cohomology",
             lambda table, c, degree: CohomologyVector(0, 1, 0),
         )
         code, report = run_json(capsys, ["report", "--fan", dp6_file])
@@ -325,9 +327,13 @@ class TestSpotCheck:
 
     def test_wrong_dual_chi_is_caught(self, monkeypatch, dp6):
         """A closed-form chi(K - D) off by one breaks the duality comparison
-        on every sample."""
-        real = cli._chi
-        monkeypatch.setattr(cli, "_chi", lambda a, c: real(a, c) + 1)
+        on every sample.  The fault is planted only in the spot check's own
+        call: `_cohomology` reads the same `cohomology._chi`, and a wrong chi
+        there moves h1 with it, which duality cannot see."""
+        real = cohomology._chi
+        spot = cli._spot_check_cohomology.__code__
+        monkeypatch.setattr(cohomology, "_chi",
+                            lambda a, c: real(a, c) + (sys._getframe(1).f_code is spot))
         assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
 
     def test_draws_cover_the_box(self, monkeypatch, dp6):
@@ -339,7 +345,7 @@ class TestSpotCheck:
             drawn.append(tuple(coeffs))
             return _cohomology(table, coeffs, degree)
 
-        monkeypatch.setattr(cli, "_cohomology", record)
+        monkeypatch.setattr(cohomology, "_cohomology", record)
         assert cli._spot_check_cohomology(dp6, seed=5)["violations"] == 0
         assert len(drawn) == 50
         assert {len(d) for d in drawn} == {dp6.n}
@@ -397,7 +403,7 @@ class TestFailedCertificates:
         def failing(basis, fan, group):
             raise error("planted failure")
 
-        monkeypatch.setattr(cli, "verify_permutation_basis", failing)
+        monkeypatch.setattr(grothendieck, "verify_permutation_basis", failing)
         argv = ["basis", "--fan", dp6_file, "--group", d12_file]
         code, report = run_json(capsys, argv + (["--bound", bound] if bound else []))
         assert code == 1
@@ -569,7 +575,7 @@ class TestInternalError:
         def boom(fan):
             raise KeyError("unexpected")
 
-        monkeypatch.setattr(cli, "compute_aut", boom)
+        monkeypatch.setattr(symmetry, "compute_aut", boom)
         code = main(["aut", "--fan", p2_file, "--json"])
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -580,11 +586,31 @@ class TestInternalError:
         assert "Traceback" in captured.err
 
     def test_bug_without_json(self, capsys, monkeypatch, p2_file):
-        monkeypatch.setattr(cli, "compute_aut", lambda fan: 1 / 0)
+        monkeypatch.setattr(symmetry, "compute_aut", lambda fan: 1 / 0)
         assert main(["aut", "--fan", p2_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: ZeroDivisionError" in captured.err
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError, 3),
+        (lattice_fan.FanError, 2),
+        (symmetry.SymmetryError, 2),
+        (minimal_model.MinimalModelError, 2),
+        (grothendieck.GrothendieckError, 2),
+    ], ids=["ValueError", "FanError", "SymmetryError", "MinimalModelError", "GrothendieckError"])
+    def test_only_lab_errors_are_invalid_input(self, capsys, monkeypatch, p2_file, error, code):
+        """A stage's LabError means invalid input (exit 2); a plain ValueError
+        from a stage is a bug and exits 3."""
+        def boom(fan):
+            raise error("unexpected")
+
+        monkeypatch.setattr(grothendieck, "verify_klyachko", boom)
+        assert main(["k0-verify", "--fan", p2_file, "--json"]) == code
+        report = json.loads(capsys.readouterr().out)
+        status, prefix = {2: ("invalid-input", ""), 3: ("internal-error", "internal error: ")}[code]
+        assert report["status"] == status
+        assert report["error"] == f"{prefix}{error.__name__}: unexpected"
 
     def test_argparse_exit_2_is_kept(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -645,15 +671,54 @@ def test_fuzz_exit_codes(command, fan, group):
     assert report["status"] in ("ok", "verification-failed", "invalid-input")
 
 
+# The package modules a fresh CLI process loads besides cli, lattice_fan and
+# intlinalg: those of the stages each command runs ("" is the bare import).
+STAGE_MODULES = {
+    "": set(),
+    "validate": set(),
+    "aut": {"symmetry"},
+    "classify-group": {"symmetry"},
+    "k0-verify": {"grothendieck"},
+    "minimalize": {"symmetry", "minimal_model"},
+    "basis": {"symmetry", "minimal_model", "grothendieck"},
+    "collection": {"symmetry", "minimal_model", "grothendieck", "cohomology", "derived"},
+    "decompose": {"symmetry", "minimal_model", "grothendieck", "motivic"},
+    "report": {"symmetry", "minimal_model", "grothendieck", "cohomology", "derived",
+               "motivic"},
+}
+PROBE = """
+import contextlib, io, json, sys
+from toric_surface_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted({"numpy", "dataclasses"} & set(sys.modules)),
+                  sorted(m for m in sys.modules if m.startswith("toric_surface_lab."))]))
+"""
+
+
 def test_cli_import_does_not_load_numpy():
+    """A fresh CLI process loads no numpy, and each command loads exactly the
+    package modules of its stages; the package resolves its names lazily."""
     src = str(Path(toric_surface_lab.__file__).resolve().parent.parent)
     extra = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + extra if extra else ""))
-    code = (
-        "import sys, toric_surface_lab.cli; "
-        "print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    for command, stages in STAGE_MODULES.items():
+        argv = [command] if command else []
+        if command and command != "classify-group":
+            argv += ["--fan", "dp6-12.json"]
+        if command in ("classify-group", "minimalize", "basis", "collection", "decompose",
+                       "report"):
+            argv += ["--group", "d12.json"]
+        out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=GOLDEN,
+                             capture_output=True, text=True, check=True)
+        code, heavy, loaded = json.loads(out.stdout)
+        assert (code, heavy) == (0, []), command
+        expected = {"cli", "lattice_fan", "intlinalg"} | stages
+        assert set(loaded) == {f"toric_surface_lab.{m}" for m in expected}, command
+
+    namespace: dict = {}
+    exec("from toric_surface_lab import *", namespace)
+    assert all(namespace[name] is getattr(toric_surface_lab, name)
+               for name in toric_surface_lab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toric_surface_lab.no_such_name
