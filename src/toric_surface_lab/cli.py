@@ -2,10 +2,11 @@
 
 Reads fan and group JSON files, runs the analysis pipelines and emits either
 human-readable summaries or deterministic JSON reports (schema
-"toric-surface-lab/1").  Exit codes: 0 success/verified, 1 a verification
-certificate failed, 2 invalid input, 3 an internal error (a bug: the
-traceback goes to stderr, and `--json` still prints a report, with status
-"internal-error").
+"toric-surface-lab/1").  Exit codes: 0 success/verified; 1 a verifier
+returned a certificate whose `ok` is False (verifiers do not raise); 2 invalid
+input (an unreadable file or a `LabError`); 3 an internal error, that is any
+other exception (a bug: the traceback goes to stderr, and `--json` still
+prints a report, with status "internal-error").
 """
 
 from __future__ import annotations
@@ -229,27 +230,26 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     return {"samples": samples, "violations": violations}
 
 
-def _certified_basis(basis, fan: Fan, group: SymmetryGroup) -> tuple[dict, str | None]:
-    """The payload of a library-built basis and None, or, when its
-    certificate fails, an error payload and the reason (exit 1, not 2)."""
-    from .grothendieck import NotABasis, NotInvariant, verify_permutation_basis
+def _certified_basis(basis, fan: Fan,
+                     group: SymmetryGroup) -> tuple[BasisCertificate, dict, str | None]:
+    """The certificate of a library-built basis, its payload and None, or,
+    when the certificate fails, an error payload and the reason (exit 1)."""
+    from .grothendieck import verify_permutation_basis
 
-    try:
-        cert = verify_permutation_basis(basis, fan, group)
-    except (NotABasis, NotInvariant) as exc:
-        return {"error": str(exc)}, str(exc)
-    return basis_payload(basis, cert), None
+    cert = verify_permutation_basis(basis, fan, group)
+    if not cert.ok:
+        return cert, {"error": cert.error}, cert.error
+    return cert, basis_payload(basis, cert), None
 
 
 def _k0(fan: Fan) -> tuple[dict, str | None]:
     """The K0 certificate's payload and None, or an error payload with the
     first violation and the reason."""
-    from .grothendieck import RelationFailure, verify_klyachko
+    from .grothendieck import verify_klyachko
 
-    try:
-        cert = verify_klyachko(fan)
-    except RelationFailure as exc:
-        return {"error": str(exc), "first_violation": exc.first_violation}, str(exc)
+    cert = verify_klyachko(fan)
+    if not cert.ok:
+        return {"error": cert.error, "first_violation": cert.first_violation}, cert.error
     return {
         "rank": cert.rank,
         "span_index": cert.span_index,
@@ -265,7 +265,7 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
     basis = search_line_bundle_basis(fan, group, bound)
     if basis is None:
         return {"found": False, "bound": bound}, None
-    payload, error = _certified_basis(basis, fan, group)
+    _, payload, error = _certified_basis(basis, fan, group)
     return {"found": True, "bound": bound, **payload}, error
 
 
@@ -356,21 +356,19 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
     from .grothendieck import standard_permutation_basis
 
     basis = standard_permutation_basis(pulled, label)
+    cert, payload, error = _certified_basis(basis, fan, group)
     if command == "basis":
-        payload, error = _certified_basis(basis, fan, group)
         line = (f"basis FAILED verification: {error}" if error else
                 f"permutation basis with orbit sizes {tuple(payload['orbit_sizes'])}, "
                 f"determinant {payload['determinant']}")
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": payload}, [line]
     if command == "decompose":
-        from .motivic import UnverifiedBasis, decompose
+        from .motivic import decompose
 
-        try:
-            dec = decompose(basis, label, group)
-        except UnverifiedBasis as exc:
-            return EXIT_VERIFICATION_FAILED, {"decomposition": {"error": str(exc)}}, [
-                f"decomposition FAILED verification: {exc}"]
-        payload = decomposition_payload(dec)
+        if error:
+            return EXIT_VERIFICATION_FAILED, {"decomposition": payload}, [
+                f"decomposition FAILED verification: {error}"]
+        payload = decomposition_payload(decompose(basis, cert, label))
         return EXIT_OK, {"decomposition": payload}, [
             f"motivic decomposition: {payload['product']}"]
     raise InputError(f"unknown command {command}")  # pragma: no cover
@@ -381,7 +379,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     and the collection share it), one basis certificate."""
     from .grothendieck import standard_permutation_basis
     from .minimal_model import classify_pair, pullback
-    from .motivic import UnverifiedBasis, decompose
+    from .motivic import decompose
     from .symmetry import compute_aut
 
     result: dict = {
@@ -403,17 +401,14 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     if error:
         failures.append(f"k0: {error}")
 
-    # decompose certifies the basis; the report shows that certificate.
+    # The decomposition reads the basis certificate the report shows.
     pulled = pullback(trace)
     basis = standard_permutation_basis(pulled, label)
-    try:
-        dec = decompose(basis, label, group)
-        result["basis"] = basis_payload(basis, dec.basis_certificate)
-        lines.append(f"basis orbit sizes: {dec.basis_certificate.orbit_sizes}")
-    except UnverifiedBasis as exc:
-        failures.append(f"basis: {exc}")
-        result["basis"] = {"error": str(exc)}
-        dec = None
+    cert, result["basis"], error = _certified_basis(basis, fan, group)
+    if error:
+        failures.append(f"basis: {error}")
+    else:
+        lines.append(f"basis orbit sizes: {cert.orbit_sizes}")
 
     result["collection"], error = _collection(pulled, label, fan, group, "normal")
     if error:
@@ -422,8 +417,8 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
         lines.append("collection verified: block sizes "
                      f"{[len(b) for b in result['collection']['blocks']]}")
 
-    if dec is not None:
-        result["decomposition"] = decomposition_payload(dec)
+    if cert.ok:
+        result["decomposition"] = decomposition_payload(decompose(basis, cert, label))
         lines.append(f"decomposition: {result['decomposition']['product']}")
 
     result["cohomology_spot_check"] = _spot_check_cohomology(fan, args.seed)

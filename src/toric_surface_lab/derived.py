@@ -7,7 +7,9 @@ exceptional orbit, placed right after the structure sheaf (the right mutation
 of the pair (O_E(-1), O) is (O, O(E))).  Every block is one group orbit, so
 the collection descends: `minimalize` contracts one orbit per step, and the
 group acts on the pulled-back core through the terminal group, whose orbits
-are the blocks of `core_blocks`.  `verify_collection` checks it independently.
+are the blocks of `core_blocks`.  `verify_collection` checks it independently
+and returns its verdict: a failed check is a certificate whose `ok` is False,
+with the first violated pair, not an exception.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import index, mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
-from .grothendieck import NotInvariant, _class_det, _orbit_partition, core_blocks, picard
+from .grothendieck import _class_det, _orbit_partition, core_blocks, picard
 from .lattice_fan import Fan
 
 __all__ = [
@@ -146,12 +148,9 @@ def verify_collection(
     det = _class_det(lat, coords) if len(coords) == n else 0
 
     perms = group.on(fan).ray_permutations.values()
-    closed = bool(coords)
-    try:
-        for row in blocks:
-            _orbit_partition(lat, perms, [d for d, _, _ in row], [x for _, _, x in row])
-    except NotInvariant:
-        closed = False
+    closed = bool(coords) and all(
+        _orbit_partition(lat, perms, [d for d, _, _ in row], [x for _, _, x in row])[1] is None
+        for row in blocks)
 
     return CollectionCertificate(
         self_ext_ok="self" not in failed,

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
-from .lattice_fan import Fan, LabError, self_intersections
+from .lattice_fan import Fan, InternalError, LabError, self_intersections
 
 __all__ = [
     "PicardLattice",
@@ -36,9 +36,6 @@ __all__ = [
     "BasisCertificate",
     "GrothendieckError",
     "IncompatibleFan",
-    "RelationFailure",
-    "NotABasis",
-    "NotInvariant",
     "picard",
     "line_bundle_class",
     "k0_multiply",
@@ -58,28 +55,6 @@ class GrothendieckError(LabError):
 
 
 class IncompatibleFan(GrothendieckError):
-    pass
-
-
-class RelationFailure(GrothendieckError):
-    """The presentation of K0 fails in the model; indicates a bug.
-
-    `first_violation` is the witness: {"kind": "product", "cones", "got",
-    "expected"} with the two cones' rays and the model vectors of their
-    product and of the class it should equal, {"kind": "span", "rank",
-    "index"}, or {"kind": "character", "m"}.
-    """
-
-    def __init__(self, message: str, first_violation: dict | None = None):
-        super().__init__(message)
-        self.first_violation = first_violation
-
-
-class NotABasis(GrothendieckError):
-    pass
-
-
-class NotInvariant(GrothendieckError):
     pass
 
 
@@ -143,7 +118,7 @@ class PicardLattice(NamedTuple):
             total += x * (a * w + w0) + x0 * w
             x0, w0 = x, w
         if total % 2:
-            raise GrothendieckError("adjunction parity violated")
+            raise InternalError("adjunction parity violated")
         return 1 + total // 2
 
 
@@ -168,7 +143,7 @@ def picard(fan: Fan) -> PicardLattice:
     for a in band:
         det, prev = a * det - prev, det
     if det not in (1, -1):
-        raise GrothendieckError(f"intersection form has determinant {det}")
+        raise InternalError(f"intersection form has determinant {det}")
 
     def first_ray_coords(c0: int, c1: int) -> tuple[int, ...]:
         # Clear c0 D_0 + c1 D_1 with the character m, <m, v_0> = -c0 and
@@ -276,15 +251,26 @@ def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
 
 
 class KlyachkoCertificate(NamedTuple):
+    """The K0 certificate.  A failure means the presentation of K0 fails in
+    the model, which indicates a bug: `error` says what failed, and
+    `first_violation` is the witness: {"kind": "product", "cones", "got",
+    "expected"} with the two cones' rays and the model vectors of their
+    product and of the class it should equal, {"kind": "span", "rank",
+    "index"}, or {"kind": "character", "m"}.  The counts are those made
+    before the failure.
+    """
+
     fan: Fan
     rank: int
     span_index: int
     orbit_closure_pairs: int
     character_relations: int
+    error: str | None = None
+    first_violation: dict | None = None
 
     @property
     def ok(self) -> bool:
-        return self.span_index == 1 and self.rank == self.fan.n
+        return self.error is None
 
 
 def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
@@ -299,8 +285,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     form, B.c1 in O(n); the intersection number c1.c1' of a product is then
     the sum of (B.c1)_k c1'_k over the nonzero entries of c1', which is one
     entry for the rays D_2..D_(n-1).  Only D_0 and D_1 have dense c1, and
-    the unit and the 2-cone classes have c1 = 0.  A failure raises
-    RelationFailure with its first witness.
+    the unit and the 2-cone classes have c1 = 0.  A failure returns the
+    certificate at its first witness.
     """
     n = fan.n
     lat = picard(fan)
@@ -324,7 +310,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     for p in pivots:
         index *= abs(p)
     if rank != n or index != 1:
-        raise RelationFailure(
+        return KlyachkoCertificate(
+            fan, rank, index, 0, 0,
             f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
             {"kind": "span", "rank": rank, "index": index},
         )
@@ -364,7 +351,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             rays1, rays2 = list(cones[i][0]), list(cones[j][0])
             got = [r1 * r2, *(r1 * b + r2 * a for a, b in zip(c1, c2)), chi]
             expected = list((zero if k is None else cones[k][1]).model_vector())
-            raise RelationFailure(
+            return KlyachkoCertificate(
+                fan, rank, index, checked, 0,
                 f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
                 {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
             )
@@ -374,18 +362,13 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     for m in ((1, 0), (0, 1)):
         coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
         if line_bundle_class(fan, coeffs) != one:
-            raise RelationFailure(
-                f"character relation fails for {m}", {"kind": "character", "m": list(m)}
+            return KlyachkoCertificate(
+                fan, rank, index, checked, rel2,
+                f"character relation fails for {m}", {"kind": "character", "m": list(m)},
             )
         rel2 += 1
 
-    return KlyachkoCertificate(
-        fan=fan,
-        rank=rank,
-        span_index=index,
-        orbit_closure_pairs=checked,
-        character_relations=rel2,
-    )
+    return KlyachkoCertificate(fan, rank, index, checked, rel2)
 
 
 def hirzebruch_marking(fan: Fan) -> tuple[int, int]:
@@ -435,12 +418,15 @@ class PermutationBasis(NamedTuple):
 
 
 class BasisCertificate(NamedTuple):
+    """The basis certificate; on failure `error` says why, and no orbits."""
+
     determinant: int
     orbits: tuple[tuple[int, ...], ...]
+    error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.determinant in (1, -1)
+        return self.error is None
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:
@@ -479,12 +465,13 @@ def _class_orbit(
 
 def _orbit_partition(
     lat: PicardLattice, perms, divisors, coords
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
     """Orbits of the line bundles O(D), D in `divisors`, under the ray
-    permutations `perms`, as tuples of indices.
+    permutations `perms`, as tuples of indices, and None; or, when the
+    group does not permute them, the orbits found so far and the first
+    divisor whose image leaves the set.
 
     `coords` holds their Picard coordinates, which determine the classes.
-    Raises NotInvariant when an image is not among them.
     """
     index_of = {}
     for i, x in enumerate(coords):
@@ -496,12 +483,12 @@ def _orbit_partition(
             continue
         images = _class_orbit(lat, perms, d)
         if not images <= index_of.keys():
-            raise NotInvariant(f"image of basis element {d} leaves the set")
+            return tuple(orbits), d
         orbit = {i} | {index_of[image] for image in images}
         for j in orbit:
             assigned[j] = True
         orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    return tuple(orbits), None
 
 
 def _class_det(lat: PicardLattice, coords) -> int:
@@ -537,8 +524,9 @@ def verify_permutation_basis(
     tuples.  This is where a basis gets its classes and orbits: each
     divisor's Picard coordinates are taken once, the rows (1, c1, chi) must
     have determinant +-1, and the group must permute the classes, whose
-    orbits the certificate holds.  Raises NotABasis or NotInvariant on
-    failure.
+    orbits the certificate holds.  A failure returns the certificate with
+    its reason: a number of classes other than the rank, a determinant
+    other than +-1, or the first divisor whose image leaves the set.
     """
     if isinstance(basis, PermutationBasis):
         divisors = basis.divisors
@@ -547,12 +535,16 @@ def verify_permutation_basis(
     lat = picard(fan)
     coords = [lat.divisor_coords(d) for d in divisors]
     if len(coords) != fan.n:
-        raise NotABasis(f"{len(coords)} classes cannot form a basis of rank {fan.n}")
+        return BasisCertificate(
+            0, (), f"{len(coords)} classes cannot form a basis of rank {fan.n}")
     det = _class_det(lat, coords)
     if det not in (1, -1):
-        raise NotABasis(f"coordinate matrix has determinant {det}")
+        return BasisCertificate(det, (), f"coordinate matrix has determinant {det}")
     perms = group.on(fan).ray_permutations.values()
-    return BasisCertificate(det, _orbit_partition(lat, perms, divisors, coords))
+    orbits, leaving = _orbit_partition(lat, perms, divisors, coords)
+    if leaving is not None:
+        return BasisCertificate(det, (), f"image of basis element {leaving} leaves the set")
+    return BasisCertificate(det, orbits)
 
 
 def _candidate_orbits(

@@ -26,6 +26,7 @@ from .intlinalg import (
 __all__ = [
     "Fan",
     "LabError",
+    "InternalError",
     "FanError",
     "NonPrimitiveRay",
     "NotCounterclockwise",
@@ -51,6 +52,10 @@ __all__ = [
 
 class LabError(ValueError):
     """Base class of the library's input errors: the CLI exits 2 on one."""
+
+
+class InternalError(RuntimeError):
+    """A broken invariant of the library, which indicates a bug: the CLI exits 3."""
 
 
 class FanError(LabError):

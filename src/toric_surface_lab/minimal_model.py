@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .intlinalg import det2
 from .lattice_fan import (
     Fan,
+    InternalError,
     LabError,
     blow_down,
     dp6_fan,
@@ -55,7 +56,7 @@ class NotMinimal(MinimalModelError):
     pass
 
 
-class TableViolation(MinimalModelError):
+class TableViolation(InternalError):
     """A minimal pair outside the classification table; indicates a bug."""
 
 

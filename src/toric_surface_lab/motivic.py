@@ -4,31 +4,21 @@ the permutation basis.
 Brauer classes are opaque labels (they depend on arithmetic input the tool
 does not model); base degrees are the orbit sizes, i.e. the degrees of the
 etale algebras the factors live over.  The named slots of each minimal
-family are those of its row of `minimal_model.TABLE`.
+family are those of its row of `minimal_model.TABLE`.  `decompose` reads the
+orbits of the basis certificate it is passed and certifies nothing; a failed
+certificate is the caller's verdict to report, not an input.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grothendieck import (
-    BasisCertificate,
-    GrothendieckError,
-    PermutationBasis,
-    verify_permutation_basis,
-)
-
 __all__ = [
     "AlgebraFactor",
     "MotivicDecomposition",
-    "UnverifiedBasis",
     "decompose",
     "decomposition_string",
 ]
-
-
-class UnverifiedBasis(GrothendieckError):
-    pass
 
 
 class AlgebraFactor(NamedTuple):
@@ -41,27 +31,23 @@ class AlgebraFactor(NamedTuple):
 class MotivicDecomposition(NamedTuple):
     factors: tuple[AlgebraFactor, ...]
     family: TableRow
-    basis_certificate: BasisCertificate  # the certificate of the decomposed basis
 
     def total_degree(self) -> int:
         return sum(f.base_degree for f in self.factors)
 
 
 def decompose(
-    basis: PermutationBasis, label: MinimalLabel, group: SymmetryGroup
+    basis: PermutationBasis, cert: BasisCertificate, label: MinimalLabel
 ) -> MotivicDecomposition:
-    """One factor per certified orbit, named after the minimal family of `label`.
+    """One factor per orbit of `cert`, named after the minimal family of `label`.
 
-    `label` classifies the terminal pair of the trace the basis was built
-    from.  The basis is certified first and the factors follow the orbits
-    of that certificate; a failing certificate raises UnverifiedBasis, and
-    a passing one is returned with the decomposition.
+    `cert` is the passing certificate of `basis`, and `label` classifies the
+    terminal pair of the trace the basis was built from.  A failed `cert`,
+    or an orbit whose core roles name two factor slots (a table bug),
+    raises ValueError.
     """
-    try:
-        cert = verify_permutation_basis(basis, basis.fan, group)
-    except GrothendieckError as exc:
-        raise UnverifiedBasis(str(exc)) from exc
-
+    if not cert.ok:
+        raise ValueError(f"decompose needs a certified basis: {cert.error}")
     slot_of_role = label.row.roles
 
     factors = []
@@ -79,9 +65,7 @@ def decompose(
         elif kinds == {"core"}:
             slot_labels = {slot_of_role[role] for role in roles}
             if len(slot_labels) != 1:
-                raise UnverifiedBasis(
-                    f"orbit {orbit} mixes factor slots {sorted(slot_labels)}"
-                )
+                raise ValueError(f"orbit {orbit} mixes factor slots {sorted(slot_labels)}")
             brauer = slot_labels.pop()
         else:
             brauer = "End(pushforward of orbit representative)"
@@ -93,11 +77,7 @@ def decompose(
                 slot_roles=tuple(roles),
             )
         )
-    return MotivicDecomposition(
-        factors=tuple(factors),
-        family=label.row,
-        basis_certificate=cert,
-    )
+    return MotivicDecomposition(factors=tuple(factors), family=label.row)
 
 
 def decomposition_string(dec: MotivicDecomposition) -> str:

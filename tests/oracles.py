@@ -16,7 +16,6 @@ from toric_surface_lab.grothendieck import (
     KlyachkoCertificate,
     PermutationBasis,
     PicardLattice,
-    RelationFailure,
     _class_orbit,
     act_on_divisor,
     k0_multiply,
@@ -335,7 +334,9 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
 
     Checks that the classes attached to all cones span with index one, that
     products of disjoint-cone classes are again cone classes (or vanish), and
-    that the character relations on the ray ideal-sheaf classes hold.
+    that the character relations on the ray ideal-sheaf classes hold.  A
+    failure returns the certificate with the message of `verify_klyachko`
+    and no witness.
     """
     n = fan.n
     one = structure_class(fan)
@@ -360,8 +361,9 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
     for p in pivots:
         index *= abs(p)
     if rank != n or index != 1:
-        raise RelationFailure(
-            f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1"
+        return KlyachkoCertificate(
+            fan, rank, index, 0, 0,
+            f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
         )
 
     zero = zero_class(fan)
@@ -373,9 +375,10 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
         expected = cone_sets.get(union, zero)
         got = k0_multiply(c1, c2)
         if got != expected:
-            raise RelationFailure(
+            return KlyachkoCertificate(
+                fan, rank, index, checked, 0,
                 f"product of cones {sorted(s1)} and {sorted(s2)} is "
-                f"{list(got.model_vector())}, expected {list(expected.model_vector())}"
+                f"{list(got.model_vector())}, expected {list(expected.model_vector())}",
             )
         checked += 1
 
@@ -383,7 +386,8 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
     for m in ((1, 0), (0, 1)):
         coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
         if line_bundle_class(fan, coeffs) != one:
-            raise RelationFailure(f"character relation fails for {m}")
+            return KlyachkoCertificate(
+                fan, rank, index, checked, rel2, f"character relation fails for {m}")
         rel2 += 1
 
     return KlyachkoCertificate(

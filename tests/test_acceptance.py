@@ -250,7 +250,8 @@ def test_criterion_9_decomposition_shapes():
         group = compute_aut(fan) if glabel is None else subgroup_with_label(fan, glabel)
         trace, label = classify_pair(fan, group)
         basis = standard_permutation_basis(pullback(trace), label)
-        got = decomposition_string(decompose(basis, label, group))
+        cert = verify_permutation_basis(basis, fan, group)
+        got = decomposition_string(decompose(basis, cert, label))
         seen.append(got)
         if got != expected:
             ok = False

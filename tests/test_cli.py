@@ -396,28 +396,34 @@ class TestFailedCertificates:
             assert not set(first) & set(second)
             assert witness["got"] != witness["expected"]
 
-    @pytest.mark.parametrize("error", [grothendieck.NotABasis, grothendieck.NotInvariant])
+    @pytest.mark.parametrize("failed", [
+        grothendieck.BasisCertificate(0, (), "coordinate matrix has determinant 0"),
+        grothendieck.BasisCertificate(1, (), "image of basis element (0, 0) leaves the set"),
+    ], ids=["NotABasis", "NotInvariant"])
     @pytest.mark.parametrize("bound", [None, "1"])
     def test_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
-                                               d12_file, error, bound):
-        def failing(basis, fan, group):
-            raise error("planted failure")
-
-        monkeypatch.setattr(grothendieck, "verify_permutation_basis", failing)
-        argv = ["basis", "--fan", dp6_file, "--group", d12_file]
-        code, report = run_json(capsys, argv + (["--bound", bound] if bound else []))
-        assert code == 1
-        assert report["status"] == "verification-failed"
-        assert report["result"]["basis"]["error"] == "planted failure"
-        if bound:
-            assert report["result"]["basis"]["found"] is True
+                                               d12_file, failed, bound):
+        """A returned failed certificate, planted for a determinant and for
+        a set the group does not permute, exits 1 from `basis`, from the
+        basis search and from `decompose`."""
+        monkeypatch.setattr(grothendieck, "verify_permutation_basis",
+                            lambda basis, fan, group: failed)
+        argv = ["--fan", dp6_file, "--group", d12_file]
+        runs = ([("basis", "basis", ["--bound", bound])] if bound else
+                [("basis", "basis", []), ("decompose", "decomposition", [])])
+        for command, key, extra in runs:
+            code, report = run_json(capsys, [command] + argv + extra)
+            assert code == 1
+            assert report["status"] == "verification-failed"
+            assert report["result"][key]["error"] == failed.error
+            if bound:
+                assert report["result"]["basis"]["found"] is True
 
     def test_report_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
                                                       d12_file):
-        def failing(basis, fan, group):
-            raise grothendieck.NotABasis("planted failure")
-
-        monkeypatch.setattr(motivic, "verify_permutation_basis", failing)
+        failed = grothendieck.BasisCertificate(0, (), "planted failure")
+        monkeypatch.setattr(grothendieck, "verify_permutation_basis",
+                            lambda basis, fan, group: failed)
         code, report = run_json(capsys, ["report", "--fan", dp6_file, "--group", d12_file])
         assert code == 1
         assert report["status"] == "verification-failed"
@@ -458,6 +464,28 @@ class TestFailedCertificates:
         assert report["result"]["failures"] == ["basis: " + report["result"]["basis"]["error"]]
         assert reason in report["result"]["basis"]["error"]
         assert "decomposition" not in report["result"]
+
+    def test_orbit_spanning_two_slots_exits_3(self, capsys, monkeypatch, dp6, dp6_aut):
+        """A table row whose core orbit names two factor slots is a table
+        bug, not a failed certificate: the basis certifies, library
+        `decompose` raises ValueError, and the CLI exits 3."""
+        dp6_row = minimal_model.TABLE[-1]
+        one, _, q_block = dp6_row.blocks
+        planted = dp6_row._replace(blocks=(one, (
+            ("R0", (0, 5), "P"), ("R1", (1, 2), "P"), ("R2", (3, 4), "X")), q_block))
+        monkeypatch.setattr(minimal_model, "TABLE", (*minimal_model.TABLE[:-1], planted))
+        trace, label = minimal_model.classify_pair(dp6, dp6_aut)
+        basis = grothendieck.standard_permutation_basis(minimal_model.pullback(trace), label)
+        cert = grothendieck.verify_permutation_basis(basis, dp6, dp6_aut)
+        assert cert.ok
+        with pytest.raises(ValueError, match=r"mixes factor slots \['P', 'X'\]"):
+            motivic.decompose(basis, cert, label)
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        for command in ("decompose", "report"):
+            code = main([command, "--fan", "dp6.json", "--group", "d12.json", "--json"])
+            report = json.loads(capsys.readouterr().out)
+            assert (code, report["status"]) == (3, "internal-error")
+            assert report["error"].startswith("internal error: ValueError: orbit ")
 
 
 class TestStageCounts:
@@ -584,6 +612,15 @@ class TestInternalError:
         assert report["inputs"]["fan"]["path"] == p2_file
         assert "KeyError" in report["error"]
         assert "Traceback" in captured.err
+
+    def test_table_violation_exits_3(self, capsys, monkeypatch, p2_file):
+        """A minimal pair outside the table indicates a bug: exit 3, not
+        invalid input."""
+        monkeypatch.setattr(minimal_model, "TABLE", ())
+        code, report = run_json(capsys, ["classify", "--fan", p2_file])
+        assert (code, report["status"]) == (3, "internal-error")
+        assert report["error"] == (
+            "internal error: TableViolation: minimal 3-ray pair with group C1 is not a table row")
 
     def test_bug_without_json(self, capsys, monkeypatch, p2_file):
         monkeypatch.setattr(symmetry, "compute_aut", lambda fan: 1 / 0)

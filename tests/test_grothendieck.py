@@ -10,10 +10,7 @@ from toric_surface_lab.cohomology import line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
-    GrothendieckError,
     K0Class,
-    NotABasis,
-    RelationFailure,
     act_on_divisor,
     fa_recurrence_check,
     hirzebruch_marking,
@@ -29,6 +26,7 @@ from toric_surface_lab.grothendieck import (
 from toric_surface_lab.intlinalg import bareiss_det
 from toric_surface_lab.lattice_fan import (
     Fan,
+    InternalError,
     blow_up,
     dp6_fan,
     hirzebruch_fan,
@@ -38,6 +36,7 @@ from toric_surface_lab.lattice_fan import (
 from toric_surface_lab.minimal_model import classify_pair, minimalize, pullback
 from toric_surface_lab.symmetry import SymmetryGroup, compute_aut, trivial_group
 
+import oracles
 from oracles import (
     act_on_class,
     bfs_class_orbit,
@@ -122,7 +121,7 @@ class TestPicard:
         """The continuant check fires on a fan that skipped validation: the
         rays (1, 0), (1, 2), (0, 1), (-1, -1) have a cone of determinant 2."""
         fan = Fan(((1, 0), (1, 2), (0, 1), (-1, -1)))
-        with pytest.raises(GrothendieckError, match="determinant"):
+        with pytest.raises(InternalError, match="determinant"):
             picard(fan)
 
     def test_canonical_square_is_twelve_minus_n(self, small_corpus):
@@ -221,7 +220,7 @@ class TestDivisorChi:
         k = lat.canonical_coords
         bad = lat._replace(canonical_coords=(k[0] + 1, *k[1:]))
         d2 = unit_divisor(dp6, 2, sign=1)
-        with pytest.raises(GrothendieckError, match="parity"):
+        with pytest.raises(InternalError, match="parity"):
             bad.chi(bad.divisor_coords(d2))
 
 
@@ -417,21 +416,39 @@ class TestKlyachkoOracle:
                 return lat._replace(band=tuple(band))
 
             monkeypatch.setattr(grothendieck, "picard", planted)
-            with pytest.raises(RelationFailure) as expected:
-                pairwise_klyachko(fan)
-            with pytest.raises(RelationFailure) as got:
-                verify_klyachko(fan)
+            expected = pairwise_klyachko(fan)
+            got = verify_klyachko(fan)
             monkeypatch.undo()
-            assert str(got.value) == str(expected.value)
-            witness = got.value.first_violation
+            assert not got.ok and not expected.ok
+            assert got.error == expected.error
+            witness = got.first_violation
             assert witness["kind"] == "product"
             first, second = witness["cones"]
             assert not set(first) & set(second)
             assert witness["got"] != witness["expected"]
-            assert f"cones {first} and {second} is" in str(got.value)
-            assert "Fan(" not in str(got.value)
+            assert f"cones {first} and {second} is" in got.error
+            assert "Fan(" not in got.error
             if fan == dp6_fan() and position == 0:
                 assert witness["cones"] == [[0], [2]]
+
+    def test_planted_span_fault(self, monkeypatch, p2):
+        """Products off by one in chi give the point classes chi = 2, so the
+        cone classes (1, 0, 1), (0, 1, 1) and (0, 0, 2) span index 2.  Both
+        routes return a failed certificate there, with the same error."""
+        real = grothendieck.k0_multiply
+
+        def off_by_one(x, y):
+            z = real(x, y)
+            return z._replace(chi=z.chi + 1)
+
+        monkeypatch.setattr(grothendieck, "k0_multiply", off_by_one)
+        monkeypatch.setattr(oracles, "k0_multiply", off_by_one)
+        cert, expected = verify_klyachko(p2), pairwise_klyachko(p2)
+        assert not cert.ok and not expected.ok
+        assert cert.error == expected.error == (
+            "cone classes span rank 3 with index 2, expected rank 3, index 1")
+        assert cert.first_violation == {"kind": "span", "rank": 3, "index": 2}
+        assert (cert.orbit_closure_pairs, cert.character_relations) == (0, 0)
 
     def test_planted_cone_class_c1(self, monkeypatch, dp6):
         """A 2-cone class with c1 != 0 passes the span check and fails the
@@ -447,9 +464,9 @@ class TestKlyachkoOracle:
             return z
 
         monkeypatch.setattr(grothendieck, "k0_multiply", wrong_first_call)
-        with pytest.raises(RelationFailure) as failure:
-            verify_klyachko(dp6)
-        witness = failure.value.first_violation
+        cert = verify_klyachko(dp6)
+        assert not cert.ok
+        witness = cert.first_violation
         assert witness["kind"] == "product"
         assert witness["cones"] == [[0], [1]]
         assert witness["got"] == [0, 0, 0, 0, 0, 1]
@@ -467,9 +484,11 @@ class TestKlyachkoOracle:
             return cls._replace(chi=cls.chi + 1)
 
         monkeypatch.setattr(grothendieck, "line_bundle_class", wrong_off_units)
-        with pytest.raises(RelationFailure) as failure:
-            verify_klyachko(dp6)
-        assert failure.value.first_violation == {"kind": "character", "m": [1, 0]}
+        cert = verify_klyachko(dp6)
+        assert not cert.ok
+        assert cert.error == "character relation fails for (1, 0)"
+        assert cert.first_violation == {"kind": "character", "m": [1, 0]}
+        assert cert.orbit_closure_pairs == 2 * dp6.n ** 2 - 2 * dp6.n + 1
         # div(x^m) = sum <m, v_e> D_e is principal: O(-div) is the unit.
         coeffs = tuple(-v[0] for v in dp6.rays)
         assert real(dp6, coeffs) == structure_class(dp6)
@@ -541,6 +560,9 @@ class TestStandardBasis:
 
 
 class TestVerifyBasis:
+    """A set that is not a permutation basis returns a failed certificate
+    with its reason and no orbits; the verifier does not raise."""
+
     def test_rejects_dependent_set(self, f2):
         g = compute_aut(f2)
         divisors = [
@@ -549,8 +571,29 @@ class TestVerifyBasis:
             unit_divisor(f2, 1),
             unit_divisor(f2, 0, 0),
         ]
-        with pytest.raises(NotABasis):
-            verify_permutation_basis(divisors, f2, g)
+        cert = verify_permutation_basis(divisors, f2, g)
+        assert not cert.ok
+        assert cert == (0, (), "coordinate matrix has determinant 0")
+
+    def test_rejects_too_few_classes(self, f2):
+        divisors = [(0, 0, 0, 0), unit_divisor(f2, 0), unit_divisor(f2, 1)]
+        cert = verify_permutation_basis(divisors, f2, compute_aut(f2))
+        assert not cert.ok
+        assert cert.error == "3 classes cannot form a basis of rank 4"
+        assert cert.orbits == ()
+
+    def test_rejects_set_the_group_does_not_permute(self, dp6, dp6_aut):
+        """O(-D_3) in place of O(-D_3 - D_4) in the D12 basis keeps the
+        determinant +-1, but the rotations move O(-D_3) out of the set."""
+        trace, label = classify_pair(dp6, dp6_aut)
+        divisors = list(standard_permutation_basis(pullback(trace), label).divisors)
+        divisors[divisors.index(unit_divisor(dp6, 3, 4))] = unit_divisor(dp6, 3)
+        cert = verify_permutation_basis(divisors, dp6, dp6_aut)
+        assert not cert.ok
+        assert cert.determinant in (1, -1)
+        assert cert.orbits == ()
+        assert cert.error.startswith("image of basis element (")
+        assert cert.error.endswith(") leaves the set")
 
     def test_accepts_paper_dp6_basis(self, dp6, dp6_aut):
         divisors = [

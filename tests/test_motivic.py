@@ -3,22 +3,24 @@ import pytest
 from toric_surface_lab.grothendieck import (
     PermutationBasis,
     standard_permutation_basis,
+    verify_permutation_basis,
 )
 from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan, p2_fan
 from toric_surface_lab.minimal_model import classify_minimal, classify_pair, pullback
-from toric_surface_lab.motivic import (
-    UnverifiedBasis,
-    decompose,
-    decomposition_string,
-)
+from toric_surface_lab.motivic import decompose, decomposition_string
 from toric_surface_lab.symmetry import compute_aut, trivial_group
 from toric_surface_lab.corpus import subgroup_with_label
 
 
-def pipeline(fan, group):
+def certified(fan, group):
+    """The standard basis of the pair, its certificate and the label."""
     trace, label = classify_pair(fan, group)
     basis = standard_permutation_basis(pullback(trace), label)
-    return decompose(basis, label, group)
+    return basis, verify_permutation_basis(basis, fan, group), label
+
+
+def pipeline(fan, group):
+    return decompose(*certified(fan, group))
 
 
 class TestFamilyStrings:
@@ -51,10 +53,9 @@ class TestFamilyStrings:
 class TestFactorData:
     def test_counts_and_degrees(self, small_corpus):
         for entry in small_corpus[:30]:
-            trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(pullback(trace), label)
-            dec = decompose(basis, label, entry.group)
-            orbits = dec.basis_certificate.orbits
+            basis, cert, label = certified(entry.fan, entry.group)
+            dec = decompose(basis, cert, label)
+            orbits = cert.orbits
             assert len(dec.factors) == len(orbits)
             assert dec.total_degree() == entry.fan.n
             for factor, orbit in zip(dec.factors, orbits):
@@ -62,9 +63,8 @@ class TestFactorData:
 
     def test_unit_orbit_is_split(self, small_corpus):
         for entry in small_corpus[:30]:
-            trace, label = classify_pair(entry.fan, entry.group)
-            basis = standard_permutation_basis(pullback(trace), label)
-            dec = decompose(basis, label, entry.group)
+            basis, cert, label = certified(entry.fan, entry.group)
+            dec = decompose(basis, cert, label)
             unit_index = next(
                 i for i, d in enumerate(basis.divisors) if all(c == 0 for c in d)
             )
@@ -78,9 +78,7 @@ class TestFactorData:
         from toric_surface_lab.symmetry import SymmetryGroup
 
         group = SymmetryGroup(elements=c6.elements, generators=c6.generators).attach(blown)
-        trace, label = classify_pair(blown, group)
-        basis = standard_permutation_basis(pullback(trace), label)
-        dec = decompose(basis, label, group)
+        dec = pipeline(blown, group)
         core = pipeline(dp6, c6)
         exceptional = [f for f in dec.factors if f.slot_roles[0].isdigit()]
         assert len(dec.factors) == len(core.factors) + len(exceptional)
@@ -130,13 +128,16 @@ class TestStability:
 
 class TestErrors:
     def test_unverified_basis_rejected(self, f2):
+        """A failed certificate is the caller's verdict; passing it to
+        decompose is a bug."""
         g = trivial_group(f2)
-        trace, label = classify_pair(f2, g)
-        good = standard_permutation_basis(pullback(trace), label)
+        good, _, label = certified(f2, g)
         tampered = PermutationBasis(
             fan=good.fan,
             divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
             tags=good.tags,
         )
-        with pytest.raises(UnverifiedBasis):
-            decompose(tampered, label, g)
+        cert = verify_permutation_basis(tampered, f2, g)
+        assert not cert.ok
+        with pytest.raises(ValueError, match="decompose needs a certified basis: "):
+            decompose(tampered, cert, label)
