@@ -468,8 +468,8 @@ def _orbit_partition(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
     """Orbits of the line bundles O(D), D in `divisors`, under the ray
     permutations `perms`, as tuples of indices, and None; or, when the
-    group does not permute them, the orbits found so far and the first
-    divisor whose image leaves the set.
+    group does not permute them, () and the first divisor whose image
+    leaves the set.
 
     `coords` holds their Picard coordinates, which determine the classes.
     """
@@ -483,7 +483,7 @@ def _orbit_partition(
             continue
         images = _class_orbit(lat, perms, d)
         if not images <= index_of.keys():
-            return tuple(orbits), d
+            return (), d
         orbit = {i} | {index_of[image] for image in images}
         for j in orbit:
             assigned[j] = True
@@ -542,9 +542,8 @@ def verify_permutation_basis(
         return BasisCertificate(det, (), f"coordinate matrix has determinant {det}")
     perms = group.on(fan).ray_permutations.values()
     orbits, leaving = _orbit_partition(lat, perms, divisors, coords)
-    if leaving is not None:
-        return BasisCertificate(det, (), f"image of basis element {leaving} leaves the set")
-    return BasisCertificate(det, orbits)
+    error = None if leaving is None else f"image of basis element {leaving} leaves the set"
+    return BasisCertificate(det, orbits, error)
 
 
 def _candidate_orbits(

@@ -41,13 +41,15 @@ def decompose(
 ) -> MotivicDecomposition:
     """One factor per orbit of `cert`, named after the minimal family of `label`.
 
-    `cert` is the passing certificate of `basis`, and `label` classifies the
-    terminal pair of the trace the basis was built from.  A failed `cert`,
-    or an orbit whose core roles name two factor slots (a table bug),
-    raises ValueError.
+    `cert` must be the passing certificate of `basis`, and `label` classifies
+    the terminal pair of the trace the basis was built from.  A failed
+    `cert`, one whose orbits do not cover `basis`, or an orbit whose core
+    roles name two factor slots (a table bug), raises ValueError.
     """
     if not cert.ok:
         raise ValueError(f"decompose needs a certified basis: {cert.error}")
+    if sum(cert.orbit_sizes) != len(basis.divisors):
+        raise ValueError(f"orbits {cert.orbit_sizes} do not cover {len(basis.divisors)} classes")
     slot_of_role = label.row.roles
 
     factors = []

@@ -145,7 +145,7 @@ def test_criterion_4_klyachko_rank(corpus_fans):
     ok = True
     for fan in corpus_fans:
         cert = verify_klyachko(fan)
-        if not (cert.rank == fan.n and cert.span_index == 1):
+        if not (cert.ok and cert.rank == fan.n and cert.span_index == 1):
             ok = False
     _finish(4, ok, f"K0 presentation verified on {len(corpus_fans)} fans",
             time.perf_counter() - start, 30.0)

@@ -141,3 +141,13 @@ class TestErrors:
         assert not cert.ok
         with pytest.raises(ValueError, match="decompose needs a certified basis: "):
             decompose(tampered, cert, label)
+
+    def test_certificate_of_another_basis_rejected(self, f2):
+        """A passing certificate whose orbits do not cover the basis is not
+        its certificate."""
+        basis, _, label = certified(f2, trivial_group(f2))
+        p2 = p2_fan()
+        _, other, _ = certified(p2, trivial_group(p2))
+        assert other.ok
+        with pytest.raises(ValueError, match=r"orbits \(1, 1, 1\) do not cover 4 classes"):
+            decompose(basis, other, label)
