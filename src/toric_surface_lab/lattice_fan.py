@@ -283,16 +283,18 @@ def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
     Such a map sends the basis v_0, v_1 to some w_j, w_{j+-1} and, by the
     wall relations v_{k-1} + v_{k+1} = -a_k v_k, each v_k to w_{j+-k}: a
     candidate is a map exactly when the self-intersections agree along it.
-    Candidates come for j = 0..n-1, the next neighbour first.
+    Candidates come for j = 0..n-1, the next neighbour first; a2 read from
+    j in either direction is a slice of a2 + a2 or of its reverse.
     """
     n = f1.n
     if f2.n != n:
         return
     a1, a2 = self_intersections(f1), self_intersections(f2)
+    forward, backward = a2 + a2, a2[::-1] * 2
     vinv = mat_inv(columns_to_matrix(f1.rays[0], f1.rays[1]))
     for j in range(n):
-        for s in (1, -1):
-            if all(a1[k] == a2[(j + s * k) % n] for k in range(n)):
+        for s, seq in ((1, forward[j:j + n]), (-1, backward[n - 1 - j:2 * n - 1 - j])):
+            if a1 == seq:
                 w0, w1 = f2.rays[j], f2.rays[(j + s) % n]
                 yield mat_mul(columns_to_matrix(w0, w1), vinv)
 

@@ -12,8 +12,9 @@ with C1=<I>, C2=<-I>, C3=<A^2>, C4=<B>, C6=<A>, D2=<C>, D2'=<C'>,
 D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
 
 Every finite subgroup is cyclic or dihedral, generated by one rotation and
-one reflection; its class (classify_subgroup) and its subgroups
-(enumerate_subgroups) are read off those two elements.
+one reflection; its class, its subgroups, its generating set and the check
+that an element set is a group are read off the powers of such elements.
+The breadth-first closure serves only SymmetryGroup.from_generators.
 """
 
 from __future__ import annotations
@@ -197,6 +198,11 @@ class SymmetryGroup:
                 f"generators must be a list of 2x2 integer matrices, got {generators!r}"
             )
         gens = tuple(tuple(map(tuple, g)) for g in generators)
+        for g in gens:
+            if mat_det(g) not in (1, -1):
+                raise SymmetryError(
+                    f"generator {g} has determinant {mat_det(g)}, not 1 or -1"
+                )
         elems = _close(gens)
         group = cls(elements=elems, generators=gens or (IDENTITY,))
         return group.attach(fan) if fan is not None else group
@@ -206,7 +212,8 @@ class SymmetryGroup:
         index = {v: i for i, v in enumerate(fan.rays)}
         perms = {}
         for g in sorted(self.elements):
-            images = [mat_apply(g, v) for v in fan.rays]
+            (a, b), (c, d) = g
+            images = [(a * x + b * y, c * x + d * y) for x, y in fan.rays]
             if set(images) != index.keys():
                 raise NotAFanSymmetry(f"{g} does not preserve the ray set")
             perms[g] = tuple(index[w] for w in images)
@@ -226,9 +233,6 @@ class SymmetryGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def sorted_elements(self) -> list[Mat2]:
-        return sorted(self.elements)
 
     def _permutations(self) -> list[tuple[int, ...]]:
         """The ray permutation of every element, so the images of one member
@@ -265,29 +269,42 @@ def compute_aut(fan: Fan) -> SymmetryGroup:
     return SymmetryGroup(elements=frozenset(elems), generators=gens).attach(fan)
 
 
+def _powers(g: Mat2) -> list[Mat2]:
+    """I, g, ..., g^(ord g - 1) for g of finite order."""
+    return list(accumulate([g] * (element_order(g) - 1), mat_mul, initial=IDENTITY))
+
+
 def _small_generating_set(elems) -> tuple[Mat2, ...]:
-    gens: list[Mat2] = []
-    span = {IDENTITY}
-    for g in sorted(elems, key=lambda m: (-(element_order(m) or 0), m)):
-        if g in span:
-            continue
-        gens.append(g)
-        span = set(_close(gens))
-        if len(span) == len(elems):
-            break
-    return tuple(gens) if gens else (IDENTITY,)
+    """The first element g in (-order, matrix) order and, unless its powers
+    are the group, the first element outside them: g generates a cyclic
+    group, is the rotation of a dihedral group of order >= 6 (the other is a
+    reflection), and any two non-identity elements generate one of order 4."""
+    ordered = sorted(elems, key=lambda m: (-(element_order(m) or 0), m))
+    span = _powers(ordered[0])
+    if len(span) == len(elems):
+        return (ordered[0],)
+    return (ordered[0], next(h for h in ordered if h not in span))
 
 
 def _rotation_and_reflection(elems) -> tuple[Mat2, Mat2 | None]:
     """r, a rotation (det 1) of largest order, and s, the least reflection
     (det -1) or None: a finite group is <r> or <r> with the coset <r>s.
-    SymmetryError is raised unless r and s generate exactly `elems`, so an
-    element set that is not a group is never labelled."""
+    `elems` is accepted exactly when it is {r^k} and {r^k s} with (rs)^2 = I,
+    so s r s = r^-1 and the set is closed (s, of finite order, has order 2).
+    NotFinite is raised for r or s of infinite order, SymmetryError for any
+    other failure, so an element set that is not a group is never labelled."""
     ordered = sorted(elems)
     r = max((g for g in ordered if mat_det(g) == 1),
             key=lambda g: element_order(g) or 0, default=IDENTITY)
     s = next((g for g in ordered if mat_det(g) == -1), None)
-    if _close((r,) if s is None else (r, s)) != elems:
+    for g in (r, s):
+        if g is not None and element_order(g) is None:
+            raise NotFinite(f"generator {g} has infinite order")
+    rotations = _powers(r)
+    members = set(rotations)
+    if s is not None and element_order(mat_mul(r, s)) == 2:
+        members.update(mat_mul(g, s) for g in rotations)
+    if members != elems:
         raise SymmetryError(f"the elements are not a group: {ordered}")
     return r, s
 
@@ -358,8 +375,8 @@ def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     if group.fan is not None:
         group = group.on(group.fan)
     r, s = _rotation_and_reflection(group.elements)
-    m = element_order(r)
-    powers = list(accumulate([r] * (m - 1), mat_mul, initial=IDENTITY))
+    powers = _powers(r)
+    m = len(powers)
     subs = []
     for step in (m // d for d in range(1, m + 1) if m % d == 0):
         rotations = powers[::step]

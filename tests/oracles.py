@@ -163,6 +163,21 @@ def pairwise_close(generators) -> frozenset:
     return frozenset(elems)
 
 
+def greedy_generating_set(elems) -> tuple[Mat2, ...]:
+    """Elements in (-order, matrix) order, each one kept unless it already
+    lies in the closure of those kept, until that closure is the group."""
+    gens: list[Mat2] = []
+    span = {IDENTITY}
+    for g in sorted(elems, key=lambda m: (-(element_order(m) or 0), m)):
+        if g in span:
+            continue
+        gens.append(g)
+        span = pairwise_close(gens)
+        if len(span) == len(elems):
+            break
+    return tuple(gens) if gens else (IDENTITY,)
+
+
 @lru_cache(maxsize=1)
 def _pairwise_table() -> tuple[dict, list]:
     """The class representatives by `pairwise_close`, and the conjugators."""
@@ -215,7 +230,7 @@ def loop_classify(group: SymmetryGroup) -> str:
         label = labels.get(conjugate_group(reduced, p))
         if label is not None:
             return label
-    raise UnclassifiedSubgroup(f"no conjugator matches for {group.sorted_elements()}")
+    raise UnclassifiedSubgroup(f"no conjugator matches for {sorted(group.elements)}")
 
 
 def brute_force_subgroups(elements) -> set[frozenset]:
@@ -238,7 +253,7 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     Same order and generators as `enumerate_subgroups`; each subgroup is
     attached to the group's fan afresh.
     """
-    elems = group.sorted_elements()
+    elems = sorted(group.elements)
     seen: dict[frozenset, tuple] = {frozenset({IDENTITY}): ()}
     for a in elems:
         seen.setdefault(pairwise_close((a,)), (a,))

@@ -112,7 +112,7 @@ def test_criterion_2_thirteen_classes():
             for _ in range(100):
                 m = _random_unimodular(rng)
                 mi = mat_inv(m)
-                conj = [mat_mul(m, mat_mul(g, mi)) for g in sub.sorted_elements()]
+                conj = [mat_mul(m, mat_mul(g, mi)) for g in sorted(sub.elements)]
                 if classify_subgroup(conj) != label:
                     ok = False
                 checked += 1

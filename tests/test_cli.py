@@ -117,6 +117,20 @@ class TestMalformedInput:
         assert code == 2
         assert "2x2 integer matrices" in report["error"]
 
+    @pytest.mark.parametrize("det, m", [(0, [[0, 0], [0, 0]]), (2, [[2, 0], [0, 1]]),
+                                        (-3, [[1, 2], [2, 1]])], ids=["0", "2", "-3"])
+    def test_group_file_generator_determinant(self, capsys, tmp_path, det, m):
+        bad = tmp_path / "singular.json"
+        bad.write_text(json.dumps({"generators": [m]}))
+        message = (f"{bad}: SymmetryError: generator {tuple(map(tuple, m))} "
+                   f"has determinant {det}, not 1 or -1")
+        code, report = run_json(capsys, ["classify-group", "--group", str(bad)])
+        assert code == 2
+        assert report["status"] == "invalid-input"
+        assert report["error"] == message
+        assert main(["classify-group", "--group", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_group_file_without_generators(self, capsys, tmp_path):
         bad = tmp_path / "no_generators.json"
         bad.write_text('{"gens": [[[0,1],[1,0]]]}')

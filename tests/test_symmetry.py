@@ -5,7 +5,7 @@ import random
 import pytest
 
 from toric_surface_lab.corpus import standard_corpus
-from toric_surface_lab.intlinalg import mat_inv, mat_mul, xgcd
+from toric_surface_lab.intlinalg import mat_det, mat_inv, mat_mul, xgcd
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
     blow_up,
@@ -21,10 +21,12 @@ from toric_surface_lab.symmetry import (
     TABLE_GENERATORS,
     GEN_A,
     GEN_B,
+    IDENTITY,
     NotFinite,
     SymmetryError,
     SymmetryGroup,
     _close,
+    _rotation_and_reflection,
     classify_subgroup,
     compute_aut,
     element_order,
@@ -38,9 +40,11 @@ from oracles import (
     brute_force_subgroups,
     closure_subgroups,
     conjugate_group,
+    greedy_generating_set,
     invariant_form_reduction,
     loop_classify,
     pairwise_close,
+    random_basis,
     unimodular_matrices,
 )
 
@@ -153,6 +157,28 @@ class TestComputeAut:
         g = compute_aut(dp6_fan())
         assert SymmetryGroup.from_generators(g.generators).elements == g.elements
 
+    def test_generators_match_greedy_closure_oracle_on_corpus(self):
+        """Every 16-ray corpus fan, in its own basis and in three random ones."""
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}
+        rng = random.Random(31)
+        for fan in fans.values():
+            aut = compute_aut(fan)
+            images = [fan] + [random_basis(rng, fan, aut)[0] for _ in range(3)]
+            for image in images:
+                got = compute_aut(image)
+                assert got.generators == greedy_generating_set(got.elements), image
+
+    @pytest.mark.parametrize("det, m", [(0, ((0, 0), (0, 0))), (2, ((2, 0), (0, 1))),
+                                        (-3, ((1, 2), (2, 1)))], ids=["0", "2", "-3"])
+    def test_from_generators_rejects_determinant_other_than_unit(self, det, m):
+        """Caught before the closure, so the message names the determinant and
+        not an infinite order."""
+        for gens in ([m], [GEN_A, m]):
+            with pytest.raises(SymmetryError) as excinfo:
+                SymmetryGroup.from_generators(gens)
+            assert excinfo.type is SymmetryError
+            assert str(excinfo.value) == f"generator {m} has determinant {det}, not 1 or -1"
+
     @NON_MATRICES
     def test_from_generators_rejects_non_matrices(self, generators):
         with pytest.raises(SymmetryError):
@@ -183,6 +209,91 @@ class TestClose:
             if got is not NotFinite:
                 groups.add(got)
         assert len(groups) == 32
+
+
+def rotation_and_reflection_picks(elems) -> tuple:
+    """(r,) or (r, s): a largest-order rotation, the least reflection."""
+    ordered = sorted(elems)
+    r = max((g for g in ordered if mat_det(g) == 1),
+            key=lambda g: element_order(g) or 0, default=IDENTITY)
+    return (r, *[g for g in ordered if mat_det(g) == -1][:1])
+
+
+def closure_verdict(elems):
+    """Whether r and s as `_rotation_and_reflection` picks them close to
+    exactly `elems` by `_close`: True, SymmetryError, or NotFinite for an r
+    or s of infinite order."""
+    gens = rotation_and_reflection_picks(elems)
+    if any(element_order(g) is None for g in gens):
+        return NotFinite
+    return True if closure_outcome(_close, gens) == elems else SymmetryError
+
+
+def presentation_verdict(elems):
+    """True if `_rotation_and_reflection` accepts `elems`, else the class of
+    the exception it raises."""
+    try:
+        _rotation_and_reflection(elems)
+    except SymmetryError as exc:
+        return type(exc)
+    return True
+
+
+class TestPresentation:
+    def test_matches_closure_on_corpus_subgroups(self):
+        """Every subgroup of every 16-ray corpus automorphism group, in two
+        random bases, and each with its last element dropped and with the
+        first element of the group outside it added."""
+        fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}
+        rng = random.Random(37)
+        verdicts = set()
+        for fan in fans.values():
+            aut = compute_aut(fan)
+            for _ in range(2):
+                image_aut = compute_aut(random_basis(rng, fan, aut)[0])
+                for sub in enumerate_subgroups(image_aut):
+                    members = sorted(sub.elements)
+                    outside = sorted(image_aut.elements - sub.elements)
+                    sets = [sub.elements, frozenset(members[:-1])]
+                    sets += [sub.elements | {outside[0]}] if outside else []
+                    for elems in sets:
+                        verdict = presentation_verdict(elems)
+                        assert verdict == closure_verdict(elems), members
+                        verdicts.add(verdict)
+        assert verdicts == {True, SymmetryError}
+
+    def test_planted_non_groups(self):
+        """The two sets of test_rejects_element_set_that_is_not_a_group, D12
+        with each reflection replaced by a reflection outside it, and D12
+        without I."""
+        s = ((1, 1), (0, -1))
+        rotations = SymmetryGroup.from_generators([GEN_B]).elements
+        d12 = SymmetryGroup.from_generators(TABLE_GENERATORS["D12"]).elements
+        assert s not in d12 and element_order(s) == 2
+        planted = [frozenset({GEN_A}), rotations | {mat_mul(g, s) for g in rotations},
+                   d12 - {IDENTITY}]
+        planted += [(d12 - {g}) | {s} for g in sorted(d12) if mat_det(g) == -1]
+        assert len(planted) == 9
+        for elems in planted:
+            assert closure_verdict(elems) is SymmetryError
+            with pytest.raises(SymmetryError) as excinfo:
+                _rotation_and_reflection(elems)
+            assert excinfo.type is SymmetryError
+            assert str(excinfo.value) == f"the elements are not a group: {sorted(elems)}"
+
+    @pytest.mark.parametrize("elems", [
+        frozenset({((1, 1), (0, 1))}),
+        frozenset({IDENTITY, ((1, 1), (1, 0))}),
+        frozenset({IDENTITY, GEN_A, ((2, 1), (1, 0))}),
+    ], ids=["shear-rotation", "reflection-of-trace-1", "reflection-of-trace-2"])
+    def test_infinite_rotation_or_reflection(self, elems):
+        """NotFinite, with the message `_close` gives for the same r and s."""
+        assert closure_verdict(elems) is NotFinite
+        with pytest.raises(NotFinite) as want:
+            _close(rotation_and_reflection_picks(elems))
+        with pytest.raises(NotFinite) as got:
+            _rotation_and_reflection(elems)
+        assert str(got.value) == str(want.value)
 
 
 class TestClassify:
