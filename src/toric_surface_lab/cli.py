@@ -72,7 +72,7 @@ def load_group(path: str | None, raw: bytes | None, fan: Fan | None) -> Symmetry
     from .symmetry import SymmetryError, SymmetryGroup, trivial_group
 
     if path is None:
-        return trivial_group(fan) if fan is not None else trivial_group()
+        return trivial_group(fan)
     data = _parse_json(path, raw)
     if not isinstance(data, dict) or "generators" not in data:
         raise InputError(f'{path}: expected an object with a "generators" key')
@@ -123,9 +123,9 @@ def label_payload(label) -> dict:
     }
 
 
-def basis_payload(basis, cert) -> dict:
+def basis_payload(cert) -> dict:
     return {
-        "divisors": [list(d) for d in basis.divisors],
+        "divisors": [list(d) for d in cert.basis.divisors],
         "orbits": [list(o) for o in cert.orbits],
         "orbit_sizes": list(cert.orbit_sizes),
         # Orbit-stabilizer: the stabilizer of an element has index equal to
@@ -230,16 +230,15 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     return {"samples": samples, "violations": violations}
 
 
-def _certified_basis(basis, fan: Fan,
-                     group: SymmetryGroup) -> tuple[BasisCertificate, dict, str | None]:
+def _certified_basis(basis, group: SymmetryGroup) -> tuple[BasisCertificate, dict, str | None]:
     """The certificate of a library-built basis, its payload and None, or,
     when the certificate fails, an error payload and the reason (exit 1)."""
     from .grothendieck import verify_permutation_basis
 
-    cert = verify_permutation_basis(basis, fan, group)
+    cert = verify_permutation_basis(basis, group)
     if not cert.ok:
         return cert, {"error": cert.error}, cert.error
-    return cert, basis_payload(basis, cert), None
+    return cert, basis_payload(cert), None
 
 
 def _k0(fan: Fan) -> tuple[dict, str | None]:
@@ -265,19 +264,18 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
     basis = search_line_bundle_basis(fan, group, bound)
     if basis is None:
         return {"found": False, "bound": bound}, None
-    _, payload, error = _certified_basis(basis, fan, group)
+    _, payload, error = _certified_basis(basis, group)
     return {"found": True, "bound": bound, **payload}, error
 
 
-def _collection(pulled, label, fan: Fan, group: SymmetryGroup,
-                order: str) -> tuple[dict, str | None]:
+def _collection(pulled, label, group: SymmetryGroup, order: str) -> tuple[dict, str | None]:
     """The payload of the verified collection in `order` and its failure reason."""
     from .derived import build_collection, verify_collection
 
     coll = build_collection(pulled, label)
     if order == "reversed":
         coll = coll.reversed()
-    cert = verify_collection(coll, fan, group)
+    cert = verify_collection(coll, group)
     return collection_payload(coll, cert), None if cert.ok else "collection certificate failed"
 
 
@@ -341,7 +339,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
             f"(family {label.row.index})"]
     pulled = pullback(trace)
     if command == "collection":
-        coll, error = _collection(pulled, label, fan, group, args.order)
+        coll, error = _collection(pulled, label, group, args.order)
         if error is None:
             return EXIT_OK, {"collection": coll}, [
                 "exceptional collection verified: blocks of sizes "
@@ -356,7 +354,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
     from .grothendieck import standard_permutation_basis
 
     basis = standard_permutation_basis(pulled, label)
-    cert, payload, error = _certified_basis(basis, fan, group)
+    cert, payload, error = _certified_basis(basis, group)
     if command == "basis":
         line = (f"basis FAILED verification: {error}" if error else
                 f"permutation basis with orbit sizes {tuple(payload['orbit_sizes'])}, "
@@ -368,7 +366,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         if error:
             return EXIT_VERIFICATION_FAILED, {"decomposition": payload}, [
                 f"decomposition FAILED verification: {error}"]
-        payload = decomposition_payload(decompose(basis, cert, label))
+        payload = decomposition_payload(decompose(cert, label))
         return EXIT_OK, {"decomposition": payload}, [
             f"motivic decomposition: {payload['product']}"]
     raise InputError(f"unknown command {command}")  # pragma: no cover
@@ -404,13 +402,13 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     # The decomposition reads the basis certificate the report shows.
     pulled = pullback(trace)
     basis = standard_permutation_basis(pulled, label)
-    cert, result["basis"], error = _certified_basis(basis, fan, group)
+    cert, result["basis"], error = _certified_basis(basis, group)
     if error:
         failures.append(f"basis: {error}")
     else:
         lines.append(f"basis orbit sizes: {cert.orbit_sizes}")
 
-    result["collection"], error = _collection(pulled, label, fan, group, "normal")
+    result["collection"], error = _collection(pulled, label, group, "normal")
     if error:
         failures.append(error)
     else:
@@ -418,7 +416,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
                      f"{[len(b) for b in result['collection']['blocks']]}")
 
     if cert.ok:
-        result["decomposition"] = decomposition_payload(decompose(basis, cert, label))
+        result["decomposition"] = decomposition_payload(decompose(cert, label))
         lines.append(f"decomposition: {result['decomposition']['product']}")
 
     result["cohomology_spot_check"] = _spot_check_cohomology(fan, args.seed)

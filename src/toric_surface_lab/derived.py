@@ -7,9 +7,10 @@ exceptional orbit, placed right after the structure sheaf (the right mutation
 of the pair (O_E(-1), O) is (O, O(E))).  Every block is one group orbit, so
 the collection descends: `minimalize` contracts one orbit per step, and the
 group acts on the pulled-back core through the terminal group, whose orbits
-are the blocks of `core_blocks`.  `verify_collection` checks it independently
-and returns its verdict: a failed check is a certificate whose `ok` is False,
-with the first violated pair, not an exception.
+are the blocks of `core_blocks`.  `verify_collection` checks it independently,
+on the fan the collection names, and returns its verdict: a failed check is a
+certificate whose `ok` is False, with the first violated pair, not an
+exception.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class ExceptionalCollection(NamedTuple):
     blocks: tuple[tuple[Divisor, ...], ...]
     provenance: str
 
-    def objects(self) -> list[Divisor]:
-        return [d for block in self.blocks for d in block]
-
     def reversed(self) -> "ExceptionalCollection":
         return ExceptionalCollection(
             fan=self.fan,
@@ -48,17 +46,12 @@ class ExceptionalCollection(NamedTuple):
 
 class ExtViolation(NamedTuple):
     kind: str  # "self", "block" or "order"
-    source_block: int
     source: Divisor
-    target_block: int
     target: Divisor
     ext: tuple[int, int, int]
 
 
 class CollectionCertificate(NamedTuple):
-    self_ext_ok: bool
-    block_ok: bool
-    order_ok: bool
     determinant: int
     blocks_group_closed: bool
     pairs_checked: int
@@ -67,9 +60,7 @@ class CollectionCertificate(NamedTuple):
     @property
     def ok(self) -> bool:
         return (
-            self.self_ext_ok
-            and self.block_ok
-            and self.order_ok
+            self.first_violation is None
             and self.determinant in (1, -1)
             and self.blocks_group_closed
         )
@@ -94,10 +85,8 @@ def build_collection(pulled: Pullback, label: MinimalLabel) -> ExceptionalCollec
     )
 
 
-def verify_collection(
-    coll: ExceptionalCollection, fan: Fan, group: SymmetryGroup
-) -> CollectionCertificate:
-    """Check every collection axiom with exact Ext computations.
+def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> CollectionCertificate:
+    """Check every collection axiom on `coll.fan` with exact Ext computations.
 
     Verified, in scan order: Ext(V,V) = (1,0,0) for each object; full Ext
     vanishing between distinct objects of one block; Ext vanishing from any
@@ -108,8 +97,10 @@ def verify_collection(
     taken, once.  The pair
     Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
     vector comes from the cohomology routine of `line_bundle_cohomology`.
-    Group closure is checked by partitioning each block into orbits.
+    Group closure is checked by partitioning each block into orbits.  The
+    first pair whose Ext is wrong is the certificate's `first_violation`.
     """
+    fan = coll.fan
     n = fan.n
     table = _ample_weights(fan)
     lat = picard(fan)
@@ -122,27 +113,24 @@ def verify_collection(
                 raise ValueError(f"expected {n} coefficients")
             row.append((d, sum(map(mul, table[1], d)), lat._coords(d)))
         blocks.append(row)
-    failed: set[str] = set()
     first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared
     # for each object.
     self_ext = _cohomology(table, (0,) * n, 0).as_tuple()
-    pairs = [("self", bi, obj, bi, obj) for bi, row in enumerate(blocks) for obj in row]
-    pairs += [("block", bi, src, bi, dst) for bi, row in enumerate(blocks)
+    pairs = [("self", obj, obj) for row in blocks for obj in row]
+    pairs += [("block", src, dst) for row in blocks
               for i, src in enumerate(row) for j, dst in enumerate(row) if i != j]
-    pairs += [("order", s, src, t, dst) for s in range(1, len(blocks)) for t in range(s)
+    pairs += [("order", src, dst) for s in range(1, len(blocks)) for t in range(s)
               for src in blocks[s] for dst in blocks[t]]
-    for kind, s, (d1, deg1, _), t, (d2, deg2, _) in pairs:
+    for kind, (d1, deg1, _), (d2, deg2, _) in pairs:
         if kind == "self":
             ext, expected = self_ext, (1, 0, 0)
         else:
             diff = list(map(sub, d2, d1))
             ext, expected = _cohomology(table, diff, deg2 - deg1).as_tuple(), (0, 0, 0)
-        if ext != expected:
-            failed.add(kind)
-            if first is None:
-                first = ExtViolation(kind, s, d1, t, d2, ext)
+        if ext != expected and first is None:
+            first = ExtViolation(kind, d1, d2, ext)
 
     coords = [x for row in blocks for _, _, x in row]  # c1 of each O(D)
     det = _class_det(lat, coords) if len(coords) == n else 0
@@ -153,9 +141,6 @@ def verify_collection(
         for row in blocks)
 
     return CollectionCertificate(
-        self_ext_ok="self" not in failed,
-        block_ok="block" not in failed,
-        order_ok="order" not in failed,
         determinant=det,
         blocks_group_closed=closed,
         pairs_checked=len(pairs),

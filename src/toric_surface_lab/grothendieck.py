@@ -63,13 +63,14 @@ class PicardLattice(NamedTuple):
 
     The chosen basis consists of the classes of the ray divisors D_2..D_{N-1}
     (all but the first two rays); the first two rays form a lattice basis, so
-    a character can always be used to clear their coefficients.  Adjacent
+    a character can always be used to clear their coefficients, and
+    `first_rays` holds the coordinates of D_0 and D_1.  Adjacent
     ray divisors meet once and others not at all, so the form is tridiagonal:
     ones beside the diagonal `band`, the self-intersections of D_2..D_{N-1}.
     """
 
     fan: Fan
-    ray_coords: tuple[tuple[int, ...], ...]
+    first_rays: tuple[tuple[int, ...], tuple[int, ...]]
     band: tuple[int, ...]
     canonical_coords: tuple[int, ...]
 
@@ -91,7 +92,7 @@ class PicardLattice(NamedTuple):
     def _coords(self, c) -> tuple[int, ...]:
         """`divisor_coords` of n integer coefficients, not checked."""
         c0, c1 = c[0], c[1]
-        r0, r1 = self.ray_coords[0], self.ray_coords[1]
+        r0, r1 = self.first_rays
         return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
 
     def pair(self, d1, d2) -> int:
@@ -111,7 +112,7 @@ class PicardLattice(NamedTuple):
         """1 + x.(x - K)/2 for the class x = tail + c0 r0 + c1 r1, with r0, r1
         the coordinates of the first two rays, in one pass over the band."""
         total = x0 = w0 = 0
-        r0, r1 = self.ray_coords[0], self.ray_coords[1]
+        r0, r1 = self.first_rays
         for x, p, q, a, k in zip(tail, r0, r1, self.band, self.canonical_coords):
             x += c0 * p + c1 * q
             w = x - k
@@ -151,12 +152,11 @@ def picard(fan: Fan) -> PicardLattice:
         m = solve2(rays[0], rays[1], (-c0, -c1))
         return tuple(m[0] * v[0] + m[1] * v[1] for v in rays[2:])
 
-    unit = [tuple(int(e == i) for e in range(n - 2)) for i in range(n - 2)]
-    ray_coords = (first_ray_coords(1, 0), first_ray_coords(0, 1), *unit)
-    k_coords = tuple(-1 - a - b for a, b in zip(ray_coords[0], ray_coords[1]))
+    r0, r1 = first_ray_coords(1, 0), first_ray_coords(0, 1)
+    k_coords = tuple(-1 - a - b for a, b in zip(r0, r1))
     return PicardLattice(
         fan=fan,
-        ray_coords=ray_coords,
+        first_rays=(r0, r1),
         band=tuple(band),
         canonical_coords=k_coords,
     )
@@ -260,7 +260,6 @@ class KlyachkoCertificate(NamedTuple):
     before the failure.
     """
 
-    fan: Fan
     rank: int
     span_index: int
     orbit_closure_pairs: int
@@ -311,7 +310,7 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         index *= abs(p)
     if rank != n or index != 1:
         return KlyachkoCertificate(
-            fan, rank, index, 0, 0,
+            rank, index, 0, 0,
             f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
             {"kind": "span", "rank": rank, "index": index},
         )
@@ -352,7 +351,7 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             got = [r1 * r2, *(r1 * b + r2 * a for a, b in zip(c1, c2)), chi]
             expected = list((zero if k is None else cones[k][1]).model_vector())
             return KlyachkoCertificate(
-                fan, rank, index, checked, 0,
+                rank, index, checked, 0,
                 f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
                 {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
             )
@@ -363,12 +362,12 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
         if line_bundle_class(fan, coeffs) != one:
             return KlyachkoCertificate(
-                fan, rank, index, checked, rel2,
+                rank, index, checked, rel2,
                 f"character relation fails for {m}", {"kind": "character", "m": list(m)},
             )
         rel2 += 1
 
-    return KlyachkoCertificate(fan, rank, index, checked, rel2)
+    return KlyachkoCertificate(rank, index, checked, rel2)
 
 
 def hirzebruch_marking(fan: Fan) -> tuple[int, int]:
@@ -418,8 +417,9 @@ class PermutationBasis(NamedTuple):
 
 
 class BasisCertificate(NamedTuple):
-    """The basis certificate; on failure `error` says why, and no orbits."""
+    """The certificate of `basis`; on failure `error` says why, and no orbits."""
 
+    basis: PermutationBasis
     determinant: int
     orbits: tuple[tuple[int, ...], ...]
     error: str | None = None
@@ -515,35 +515,30 @@ def standard_permutation_basis(pulled: Pullback, label: MinimalLabel) -> Permuta
     return PermutationBasis(pulled.fan, tuple(divisors), tuple(tags))
 
 
-def verify_permutation_basis(
-    basis, fan: Fan, group: SymmetryGroup
-) -> BasisCertificate:
-    """Certify unimodularity and group closure, and partition into orbits.
+def verify_permutation_basis(basis: PermutationBasis, group: SymmetryGroup) -> BasisCertificate:
+    """Certify unimodularity and group closure on `basis.fan`, and partition
+    into orbits.
 
-    `basis` may be a PermutationBasis or a list of divisor coefficient
-    tuples.  This is where a basis gets its classes and orbits: each
-    divisor's Picard coordinates are taken once, the rows (1, c1, chi) must
-    have determinant +-1, and the group must permute the classes, whose
-    orbits the certificate holds.  A failure returns the certificate with
-    its reason: a number of classes other than the rank, a determinant
+    This is where a basis gets its classes and orbits: each divisor's Picard
+    coordinates are taken once, the rows (1, c1, chi) must have determinant
+    +-1, and the group must permute the classes, whose orbits the
+    certificate holds beside the basis.  A failure returns the certificate
+    with its reason: a number of classes other than the rank, a determinant
     other than +-1, or the first divisor whose image leaves the set.
     """
-    if isinstance(basis, PermutationBasis):
-        divisors = basis.divisors
-    else:
-        divisors = [tuple(map(operator.index, c)) for c in basis]
+    fan, divisors = basis.fan, basis.divisors
     lat = picard(fan)
     coords = [lat.divisor_coords(d) for d in divisors]
     if len(coords) != fan.n:
         return BasisCertificate(
-            0, (), f"{len(coords)} classes cannot form a basis of rank {fan.n}")
+            basis, 0, (), f"{len(coords)} classes cannot form a basis of rank {fan.n}")
     det = _class_det(lat, coords)
     if det not in (1, -1):
-        return BasisCertificate(det, (), f"coordinate matrix has determinant {det}")
+        return BasisCertificate(basis, det, (), f"coordinate matrix has determinant {det}")
     perms = group.on(fan).ray_permutations.values()
     orbits, leaving = _orbit_partition(lat, perms, divisors, coords)
     error = None if leaving is None else f"image of basis element {leaving} leaves the set"
-    return BasisCertificate(det, orbits, error)
+    return BasisCertificate(basis, det, orbits, error)
 
 
 def _candidate_orbits(
@@ -560,12 +555,13 @@ def _candidate_orbits(
     # by class.
     lat = picard(fan)
     rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=fan.n):
-        coords = lat._coords(coeffs)
-        old = rep.get(coords)
-        key = (max(map(abs, coeffs), default=0), coeffs)
-        if old is None or key < (max(map(abs, old), default=0), old):
-            rep[coords] = coeffs
+    # A class first appears in its least shell max|c|, and `product` runs
+    # through a shell in lexicographic order, so the first divisor met is the
+    # least in (max|c|, c) order.
+    for shell in range(bound + 1):
+        for coeffs in itertools.product(range(-shell, shell + 1), repeat=fan.n):
+            if shell in coeffs or -shell in coeffs:
+                rep.setdefault(lat._coords(coeffs), coeffs)
 
     def size_order(coords: tuple[int, ...]) -> tuple:
         return (max(map(abs, coords), default=0), coords)

@@ -5,8 +5,8 @@ Brauer classes are opaque labels (they depend on arithmetic input the tool
 does not model); base degrees are the orbit sizes, i.e. the degrees of the
 etale algebras the factors live over.  The named slots of each minimal
 family are those of its row of `minimal_model.TABLE`.  `decompose` reads the
-orbits of the basis certificate it is passed and certifies nothing; a failed
-certificate is the caller's verdict to report, not an input.
+orbits and the basis of the certificate it is passed and certifies nothing;
+a failed certificate is the caller's verdict to report, not an input.
 """
 
 from __future__ import annotations
@@ -25,31 +25,24 @@ class AlgebraFactor(NamedTuple):
     base_degree: int
     brauer_label: str
     source_orbit: tuple[int, ...]
-    slot_roles: tuple[str, ...]
 
 
 class MotivicDecomposition(NamedTuple):
     factors: tuple[AlgebraFactor, ...]
     family: TableRow
 
-    def total_degree(self) -> int:
-        return sum(f.base_degree for f in self.factors)
 
-
-def decompose(
-    basis: PermutationBasis, cert: BasisCertificate, label: MinimalLabel
-) -> MotivicDecomposition:
+def decompose(cert: BasisCertificate, label: MinimalLabel) -> MotivicDecomposition:
     """One factor per orbit of `cert`, named after the minimal family of `label`.
 
-    `cert` must be the passing certificate of `basis`, and `label` classifies
-    the terminal pair of the trace the basis was built from.  A failed
-    `cert`, one whose orbits do not cover `basis`, or an orbit whose core
-    roles name two factor slots (a table bug), raises ValueError.
+    `cert` must pass, and `label` classifies the terminal pair of the trace
+    that `cert.basis` was built from; the factors read that basis's tags.  A
+    failed `cert`, or an orbit whose core roles name two factor slots (a
+    table bug), raises ValueError.
     """
     if not cert.ok:
         raise ValueError(f"decompose needs a certified basis: {cert.error}")
-    if sum(cert.orbit_sizes) != len(basis.divisors):
-        raise ValueError(f"orbits {cert.orbit_sizes} do not cover {len(basis.divisors)} classes")
+    tags = cert.basis.tags
     slot_of_role = label.row.roles
 
     factors = []
@@ -57,9 +50,9 @@ def decompose(
         roles = []
         kinds = set()
         for i in orbit:
-            kind, payload = basis.tags[i]
+            kind, payload = tags[i]
             kinds.add(kind)
-            roles.append(str(payload))
+            roles.append(payload)
         if kinds == {"exc"}:
             # Blow-up orbits give etale factors: split over the degree-|orbit|
             # etale base algebra.
@@ -71,14 +64,7 @@ def decompose(
             brauer = slot_labels.pop()
         else:
             brauer = "End(pushforward of orbit representative)"
-        factors.append(
-            AlgebraFactor(
-                base_degree=len(orbit),
-                brauer_label=brauer,
-                source_orbit=orbit,
-                slot_roles=tuple(roles),
-            )
-        )
+        factors.append(AlgebraFactor(len(orbit), brauer, orbit))
     return MotivicDecomposition(factors=tuple(factors), family=label.row)
 
 

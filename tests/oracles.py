@@ -289,6 +289,21 @@ def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGrou
     return image, SymmetryGroup.from_generators(gens, image)
 
 
+def keyed_candidate_reps(fan: Fan, bound: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The least divisor in (max|c|, c) order of each class with coefficients
+    in [-bound, bound], keyed by Picard coordinates: one scan of the cube,
+    comparing each divisor's key with that of its class's current least."""
+    lat = picard(fan)
+    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=fan.n):
+        coords = lat._coords(coeffs)
+        old = rep.get(coords)
+        key = (max(map(abs, coeffs), default=0), coeffs)
+        if old is None or key < (max(map(abs, old), default=0), old):
+            rep[coords] = coeffs
+    return rep
+
+
 def rank_pruned_basis_search(fan: Fan, rep, coord_orbits):
     """The basis search with a rank test per node and a determinant per leaf.
 
@@ -377,7 +392,7 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
         index *= abs(p)
     if rank != n or index != 1:
         return KlyachkoCertificate(
-            fan, rank, index, 0, 0,
+            rank, index, 0, 0,
             f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
         )
 
@@ -391,7 +406,7 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
         got = k0_multiply(c1, c2)
         if got != expected:
             return KlyachkoCertificate(
-                fan, rank, index, checked, 0,
+                rank, index, checked, 0,
                 f"product of cones {sorted(s1)} and {sorted(s2)} is "
                 f"{list(got.model_vector())}, expected {list(expected.model_vector())}",
             )
@@ -402,11 +417,10 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
         coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
         if line_bundle_class(fan, coeffs) != one:
             return KlyachkoCertificate(
-                fan, rank, index, checked, rel2, f"character relation fails for {m}")
+                rank, index, checked, rel2, f"character relation fails for {m}")
         rel2 += 1
 
     return KlyachkoCertificate(
-        fan=fan,
         rank=rank,
         span_index=index,
         orbit_closure_pairs=checked,
@@ -530,18 +544,18 @@ def merge_blocks_by_orbits(
 
 
 def pairwise_verify_collection(
-    coll: ExceptionalCollection, fan: Fan, group: SymmetryGroup
+    coll: ExceptionalCollection, group: SymmetryGroup
 ) -> CollectionCertificate:
     """The collection certificate with one `ext_line_bundles` call per pair
-    and the group images of every object.
+    and the group images of every object, on `coll.fan`.
 
     Each pair re-validates both objects and takes its degree from scratch;
     closure takes the orbit of every object, not of one per orbit.
     """
+    fan = coll.fan
     perms = group.on(fan).ray_permutations.values()
     zero = (0, 0, 0)
     first = None
-    self_ok = block_ok = order_ok = True
     checked = 0
 
     def note(v: ExtViolation) -> None:
@@ -550,14 +564,13 @@ def pairwise_verify_collection(
             first = v
 
     self_ext = line_bundle_cohomology(fan, (0,) * fan.n).as_tuple()
-    for bi, block in enumerate(coll.blocks):
+    for block in coll.blocks:
         for d in block:
             checked += 1
             if self_ext != (1, 0, 0):
-                self_ok = False
-                note(ExtViolation("self", bi, d, bi, d, self_ext))
+                note(ExtViolation("self", d, d, self_ext))
 
-    for bi, block in enumerate(coll.blocks):
+    for block in coll.blocks:
         for i, d1 in enumerate(block):
             for j, d2 in enumerate(block):
                 if i == j:
@@ -565,8 +578,7 @@ def pairwise_verify_collection(
                 ext = ext_line_bundles(fan, d1, d2).as_tuple()
                 checked += 1
                 if ext != zero:
-                    block_ok = False
-                    note(ExtViolation("block", bi, d1, bi, d2, ext))
+                    note(ExtViolation("block", d1, d2, ext))
 
     for s in range(1, len(coll.blocks)):
         for t in range(s):
@@ -575,10 +587,9 @@ def pairwise_verify_collection(
                     ext = ext_line_bundles(fan, d_late, d_early).as_tuple()
                     checked += 1
                     if ext != zero:
-                        order_ok = False
-                        note(ExtViolation("order", s, d_late, t, d_early, ext))
+                        note(ExtViolation("order", d_late, d_early, ext))
 
-    objects = coll.objects()
+    objects = [d for block in coll.blocks for d in block]
     if len(objects) == fan.n:
         det = bareiss_det(
             [list(line_bundle_class(fan, d).model_vector()) for d in objects]
@@ -595,9 +606,6 @@ def pairwise_verify_collection(
                 closed = False
 
     return CollectionCertificate(
-        self_ext_ok=self_ok,
-        block_ok=block_ok,
-        order_ok=order_ok,
         determinant=det,
         blocks_group_closed=closed,
         pairs_checked=checked,

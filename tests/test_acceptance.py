@@ -164,7 +164,7 @@ def test_criterion_5_bases(corpus):
         g = compute_aut(fan)
         trace, label = classify_pair(fan, g)
         basis = standard_permutation_basis(pullback(trace), label)
-        cert = verify_permutation_basis(basis, fan, g)
+        cert = verify_permutation_basis(basis, g)
         if cert.orbit_sizes != signature:
             ok = False
         if not cert.ok:
@@ -173,7 +173,7 @@ def test_criterion_5_bases(corpus):
     for entry in corpus:
         trace, label = classify_pair(entry.fan, entry.group)
         basis = standard_permutation_basis(pullback(trace), label)
-        cert = verify_permutation_basis(basis, entry.fan, entry.group)
+        cert = verify_permutation_basis(basis, entry.group)
         if not (cert.ok and len(basis.divisors) == entry.fan.n):
             ok = False
         transported += 1
@@ -215,19 +215,19 @@ def test_criterion_8_collections(corpus):
         g = compute_aut(fan)
         trace, label = classify_pair(fan, g)
         coll = build_collection(pullback(trace), label)
-        if not verify_collection(coll, fan, g).ok:
+        if not verify_collection(coll, g).ok:
             ok = False
     verified = 0
     for entry in corpus:
         trace, label = classify_pair(entry.fan, entry.group)
         coll = build_collection(pullback(trace), label)
-        if not verify_collection(coll, entry.fan, entry.group).ok:
+        if not verify_collection(coll, entry.group).ok:
             ok = False
         verified += 1
     p2 = p2_fan()
     g = compute_aut(p2)
     trace, label = classify_pair(p2, g)
-    reversed_cert = verify_collection(build_collection(pullback(trace), label).reversed(), p2, g)
+    reversed_cert = verify_collection(build_collection(pullback(trace), label).reversed(), g)
     v = reversed_cert.first_violation
     ok = ok and not reversed_cert.ok and v is not None and v.ext == (3, 0, 0)
     _finish(8, ok, f"4 cores + {verified} corpus collections verified; reversed "
@@ -250,8 +250,8 @@ def test_criterion_9_decomposition_shapes():
         group = compute_aut(fan) if glabel is None else subgroup_with_label(fan, glabel)
         trace, label = classify_pair(fan, group)
         basis = standard_permutation_basis(pullback(trace), label)
-        cert = verify_permutation_basis(basis, fan, group)
-        got = decomposition_string(decompose(basis, cert, label))
+        cert = verify_permutation_basis(basis, group)
+        got = decomposition_string(decompose(cert, label))
         seen.append(got)
         if got != expected:
             ok = False
@@ -264,9 +264,8 @@ def test_criterion_10_oracle_equivalence(corpus_fans):
     for fan in corpus_fans:
         wall = self_intersections(fan)
         lat = picard(fan)
-        pairing = tuple(
-            lat.pair(lat.ray_coords[i], lat.ray_coords[i]) for i in range(fan.n)
-        )
+        rays = [lat.divisor_coords([int(e == i) for e in range(fan.n)]) for i in range(fan.n)]
+        pairing = tuple(lat.pair(d, d) for d in rays)
         if wall != pairing:
             ok = False
     checked = 0

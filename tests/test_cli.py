@@ -411,8 +411,8 @@ class TestFailedCertificates:
             assert witness["got"] != witness["expected"]
 
     @pytest.mark.parametrize("failed", [
-        grothendieck.BasisCertificate(0, (), "coordinate matrix has determinant 0"),
-        grothendieck.BasisCertificate(1, (), "image of basis element (0, 0) leaves the set"),
+        grothendieck.BasisCertificate(None, 0, (), "coordinate matrix has determinant 0"),
+        grothendieck.BasisCertificate(None, 1, (), "image of basis element (0, 0) leaves the set"),
     ], ids=["NotABasis", "NotInvariant"])
     @pytest.mark.parametrize("bound", [None, "1"])
     def test_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
@@ -421,7 +421,7 @@ class TestFailedCertificates:
         a set the group does not permute, exits 1 from `basis`, from the
         basis search and from `decompose`."""
         monkeypatch.setattr(grothendieck, "verify_permutation_basis",
-                            lambda basis, fan, group: failed)
+                            lambda basis, group: failed._replace(basis=basis))
         argv = ["--fan", dp6_file, "--group", d12_file]
         runs = ([("basis", "basis", ["--bound", bound])] if bound else
                 [("basis", "basis", []), ("decompose", "decomposition", [])])
@@ -435,9 +435,9 @@ class TestFailedCertificates:
 
     def test_report_basis_certificate_failure_exits_1(self, capsys, monkeypatch, dp6_file,
                                                       d12_file):
-        failed = grothendieck.BasisCertificate(0, (), "planted failure")
+        failed = grothendieck.BasisCertificate(None, 0, (), "planted failure")
         monkeypatch.setattr(grothendieck, "verify_permutation_basis",
-                            lambda basis, fan, group: failed)
+                            lambda basis, group: failed._replace(basis=basis))
         code, report = run_json(capsys, ["report", "--fan", dp6_file, "--group", d12_file])
         assert code == 1
         assert report["status"] == "verification-failed"
@@ -490,10 +490,10 @@ class TestFailedCertificates:
         monkeypatch.setattr(minimal_model, "TABLE", (*minimal_model.TABLE[:-1], planted))
         trace, label = minimal_model.classify_pair(dp6, dp6_aut)
         basis = grothendieck.standard_permutation_basis(minimal_model.pullback(trace), label)
-        cert = grothendieck.verify_permutation_basis(basis, dp6, dp6_aut)
+        cert = grothendieck.verify_permutation_basis(basis, dp6_aut)
         assert cert.ok
         with pytest.raises(ValueError, match=r"mixes factor slots \['P', 'X'\]"):
-            motivic.decompose(basis, cert, label)
+            motivic.decompose(cert, label)
         monkeypatch.chdir(Path(__file__).parent / "golden")
         for command in ("decompose", "report"):
             code = main([command, "--fan", "dp6.json", "--group", "d12.json", "--json"])

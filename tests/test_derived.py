@@ -31,23 +31,23 @@ class TestCores:
             ((1, 0, 0),),
             ((2, 0, 0),),
         )
-        assert verify_collection(coll, p2, p2_aut).ok
+        assert verify_collection(coll, p2_aut).ok
 
     def test_ruled_blocks(self, f2):
         g = compute_aut(f2)
         coll = collection_for(f2, g)
         assert [len(b) for b in coll.blocks] == [1, 1, 1, 1]
-        assert verify_collection(coll, f2, g).ok
+        assert verify_collection(coll, g).ok
 
     def test_quadric_blocks(self, square, square_aut):
         coll = collection_for(square, square_aut)
         assert [len(b) for b in coll.blocks] == [1, 2, 1]
-        assert verify_collection(coll, square, square_aut).ok
+        assert verify_collection(coll, square_aut).ok
 
     def test_hexagon_blocks(self, dp6, dp6_aut):
         coll = collection_for(dp6, dp6_aut)
         assert [len(b) for b in coll.blocks] == [1, 3, 2]
-        cert = verify_collection(coll, dp6, dp6_aut)
+        cert = verify_collection(coll, dp6_aut)
         assert cert.ok
         assert cert.determinant in (1, -1)
 
@@ -55,7 +55,7 @@ class TestCores:
         c6 = subgroup_with_label(dp6, "C6")
         coll = collection_for(dp6, c6)
         assert [len(b) for b in coll.blocks] == [1, 3, 2]
-        assert verify_collection(coll, dp6, c6).ok
+        assert verify_collection(coll, c6).ok
 
     def test_split_orbit_block_is_not_group_closed(self, dp6, dp6_aut):
         """Splitting the 3-orbit block keeps every Ext check (its objects are
@@ -65,12 +65,12 @@ class TestCores:
         split = ExceptionalCollection(
             fan=dp6, blocks=(head, *((d,) for d in orbit), tail), provenance="split"
         )
-        cert = verify_collection(split, dp6, dp6_aut)
-        assert cert == pairwise_verify_collection(split, dp6, dp6_aut)
-        assert cert.self_ext_ok and cert.block_ok and cert.order_ok
+        cert = verify_collection(split, dp6_aut)
+        assert cert == pairwise_verify_collection(split, dp6_aut)
+        assert cert.first_violation is None
         assert not cert.blocks_group_closed
         assert not cert.ok
-        assert verify_collection(split, dp6, trivial_group(dp6)).ok
+        assert verify_collection(split, trivial_group(dp6)).ok
 
 
     def test_orbit_split_behind_closed_orbits_is_not_group_closed(self, dp6, dp6_aut):
@@ -81,10 +81,10 @@ class TestCores:
         split = ExceptionalCollection(
             fan=dp6, blocks=((o, a, b), (*tail, c)), provenance="split behind orbits"
         )
-        cert = verify_collection(split, dp6, dp6_aut)
-        assert cert == pairwise_verify_collection(split, dp6, dp6_aut)
+        cert = verify_collection(split, dp6_aut)
+        assert cert == pairwise_verify_collection(split, dp6_aut)
         assert not cert.blocks_group_closed
-        assert verify_collection(split, dp6, trivial_group(dp6)).blocks_group_closed
+        assert verify_collection(split, trivial_group(dp6)).blocks_group_closed
 
 
 class TestBlocksAreOrbits:
@@ -135,8 +135,8 @@ class TestBlocksAreOrbits:
 class TestReversed:
     def test_reversed_plane_fails_with_known_pair(self, p2, p2_aut):
         coll = collection_for(p2, p2_aut).reversed()
-        cert = verify_collection(coll, p2, p2_aut)
-        assert cert == pairwise_verify_collection(coll, p2, p2_aut)
+        cert = verify_collection(coll, p2_aut)
+        assert cert == pairwise_verify_collection(coll, p2_aut)
         assert not cert.ok
         v = cert.first_violation
         assert v.kind == "order"
@@ -157,12 +157,12 @@ class TestBlowUps:
             ((1, 1, 0, 0),),
             ((2, 2, 0, 0),),
         )
-        assert verify_collection(coll, f1, g).ok
+        assert verify_collection(coll, g).ok
 
     def test_exceptional_blocks_outermost_first(self, dp6):
         g = trivial_group(dp6)
         coll = collection_for(dp6, g)
-        cert = verify_collection(coll, dp6, g)
+        cert = verify_collection(coll, g)
         assert cert.ok
         # 3 contraction steps: O, three exceptional blocks, then the core.
         assert len(coll.blocks) == 1 + 3 + 2
@@ -170,7 +170,7 @@ class TestBlowUps:
     def test_corpus_collections_verify(self, small_corpus):
         for entry in small_corpus:
             coll = collection_for(entry.fan, entry.group)
-            cert = verify_collection(coll, entry.fan, entry.group)
+            cert = verify_collection(coll, entry.group)
             assert cert.ok, (entry.fan, entry.group_label, cert.first_violation)
             assert cert.determinant in (1, -1)
 
@@ -180,7 +180,7 @@ class TestBlockExchange:
         swaps_tested = 0
         for entry in small_corpus[:25]:
             coll = collection_for(entry.fan, entry.group)
-            if not verify_collection(coll, entry.fan, entry.group).ok:
+            if not verify_collection(coll, entry.group).ok:
                 continue
             blocks = list(coll.blocks)
             for i, j in itertools.combinations(range(len(blocks)), 2):
@@ -200,7 +200,6 @@ class TestBlockExchange:
                         blocks=tuple(tuple(b) for b in swapped),
                         provenance=coll.provenance + " (block swap)",
                     ),
-                    entry.fan,
                     entry.group,
                 )
                 assert cert.ok
@@ -212,7 +211,7 @@ class TestFullness:
     def test_collection_classes_form_basis(self, small_corpus):
         for entry in small_corpus[:30]:
             coll = collection_for(entry.fan, entry.group)
-            classes = [line_bundle_class(entry.fan, d) for d in coll.objects()]
+            classes = [line_bundle_class(entry.fan, d) for block in coll.blocks for d in block]
             assert len(classes) == entry.fan.n
             assert len(set(classes)) == entry.fan.n
 
@@ -228,8 +227,8 @@ class TestPairwiseOracle:
         for entry in entries:
             coll = collection_for(entry.fan, entry.group)
             for c in (coll, coll.reversed()):
-                cert = verify_collection(c, entry.fan, entry.group)
-                assert cert == pairwise_verify_collection(c, entry.fan, entry.group), (
+                cert = verify_collection(c, entry.group)
+                assert cert == pairwise_verify_collection(c, entry.group), (
                     entry.fan, entry.group_label, c.provenance)
                 failed += not cert.ok
         assert failed > 0
@@ -240,5 +239,5 @@ class TestPairwiseOracle:
         g = trivial_group(fan)
         coll = collection_for(fan, g)
         for c in (coll, coll.reversed()):
-            assert verify_collection(c, fan, g) == pairwise_verify_collection(c, fan, g)
-        assert verify_collection(coll, fan, g).pairs_checked == n * (n + 1) // 2
+            assert verify_collection(c, g) == pairwise_verify_collection(c, g)
+        assert verify_collection(coll, g).pairs_checked == n * (n + 1) // 2

@@ -11,6 +11,7 @@ from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     K0Class,
+    PermutationBasis,
     act_on_divisor,
     fa_recurrence_check,
     hirzebruch_marking,
@@ -44,6 +45,7 @@ from oracles import (
     chern_multiply,
     ci_fan,
     full_gram,
+    keyed_candidate_reps,
     pairwise_klyachko,
     random_basis,
     rank_pruned_basis_search,
@@ -65,6 +67,11 @@ PINNED_DIVISORS = (
 )
 
 
+def as_basis(fan, divisors):
+    """`divisors` as a basis of untagged classes, for the verifier."""
+    return PermutationBasis(fan, tuple(divisors), (("search", None),) * len(divisors))
+
+
 def unit_divisor(fan, *idx, sign=-1):
     out = [0] * fan.n
     for i in idx:
@@ -83,8 +90,8 @@ class TestPicard:
         lat = picard(f2)
         assert lat.rank == 2
         fiber_idx, section_idx = hirzebruch_marking(f2)
-        fiber = lat.ray_coords[fiber_idx]
-        section = lat.ray_coords[section_idx]
+        fiber = lat.divisor_coords(unit_divisor(f2, fiber_idx, sign=1))
+        section = lat.divisor_coords(unit_divisor(f2, section_idx, sign=1))
         form = [
             [lat.pair(fiber, fiber), lat.pair(fiber, section)],
             [lat.pair(section, fiber), lat.pair(section, section)],
@@ -152,9 +159,10 @@ class TestPicard:
             lat = picard(fan)
             a = self_intersections(fan)
             n = fan.n
+            rays = [lat.divisor_coords(unit_divisor(fan, i, sign=1)) for i in range(n)]
             for i in range(n):
                 for j in range(n):
-                    got = lat.pair(lat.ray_coords[i], lat.ray_coords[j])
+                    got = lat.pair(rays[i], rays[j])
                     if i == j:
                         assert got == a[i]
                     elif j in ((i + 1) % n, (i - 1) % n):
@@ -164,7 +172,7 @@ class TestPicard:
 
 
 class TestDivisorCoords:
-    """The linear map through `ray_coords` against a 2x2 solve per divisor."""
+    """The linear map through `first_rays` against a 2x2 solve per divisor."""
 
     def test_matches_solve2_route_on_corpus(self):
         rng = random.Random(23)
@@ -509,35 +517,35 @@ class TestStandardBasis:
         g = compute_aut(fan)
         trace, label = classify_pair(fan, g)
         basis = standard_permutation_basis(pullback(trace), label)
-        cert = verify_permutation_basis(basis, fan, g)
+        cert = verify_permutation_basis(basis, g)
         assert cert.orbit_sizes == (1, 1, 1, 1)
         assert cert.ok
 
     def test_p2_three_singletons(self, p2, p2_aut):
         trace, label = classify_pair(p2, p2_aut)
         basis = standard_permutation_basis(pullback(trace), label)
-        assert verify_permutation_basis(basis, p2, p2_aut).orbit_sizes == (1, 1, 1)
+        assert verify_permutation_basis(basis, p2_aut).orbit_sizes == (1, 1, 1)
         divisors = set(basis.divisors)
         assert (0, 0, 0) in divisors
 
     def test_square_signature(self, square, square_aut):
         trace, label = classify_pair(square, square_aut)
         basis = standard_permutation_basis(pullback(trace), label)
-        assert verify_permutation_basis(basis, square, square_aut).orbit_sizes == (1, 2, 1)
+        assert verify_permutation_basis(basis, square_aut).orbit_sizes == (1, 2, 1)
 
     def test_dp6_signature(self, dp6, dp6_aut):
         trace, label = classify_pair(dp6, dp6_aut)
         basis = standard_permutation_basis(pullback(trace), label)
-        cert = verify_permutation_basis(basis, dp6, dp6_aut)
+        cert = verify_permutation_basis(basis, dp6_aut)
         assert cert.orbit_sizes == (1, 3, 2)
-        assert basis_payload(basis, cert)["stabilizer_indices"] == [1, 3, 2]
+        assert basis_payload(cert)["stabilizer_indices"] == [1, 3, 2]
 
     def test_from_minimal_label_directly(self, dp6, dp6_aut):
         from toric_surface_lab.minimal_model import classify_minimal
 
         label = classify_minimal(dp6, dp6_aut)
         basis = standard_permutation_basis(pullback(minimalize(dp6, dp6_aut)), label)
-        cert = verify_permutation_basis(basis, dp6, dp6_aut)
+        cert = verify_permutation_basis(basis, dp6_aut)
         assert cert.orbit_sizes == (1, 3, 2)
         assert cert.ok
 
@@ -547,7 +555,7 @@ class TestStandardBasis:
             trace, label = classify_pair(entry.fan, entry.group)
             basis = standard_permutation_basis(pullback(trace), label)
             assert len(basis.divisors) == entry.fan.n
-            cert = verify_permutation_basis(basis, entry.fan, entry.group)
+            cert = verify_permutation_basis(basis, entry.group)
             assert cert.ok
             # The core classes come first, then the O(E) of the last step first.
             exc = [("exc", k) for k in reversed(range(len(trace.steps)))
@@ -571,13 +579,14 @@ class TestVerifyBasis:
             unit_divisor(f2, 1),
             unit_divisor(f2, 0, 0),
         ]
-        cert = verify_permutation_basis(divisors, f2, g)
+        basis = as_basis(f2, divisors)
+        cert = verify_permutation_basis(basis, g)
         assert not cert.ok
-        assert cert == (0, (), "coordinate matrix has determinant 0")
+        assert cert == (basis, 0, (), "coordinate matrix has determinant 0")
 
     def test_rejects_too_few_classes(self, f2):
         divisors = [(0, 0, 0, 0), unit_divisor(f2, 0), unit_divisor(f2, 1)]
-        cert = verify_permutation_basis(divisors, f2, compute_aut(f2))
+        cert = verify_permutation_basis(as_basis(f2, divisors), compute_aut(f2))
         assert not cert.ok
         assert cert.error == "3 classes cannot form a basis of rank 4"
         assert cert.orbits == ()
@@ -588,7 +597,7 @@ class TestVerifyBasis:
         trace, label = classify_pair(dp6, dp6_aut)
         divisors = list(standard_permutation_basis(pullback(trace), label).divisors)
         divisors[divisors.index(unit_divisor(dp6, 3, 4))] = unit_divisor(dp6, 3)
-        cert = verify_permutation_basis(divisors, dp6, dp6_aut)
+        cert = verify_permutation_basis(as_basis(dp6, divisors), dp6_aut)
         assert not cert.ok
         assert cert.determinant in (1, -1)
         assert cert.orbits == ()
@@ -604,7 +613,7 @@ class TestVerifyBasis:
             unit_divisor(dp6, 0, 1, 2),
             unit_divisor(dp6, 3, 4, 5),
         ]
-        cert = verify_permutation_basis(divisors, dp6, dp6_aut)
+        cert = verify_permutation_basis(as_basis(dp6, divisors), dp6_aut)
         assert cert.ok
         assert sorted(cert.orbit_sizes) == [1, 2, 3]
 
@@ -618,10 +627,12 @@ class TestVerifyBasis:
             unit_divisor(dp6, 0, 1, 2),
             unit_divisor(dp6, 3, 4, 5),
         ]
-        cert = verify_permutation_basis(np.array(divisors, dtype=np.int64), dp6, dp6_aut)
-        assert cert == verify_permutation_basis(divisors, dp6, dp6_aut)
+        rows = tuple(np.array(divisors, dtype=np.int64))
+        cert = verify_permutation_basis(as_basis(dp6, rows), dp6_aut)
+        assert cert[1:] == verify_permutation_basis(as_basis(dp6, divisors), dp6_aut)[1:]
         with pytest.raises(TypeError):
-            verify_permutation_basis([[float(x) for x in d] for d in divisors], dp6, dp6_aut)
+            verify_permutation_basis(
+                as_basis(dp6, [tuple(map(float, d)) for d in divisors]), dp6_aut)
 
     def test_orbits_match_bfs_partition_on_corpus(self):
         """On every corpus pair, in its own and a random lattice basis, the
@@ -634,7 +645,7 @@ class TestVerifyBasis:
                                random_basis(rng, entry.fan, entry.group)):
                 trace, label = classify_pair(fan, group)
                 basis = standard_permutation_basis(pullback(trace), label)
-                cert = verify_permutation_basis(basis, fan, group)
+                cert = verify_permutation_basis(basis, group)
                 assert cert.orbits == bfs_orbit_partition(fan, group, basis.divisors)
                 pairs += 1
         assert pairs == 2 * 191
@@ -644,14 +655,14 @@ class TestSearch:
     def test_p2_trivial_bound_two(self, p2):
         basis = search_line_bundle_basis(p2, trivial_group(p2), 2)
         assert basis is not None
-        cert = verify_permutation_basis(basis, p2, trivial_group(p2))
+        cert = verify_permutation_basis(basis, trivial_group(p2))
         assert cert.ok
 
     def test_f2_order_two_bound_two(self, f2):
         g = compute_aut(f2)
         basis = search_line_bundle_basis(f2, g, 2)
         assert basis is not None
-        assert verify_permutation_basis(basis, f2, g).ok
+        assert verify_permutation_basis(basis, g).ok
 
     def test_bound_zero_absent(self, p2):
         assert search_line_bundle_basis(p2, trivial_group(p2), 0) is None
@@ -672,14 +683,25 @@ class TestSearch:
                 assert grothendieck._class_orbit(lat, perms, d) == bfs_class_orbit(
                     lat, perms, d)
 
+    def test_shell_representatives_match_keyed_scan_at_bound_two(self):
+        """At bound 2, on every corpus fan of at most 6 rays, the least
+        divisor of each class found shell by shell is the one the keyed scan
+        of the whole cube keeps.  The representatives do not depend on the
+        group; bounds 0 and 1 are compared on every pair in the test below."""
+        entries = {e.fan: e for e in standard_corpus(max_rays=16) if e.fan.n <= 6}
+        for entry in entries.values():
+            rep, _ = grothendieck._candidate_orbits(entry.fan, entry.group, 2)
+            assert rep == keyed_candidate_reps(entry.fan, 2)
+        assert len(entries) == 42
+
     def test_one_representative_orbits_match_bfs_closure_in_search(self, monkeypatch):
         """On the candidates of bounds 0 and 1, in two bases per pair of at
-        most 6 rays, the orbits from the images of one representative equal
-        the orbits of a closure, and the search equals the rank-pruned
-        reference DFS on the closure's candidates.  For trivial groups on 6
-        rays at bound 1, where the reference takes seconds per pair, the
-        search's results are certified instead; one is pinned to the
-        reference's."""
+        most 6 rays, the representatives are those of the keyed scan, the
+        orbits from the images of one representative equal the orbits of a
+        closure, and the search equals the rank-pruned reference DFS on the
+        closure's candidates.  For trivial groups on 6 rays at bound 1, where
+        the reference takes seconds per pair, the search's results are
+        certified instead; one is pinned to the reference's."""
         rng = random.Random(37)
         searched = certified = 0
         for entry in (e for e in standard_corpus(max_rays=16) if e.fan.n <= 6):
@@ -687,12 +709,13 @@ class TestSearch:
                                random_basis(rng, entry.fan, entry.group)):
                 for bound in (0, 1):
                     candidates = grothendieck._candidate_orbits(fan, group, bound)
+                    assert candidates[0] == keyed_candidate_reps(fan, bound)
                     basis = search_line_bundle_basis(fan, group, bound)
                     monkeypatch.setattr(grothendieck, "_class_orbit", bfs_class_orbit)
                     closure = grothendieck._candidate_orbits(fan, group, bound)
                     assert closure == candidates
                     if fan.n == 6 and group.order == 1 and bound == 1:
-                        assert verify_permutation_basis(basis, fan, group).ok
+                        assert verify_permutation_basis(basis, group).ok
                         certified += 1
                         if fan.rays == PINNED_RAYS:
                             assert basis.divisors == PINNED_DIVISORS

@@ -1,11 +1,7 @@
 import pytest
 
-from toric_surface_lab.grothendieck import (
-    PermutationBasis,
-    standard_permutation_basis,
-    verify_permutation_basis,
-)
-from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan, p2_fan
+from toric_surface_lab.grothendieck import standard_permutation_basis, verify_permutation_basis
+from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan
 from toric_surface_lab.minimal_model import classify_minimal, classify_pair, pullback
 from toric_surface_lab.motivic import decompose, decomposition_string
 from toric_surface_lab.symmetry import compute_aut, trivial_group
@@ -13,10 +9,10 @@ from toric_surface_lab.corpus import subgroup_with_label
 
 
 def certified(fan, group):
-    """The standard basis of the pair, its certificate and the label."""
+    """The certificate of the pair's standard basis, and the label."""
     trace, label = classify_pair(fan, group)
     basis = standard_permutation_basis(pullback(trace), label)
-    return basis, verify_permutation_basis(basis, fan, group), label
+    return verify_permutation_basis(basis, group), label
 
 
 def pipeline(fan, group):
@@ -53,20 +49,20 @@ class TestFamilyStrings:
 class TestFactorData:
     def test_counts_and_degrees(self, small_corpus):
         for entry in small_corpus[:30]:
-            basis, cert, label = certified(entry.fan, entry.group)
-            dec = decompose(basis, cert, label)
+            cert, label = certified(entry.fan, entry.group)
+            dec = decompose(cert, label)
             orbits = cert.orbits
             assert len(dec.factors) == len(orbits)
-            assert dec.total_degree() == entry.fan.n
+            assert sum(f.base_degree for f in dec.factors) == entry.fan.n
             for factor, orbit in zip(dec.factors, orbits):
                 assert factor.base_degree == len(orbit)
 
     def test_unit_orbit_is_split(self, small_corpus):
         for entry in small_corpus[:30]:
-            basis, cert, label = certified(entry.fan, entry.group)
-            dec = decompose(basis, cert, label)
+            cert, label = certified(entry.fan, entry.group)
+            dec = decompose(cert, label)
             unit_index = next(
-                i for i, d in enumerate(basis.divisors) if all(c == 0 for c in d)
+                i for i, d in enumerate(cert.basis.divisors) if all(c == 0 for c in d)
             )
             for factor in dec.factors:
                 if unit_index in factor.source_orbit:
@@ -78,9 +74,11 @@ class TestFactorData:
         from toric_surface_lab.symmetry import SymmetryGroup
 
         group = SymmetryGroup(elements=c6.elements, generators=c6.generators).attach(blown)
-        dec = pipeline(blown, group)
+        cert, label = certified(blown, group)
+        dec = decompose(cert, label)
         core = pipeline(dp6, c6)
-        exceptional = [f for f in dec.factors if f.slot_roles[0].isdigit()]
+        exceptional = [f for f in dec.factors
+                       if cert.basis.tags[f.source_orbit[0]][0] == "exc"]
         assert len(dec.factors) == len(core.factors) + len(exceptional)
         assert all(f.brauer_label == "k" for f in exceptional)
         assert sum(f.base_degree for f in exceptional) == 6
@@ -131,23 +129,33 @@ class TestErrors:
         """A failed certificate is the caller's verdict; passing it to
         decompose is a bug."""
         g = trivial_group(f2)
-        good, _, label = certified(f2, g)
-        tampered = PermutationBasis(
-            fan=good.fan,
-            divisors=good.divisors[:-1] + ((0, 0, 0, 0),),
-            tags=good.tags,
-        )
-        cert = verify_permutation_basis(tampered, f2, g)
+        good, label = certified(f2, g)
+        tampered = good.basis._replace(divisors=good.basis.divisors[:-1] + ((0, 0, 0, 0),))
+        cert = verify_permutation_basis(tampered, g)
         assert not cert.ok
         with pytest.raises(ValueError, match="decompose needs a certified basis: "):
-            decompose(tampered, cert, label)
+            decompose(cert, label)
 
-    def test_certificate_of_another_basis_rejected(self, f2):
-        """A passing certificate whose orbits do not cover the basis is not
-        its certificate."""
-        basis, _, label = certified(f2, trivial_group(f2))
-        p2 = p2_fan()
-        _, other, _ = certified(p2, trivial_group(p2))
-        assert other.ok
-        with pytest.raises(ValueError, match=r"orbits \(1, 1, 1\) do not cover 4 classes"):
-            decompose(basis, other, label)
+    def test_factors_read_the_certified_basis_tags(self, dp6, dp6_aut):
+        """The certificate of a basis whose tags name the Q role on the
+        3-orbit and the R role on the 2-orbit decomposes with those slots:
+        the factors come from `cert.basis`."""
+        std, label = certified(dp6, dp6_aut)
+        assert std.orbits == ((0,), (1, 2, 3), (4, 5))
+        planted = std.basis._replace(tags=(("core", "one"),) + (("core", "Q"),) * 3
+                                     + (("core", "R"),) * 2)
+        cert = verify_permutation_basis(planted, dp6_aut)
+        assert cert.ok and cert.basis is planted
+        assert decomposition_string(decompose(cert, label)) == "k×Q×P"
+        assert decomposition_string(decompose(std, label)) == "k×P×Q"
+
+    def test_certificate_of_a_degenerate_basis_is_not_decomposed(self, dp6, dp6_aut):
+        """The all-zero divisors on dP6 under D12 fail their own certificate,
+        and decompose refuses that certificate."""
+        std, label = certified(dp6, dp6_aut)
+        bad = std.basis._replace(divisors=((0,) * 6,) * 6)
+        cert = verify_permutation_basis(bad, dp6_aut)
+        assert not cert.ok
+        assert cert.error == "coordinate matrix has determinant 0"
+        with pytest.raises(ValueError, match="decompose needs a certified basis: coordinate"):
+            decompose(cert, label)
