@@ -98,7 +98,8 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
     Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
     vector comes from the cohomology routine of `line_bundle_cohomology`.
     Group closure is checked by partitioning each block into orbits.  The
-    first pair whose Ext is wrong is the certificate's `first_violation`.
+    first pair whose Ext is wrong is the certificate's `first_violation`,
+    and the scan stops there; `pairs_checked` still counts every pair.
     """
     fan = coll.fan
     n = fan.n
@@ -129,8 +130,9 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
         else:
             diff = list(map(sub, d2, d1))
             ext, expected = _cohomology(table, diff, deg2 - deg1).as_tuple(), (0, 0, 0)
-        if ext != expected and first is None:
+        if ext != expected:
             first = ExtViolation(kind, d1, d2, ext)
+            break
 
     coords = [x for row in blocks for _, _, x in row]  # c1 of each O(D)
     det = _class_det(lat, coords) if len(coords) == n else 0

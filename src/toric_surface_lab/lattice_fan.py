@@ -277,8 +277,9 @@ def apply_matrix(m: Mat2, fan: Fan) -> Fan:
     return validate_fan(images)
 
 
-def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
-    """Each unimodular matrix carrying the ray set of f1 onto that of f2.
+def _shift_maps(f1: Fan, f2: Fan) -> Iterator[tuple[int, int, Mat2]]:
+    """(j, sign, m) for each unimodular m carrying the ray set of f1 onto
+    that of f2, where m sends ray k of f1 to ray (j + sign k) mod n of f2.
 
     Such a map sends the basis v_0, v_1 to some w_j, w_{j+-1} and, by the
     wall relations v_{k-1} + v_{k+1} = -a_k v_k, each v_k to w_{j+-k}: a
@@ -296,7 +297,12 @@ def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
         for s, seq in ((1, forward[j:j + n]), (-1, backward[n - 1 - j:2 * n - 1 - j])):
             if a1 == seq:
                 w0, w1 = f2.rays[j], f2.rays[(j + s) % n]
-                yield mat_mul(columns_to_matrix(w0, w1), vinv)
+                yield j, s, mat_mul(columns_to_matrix(w0, w1), vinv)
+
+
+def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
+    """Each unimodular matrix carrying the ray set of f1 onto that of f2."""
+    return (m for _, _, m in _shift_maps(f1, f2))
 
 
 def fans_isomorphic(f1: Fan, f2: Fan) -> Mat2 | None:

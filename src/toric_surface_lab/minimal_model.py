@@ -165,7 +165,8 @@ def _descend(g: SymmetryGroup, after: Fan) -> SymmetryGroup:
     renumber = {i: j for j, i in enumerate(kept)}
     perms = {h: tuple(renumber[p[i]] for i in kept) for h, p in g.ray_permutations.items()}
     return SymmetryGroup(
-        elements=g.elements, generators=g.generators, fan=after, ray_permutations=perms
+        elements=g.elements, generators=g.generators, fan=after, ray_permutations=perms,
+        presentation=g.presentation,
     )
 
 

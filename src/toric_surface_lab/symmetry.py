@@ -14,6 +14,8 @@ D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
 Every finite subgroup is cyclic or dihedral, generated by one rotation and
 one reflection; its class, its subgroups, its generating set and the check
 that an element set is a group are read off the powers of such elements.
+compute_aut and enumerate_subgroups hand such a pair down as the group's
+`presentation`; only a group without one is certified to be a group.
 The breadth-first closure serves only SymmetryGroup.from_generators.
 """
 
@@ -32,7 +34,7 @@ from .intlinalg import (
     mat_det,
     mat_mul,
 )
-from .lattice_fan import Fan, LabError, lattice_maps
+from .lattice_fan import Fan, InternalError, LabError, _shift_maps
 
 __all__ = [
     "SymmetryGroup",
@@ -151,19 +153,23 @@ class SymmetryGroup:
     """A finite subgroup of GL(2,Z), optionally attached to a fan.
 
     When attached, `ray_permutations[g]` maps ray index i of the fan to the
-    index of g applied to ray i.  Immutable; equality and hash ignore the
-    ray permutations.
+    index of g applied to ray i.  `presentation` is a trusted (r, s), r
+    generating the rotations and s a reflection or None, or None when
+    unknown.  Immutable; equality and hash ignore the ray permutations and
+    the presentation.
     """
 
-    __slots__ = ("elements", "generators", "fan", "ray_permutations")
+    __slots__ = ("elements", "generators", "fan", "ray_permutations", "presentation")
 
     def __init__(self, elements: frozenset[Mat2], generators: tuple[Mat2, ...],
                  fan: Fan | None = None,
-                 ray_permutations: dict[Mat2, tuple[int, ...]] | None = None) -> None:
+                 ray_permutations: dict[Mat2, tuple[int, ...]] | None = None,
+                 presentation: tuple[Mat2, Mat2 | None] | None = None) -> None:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "ray_permutations", ray_permutations)
+        object.__setattr__(self, "presentation", presentation)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -182,7 +188,7 @@ class SymmetryGroup:
         return hash(self._key())
 
     def __reduce__(self):
-        return (SymmetryGroup, self._key() + (self.ray_permutations,))
+        return (SymmetryGroup, self._key() + (self.ray_permutations, self.presentation))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -222,6 +228,7 @@ class SymmetryGroup:
             generators=self.generators,
             fan=fan,
             ray_permutations=perms,
+            presentation=self.presentation,
         )
 
     def on(self, fan: Fan) -> "SymmetryGroup":
@@ -263,10 +270,25 @@ def trivial_group(fan: Fan | None = None) -> SymmetryGroup:
 
 
 def compute_aut(fan: Fan) -> SymmetryGroup:
-    """The full group of unimodular matrices permuting the ray set."""
-    elems = set(lattice_maps(fan, fan))
-    gens = _small_generating_set(elems)
-    return SymmetryGroup(elements=frozenset(elems), generators=gens).attach(fan)
+    """The full group of unimodular matrices permuting the ray set, attached
+    to the fan and read off its lattice maps: the map sending ray k to ray
+    (j + sign k) mod n has that ray permutation (checked against its images),
+    the rotation (sign 1) of least positive j generates the rotations, and
+    with any reflection (sign -1) it is the group's presentation."""
+    n, rays = fan.n, fan.rays
+    perms = {}
+    r = s = None
+    for j, sign, g in _shift_maps(fan, fan):
+        perms[g] = perm = tuple([(j + sign * i) % n for i in range(n)])
+        (a, b), (c, d) = g
+        if [(a * x + b * y, c * x + d * y) for x, y in rays] != [rays[k] for k in perm]:
+            raise InternalError(f"{g} does not send ray k to ray {j} + {sign}k")
+        if sign == -1:
+            s = g
+        elif j and r is None:
+            r = g
+    return SymmetryGroup(frozenset(perms), _small_generating_set(perms), fan,
+                         {g: perms[g] for g in sorted(perms)}, (r or IDENTITY, s))
 
 
 def _powers(g: Mat2) -> list[Mat2]:
@@ -313,9 +335,9 @@ def classify_subgroup(group) -> str:
     """Conjugacy label of a finite subgroup of GL(2,Z).
 
     Accepts a SymmetryGroup or a list or tuple of generator matrices, which
-    go through SymmetryGroup.from_generators.  With r and s as in
-    _rotation_and_reflection and m the order of r, the class is read off
-    closed-form invariants:
+    go through SymmetryGroup.from_generators.  With r and s the group's
+    presentation, or from _rotation_and_reflection when it has none, and m
+    the order of r, the class is read off closed-form invariants:
 
     * no reflection: C_m;
     * m = 4 or 6: D8 or D12;
@@ -330,7 +352,7 @@ def classify_subgroup(group) -> str:
     """
     if not isinstance(group, SymmetryGroup):
         group = SymmetryGroup.from_generators(group)
-    r, s = _rotation_and_reflection(group.elements)
+    r, s = group.presentation or _rotation_and_reflection(group.elements)
     m = element_order(r)
     if s is None:
         return f"C{m}"
@@ -365,25 +387,27 @@ def _generators(members: list[Mat2]) -> tuple[Mat2, ...]:
 def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
     """All subgroups, each with a generating set of at most two elements.
 
-    With r and s as in _rotation_and_reflection and m the order of r, they
-    are, for each divisor d of m, the cyclic <r^(m/d)> and, when s exists,
-    the dihedral <r^(m/d), r^j s> for each j < m/d; ordered by size, then by
-    sorted elements, with the generators of _generators.  A group with a fan
-    is attached to it once, and each subgroup inherits its elements' ray
-    permutations from the group instead of recomputing them.
+    With r and s as in classify_subgroup and m the order of r, they are, for
+    each divisor d of m, the cyclic <r^(m/d)> and, when s exists, the
+    dihedral <r^(m/d), r^j s> for each j < m/d, which is its presentation;
+    ordered by size, then by sorted elements, with the generators of
+    _generators.  A group with a fan is attached to it once, and each
+    subgroup inherits its elements' ray permutations from the group.
     """
     if group.fan is not None:
         group = group.on(group.fan)
-    r, s = _rotation_and_reflection(group.elements)
+    r, s = group.presentation or _rotation_and_reflection(group.elements)
     powers = _powers(r)
     m = len(powers)
     subs = []
     for step in (m // d for d in range(1, m + 1) if m % d == 0):
-        rotations = powers[::step]
-        subs.append(rotations)
+        rotations, rs = powers[::step], powers[step % m]
+        subs.append((sorted(rotations), (rs, None)))
         if s is not None:
             for j in range(step):
-                subs.append(rotations + [mat_mul(g, s) for g in powers[j::step]])
+                coset = [mat_mul(g, s) for g in powers[j::step]]
+                subs.append((sorted(rotations + coset), (rs, coset[0])))
+    subs.sort(key=lambda sub: (len(sub[0]), sub[0]))
     perms = group.ray_permutations
     return [
         SymmetryGroup(
@@ -391,6 +415,7 @@ def enumerate_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
             generators=_generators(members),
             fan=group.fan,
             ray_permutations=None if perms is None else {h: perms[h] for h in members},
+            presentation=presentation,
         )
-        for members in sorted(map(sorted, subs), key=lambda h: (len(h), h))
+        for members, presentation in subs
     ]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from toric_surface_lab import derived
 from toric_surface_lab.cohomology import ext_line_bundles
 from toric_surface_lab.derived import (
     ExceptionalCollection,
@@ -10,7 +11,7 @@ from toric_surface_lab.derived import (
     verify_collection,
 )
 from toric_surface_lab.grothendieck import line_bundle_class
-from toric_surface_lab.lattice_fan import blow_up, p2_fan
+from toric_surface_lab.lattice_fan import blow_up, dp6_fan, p2_fan
 from toric_surface_lab.minimal_model import classify_pair, pullback
 from toric_surface_lab.symmetry import compute_aut, enumerate_subgroups, trivial_group
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
@@ -143,6 +144,31 @@ class TestReversed:
         assert v.source == (1, 0, 0)
         assert v.target == (2, 0, 0)
         assert v.ext == (3, 0, 0)
+
+    @pytest.mark.parametrize("fan, pairs", [
+        (p2_fan(), 6),
+        (ci_fan(32), 528),
+        (blow_up(dp6_fan(), range(6)), 97),
+    ], ids=["p2", "recipe-32", "dp6-blown-up"])
+    def test_scan_stops_at_the_first_violation(self, monkeypatch, fan, pairs):
+        """The first violation and `pairs_checked` are the pairwise oracle's
+        (which scans every pair), but the Ext of a pair is computed only up
+        to the failing one: one call for the self pairs, then one per pair."""
+        group = compute_aut(fan)
+        coll = collection_for(fan, group).reversed()
+        want = pairwise_verify_collection(coll, group)
+        blocks = coll.blocks
+        scan = [("block", a, b) for blk in blocks
+                for i, a in enumerate(blk) for j, b in enumerate(blk) if i != j]
+        scan += [("order", a, b) for s in range(1, len(blocks)) for t in range(s)
+                 for a in blocks[s] for b in blocks[t]]
+        calls = []
+        real = derived._cohomology
+        monkeypatch.setattr(derived, "_cohomology", lambda *a: calls.append(a) or real(*a))
+        cert = verify_collection(coll, group)
+        assert cert == want and cert.pairs_checked == pairs
+        v = cert.first_violation
+        assert len(calls) == 1 + scan.index((v.kind, v.source, v.target)) + 1 < 1 + len(scan)
 
 
 class TestBlowUps:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from toric_surface_lab import symmetry
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.intlinalg import mat_det, mat_inv, mat_mul, xgcd
 from toric_surface_lab.lattice_fan import (
@@ -463,6 +464,91 @@ class TestOrbits:
             ):
                 assert group.ray_orbits() == bfs_ray_orbits(group)
                 assert group.cone_orbits() == bfs_cone_orbits(group)
+
+
+def corpus_fans_in_three_bases(seed):
+    """Each distinct 16-ray corpus fan in its own basis and in two random ones."""
+    rng = random.Random(seed)
+    fans = {e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}
+    for fan in fans.values():
+        yield fan
+        for _ in range(2):
+            yield apply_matrix(random_unimodular(rng), fan)
+
+
+def count_certifications(monkeypatch) -> list:
+    """The element sets `_rotation_and_reflection` is called on from now on."""
+    calls = []
+    real = symmetry._rotation_and_reflection
+    monkeypatch.setattr(symmetry, "_rotation_and_reflection",
+                        lambda elems: calls.append(elems) or real(elems))
+    return calls
+
+
+class TestCarriedPresentation:
+    """compute_aut reads the presentation and the ray permutations off the
+    lattice-map shifts, and each subgroup inherits its presentation: checked
+    against attach, against certification of the bare element set, and
+    against the search of loop_classify."""
+
+    def test_aut_ray_permutations_match_attach(self):
+        for fan in corpus_fans_in_three_bases(71):
+            aut = compute_aut(fan)
+            bare = SymmetryGroup(aut.elements, aut.generators).attach(fan)
+            assert list(aut.ray_permutations.items()) == list(bare.ray_permutations.items())
+
+    def test_subgroup_labels_agree_with_bare_rebuild_and_loop_oracle(self):
+        for fan in corpus_fans_in_three_bases(73):
+            aut = compute_aut(fan)
+            for sub in [aut, *enumerate_subgroups(aut)]:
+                r, s = sub.presentation
+                assert mat_det(r) == 1 and (s is None or mat_det(s) == -1)
+                assert _close([r] + [s] * (s is not None)) == sub.elements
+                bare = SymmetryGroup(sub.elements, sub.generators)
+                assert bare.presentation is None
+                assert classify_subgroup(sub) == classify_subgroup(bare) == loop_classify(sub)
+
+    def test_pickle_attach_and_descent_keep_it_and_equality_ignores_it(self):
+        for fan in corpus_fans_in_three_bases(79):
+            aut = compute_aut(fan)
+            for group in [aut, *enumerate_subgroups(aut)]:
+                twin = pickle.loads(pickle.dumps(group))
+                assert twin.presentation == group.presentation is not None
+                assert twin.ray_permutations == group.ray_permutations
+                assert group.attach(fan).presentation == group.presentation
+                bare = SymmetryGroup(group.elements, group.generators, fan,
+                                     group.ray_permutations)
+                assert bare.presentation is None
+                assert bare == group and group == bare and hash(bare) == hash(group)
+        blown = blow_up(dp6_fan(), range(6))
+        aut = compute_aut(blown)
+        trace = minimalize(blown, aut)
+        assert trace.steps and trace.terminal_group.presentation == aut.presentation
+
+    def test_aut_subgroups_are_labelled_without_certifying(self, monkeypatch):
+        calls = count_certifications(monkeypatch)
+        labels = [classify_subgroup(s) for s in enumerate_subgroups(compute_aut(dp6_fan()))]
+        assert len(labels) == 16 and calls == []
+
+    def test_bare_group_is_certified_once(self, monkeypatch):
+        aut = compute_aut(dp6_fan())
+        want = [classify_subgroup(s) for s in enumerate_subgroups(aut)]
+        calls = count_certifications(monkeypatch)
+        assert classify_subgroup(SymmetryGroup(aut.elements, aut.generators)) == "D12"
+        assert calls == [aut.elements]
+        calls.clear()
+        subs = enumerate_subgroups(SymmetryGroup(aut.elements, aut.generators))
+        assert [classify_subgroup(s) for s in subs] == want and calls == [aut.elements]
+
+    def test_planted_non_group_from_bare_elements_raises(self, monkeypatch):
+        s = ((1, 1), (0, -1))
+        rotations = SymmetryGroup.from_generators([GEN_B]).elements
+        coset = rotations | {mat_mul(g, s) for g in rotations}
+        calls = count_certifications(monkeypatch)
+        for f in (enumerate_subgroups, classify_subgroup):
+            with pytest.raises(SymmetryError):
+                f(SymmetryGroup(coset, tuple(sorted(coset))))
+        assert calls == [coset, coset]
 
 
 class TestInvariants:
