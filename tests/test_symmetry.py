@@ -8,6 +8,7 @@ from toric_surface_lab import symmetry
 from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.intlinalg import mat_det, mat_inv, mat_mul, xgcd
 from toric_surface_lab.lattice_fan import (
+    InternalError,
     apply_matrix,
     blow_up,
     dp6_fan,
@@ -496,6 +497,13 @@ class TestCarriedPresentation:
             aut = compute_aut(fan)
             bare = SymmetryGroup(aut.elements, aut.generators).attach(fan)
             assert list(aut.ray_permutations.items()) == list(bare.ray_permutations.items())
+
+    def test_shift_that_misreads_the_images_is_an_internal_error(self, monkeypatch):
+        real = symmetry._shift_maps
+        monkeypatch.setattr(symmetry, "_shift_maps",
+                            lambda f1, f2: ((j + 1, sign, g) for j, sign, g in real(f1, f2)))
+        with pytest.raises(InternalError):
+            compute_aut(dp6_fan())
 
     def test_subgroup_labels_agree_with_bare_rebuild_and_loop_oracle(self):
         for fan in corpus_fans_in_three_bases(73):
