@@ -101,17 +101,13 @@ def group_payload(group: SymmetryGroup) -> dict:
 
 
 def trace_payload(trace) -> dict:
-    return {
-        "steps": [
-            {
-                "contracted_rays": [list(v) for v in step.contracted],
-                "rays_before": step.before.n,
-                "rays_after": step.after.n,
-            }
-            for step in trace.steps
-        ],
-        "terminal_fan": fan_payload(trace.terminal_fan),
-    }
+    rays, n, steps = trace.initial_fan.rays, trace.initial_fan.n, []
+    for step in trace.steps:
+        after = n - len(step.contracted)
+        steps.append({"contracted_rays": [list(rays[i]) for i in step.contracted],
+                      "rays_before": n, "rays_after": after})
+        n = after
+    return {"steps": steps, "terminal_fan": fan_payload(trace.terminal_fan)}
 
 
 def label_payload(label) -> dict:

@@ -228,13 +228,20 @@ def self_intersections(fan: Fan) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _indices(fan: Fan, indices, what: str) -> set[int]:
+    """The selected indices, each an int (not a bool) in 0..n-1, else
+    InvalidConeIndex."""
+    picked = list(indices)
+    for i in picked:
+        if type(i) is not int or not 0 <= i < fan.n:
+            raise InvalidConeIndex(f"{what} index {i!r} is not an int in 0..{fan.n - 1}")
+    return set(picked)
+
+
 def blow_up(fan: Fan, cone_indices) -> Fan:
     """Insert the ray v_i + v_{i+1} into each selected maximal cone."""
-    picked = set(cone_indices)
+    picked = _indices(fan, cone_indices, "cone")
     n = fan.n
-    for c in picked:
-        if not isinstance(c, int) or not 0 <= c < n:
-            raise InvalidConeIndex(f"cone index {c} out of range 0..{n - 1}")
     new_rays: list[Vec] = []
     for i, v in enumerate(fan.rays):
         new_rays.append(v)
@@ -246,12 +253,10 @@ def blow_up(fan: Fan, cone_indices) -> Fan:
 
 def blow_down(fan: Fan, ray_indices) -> Fan:
     """Remove the selected (-1)-rays; inverse of blow_up."""
-    picked = sorted(set(ray_indices))
+    picked = sorted(_indices(fan, ray_indices, "ray"))
     n = fan.n
     a = self_intersections(fan)
     for i in picked:
-        if not 0 <= i < n:
-            raise InvalidConeIndex(f"ray index {i} out of range 0..{n - 1}")
         if a[i] != -1:
             raise NotMinusOneCurve(
                 f"ray {fan.rays[i]} has self-intersection {a[i]}, not -1"

@@ -13,16 +13,15 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .intlinalg import det2
 from .lattice_fan import (
     Fan,
     InternalError,
     LabError,
-    blow_down,
     dp6_fan,
     fans_isomorphic,
     p2_fan,
     self_intersections,
+    validate_fan,
 )
 from .symmetry import SymmetryGroup, classify_subgroup
 
@@ -61,9 +60,17 @@ class TableViolation(InternalError):
 
 
 class ContractionStep(NamedTuple):
-    before: Fan
-    contracted: tuple[tuple[int, int], ...]  # ray vectors removed in this step
-    after: Fan
+    """One orbit contracted, read as the blow-ups that undo it.
+
+    `contracted` lists the orbit's rays as indices into the trace's initial
+    fan, ascending, and `parents[j]` the initial indices (u, w) of the two
+    neighbours ray `contracted[j]` had when it was contracted.  That ray is
+    v_u + v_w, the blow-up of the cone (u, w), so a class pulls back along
+    the step by c_v = c_u + c_w.
+    """
+
+    contracted: tuple[int, ...]
+    parents: tuple[tuple[int, int], ...]
 
 
 class ContractionTrace(NamedTuple):
@@ -84,90 +91,66 @@ class MinimalLabel(NamedTuple):
         return f"{self.kind}/{self.group_label}"
 
 
+def _contractible(orbit: tuple[int, ...], a, nxt) -> bool:
+    """Whether the rays of `orbit` are (-1)-rays, no two of them neighbours;
+    `a[i]` is the self-intersection of ray i and `nxt[i]` the ray after it."""
+    return all(a[i] == -1 and nxt[i] not in orbit for i in orbit)
+
+
 def contractible_orbits(fan: Fan, group: SymmetryGroup) -> list[tuple[int, ...]]:
     """Ray-index orbits consisting of pairwise non-adjacent (-1)-rays."""
-    group = group.on(fan)
-    a = self_intersections(fan)
-    n = fan.n
-    out = []
-    for orbit in group.ray_orbits():
-        if any(a[i] != -1 for i in orbit):
-            continue
-        members = set(orbit)
-        if any((i + 1) % n in members for i in orbit):
-            continue
-        out.append(orbit)
-    return out
+    a, nxt = self_intersections(fan), [*range(1, fan.n), 0]
+    return [o for o in group.on(fan).ray_orbits() if _contractible(o, a, nxt)]
 
 
 def is_g_minimal(fan: Fan, group: SymmetryGroup) -> bool:
     return not contractible_orbits(fan, group)
 
 
-def _greedy_orbit_union(orbits: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Maximal pairwise-compatible union of orbits, preferring low ray index."""
-    chosen: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    for orbit in sorted(orbits, key=lambda o: o[0]):
-        members = set(orbit)
-        blocked = members & used
-        blocked |= {i for i in orbit if (i + 1) % n in used or (i - 1) % n in used}
-        if not blocked:
-            chosen.append(orbit)
-            used |= members
-    return chosen
-
-
 def minimalize(fan: Fan, group: SymmetryGroup) -> ContractionTrace:
     """Contract orbits of disjoint (-1)-curves until none remain.
 
-    Each round picks the greedy maximal compatible union of contractible
-    orbits and contracts it one orbit per recorded step, so traces are
-    reproducible and every contracted set is a single group orbit.
+    Each round takes, by least ray index, every contractible orbit that
+    neither meets nor neighbours one already taken, and contracts them one
+    orbit per step.  The rounds run on initial ray indices: orbits never
+    split, and contracting v = v_u + v_w raises a_u and a_w by one and
+    changes nothing else, so only the orbits of u and w are checked again.
+    One fan is built, the terminal one.
     """
     group = group.on(fan)
-    initial = fan
-    steps: list[ContractionStep] = []
-    current = fan
-    g = group
-    while True:
-        orbits = contractible_orbits(current, g)
-        if not orbits:
-            break
-        round_fan = current
-        for orbit in _greedy_orbit_union(orbits, round_fan.n):
-            # Orbit indices refer to the fan at the start of the round; the
-            # rays themselves survive earlier contractions in the same round.
-            rays = tuple(round_fan.rays[i] for i in orbit)
-            indices = [current.rays.index(v) for v in rays]
-            after = blow_down(current, indices)
-            steps.append(ContractionStep(before=current, contracted=rays, after=after))
-            current = after
-            g = _descend(g, current)
-    return ContractionTrace(
-        initial_fan=initial,
-        steps=tuple(steps),
-        terminal_fan=current,
-        terminal_group=g,
-    )
-
-
-def _descend(g: SymmetryGroup, after: Fan) -> SymmetryGroup:
-    """`g` attached to `after`, the fan left by contracting a g-stable set of
-    rays of `g.fan`.
-
-    Each ray permutation drops the contracted indices and renumbers the
-    rest, in O(|G| n), where a fresh attach maps every ray through every
-    element and looks each image up in the ray list.
-    """
-    position = {v: i for i, v in enumerate(g.fan.rays)}
-    kept = [position[v] for v in after.rays]
-    renumber = {i: j for j, i in enumerate(kept)}
-    perms = {h: tuple(renumber[p[i]] for i in kept) for h, p in g.ray_permutations.items()}
-    return SymmetryGroup(
-        elements=g.elements, generators=g.generators, fan=after, ray_permutations=perms,
-        presentation=g.presentation,
-    )
+    rays, n = fan.rays, fan.n
+    a = list(self_intersections(fan))
+    prv = {i: (i - 1) % n for i in range(n)}  # the live rays' neighbours
+    nxt = {i: (i + 1) % n for i in range(n)}
+    orbit_of = {i: o for o in group.ray_orbits() for i in o}
+    ready = {o for o in set(orbit_of.values()) if _contractible(o, a, nxt)}
+    steps = []
+    while ready:
+        taken, near = [], set()
+        for orbit in sorted(ready):
+            if near.isdisjoint(orbit):
+                taken.append(orbit)
+                near.update(orbit, [prv[i] for i in orbit], [nxt[i] for i in orbit])
+        for orbit in taken:
+            parents = []
+            for v in orbit:
+                u, w = prv[v], nxt[v]
+                if (rays[u][0] + rays[w][0], rays[u][1] + rays[w][1]) != rays[v]:
+                    raise InternalError(f"contracted ray {rays[v]} is not {rays[u]} + {rays[w]}")
+                parents.append((u, w))
+                a[u] += 1
+                a[w] += 1
+                del prv[v], nxt[v]
+                nxt[u], prv[w] = w, u
+            steps.append(ContractionStep(orbit, tuple(parents)))
+        # Only the orbits in `near` changed; the taken ones are gone.
+        touched = ready.union(orbit_of[i] for i in near)
+        ready = {o for o in touched if o[0] in nxt and _contractible(o, a, nxt)}
+    live = sorted(nxt)
+    terminal = validate_fan([rays[i] for i in live])
+    if self_intersections(terminal) != tuple(a[i] for i in live):
+        raise InternalError("tracked self-intersections disagree with the terminal fan")
+    return ContractionTrace(fan, tuple(steps), terminal, group.on(terminal))
 
 
 DP6_PAIRING_NOTE = (
@@ -321,28 +304,22 @@ class Pullback(NamedTuple):
 
 def pullback(trace: ContractionTrace) -> Pullback:
     """The terminal ray divisors and each step's exceptional classes, pulled
-    back along `trace` to its initial fan, each in one walk from the fan it
-    lives on: the terminal fan, or the fan before the step.
+    back along `trace` to its initial fan.  A class starts as the unit vector
+    on its ray's initial index (terminal ray i is the i-th surviving one) and
+    replays the steps before its own, last first, by c_v = c_u + c_w.
     """
-    def units(coarse: Fan, rays) -> tuple[Divisor, ...]:
-        return tuple(_total_transform(coarse, trace.initial_fan,
-                                      [int(v == ray) for v in coarse.rays]) for ray in rays)
+    n, steps = trace.initial_fan.n, trace.steps
 
-    end = trace.terminal_fan
-    return Pullback(trace.initial_fan, units(end, end.rays),
-                    tuple(units(step.before, step.contracted) for step in trace.steps))
+    def unit(i: int, k: int) -> Divisor:
+        c = [0] * n
+        c[i] = 1
+        for step in reversed(steps[:k]):
+            for v, (u, w) in zip(step.contracted, step.parents):
+                c[v] = c[u] + c[w]
+        return tuple(c)
 
-
-def _total_transform(coarse: Fan, fine: Fan, d) -> Divisor:
-    """A divisor on `coarse` as one on `fine`, whose rays include those of
-    `coarse` in the same order.  The support function of d is linear on each
-    cone (u, w) of `coarse`: a ray v in it is det(v, w) u + det(u, v) w, so it
-    gets det(v, w) c_u + det(u, v) c_w.
-    """
-    rays, out, j = coarse.rays, [], 0
-    for v in fine.rays:
-        u, w = rays[j - 1], rays[j % len(rays)]  # the cone that holds v
-        out.append(det2(v, w) * d[j - 1] + det2(u, v) * d[j % len(rays)])
-        if v == w:
-            j += 1
-    return tuple(out)
+    gone = {v for step in steps for v in step.contracted}
+    return Pullback(trace.initial_fan,
+                    tuple(unit(i, len(steps)) for i in range(n) if i not in gone),
+                    tuple(tuple(unit(v, k) for v in step.contracted)
+                          for k, step in enumerate(steps)))

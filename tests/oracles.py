@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,14 @@ from toric_surface_lab.intlinalg import (
     solve2,
     xgcd,
 )
-from toric_surface_lab.lattice_fan import Fan, apply_matrix, blow_up, self_intersections, square_fan
+from toric_surface_lab.lattice_fan import (
+    Fan,
+    apply_matrix,
+    blow_down,
+    blow_up,
+    self_intersections,
+    square_fan,
+)
 from toric_surface_lab.symmetry import (
     IDENTITY,
     TABLE_GENERATORS,
@@ -855,10 +863,76 @@ def chamber_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
     return tuple(totals)
 
 
+class StepwiseStep(NamedTuple):
+    before: Fan
+    contracted: tuple[tuple[int, int], ...]  # ray vectors removed in this step
+    after: Fan
+
+
+class StepwiseTrace(NamedTuple):
+    initial_fan: Fan
+    steps: tuple[StepwiseStep, ...]
+    terminal_fan: Fan
+    terminal_group: SymmetryGroup
+
+
+def _stepwise_contractible_orbits(fan: Fan, group: SymmetryGroup) -> list[tuple[int, ...]]:
+    """Ray-index orbits consisting of pairwise non-adjacent (-1)-rays."""
+    a = self_intersections(fan)
+    n = fan.n
+    out = []
+    for orbit in group.ray_orbits():
+        if any(a[i] != -1 for i in orbit):
+            continue
+        members = set(orbit)
+        if any((i + 1) % n in members for i in orbit):
+            continue
+        out.append(orbit)
+    return out
+
+
+def _greedy_orbit_union(orbits: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Maximal pairwise-compatible union of orbits, preferring low ray index."""
+    chosen: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    for orbit in sorted(orbits, key=lambda o: o[0]):
+        members = set(orbit)
+        blocked = members & used
+        blocked |= {i for i in orbit if (i + 1) % n in used or (i - 1) % n in used}
+        if not blocked:
+            chosen.append(orbit)
+            used |= members
+    return chosen
+
+
+def stepwise_minimalize(fan: Fan, group: SymmetryGroup) -> StepwiseTrace:
+    """The contraction loop of `minimalize` with a fan per step: each round
+    contracts the greedy union of its contractible orbits one orbit at a
+    time by `blow_down`, and attaches the group afresh to every fan."""
+    g = group.attach(fan)
+    steps: list[StepwiseStep] = []
+    current = fan
+    while True:
+        orbits = _stepwise_contractible_orbits(current, g)
+        if not orbits:
+            break
+        round_fan = current
+        for orbit in _greedy_orbit_union(orbits, round_fan.n):
+            # Orbit indices refer to the fan at the start of the round; the
+            # rays themselves survive earlier contractions in the same round.
+            rays = tuple(round_fan.rays[i] for i in orbit)
+            after = blow_down(current, [current.rays.index(v) for v in rays])
+            steps.append(StepwiseStep(current, rays, after))
+            current = after
+            g = g.attach(current)
+    return StepwiseTrace(fan, tuple(steps), current, g)
+
+
 def stepwise_pullback(trace, divisor) -> tuple[int, ...]:
-    """Total transform on the initial fan of one divisor on the terminal fan,
-    one contraction step at a time and without linearity: a ray that a step
-    contracted gets the sum of its two neighbours' coefficients."""
+    """Total transform on the initial fan of one divisor on the terminal fan
+    of a `stepwise_minimalize` trace, one contraction step at a time and
+    without linearity: a ray that a step contracted gets the sum of its two
+    neighbours' coefficients."""
     d = tuple(divisor)
     for step in reversed(trace.steps):
         coeff = dict(zip(step.after.rays, d))

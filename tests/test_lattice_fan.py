@@ -152,6 +152,16 @@ class TestBlowUp:
         with pytest.raises(InvalidConeIndex):
             blow_up(p2_fan(), [5])
 
+    @pytest.mark.parametrize("index", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("surgery", [blow_up, blow_down])
+    def test_index_must_be_an_int(self, surgery, index):
+        """A bool is not read as 0 or 1, and a float, a string or None is
+        refused as an index rather than failing inside the comparison."""
+        from toric_surface_lab.lattice_fan import InvalidConeIndex
+
+        with pytest.raises(InvalidConeIndex):
+            surgery(dp6_fan(), [index])
+
 
 class TestBlowDown:
     def test_f1_to_p2(self):

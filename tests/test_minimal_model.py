@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+from toric_surface_lab import lattice_fan, minimal_model
 from toric_surface_lab.lattice_fan import (
+    Fan,
+    InternalError,
     apply_matrix,
     blow_up,
     dp6_fan,
@@ -14,7 +18,6 @@ from toric_surface_lab.lattice_fan import (
 from toric_surface_lab.minimal_model import (
     TABLE,
     NotMinimal,
-    _descend,
     classify_minimal,
     classify_pair,
     contractible_orbits,
@@ -32,7 +35,7 @@ from toric_surface_lab.symmetry import (
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 from toric_surface_lab.grothendieck import core_blocks, picard
 
-from oracles import ci_fan, stepwise_pullback
+from oracles import ci_fan, random_basis, stepwise_minimalize, stepwise_pullback
 
 
 @pytest.fixture
@@ -112,37 +115,106 @@ class TestMinimalize:
             trace = minimalize(entry.fan, entry.group)
             assert len(trace.steps) <= entry.fan.n - 3
             assert is_g_minimal(trace.terminal_fan, trace.terminal_group)
-            counts = [s.before.n for s in trace.steps]
-            assert counts == sorted(counts, reverse=True)
+            gone = [v for step in trace.steps for v in step.contracted]
+            assert len(set(gone)) == len(gone)
+            assert trace.terminal_fan.n == entry.fan.n - len(gone)
 
     def test_contracted_sets_are_orbits(self, small_corpus):
         for entry in small_corpus[:30]:
             trace = minimalize(entry.fan, entry.group)
+            perms = entry.group.on(entry.fan).ray_permutations.values()
             for step in trace.steps:
-                g = SymmetryGroup(
-                    elements=entry.group.elements, generators=entry.group.generators
-                ).attach(step.before)
-                members = {step.before.rays.index(v) for v in step.contracted}
-                for perm in g.ray_permutations.values():
-                    assert {perm[i] for i in members} == members
+                own = list(step.contracted)
+                assert own == sorted({p[own[0]] for p in perms})
 
-    def test_derived_permutations_match_attach(self):
-        """Every step's permutations, derived by dropping the contracted
-        indices, equal a fresh attach to the step's fan, in the same order."""
+    def test_steps_hold_indices_and_one_fan_is_built(self, monkeypatch):
+        """No step keeps a fan: on the 128-ray recipe fan (125 steps) the
+        contraction builds the terminal fan with one `validate_fan` and never
+        calls `blow_down`, looked up in either module."""
+        fan = ci_fan(128)
+        group = trivial_group(fan)
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module in (lattice_fan, minimal_model):
+            for name in ("validate_fan", "blow_down"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        trace = minimalize(fan, group)
+        assert len(trace.steps) == 125
+        assert calls == {"validate_fan": 1}
+        assert not any(isinstance(field, Fan) for step in trace.steps for field in step)
+
+    @pytest.mark.parametrize("fan, fake, message", [
+        (p2_fan(), (-1, 1, 1), "is not"),
+        (square_fan(), (0, 0, 0, 1), "disagree"),
+    ], ids=["not-a-sum", "terminal-disagrees"])
+    def test_bookkeeping_faults_are_internal_errors(self, monkeypatch, fan, fake, message):
+        """Self-intersections read wrong at the start show up as a contracted
+        ray that is not the sum of its parents, or as tracked numbers that
+        disagree with the terminal fan: an InternalError, not a FanError
+        that would blame the input."""
+        fakes = [fake]
+        real = minimal_model.self_intersections
+        monkeypatch.setattr(minimal_model, "self_intersections",
+                            lambda f: fakes.pop() if fakes else real(f))
+        with pytest.raises(InternalError, match=message):
+            minimalize(fan, trivial_group(fan))
+
+    @staticmethod
+    def _check_against_stepwise(fan, group) -> int:
+        """The trace agrees with `stepwise_minimalize`: the contracted rays of
+        each step, the terminal fan, and the terminal group's permutations
+        (in order) and presentation; each parent pair is the contracted ray's
+        two neighbours on the fan before its step, and sums to it."""
+        trace, oracle = minimalize(fan, group), stepwise_minimalize(fan, group)
+        rays = fan.rays
+        assert len(trace.steps) == len(oracle.steps)
+        for step, slow in zip(trace.steps, oracle.steps):
+            assert tuple(rays[i] for i in step.contracted) == slow.contracted
+            before, m = slow.before.rays, slow.before.n
+            for v, (u, w) in zip(step.contracted, step.parents):
+                k = before.index(rays[v])
+                assert (rays[u], rays[w]) == (before[k - 1], before[(k + 1) % m])
+                assert rays[v] == (rays[u][0] + rays[w][0], rays[u][1] + rays[w][1])
+        assert trace.terminal_fan == oracle.terminal_fan
+        got, want = trace.terminal_group, oracle.terminal_group
+        assert got.fan == trace.terminal_fan
+        assert list(got.ray_permutations.items()) == list(want.ray_permutations.items())
+        assert got.presentation == want.presentation
+        return len(trace.steps)
+
+    def test_matches_stepwise_contraction_on_corpus(self):
+        """Every 16-ray corpus pair, in its own basis and two random ones."""
+        rng = random.Random(31)
         steps = 0
         for entry in standard_corpus(max_rays=16):
-            trace = minimalize(entry.fan, entry.group)
-            g = entry.group.on(entry.fan)
-            for step in trace.steps:
-                g = _descend(g, step.after)
-                fresh = g.attach(step.after)
-                assert list(g.ray_permutations.items()) == list(
-                    fresh.ray_permutations.items()
-                ), (entry.fan, step.contracted)
-                steps += 1
-            assert trace.terminal_group.fan == trace.terminal_fan
-            assert trace.terminal_group.ray_permutations == g.ray_permutations
-        assert steps > 100
+            steps += self._check_against_stepwise(entry.fan, entry.group)
+            for _ in range(2):
+                steps += self._check_against_stepwise(*random_basis(rng, entry.fan, entry.group))
+        assert steps > 300
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_matches_stepwise_contraction_on_recipe_fans(self, n):
+        fan = ci_fan(n)
+        assert self._check_against_stepwise(fan, trivial_group(fan)) == n - 3
+
+    @pytest.mark.parametrize("generators, steps", [
+        ([((1, -1), (1, 0)), ((0, 1), (1, 0))], 16),
+        ([((1, -1), (1, 0))], 31),
+    ], ids=["D12", "C6"])
+    def test_matches_stepwise_contraction_on_dp6_192(self, generators, steps):
+        """dP6 blown up at every cone five times, under D12 and C6."""
+        fan = dp6_fan()
+        for _ in range(5):
+            fan = blow_up(fan, range(fan.n))
+        group = SymmetryGroup.from_generators(generators, fan)
+        assert self._check_against_stepwise(fan, group) == steps
 
     def test_conjugation_commutes(self):
         fan = blow_up(dp6_fan(), [0, 2, 4])
@@ -251,6 +323,7 @@ class TestPullback:
         checked = 0
         for entry in standard_corpus(max_rays=16):
             trace, label = classify_pair(entry.fan, entry.group)
+            oracle = stepwise_minimalize(entry.fan, entry.group)
             pulled = pullback(trace)
             assert pulled.fan == trace.initial_fan
             assert len(pulled.exceptional) == len(trace.steps)
@@ -259,19 +332,22 @@ class TestPullback:
             multisets += [[rng.randrange(m) for _ in range(rng.randrange(5))] for _ in range(4)]
             for rays in multisets:
                 divisor = [rays.count(i) for i in range(m)]
-                assert pulled.total(rays) == stepwise_pullback(trace, divisor), (entry, rays)
+                assert pulled.total(rays) == stepwise_pullback(oracle, divisor), (entry, rays)
                 checked += 1
         assert checked > 1000
 
     @staticmethod
-    def _check_each_class(trace) -> int:
+    def _check_each_class(fan, group) -> int:
         """Each pulled-back terminal ray divisor and each exceptional class
-        against `stepwise_pullback`; the classes O(E) of step k live on the
-        fan before it, so they go along the sub-trace that ends there."""
-        pulled = pullback(trace)
+        against `stepwise_pullback` of the `stepwise_minimalize` trace; the
+        classes O(E) of step k live on the fan before it, so they go along
+        the sub-trace that ends there."""
+        pulled = pullback(minimalize(fan, group))
+        trace = stepwise_minimalize(fan, group)
         m = trace.terminal_fan.n
         for i in range(m):
             assert pulled.rays[i] == stepwise_pullback(trace, [int(e == i) for e in range(m)])
+        assert len(pulled.exceptional) == len(trace.steps)
         for k, (step, block) in enumerate(zip(trace.steps, pulled.exceptional)):
             sub = trace._replace(steps=trace.steps[:k], terminal_fan=step.before)
             units = [[int(v == ray) for v in step.before.rays] for ray in step.contracted]
@@ -281,16 +357,14 @@ class TestPullback:
     def test_each_class_matches_stepwise_pullback_on_corpus(self):
         checked = 0
         for entry in standard_corpus(max_rays=16):
-            checked += self._check_each_class(minimalize(entry.fan, entry.group))
+            checked += self._check_each_class(entry.fan, entry.group)
         assert checked > 1000
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_each_class_matches_stepwise_pullback_on_recipe_fans(self, n):
         """The CI recipe fans contract one ray per step down to P2."""
         fan = ci_fan(n)
-        trace = minimalize(fan, trivial_group(fan))
-        assert len(trace.steps) == n - 3
-        assert self._check_each_class(trace) == n
+        assert self._check_each_class(fan, trivial_group(fan)) == n
 
     def test_projection_formula_on_corpus(self):
         """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
@@ -309,7 +383,7 @@ class TestPullback:
             _, transforms, exceptional = pullback(trace)
             # E_k keeps coefficient 1 on its own ray, which survives to step k.
             for step, block in zip(trace.steps, exceptional):
-                own = [trace.initial_fan.rays.index(v) for v in step.contracted]
+                own = list(step.contracted)
                 assert [[x[i] for i in own] for x in block] == [
                     [int(i == j) for i in own] for j in own]
             d = [down.divisor_coords(r) for r in rays]
