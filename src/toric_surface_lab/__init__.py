@@ -29,8 +29,8 @@ _MODULE = {
                     "trivial_group",
         "minimal_model": "ContractionTrace MinimalLabel contractible_orbits is_g_minimal "
                          "minimalize classify_minimal classify_pair pullback",
-        "grothendieck": "PicardLattice K0Class PermutationBasis picard line_bundle_class "
-                        "k0_multiply verify_klyachko fa_recurrence_check "
+        "grothendieck": "PicardLattice K0Class PermutationBasis picard structure_class "
+                        "line_bundle_class k0_multiply verify_klyachko fa_recurrence_check "
                         "standard_permutation_basis verify_permutation_basis "
                         "search_line_bundle_basis",
         "cohomology": "CohomologyVector line_bundle_cohomology ext_line_bundles",

@@ -21,11 +21,11 @@ the size of the coefficients, not with the area of the polytope.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index, mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .intlinalg import det2
-from .lattice_fan import Fan, self_intersections
+from .lattice_fan import Fan, divisor, self_intersections
 
 __all__ = ["CohomologyVector", "line_bundle_cohomology", "ext_line_bundles", "h0"]
 
@@ -108,9 +108,7 @@ def _reduce(a, weights, c: list[int], degree: int) -> int:
 
 def h0(fan: Fan, coeffs) -> int:
     """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
-    c = [index(x) for x in coeffs]
-    if len(c) != fan.n:
-        raise ValueError(f"expected {fan.n} coefficients")
+    c = list(divisor(fan, coeffs))
     a, weights, _ = _ample_weights(fan)
     degree = sum(map(mul, weights, c))  # D.H
     return _reduce(a, weights, c, degree) if degree >= 0 else 0
@@ -118,9 +116,7 @@ def h0(fan: Fan, coeffs) -> int:
 
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     """Exact (h0, h1, h2) of O(D) for D = sum(c_e D_e) over the split field."""
-    coeffs = tuple(map(index, coeffs))
-    if len(coeffs) != fan.n:
-        raise ValueError(f"expected {fan.n} coefficients")
+    coeffs = divisor(fan, coeffs)
     table = _ample_weights(fan)
     return _cohomology(table, coeffs, sum(map(mul, table[1], coeffs)))
 
@@ -147,7 +143,4 @@ def _cohomology(table, coeffs, degree: int) -> CohomologyVector:
 
 def ext_line_bundles(fan: Fan, first, second) -> CohomologyVector:
     """Ext groups Ext^r(O(D1), O(D2)) = H^r(O(D2 - D1))."""
-    first, second = tuple(first), tuple(second)
-    if len(first) != fan.n or len(second) != fan.n:
-        raise ValueError(f"expected {fan.n} coefficients")
-    return line_bundle_cohomology(fan, [index(b) - index(a) for a, b in zip(first, second)])
+    return line_bundle_cohomology(fan, map(sub, divisor(fan, second), divisor(fan, first)))

@@ -15,12 +15,12 @@ exception.
 
 from __future__ import annotations
 
-from operator import index, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
 from .grothendieck import _class_det, _orbit_partition, core_blocks, picard
-from .lattice_fan import Fan
+from .lattice_fan import Fan, divisor
 
 __all__ = [
     "ExceptionalCollection",
@@ -105,15 +105,8 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
     n = fan.n
     table = _ample_weights(fan)
     lat = picard(fan)
-    blocks = []
-    for block in coll.blocks:
-        row = []
-        for d in block:
-            d = tuple(map(index, d))
-            if len(d) != n:
-                raise ValueError(f"expected {n} coefficients")
-            row.append((d, sum(map(mul, table[1], d)), lat._coords(d)))
-        blocks.append(row)
+    objects = [[divisor(fan, d) for d in block] for block in coll.blocks]
+    blocks = [[(d, sum(map(mul, table[1], d)), lat._coords(d)) for d in row] for row in objects]
     first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared

@@ -1,14 +1,15 @@
 """The Grothendieck group of a smooth complete toric surface, modelled exactly.
 
-A class is stored as (rank, first Chern class in Picard coordinates, Euler
-characteristic).  This triple is a complete integral invariant on a rational
-surface.  Riemann-Roch turns the multiplicativity of the Chern character into
-the closed-form product
+A class is the plain value (rank, first Chern class in Picard coordinates,
+Euler characteristic), without its fan.  This triple is a complete integral
+invariant on a rational surface.  Riemann-Roch turns the multiplicativity of
+the Chern character into the closed-form product
 
     (r, c1, chi) * (r', c1', chi') = (r r', r c1' + r' c1,
                                       r chi' + r' chi - r r' + c1.c1'),
 
-one intersection number per product, in integers throughout.  A line bundle
+one intersection number per product, which `k0_multiply(lat, x, y)` reads
+from the Picard lattice it is given, in integers throughout.  A line bundle
 has rank 1 and its chi is a function of c1, so line bundles are compared by
 their Picard coordinates alone.
 
@@ -21,12 +22,11 @@ certifies candidate bases.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
-from .lattice_fan import Fan, InternalError, LabError, self_intersections
+from .lattice_fan import Fan, FanError, InternalError, LabError, divisor, self_intersections
 
 __all__ = [
     "PicardLattice",
@@ -35,7 +35,6 @@ __all__ = [
     "KlyachkoCertificate",
     "BasisCertificate",
     "GrothendieckError",
-    "IncompatibleFan",
     "picard",
     "line_bundle_class",
     "k0_multiply",
@@ -51,10 +50,6 @@ __all__ = [
 
 
 class GrothendieckError(LabError):
-    pass
-
-
-class IncompatibleFan(GrothendieckError):
     pass
 
 
@@ -84,10 +79,7 @@ class PicardLattice(NamedTuple):
         A linear map: D_e is the e-th basis vector for e >= 2, and the first
         two rays contribute c_0 and c_1 times their own coordinates.
         """
-        c = tuple(map(operator.index, coefficients))
-        if len(c) != self.fan.n:
-            raise IncompatibleFan(f"expected {self.fan.n} coefficients, got {len(c)}")
-        return self._coords(c)
+        return self._coords(divisor(self.fan, coefficients))
 
     def _coords(self, c) -> tuple[int, ...]:
         """`divisor_coords` of n integer coefficients, not checked."""
@@ -96,7 +88,9 @@ class PicardLattice(NamedTuple):
         return tuple(x + c0 * a + c1 * b for x, a, b in zip(c[2:], r0, r1))
 
     def pair(self, d1, d2) -> int:
-        """Intersection number d1.d2, in O(rank), from the band."""
+        """d1.d2 in O(rank) from the band; FanError unless both have rank entries."""
+        if len(d1) != len(self.band) or len(d2) != len(self.band):
+            raise FanError(f"expected {len(self.band)} coordinates, got {len(d1)} and {len(d2)}")
         total = x0 = y0 = 0
         for i, a in enumerate(self.band):
             x, y = d1[i], d2[i]
@@ -105,7 +99,9 @@ class PicardLattice(NamedTuple):
         return total
 
     def chi(self, coords) -> int:
-        """Euler characteristic of a line bundle with the given class."""
+        """chi of the line bundle of this class; FanError unless it has rank entries."""
+        if len(coords) != len(self.band):
+            raise FanError(f"expected {len(self.band)} coordinates, got {len(coords)}")
         return self._euler(coords, 0, 0)
 
     def _euler(self, tail, c0: int, c1: int) -> int:
@@ -163,9 +159,8 @@ def picard(fan: Fan) -> PicardLattice:
 
 
 class K0Class(NamedTuple):
-    """An element of K0 in (rank, c1, chi) coordinates."""
+    """An element of K0 in (rank, c1, chi) coordinates; `k0_multiply` multiplies."""
 
-    fan: Fan
     rank: int
     c1: tuple[int, ...]
     chi: int
@@ -173,73 +168,45 @@ class K0Class(NamedTuple):
     def model_vector(self) -> tuple[int, ...]:
         return (self.rank, *self.c1, self.chi)
 
-    def _check(self, other: "K0Class") -> None:
-        if self.fan != other.fan:
-            raise IncompatibleFan("classes live on different fans")
-
     def __add__(self, other: "K0Class") -> "K0Class":
-        self._check(other)
-        return K0Class(
-            self.fan,
-            self.rank + other.rank,
-            tuple(a + b for a, b in zip(self.c1, other.c1)),
-            self.chi + other.chi,
-        )
+        c1 = tuple(a + b for a, b in zip(self.c1, other.c1, strict=True))
+        return K0Class(self.rank + other.rank, c1, self.chi + other.chi)
 
     def __sub__(self, other: "K0Class") -> "K0Class":
-        self._check(other)
-        return K0Class(
-            self.fan,
-            self.rank - other.rank,
-            tuple(a - b for a, b in zip(self.c1, other.c1)),
-            self.chi - other.chi,
-        )
+        c1 = tuple(a - b for a, b in zip(self.c1, other.c1, strict=True))
+        return K0Class(self.rank - other.rank, c1, self.chi - other.chi)
 
-    def __mul__(self, other: "K0Class") -> "K0Class":
-        return k0_multiply(self, other)
+    def __mul__(self, other):
+        return NotImplemented  # so `x * 2` and `2 * x` raise instead of repeating the tuple
 
-    def __rmul__(self, other):
-        return NotImplemented  # so `2 * x` raises instead of repeating the tuple
-
-    def power(self, k: int) -> "K0Class":
-        if k < 0:
-            raise GrothendieckError("negative powers only for line bundles; invert c1")
-        out = structure_class(self.fan)
-        for _ in range(k):
-            out = k0_multiply(out, self)
-        return out
+    __rmul__ = __mul__
 
 
 def structure_class(fan: Fan) -> K0Class:
     """The unit: the class of the structure sheaf."""
-    return K0Class(fan, 1, (0,) * (fan.n - 2), 1)
-
-
-def zero_class(fan: Fan) -> K0Class:
-    return K0Class(fan, 0, (0,) * (fan.n - 2), 0)
+    return K0Class(1, (0,) * (fan.n - 2), 1)
 
 
 def line_bundle_class(fan: Fan, coefficients) -> K0Class:
     """Class of O(D) for the torus-invariant divisor D = sum(c_e D_e)."""
     lat = picard(fan)
     coords = lat.divisor_coords(coefficients)
-    return K0Class(fan, 1, coords, lat.chi(coords))
+    return K0Class(1, coords, lat.chi(coords))
 
 
-def k0_multiply(x: K0Class, y: K0Class) -> K0Class:
-    """Ring multiplication in closed form.
+def k0_multiply(lat: PicardLattice, x: K0Class, y: K0Class) -> K0Class:
+    """Ring multiplication in closed form, on the Picard lattice `lat` of the
+    surface both classes live on.
 
     chi(xy) = r_x chi(y) + r_y chi(x) - r_x r_y + c1(x).c1(y): Riemann-Roch
     applied to the multiplicative Chern character (rank, c1, ch2), where the
     c1.K terms of the three ch2's cancel.  One intersection number per
-    product.
+    product, `lat.pair`, which raises FanError for a c1 of another rank.
     """
-    if x.fan != y.fan:
-        raise IncompatibleFan("classes live on different fans")
     rx, ry = x.rank, y.rank
     c1 = tuple(rx * b + ry * a for a, b in zip(x.c1, y.c1))
-    chi = rx * y.chi + ry * x.chi - rx * ry + picard(x.fan).pair(x.c1, y.c1)
-    return K0Class(x.fan, rx * ry, c1, chi)
+    chi = rx * y.chi + ry * x.chi - rx * ry + lat.pair(x.c1, y.c1)
+    return K0Class(rx * ry, c1, chi)
 
 
 def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
@@ -298,7 +265,7 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     cones: list[tuple[tuple[int, ...], K0Class]] = [((), one)]
     cones += [((i,), o_ray[i]) for i in range(n)]
     cones += [
-        (tuple(sorted(pair)), k0_multiply(o_ray[pair[0]], o_ray[pair[1]]))
+        (tuple(sorted(pair)), k0_multiply(lat, o_ray[pair[0]], o_ray[pair[1]]))
         for pair in fan.cones()
     ]
 
@@ -327,7 +294,7 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         mask = sum(1 << i for i in rays)
         terms.append((mask, cls.rank, cls.chi, cls.c1, support, banded))
     position = {t[0]: i for i, t in enumerate(terms)}
-    zero = zero_class(fan)
+    zero = K0Class(0, (0,) * (n - 2), 0)
     zero_terms = (0, 0, 0, zero.c1, (), None)
 
     checked = 0
@@ -383,20 +350,24 @@ def hirzebruch_marking(fan: Fan) -> tuple[int, int]:
 
 
 def fa_recurrence_check(fan: Fan, m_values) -> bool:
-    """Check J1^{m+1} J2 = J1^m J2 + J1 J2 - J2 in the model.
+    """Check J1^{m+1} J2 = J1^m J2 + J1 J2 - J2 in the model, for m >= 0.
 
     J1 is the ideal-sheaf class of a fiber divisor and J2 of the negative
-    section of a 4-ray (ruled) fan.
+    section of a 4-ray (ruled) fan.  J1^m J2 is one chain of `k0_multiply`
+    calls, J1^(m+1) J2 = J1 (J1^m J2).
     """
     f, s = hirzebruch_marking(fan)
     n = fan.n
+    lat = picard(fan)
     j1 = line_bundle_class(fan, tuple(-1 if e == f else 0 for e in range(n)))
     j2 = line_bundle_class(fan, tuple(-1 if e == s else 0 for e in range(n)))
-    j1j2 = k0_multiply(j1, j2)
+    chain = [j2]  # chain[m] = J1^m J2
     for m in m_values:
-        lhs = k0_multiply(j1.power(m + 1), j2)
-        rhs = k0_multiply(j1.power(m), j2) + j1j2 - j2
-        if lhs != rhs:
+        if m < 0:
+            raise GrothendieckError(f"the recurrence needs m >= 0, got {m}")
+        while len(chain) < m + 2:
+            chain.append(k0_multiply(lat, j1, chain[-1]))
+        if chain[m + 1] != chain[m] + chain[1] - j2:
             return False
     return True
 

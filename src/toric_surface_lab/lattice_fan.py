@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .intlinalg import (
     Mat2,
@@ -38,6 +39,7 @@ __all__ = [
     "AdjacentContraction",
     "validate_fan",
     "self_intersections",
+    "divisor",
     "blow_up",
     "blow_down",
     "lattice_maps",
@@ -226,6 +228,16 @@ def self_intersections(fan: Fan) -> tuple[int, ...]:
             f"self-intersection sum {total} != {12 - 3 * n} (Noether check)"
         )
     return tuple(out)
+
+
+def divisor(fan: Fan, coefficients) -> tuple[int, ...]:
+    """The n integer coefficients of the divisor sum(c_e D_e): the library's one
+    check of a divisor it is given.  Each goes through `operator.index`, so numpy
+    integers pass and a float raises TypeError; a wrong count raises FanError."""
+    c = tuple(map(index, coefficients))
+    if len(c) != fan.n:
+        raise FanError(f"expected {fan.n} coefficients, got {len(c)}")
+    return c
 
 
 def _indices(fan: Fan, indices, what: str) -> set[int]:

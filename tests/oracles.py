@@ -23,7 +23,6 @@ from toric_surface_lab.grothendieck import (
     line_bundle_class,
     picard,
     structure_class,
-    zero_class,
 )
 from toric_surface_lab.intlinalg import (
     Mat2,
@@ -346,14 +345,14 @@ def rank_pruned_basis_search(fan: Fan, rep, coord_orbits):
     return PermutationBasis(fan, divisors, tuple(("search", None) for _ in divisors))
 
 
-def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
-    """K0 product through the Chern character, with ch2 carried doubled.
+def chern_multiply(lat: PicardLattice, x: K0Class, y: K0Class) -> K0Class:
+    """K0 product through the Chern character, with ch2 carried doubled, on
+    the Picard lattice `lat`.
 
     ch = (rank, c1, ch2) is multiplicative and 2 ch2 = c1.K + 2 chi - 2 rank
     is an integer for every class, so the route stays exact; the parity of
     the resulting numerator is checked.
     """
-    lat = picard(x.fan)
 
     def doubled_ch2(z: K0Class) -> int:
         return lat.pair(z.c1, lat.canonical_coords) + 2 * z.chi - 2 * z.rank
@@ -364,7 +363,7 @@ def chern_multiply(x: K0Class, y: K0Class) -> K0Class:
     num = t - lat.pair(c1, lat.canonical_coords)
     if num % 2:
         raise GrothendieckError("non-integral Euler characteristic in product")
-    return K0Class(x.fan, r, c1, num // 2 + r)
+    return K0Class(r, c1, num // 2 + r)
 
 
 def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
@@ -377,6 +376,7 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
     and no witness.
     """
     n = fan.n
+    lat = picard(fan)
     one = structure_class(fan)
     j_ray = [
         line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
@@ -387,7 +387,7 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
     cones += [(frozenset({i}), o_ray[i]) for i in range(n)]
     cone_pairs = fan.cones()
     cones += [
-        (frozenset(pair), k0_multiply(o_ray[pair[0]], o_ray[pair[1]]))
+        (frozenset(pair), k0_multiply(lat, o_ray[pair[0]], o_ray[pair[1]]))
         for pair in cone_pairs
     ]
     cone_sets = {rays: cls for rays, cls in cones}
@@ -404,14 +404,14 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
             f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
         )
 
-    zero = zero_class(fan)
+    zero = K0Class(0, (0,) * (n - 2), 0)
     checked = 0
     for (s1, c1), (s2, c2) in itertools.combinations_with_replacement(cones, 2):
         if s1 & s2:
             continue
         union = s1 | s2
         expected = cone_sets.get(union, zero)
-        got = k0_multiply(c1, c2)
+        got = k0_multiply(lat, c1, c2)
         if got != expected:
             return KlyachkoCertificate(
                 rank, index, checked, 0,
@@ -449,14 +449,12 @@ def solve2_divisor_coords(fan: Fan, coefficients) -> tuple[int, ...]:
     return tuple(c[e] + m[0] * rays[e][0] + m[1] * rays[e][1] for e in range(2, fan.n))
 
 
-def act_on_class(fan: Fan, perm: tuple[int, ...], x: K0Class) -> K0Class:
-    """Image of a class under a fan symmetry with ray permutation `perm`."""
-    lat = picard(fan)
-    lift = [0] * fan.n
-    for j, d in enumerate(x.c1):
-        lift[j + 2] = d
+def act_on_class(lat: PicardLattice, perm: tuple[int, ...], x: K0Class) -> K0Class:
+    """Image of a class on `lat.fan` under a fan symmetry with ray
+    permutation `perm`."""
+    lift = [0, 0, *x.c1]
     coords = lat.divisor_coords(act_on_divisor(perm, lift))
-    return K0Class(fan, x.rank, coords, x.chi)
+    return K0Class(x.rank, coords, x.chi)
 
 
 def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:

@@ -375,8 +375,8 @@ class TestFailedCertificates:
     def test_k0_relation_failure_exits_1(self, capsys, monkeypatch, p2_file):
         real = grothendieck.k0_multiply
 
-        def off_by_one(x, y):
-            z = real(x, y)
+        def off_by_one(lat, x, y):
+            z = real(lat, x, y)
             return z._replace(chi=z.chi + 1)
 
         monkeypatch.setattr(grothendieck, "k0_multiply", off_by_one)

@@ -15,6 +15,7 @@ from toric_surface_lab.cohomology import (
     line_bundle_cohomology,
 )
 from toric_surface_lab.corpus import standard_corpus
+from toric_surface_lab.derived import ExceptionalCollection, verify_collection
 from toric_surface_lab.grothendieck import line_bundle_class, picard
 from toric_surface_lab.lattice_fan import (
     apply_matrix,
@@ -24,6 +25,7 @@ from toric_surface_lab.lattice_fan import (
     p2_fan,
     self_intersections,
 )
+from toric_surface_lab.symmetry import trivial_group
 
 from oracles import (
     box_h0,
@@ -53,10 +55,17 @@ class TestExamples:
         assert ext_line_bundles(p2, (1, 0, 0), (0, 0, 0)).as_tuple() == (0, 0, 0)
 
     def test_ext_rejects_length_mismatch(self, p2):
-        """A divisor of the wrong length is an error, not cut to the shorter."""
+        """A divisor of the wrong length is an error, not cut to the shorter,
+        in each routine that takes one."""
         for first, second in (((0, 0, 0), (1, 0, 0, 5)), ((1, 0, 0, 5), (0, 0, 0))):
             with pytest.raises(ValueError, match="expected 3 coefficients"):
                 ext_line_bundles(p2, first, second)
+        for d in ((1, 0), (1, 0, 0, 5)):
+            coll = ExceptionalCollection(p2, (((0, 0, 0),), (d,)), "wrong length")
+            for call in (lambda: h0(p2, d), lambda: line_bundle_cohomology(p2, d),
+                         lambda: verify_collection(coll, trivial_group())):
+                with pytest.raises(ValueError, match=f"expected 3 coefficients, got {len(d)}"):
+                    call()
 
     def test_self_ext(self, f2):
         rng = random.Random(2)

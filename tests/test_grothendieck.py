@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from toric_surface_lab.cli import basis_payload
-from toric_surface_lab.cohomology import line_bundle_cohomology
+from toric_surface_lab.cohomology import ext_line_bundles, h0, line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
+from toric_surface_lab.derived import ExceptionalCollection, verify_collection
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     K0Class,
@@ -27,6 +28,7 @@ from toric_surface_lab.grothendieck import (
 from toric_surface_lab.intlinalg import bareiss_det
 from toric_surface_lab.lattice_fan import (
     Fan,
+    FanError,
     InternalError,
     blow_up,
     dp6_fan,
@@ -188,9 +190,22 @@ class TestDivisorCoords:
         assert checked > 2_000
 
     def test_wrong_length_rejected(self, p2):
+        """Every routine that takes a divisor raises the one FanError of
+        `lattice_fan.divisor`, with one message."""
         for c in ((1, 0), (1, 0, 0, 0)):
-            with pytest.raises(grothendieck.IncompatibleFan):
-                picard(p2).divisor_coords(c)
+            coll = ExceptionalCollection(p2, (((0, 0, 0), c),), "wrong length")
+            calls = [
+                lambda: picard(p2).divisor_coords(c),
+                lambda: h0(p2, c),
+                lambda: line_bundle_cohomology(p2, c),
+                lambda: ext_line_bundles(p2, (0, 0, 0), c),
+                lambda: verify_collection(coll, trivial_group()),
+            ]
+            for call in calls:
+                with pytest.raises(FanError) as caught:
+                    call()
+                assert caught.type is FanError
+                assert str(caught.value) == f"expected 3 coefficients, got {len(c)}"
 
     def test_float_coefficients_raise(self, p2):
         with pytest.raises(TypeError):
@@ -260,21 +275,23 @@ class TestClosedFormProduct:
     @staticmethod
     def cone_classes(fan):
         n = fan.n
+        lat = picard(fan)
         one = structure_class(fan)
         o_ray = [
             one - line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
             for i in range(n)
         ]
-        return [one, *o_ray, *(chern_multiply(o_ray[i], o_ray[j]) for i, j in fan.cones())]
+        return [one, *o_ray, *(chern_multiply(lat, o_ray[i], o_ray[j]) for i, j in fan.cones())]
 
     def test_every_klyachko_cone_product_on_corpus(self):
         fans = {entry.fan.rays: entry.fan for entry in standard_corpus(max_rays=16)}
         products = 0
         for fan in fans.values():
+            lat = picard(fan)
             cones = self.cone_classes(fan)
             for i, x in enumerate(cones):
                 for y in cones[i:]:
-                    assert k0_multiply(x, y) == chern_multiply(x, y)
+                    assert k0_multiply(lat, x, y) == chern_multiply(lat, x, y)
                     products += 1
         assert products > 10_000
 
@@ -285,70 +302,91 @@ class TestClosedFormProduct:
         rng = random.Random(17)
 
         def triple():
-            return K0Class(fan, rng.randint(-2, 2),
+            return K0Class(rng.randint(-2, 2),
                            tuple(rng.randint(-3, 3) for _ in range(fan.n - 2)),
                            rng.randint(-3, 3))
 
+        lat = picard(fan)
         for _ in range(300):
             x, y = triple(), triple()
-            assert k0_multiply(x, y) == chern_multiply(x, y)
+            assert k0_multiply(lat, x, y) == chern_multiply(lat, x, y)
 
 
 class TestMultiplication:
     def test_square_of_hyperplane(self, p2):
         o1 = line_bundle_class(p2, (1, 0, 0))
-        sq = k0_multiply(o1, o1)
+        sq = k0_multiply(picard(p2), o1, o1)
         assert sq == line_bundle_class(p2, (2, 0, 0))
         assert sq.chi == 6
 
     def test_unit_law(self, f2):
         one = structure_class(f2)
         x = line_bundle_class(f2, (2, -1, 3, 0))
-        assert k0_multiply(x, one) == x
+        assert k0_multiply(picard(f2), x, one) == x
 
     def test_tensor_on_line_bundles(self, dp6):
         rng = random.Random(9)
         for _ in range(20):
             a = tuple(rng.randint(-2, 2) for _ in range(6))
             b = tuple(rng.randint(-2, 2) for _ in range(6))
-            lhs = k0_multiply(line_bundle_class(dp6, a), line_bundle_class(dp6, b))
+            lhs = k0_multiply(picard(dp6), line_bundle_class(dp6, a), line_bundle_class(dp6, b))
             rhs = line_bundle_class(dp6, tuple(x + y for x, y in zip(a, b)))
             assert lhs == rhs
 
     def test_commutative_associative(self, f2):
         rng = random.Random(1)
+        lat = picard(f2)
         classes = [
             line_bundle_class(f2, tuple(rng.randint(-2, 2) for _ in range(4)))
             for _ in range(9)
         ]
         for x, y, z in zip(classes[::3], classes[1::3], classes[2::3]):
-            assert k0_multiply(x, y) == k0_multiply(y, x)
-            assert k0_multiply(k0_multiply(x, y), z) == k0_multiply(x, k0_multiply(y, z))
+            assert k0_multiply(lat, x, y) == k0_multiply(lat, y, x)
+            assert (k0_multiply(lat, k0_multiply(lat, x, y), z)
+                    == k0_multiply(lat, x, k0_multiply(lat, y, z)))
 
     def test_group_action_is_ring_automorphism(self, dp6):
         g = compute_aut(dp6)
+        lat = picard(dp6)
         rng = random.Random(4)
         for perm in g.ray_permutations.values():
             for _ in range(5):
                 a = tuple(rng.randint(-2, 2) for _ in range(6))
                 b = tuple(rng.randint(-2, 2) for _ in range(6))
                 x, y = line_bundle_class(dp6, a), line_bundle_class(dp6, b)
-                lhs = act_on_class(dp6, perm, k0_multiply(x, y))
-                rhs = k0_multiply(act_on_class(dp6, perm, x), act_on_class(dp6, perm, y))
+                lhs = act_on_class(lat, perm, k0_multiply(lat, x, y))
+                rhs = k0_multiply(lat, act_on_class(lat, perm, x), act_on_class(lat, perm, y))
                 assert lhs == rhs
 
     def test_integer_times_class_raises(self, p2):
+        """`*` neither repeats the tuple nor multiplies: `k0_multiply` does."""
         x = line_bundle_class(p2, (1, 0, 0))
         for k in (2, 0, -1):
             with pytest.raises(TypeError):
                 k * x
-        assert x * x == k0_multiply(x, x)
+            with pytest.raises(TypeError):
+                x * k
+        with pytest.raises(TypeError):
+            x * x
 
-    def test_incompatible_fans(self, p2, f2):
-        from toric_surface_lab.grothendieck import IncompatibleFan
-
-        with pytest.raises(IncompatibleFan):
-            k0_multiply(structure_class(p2), structure_class(f2))
+    def test_incompatible_fans(self, p2, f2, dp6):
+        """A class or coordinates of another rank raise instead of being cut
+        to the shorter by `zip`; `pair` is the product's guard."""
+        with pytest.raises(FanError, match="expected 1 coordinates, got 1 and 2"):
+            k0_multiply(picard(p2), structure_class(p2), structure_class(f2))
+        for first, second in ((structure_class(p2), structure_class(f2)),
+                              (structure_class(f2), structure_class(p2))):
+            with pytest.raises(ValueError, match="zip"):
+                first + second
+            with pytest.raises(ValueError, match="zip"):
+                first - second
+        lat = picard(dp6)
+        for coords in ((1,), (1, 0, 0, 0, 7, 7)):
+            with pytest.raises(FanError, match=f"expected 4 coordinates, got {len(coords)}$"):
+                lat.chi(coords)
+        for d1, d2 in (((1, 0, 0, 0, 0), (1, 0, 0, 0, 0)), ((1,), (1, 0, 0, 0))):
+            with pytest.raises(FanError, match=f"got {len(d1)} and {len(d2)}$"):
+                lat.pair(d1, d2)
 
 
 class TestKlyachko:
@@ -370,7 +408,10 @@ class TestKlyachko:
             f, s = hirzebruch_marking(fan)
             other_fiber = ({0, 1, 2, 3} - {f, s, (s + 2) % 4}).pop()
             assert j[other_fiber] == j[f]
-            assert j[(s + 2) % 4] == k0_multiply(j[f].power(a), j[s])
+            product = j[s]  # J_f^a J_s
+            for _ in range(a):
+                product = k0_multiply(picard(fan), j[f], product)
+            assert j[(s + 2) % 4] == product
 
     def test_dp6_cross_relations(self, dp6):
         j = [line_bundle_class(dp6, unit_divisor(dp6, i)) for i in range(6)]
@@ -379,7 +420,7 @@ class TestKlyachko:
         pairs = [(0, 3), (2, 5), (4, 1)]
         for a, b in pairs:
             for c, d in pairs:
-                assert k0_multiply(j[a], j[d]) == k0_multiply(j[c], j[b])
+                assert k0_multiply(picard(dp6), j[a], j[d]) == k0_multiply(picard(dp6), j[c], j[b])
 
     def test_corpus(self, small_corpus):
         seen = set()
@@ -424,6 +465,7 @@ class TestKlyachkoOracle:
                 return lat._replace(band=tuple(band))
 
             monkeypatch.setattr(grothendieck, "picard", planted)
+            monkeypatch.setattr(oracles, "picard", planted)
             expected = pairwise_klyachko(fan)
             got = verify_klyachko(fan)
             monkeypatch.undo()
@@ -445,8 +487,8 @@ class TestKlyachkoOracle:
         routes return a failed certificate there, with the same error."""
         real = grothendieck.k0_multiply
 
-        def off_by_one(x, y):
-            z = real(x, y)
+        def off_by_one(lat, x, y):
+            z = real(lat, x, y)
             return z._replace(chi=z.chi + 1)
 
         monkeypatch.setattr(grothendieck, "k0_multiply", off_by_one)
@@ -464,8 +506,8 @@ class TestKlyachkoOracle:
         real = grothendieck.k0_multiply
         calls = []
 
-        def wrong_first_call(x, y):
-            z = real(x, y)
+        def wrong_first_call(lat, x, y):
+            z = real(lat, x, y)
             calls.append(z)
             if len(calls) == 1:
                 return z._replace(c1=(z.c1[0] + 1, *z.c1[1:]))
