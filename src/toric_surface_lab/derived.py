@@ -10,7 +10,8 @@ group acts on the pulled-back core through the terminal group, whose orbits
 are the blocks of `core_blocks`.  `verify_collection` checks it independently,
 on the fan the collection names, and returns its verdict: a failed check is a
 certificate whose `ok` is False, with the first violated pair, not an
-exception.
+exception.  Fullness and group closure are one permutation-basis certificate
+of the objects: the blocks are unions of the orbits of a basis of K0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
-from .grothendieck import _class_det, _orbit_partition, core_blocks, picard
+from .grothendieck import PermutationBasis, core_blocks, verify_permutation_basis
 from .lattice_fan import Fan, divisor
 
 __all__ = [
@@ -53,17 +54,14 @@ class ExtViolation(NamedTuple):
 
 class CollectionCertificate(NamedTuple):
     determinant: int
+    # The classes are a permutation basis of K0 and no orbit leaves its block.
     blocks_group_closed: bool
     pairs_checked: int
     first_violation: ExtViolation | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.first_violation is None
-            and self.determinant in (1, -1)
-            and self.blocks_group_closed
-        )
+        return self.first_violation is None and self.blocks_group_closed
 
 
 def build_collection(pulled: Pullback, label: MinimalLabel) -> ExceptionalCollection:
@@ -90,34 +88,33 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
 
     Verified, in scan order: Ext(V,V) = (1,0,0) for each object; full Ext
     vanishing between distinct objects of one block; Ext vanishing from any
-    object to every object of an earlier block; unimodularity of the K-class
-    matrix (the fullness certificate); blocks closed under the group.
+    object to every object of an earlier block.  Then the objects, tagged
+    ("block", b), are certified as a permutation basis, whose determinant is
+    the fullness certificate; the blocks are group-closed when it passes and
+    no orbit leaves its block.
 
-    Each object is validated, and its degree D.H and Picard coordinates
-    taken, once.  The pair
-    Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H, and its
-    vector comes from the cohomology routine of `line_bundle_cohomology`.
-    Group closure is checked by partitioning each block into orbits.  The
-    first pair whose Ext is wrong is the certificate's `first_violation`,
-    and the scan stops there; `pairs_checked` still counts every pair.
+    Each object is validated, and its degree D.H taken, once for the scan.
+    The pair Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree
+    D2.H - D1.H, and its vector comes from the cohomology routine of
+    `line_bundle_cohomology`.  The first pair whose Ext is wrong is the
+    certificate's `first_violation`, and the scan stops there;
+    `pairs_checked` still counts every pair.
     """
     fan = coll.fan
-    n = fan.n
     table = _ample_weights(fan)
-    lat = picard(fan)
     objects = [[divisor(fan, d) for d in block] for block in coll.blocks]
-    blocks = [[(d, sum(map(mul, table[1], d)), lat._coords(d)) for d in row] for row in objects]
+    blocks = [[(d, sum(map(mul, table[1], d))) for d in row] for row in objects]
     first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared
     # for each object.
-    self_ext = _cohomology(table, (0,) * n, 0).as_tuple()
+    self_ext = _cohomology(table, (0,) * fan.n, 0).as_tuple()
     pairs = [("self", obj, obj) for row in blocks for obj in row]
     pairs += [("block", src, dst) for row in blocks
               for i, src in enumerate(row) for j, dst in enumerate(row) if i != j]
     pairs += [("order", src, dst) for s in range(1, len(blocks)) for t in range(s)
               for src in blocks[s] for dst in blocks[t]]
-    for kind, (d1, deg1, _), (d2, deg2, _) in pairs:
+    for kind, (d1, deg1), (d2, deg2) in pairs:
         if kind == "self":
             ext, expected = self_ext, (1, 0, 0)
         else:
@@ -127,16 +124,13 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
             first = ExtViolation(kind, d1, d2, ext)
             break
 
-    coords = [x for row in blocks for _, _, x in row]  # c1 of each O(D)
-    det = _class_det(lat, coords) if len(coords) == n else 0
-
-    perms = group.on(fan).ray_permutations.values()
-    closed = bool(coords) and all(
-        _orbit_partition(lat, perms, [d for d, _, _ in row], [x for _, _, x in row])[1] is None
-        for row in blocks)
+    tags = tuple(("block", b) for b, row in enumerate(objects) for _ in row)
+    classes = verify_permutation_basis(
+        PermutationBasis(fan, tuple(d for row in objects for d in row), tags), group)
+    closed = classes.ok and all(len({tags[i] for i in orbit}) == 1 for orbit in classes.orbits)
 
     return CollectionCertificate(
-        determinant=det,
+        determinant=classes.determinant,
         blocks_group_closed=closed,
         pairs_checked=len(pairs),
         first_violation=first,

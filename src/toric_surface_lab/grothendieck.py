@@ -69,10 +69,6 @@ class PicardLattice(NamedTuple):
     band: tuple[int, ...]
     canonical_coords: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return self.fan.n - 2
-
     def divisor_coords(self, coefficients) -> tuple[int, ...]:
         """Picard coordinates of the divisor sum(c_e D_e).
 
@@ -379,7 +375,8 @@ class PermutationBasis(NamedTuple):
     them and partitions them into orbits.  `tags` records where each element
     came from: ("core", slot_role) for the minimal-model basis, ("exc",
     step_index) for a class O(E) introduced by a blow-up step of the
-    contraction trace, ("search", None) for a search result.
+    contraction trace, ("search", None) for a search result, ("block", b)
+    for an object of block b of an exceptional collection.
     """
 
     fan: Fan
@@ -462,12 +459,6 @@ def _orbit_partition(
     return tuple(orbits), None
 
 
-def _class_det(lat: PicardLattice, coords) -> int:
-    """Determinant of the rows (1, c1, chi) of the line bundles with Picard
-    coordinates `coords`, one per rank of K0."""
-    return bareiss_det([[1, *x, lat.chi(x)] for x in coords])
-
-
 def standard_permutation_basis(pulled: Pullback, label: MinimalLabel) -> PermutationBasis:
     """The distinguished permutation basis of a contraction trace.
 
@@ -503,7 +494,7 @@ def verify_permutation_basis(basis: PermutationBasis, group: SymmetryGroup) -> B
     if len(coords) != fan.n:
         return BasisCertificate(
             basis, 0, (), f"{len(coords)} classes cannot form a basis of rank {fan.n}")
-    det = _class_det(lat, coords)
+    det = bareiss_det([[1, *x, lat.chi(x)] for x in coords])
     if det not in (1, -1):
         return BasisCertificate(basis, det, (), f"coordinate matrix has determinant {det}")
     perms = group.on(fan).ray_permutations.values()

@@ -14,9 +14,10 @@ D4=<-I,C>, D4'=<-I,C'>, D6=<A^2,C>, D6'=<A^2,-C>, D8=<B,C>, D12=<A,C>.
 Every finite subgroup is cyclic or dihedral, generated by one rotation and
 one reflection; its class, its subgroups, its generating set and the check
 that an element set is a group are read off the powers of such elements.
-compute_aut and enumerate_subgroups hand such a pair down as the group's
-`presentation`; only a group without one is certified to be a group.
-The breadth-first closure serves only SymmetryGroup.from_generators.
+compute_aut, enumerate_subgroups and SymmetryGroup.from_generators (which
+certifies the closure it builds) give each group such a pair as its
+`presentation`; only a group from bare elements is certified when used.
+The breadth-first closure serves only from_generators.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class SymmetryGroup:
                     f"generator {g} has determinant {mat_det(g)}, not 1 or -1"
                 )
         elems = _close(gens)
-        group = cls(elements=elems, generators=gens or (IDENTITY,))
+        group = cls(elems, gens or (IDENTITY,), presentation=_rotation_and_reflection(elems))
         return group.attach(fan) if fan is not None else group
 
     def attach(self, fan: Fan) -> "SymmetryGroup":

@@ -556,7 +556,8 @@ def pairwise_verify_collection(
     and the group images of every object, on `coll.fan`.
 
     Each pair re-validates both objects and takes its degree from scratch;
-    closure takes the orbit of every object, not of one per orbit.
+    closure takes the orbit of every object, not of one per orbit, within
+    its own block.
     """
     fan = coll.fan
     perms = group.on(fan).ray_permutations.values()
@@ -603,8 +604,10 @@ def pairwise_verify_collection(
     else:
         det = 0
 
+    # Closure is certified for a basis only: the classes must be a Z-basis
+    # (determinant +-1), and each block must be closed on its own.
     lat = picard(fan)
-    closed = bool(objects)
+    closed = det in (1, -1)
     for block in coll.blocks:
         block_classes = {lat.divisor_coords(d) for d in block}
         for d in block:

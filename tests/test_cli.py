@@ -507,13 +507,16 @@ class TestStageCounts:
 
     `cohomology._cohomology` is the one cohomology routine: the spot check
     calls it once per sample, and the collection once for H*(O_X) and once
-    per Ext pair of distinct objects.  The basis's divisors are partitioned
-    into orbits once, by its certificate.  The basis and the collection
-    read one pullback along the trace."""
+    per Ext pair of distinct objects.  Each certified set of line bundles,
+    the basis and the collection's objects, is certified once: one
+    determinant and one orbit partition each.  The group read from its
+    generators is certified once.  The basis and the collection read one
+    pullback along the trace."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
                "cohomology._cohomology", "grothendieck._orbit_partition",
-               "minimal_model.pullback")
+               "minimal_model.pullback", "intlinalg.bareiss_det",
+               "symmetry._rotation_and_reflection")
 
     def test_report_runs_each_stage_once(self, capsys, monkeypatch):
         calls = {key: [] for key in self.COUNTED}
@@ -537,23 +540,27 @@ class TestStageCounts:
         monkeypatch.undo()
         assert code == 0
         result = report["result"]
-        objects = sum(len(block) for block in result["collection"]["blocks"])
-        assert objects == 12
+        objects = [tuple(d) for block in result["collection"]["blocks"] for d in block]
+        assert len(objects) == 12
         basis = [tuple(d) for d in result["basis"]["divisors"]]
         assert len(basis) == 12
-        partitions = calls.pop("grothendieck._orbit_partition")
+        partitions = calls["grothendieck._orbit_partition"]
         partitioned = [list(a) for args in partitions for a in args
                        if isinstance(a, (list, tuple))]
         assert partitioned.count(basis) == 1
+        assert partitioned.count(objects) == 1
         counts = {key: len(args) for key, args in calls.items()}
         assert counts["cohomology._cohomology"] == 136
         assert counts == {
             "minimal_model.classify_minimal": 1,
-            "grothendieck.verify_permutation_basis": 1,
+            "grothendieck.verify_permutation_basis": 2,
+            "grothendieck._orbit_partition": 2,
+            "intlinalg.bareiss_det": 2,
+            "symmetry._rotation_and_reflection": 1,
             "minimal_model.pullback": 1,
             "cohomology._cohomology": (
                 result["cohomology_spot_check"]["samples"]
-                + result["collection"]["pairs_checked"] - (objects - 1)),
+                + result["collection"]["pairs_checked"] - (len(objects) - 1)),
         }
 
 

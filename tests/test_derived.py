@@ -259,6 +259,26 @@ class TestPairwiseOracle:
                 failed += not cert.ok
         assert failed > 0
 
+    def test_classes_that_are_no_basis_are_not_group_closed(self, p2, p2_aut, dp6, dp6_aut):
+        """Closure is certified only for a basis of K0.  P2 with its last
+        block dropped, or with a class repeated in a second block, keeps
+        each block closed but fails, as do dP6 with an object dropped and
+        the empty collection; the oracle agrees."""
+        (o,), (h,), (h2,) = collection_for(p2, p2_aut).blocks
+        (e,), orbit, tail = collection_for(dp6, dp6_aut).blocks
+        cases = [
+            (p2, p2_aut, ((o,), (h,))),
+            (dp6, dp6_aut, ((e,), orbit, tail[:1])),
+            (p2, p2_aut, ((o,), (h,), ((0, 1, 0),))),  # D1 ~ D0 on P2
+            (p2, p2_aut, ()),
+        ]
+        for fan, group, blocks in cases:
+            coll = ExceptionalCollection(fan=fan, blocks=blocks, provenance="no basis")
+            cert = verify_collection(coll, group)
+            assert cert == pairwise_verify_collection(coll, group), blocks
+            assert cert.determinant == 0 and not cert.blocks_group_closed and not cert.ok
+        assert verify_collection(ExceptionalCollection(p2, ((o,), (h,), (h2,)), ""), p2_aut).ok
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_recipe_fans(self, n):
         fan = ci_fan(n)

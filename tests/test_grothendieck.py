@@ -84,13 +84,13 @@ def unit_divisor(fan, *idx, sign=-1):
 class TestPicard:
     def test_p2_rank_and_form(self, p2):
         lat = picard(p2)
-        assert lat.rank == 1
+        assert len(lat.band) == 1
         assert lat.band == (1,)
         assert full_gram(p2) == [[1]]
 
     def test_f2_rank_and_named_basis_form(self, f2):
         lat = picard(f2)
-        assert lat.rank == 2
+        assert len(lat.band) == 2
         fiber_idx, section_idx = hirzebruch_marking(f2)
         fiber = lat.divisor_coords(unit_divisor(f2, fiber_idx, sign=1))
         section = lat.divisor_coords(unit_divisor(f2, section_idx, sign=1))
@@ -101,7 +101,7 @@ class TestPicard:
         assert form == [[0, 1], [1, -2]]
 
     def test_dp6_rank(self, dp6):
-        assert picard(dp6).rank == 4
+        assert len(picard(dp6).band) == 4
 
     def test_signature_and_unimodularity(self, small_corpus):
         seen = set()
@@ -112,7 +112,8 @@ class TestPicard:
             seen.add(fan)
             lat = picard(fan)
             gram = full_gram(fan)
-            assert all(gram[i][j] == gram[j][i] for i in range(lat.rank) for j in range(lat.rank))
+            r = range(len(lat.band))
+            assert all(gram[i][j] == gram[j][i] for i in r for j in r)
             assert symmetric_signature(gram) == (1, fan.n - 3)
 
     def test_band_is_the_full_gram_diagonal_and_unimodular(self):
@@ -145,12 +146,12 @@ class TestPicard:
             lat = picard(entry.fan)
             gram = full_gram(entry.fan)
             for _ in range(5):
-                d1 = [rng.randint(-5, 5) for _ in range(lat.rank)]
-                d2 = [rng.randint(-5, 5) for _ in range(lat.rank)]
+                d1 = [rng.randint(-5, 5) for _ in range(len(lat.band))]
+                d2 = [rng.randint(-5, 5) for _ in range(len(lat.band))]
                 full = sum(
                     d1[i] * d2[j] * gram[i][j]
-                    for i in range(lat.rank)
-                    for j in range(lat.rank)
+                    for i in range(len(lat.band))
+                    for j in range(len(lat.band))
                 )
                 assert lat.pair(d1, d2) == full
 

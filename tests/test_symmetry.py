@@ -548,6 +548,16 @@ class TestCarriedPresentation:
         subs = enumerate_subgroups(SymmetryGroup(aut.elements, aut.generators))
         assert [classify_subgroup(s) for s in subs] == want and calls == [aut.elements]
 
+    def test_group_from_generators_is_certified_once(self, monkeypatch):
+        """The closure is certified when it is built; classifying it and
+        listing its subgroups read the presentation it carries."""
+        calls = count_certifications(monkeypatch)
+        group = SymmetryGroup.from_generators(TABLE_GENERATORS["D12"], dp6_fan())
+        assert calls == [group.elements] and group.presentation is not None
+        assert classify_subgroup(group) == "D12"
+        assert len(enumerate_subgroups(group)) == 16
+        assert calls == [group.elements]
+
     def test_planted_non_group_from_bare_elements_raises(self, monkeypatch):
         s = ((1, 1), (0, -1))
         rotations = SymmetryGroup.from_generators([GEN_B]).elements
