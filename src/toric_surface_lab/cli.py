@@ -6,13 +6,14 @@ human-readable summaries or deterministic JSON reports (schema
 returned a certificate whose `ok` is False (verifiers do not raise); 2 invalid
 input (an unreadable file or a `LabError`); 3 an internal error, that is any
 other exception (a bug: the traceback goes to stderr, and `--json` still
-prints a report, with status "internal-error").
+prints a report, with status "internal-error"), or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -498,26 +499,29 @@ def main(argv=None) -> int:
 
                     inputs[key] = {"path": path, "sha256": hashlib.sha256(raw[key]).hexdigest()}
         code, result, lines = run_command(args, raw)
+        if args.json:
+            status = "ok" if code == EXIT_OK else "verification-failed"
+            lines = [_json_report(args, inputs, status, result=result)]
     except InputError as exc:
-        _emit_error(args, str(exc), inputs)
-        return EXIT_INVALID_INPUT
+        code, lines = EXIT_INVALID_INPUT, _error_lines(args, str(exc), inputs)
     except LabError as exc:
-        _emit_error(args, f"{type(exc).__name__}: {exc}", inputs)
-        return EXIT_INVALID_INPUT
+        code, lines = EXIT_INVALID_INPUT, _error_lines(
+            args, f"{type(exc).__name__}: {exc}", inputs)
     except Exception as exc:  # a bug; must not pass for a failed certificate
         import traceback
 
         traceback.print_exc()
-        _emit_error(args, f"internal error: {type(exc).__name__}: {exc}", inputs,
-                    status="internal-error")
-        return EXIT_INTERNAL_ERROR
-
-    if args.json:
-        status = "ok" if code == EXIT_OK else "verification-failed"
-        print(_json_report(args, inputs, status, result=result))
-    else:
+        code, lines = EXIT_INTERNAL_ERROR, _error_lines(
+            args, f"internal error: {type(exc).__name__}: {exc}", inputs, "internal-error")
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk: no certificate failed
+        # Point stdout at /dev/null, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     return code
 
 
@@ -564,11 +568,13 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
-def _emit_error(args, message: str, inputs: dict, status: str = "invalid-input") -> None:
+def _error_lines(args, message: str, inputs: dict, status: str = "invalid-input") -> list[str]:
+    """The stdout lines of a failed run: its `--json` report, or none, with
+    the message written to stderr."""
     if getattr(args, "json", False):
-        print(_json_report(args, inputs, status, error=message))
-    else:
-        print(f"error: {message}", file=sys.stderr)
+        return [_json_report(args, inputs, status, error=message)]
+    print(f"error: {message}", file=sys.stderr)
+    return []
 
 
 if __name__ == "__main__":

@@ -418,41 +418,29 @@ def core_blocks(label: MinimalLabel) -> tuple[tuple[tuple[str, tuple[int, ...]],
     )
 
 
-def _class_orbit(
-    lat: PicardLattice, perms, divisor: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    """Picard coordinates of the orbit of the class of `divisor`.
-
-    `perms` holds the ray permutation of every group element, so the images
-    of one representative already are the whole orbit.  `divisor` is n
-    integers whose coordinates the caller has taken, so its images, which
-    permute them, are not checked again.
-    """
-    return {lat._coords(act_on_divisor(perm, divisor)) for perm in perms}
-
-
 def _orbit_partition(
     lat: PicardLattice, perms, divisors, coords
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
     """Orbits of the line bundles O(D), D in `divisors`, under the ray
-    permutations `perms`, as tuples of indices, and None; or, when the
-    group does not permute them, () and the first divisor whose image
-    leaves the set.
+    permutations `perms`, as sorted tuples of indices in order of their
+    least index, and None; or, when the group does not permute them, () and
+    the first divisor whose image leaves the set.
 
-    `coords` holds their Picard coordinates, which determine the classes.
+    `coords` holds their Picard coordinates, which determine the classes,
+    and the classes are distinct.  `perms` holds the ray permutation of
+    every group element, so the images of one member already are its whole
+    orbit.  The images permute the coefficients of a divisor whose
+    coordinates the caller has taken, so they are not validated again.
     """
-    index_of = {}
-    for i, x in enumerate(coords):
-        index_of.setdefault(x, i)
+    index_of = {x: i for i, x in enumerate(coords)}
     assigned = [False] * len(coords)
     orbits = []
     for i, d in enumerate(divisors):
         if assigned[i]:
             continue
-        images = _class_orbit(lat, perms, d)
-        if not images <= index_of.keys():
+        orbit = {index_of.get(lat._coords(act_on_divisor(perm, d))) for perm in perms}
+        if None in orbit:
             return (), d
-        orbit = {i} | {index_of[image] for image in images}
         for j in orbit:
             assigned[j] = True
         orbits.append(tuple(sorted(orbit)))
@@ -511,10 +499,9 @@ def _candidate_orbits(
     Returns the least divisor with coefficients in [-bound, bound] of each
     candidate class, keyed by Picard coordinates (which determine the
     class), and the orbits of at most N classes in canonical order (small
-    classes first).  `group` must be attached to `fan`.
+    classes first), which `_orbit_partition` gives when it is passed the
+    classes in that order.  `group` must be attached to `fan`.
     """
-    # model_vector() is (1, *c1, chi), so sorting by coordinates is sorting
-    # by class.
     lat = picard(fan)
     rep: dict[tuple[int, ...], tuple[int, ...]] = {}
     # A class first appears in its least shell max|c|, and `product` runs
@@ -524,23 +511,12 @@ def _candidate_orbits(
         for coeffs in itertools.product(range(-shell, shell + 1), repeat=fan.n):
             if shell in coeffs or -shell in coeffs:
                 rep.setdefault(lat._coords(coeffs), coeffs)
-
-    def size_order(coords: tuple[int, ...]) -> tuple:
-        return (max(map(abs, coords), default=0), coords)
-
-    # The candidate set is closed under the action (a permutation of bounded
-    # coefficients is again bounded), so every image has a representative.
-    perms = group.ray_permutations.values()
-    remaining = set(rep)
-    coord_orbits: list[list[tuple[int, ...]]] = []
-    for coords in sorted(rep, key=size_order):
-        if coords not in remaining:
-            continue
-        orbit = _class_orbit(lat, perms, rep[coords])
-        remaining -= orbit
-        if len(orbit) <= fan.n:
-            coord_orbits.append(sorted(orbit, key=size_order))
-    return rep, coord_orbits
+    # model_vector() is (1, *c1, chi), so sorting by coordinates is sorting
+    # by class.
+    order = sorted(rep, key=lambda x: (max(map(abs, x), default=0), x))
+    # No image leaves `rep`: it holds every class of the box, which ray permutations preserve.
+    orbits, _ = _orbit_partition(lat, group.ray_permutations.values(), map(rep.get, order), order)
+    return rep, [[order[i] for i in orbit] for orbit in orbits if len(orbit) <= fan.n]
 
 
 def search_line_bundle_basis(

@@ -17,7 +17,6 @@ from toric_surface_lab.grothendieck import (
     KlyachkoCertificate,
     PermutationBasis,
     PicardLattice,
-    _class_orbit,
     act_on_divisor,
     k0_multiply,
     line_bundle_class,
@@ -457,6 +456,12 @@ def act_on_class(lat: PicardLattice, perm: tuple[int, ...], x: K0Class) -> K0Cla
     return K0Class(x.rank, coords, x.chi)
 
 
+def generator_permutations(fan: Fan, group: SymmetryGroup) -> list[tuple[int, ...]]:
+    """The ray permutations of the group's generators on `fan`."""
+    ray_permutations = group.on(fan).ray_permutations
+    return [ray_permutations[g] for g in group.generators]
+
+
 def bfs_class_orbit(lat: PicardLattice, perms, divisor) -> set[tuple[int, ...]]:
     """Picard coordinates of the orbit of a divisor's class, by a closure.
 
@@ -485,12 +490,35 @@ def bfs_orbit_partition(fan: Fan, group: SymmetryGroup, divisors) -> tuple[tuple
     divisor is looked up from the images of another.
     """
     lat = picard(fan)
-    ray_permutations = group.on(fan).ray_permutations
-    perms = [ray_permutations[g] for g in group.generators]
+    perms = generator_permutations(fan, group)
     members: dict[frozenset, list[int]] = {}
     for i, d in enumerate(divisors):
         members.setdefault(frozenset(bfs_class_orbit(lat, perms, d)), []).append(i)
     return tuple(sorted(map(tuple, members.values())))
+
+
+def closure_candidate_orbits(fan: Fan, group: SymmetryGroup, bound: int):
+    """The basis search's candidates and orbits, as `_candidate_orbits`
+    returns them, by a closure: the classes of `keyed_candidate_reps`, each
+    closed under the group's generators by `bfs_class_orbit`, keeping the
+    orbits of at most N classes in the order of their least class, each
+    sorted in (max|c|, c) order."""
+    rep = keyed_candidate_reps(fan, bound)
+    lat = picard(fan)
+    perms = generator_permutations(fan, group)
+
+    def size_order(coords):
+        return (max(map(abs, coords), default=0), coords)
+
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for coords in sorted(rep, key=size_order):
+        if coords not in seen:
+            orbit = bfs_class_orbit(lat, perms, rep[coords])
+            seen |= orbit
+            if len(orbit) <= fan.n:
+                orbits.append(sorted(orbit, key=size_order))
+    return rep, orbits
 
 
 def full_gram(fan: Fan) -> list[list[int]]:
@@ -519,11 +547,12 @@ def merge_blocks_by_orbits(
     """Coarsen a block partition until every group orbit of classes lies in
     one block, by a union-find over the blocks.
 
-    Line bundles are compared by Picard coordinates, which determine them.
+    Line bundles are compared by Picard coordinates, which determine them,
+    and orbits are closures under the generators (`bfs_class_orbit`).
     Merged blocks keep the position of their first block and the order of
     their members.
     """
-    perms = group.on(fan).ray_permutations.values()
+    perms = generator_permutations(fan, group)
     lat = picard(fan)
     flat = [(bi, d) for bi, block in enumerate(blocks) for d in block]
     block_of_class = {}
@@ -538,7 +567,7 @@ def merge_blocks_by_orbits(
         return x
 
     for bi, d in flat:
-        for image in _class_orbit(lat, perms, d):
+        for image in bfs_class_orbit(lat, perms, d):
             target = block_of_class.get(image)
             if target is not None:
                 rx, ry = find(bi), find(target)
@@ -553,14 +582,14 @@ def pairwise_verify_collection(
     coll: ExceptionalCollection, group: SymmetryGroup
 ) -> CollectionCertificate:
     """The collection certificate with one `ext_line_bundles` call per pair
-    and the group images of every object, on `coll.fan`.
+    and the orbit of every object, on `coll.fan`.
 
     Each pair re-validates both objects and takes its degree from scratch;
-    closure takes the orbit of every object, not of one per orbit, within
-    its own block.
+    closure takes the orbit of every object, not of one per orbit, as a
+    closure under the generators (`bfs_class_orbit`), within its own block.
     """
     fan = coll.fan
-    perms = group.on(fan).ray_permutations.values()
+    perms = generator_permutations(fan, group)
     zero = (0, 0, 0)
     first = None
     checked = 0
@@ -611,7 +640,7 @@ def pairwise_verify_collection(
     for block in coll.blocks:
         block_classes = {lat.divisor_coords(d) for d in block}
         for d in block:
-            if not _class_orbit(lat, perms, d) <= block_classes:
+            if not bfs_class_orbit(lat, perms, d) <= block_classes:
                 closed = False
 
     return CollectionCertificate(

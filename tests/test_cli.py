@@ -511,17 +511,26 @@ class TestStageCounts:
     the basis and the collection's objects, is certified once: one
     determinant and one orbit partition each.  The group read from its
     generators is certified once.  The basis and the collection read one
-    pullback along the trace."""
+    pullback along the trace.  The basis search partitions its candidates
+    with the certificate's routine."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
                "cohomology._cohomology", "grothendieck._orbit_partition",
                "minimal_model.pullback", "intlinalg.bareiss_det",
                "symmetry._rotation_and_reflection")
 
+    @staticmethod
+    def patch_every_binding(monkeypatch, original, replacement):
+        """Replace `original` with `replacement` in every package module
+        that binds it."""
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toric_surface_lab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+
     def test_report_runs_each_stage_once(self, capsys, monkeypatch):
         calls = {key: [] for key in self.COUNTED}
-        modules = [m for name, m in sys.modules.items()
-                   if name.startswith("toric_surface_lab.")]
         for key in self.COUNTED:
             module, attr = key.split(".")
             original = getattr(sys.modules[f"toric_surface_lab.{module}"], attr)
@@ -530,10 +539,7 @@ class TestStageCounts:
                 calls[_key].append(args)
                 return _original(*args)
 
-            for ns in modules:  # every module binding of the function
-                for name, value in list(vars(ns).items()):
-                    if value is original:
-                        monkeypatch.setattr(ns, name, shim)
+            self.patch_every_binding(monkeypatch, original, shim)
         monkeypatch.chdir(Path(__file__).parent / "golden")
         code, report = run_json(capsys, ["report", "--fan", "dp6-12.json",
                                          "--group", "d12.json"])
@@ -562,6 +568,36 @@ class TestStageCounts:
                 result["cohomology_spot_check"]["samples"]
                 + result["collection"]["pairs_checked"] - (len(objects) - 1)),
         }
+
+    def test_basis_search_partitions_with_the_certificates_routine(self, capsys, monkeypatch):
+        """`basis --bound 1` on dP6 with D12 partitions classes into orbits
+        twice, both times with `_orbit_partition`: once in the search, for
+        its 425 candidate classes, and once in the certificate, for the 6
+        classes found.  The counts do not depend on the fan; CI pins the
+        report of the 12-ray fan's search over 524,657 candidates."""
+        partition, search = grothendieck._orbit_partition, grothendieck.search_line_bundle_basis
+        calls, in_search = [], []
+
+        def counted_partition(*args):
+            calls.append(args)
+            return partition(*args)
+
+        def counted_search(*args):
+            before = len(calls)
+            found = search(*args)
+            in_search.append(len(calls) - before)
+            return found
+
+        self.patch_every_binding(monkeypatch, partition, counted_partition)
+        self.patch_every_binding(monkeypatch, search, counted_search)
+        monkeypatch.chdir(GOLDEN)
+        code, report = run_json(capsys, ["basis", "--fan", "dp6.json", "--group", "d12.json",
+                                         "--bound", "1"])
+        monkeypatch.undo()
+        assert code == 0
+        assert in_search == [1]
+        assert [len(args[3]) for args in calls] == [425, 6]
+        assert list(calls[1][2]) == [tuple(d) for d in report["result"]["basis"]["divisors"]]
 
 
 class _Pair(NamedTuple):
@@ -674,6 +710,38 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command", "--json"])
         assert exc.value.code == 2
+
+
+class TestWriteFailure:
+    """Output that cannot be written exits 3 with one line on stderr, in a
+    fresh process: a closed pipe or a full device is not a failed
+    certificate, and the flush at interpreter exit must not fail again."""
+
+    @staticmethod
+    def run(stdout, argv):
+        src = str(Path(toric_surface_lab.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        extra = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + extra if extra else "")
+        return subprocess.run([sys.executable, "-m", "toric_surface_lab.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, cwd=GOLDEN)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe_exits_3(self, json_flag):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(write_end, ["validate", "--fan", "p2.json", *json_flag])
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (3, b"error: cannot write output: Broken pipe\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_full_device_exits_3(self, json_flag):
+        with open("/dev/full", "wb") as full:
+            proc = self.run(full, ["validate", "--fan", "p2.json", *json_flag])
+        assert proc.returncode == 3
+        assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
 # A fixed alphabet: general text makes hypothesis build a Unicode table on a

@@ -46,7 +46,9 @@ from oracles import (
     bfs_orbit_partition,
     chern_multiply,
     ci_fan,
+    closure_candidate_orbits,
     full_gram,
+    generator_permutations,
     keyed_candidate_reps,
     pairwise_klyachko,
     random_basis,
@@ -717,14 +719,23 @@ class TestSearch:
         assert b1.divisors == b2.divisors
 
     def test_class_orbit_matches_bfs_closure(self, small_corpus):
+        """Given the classes of a divisor's images under every group element,
+        `_orbit_partition` returns one orbit, whose classes are those of the
+        closure under the generators."""
         rng = random.Random(29)
         for entry in small_corpus[:40]:
             lat = picard(entry.fan)
             perms = entry.group.ray_permutations.values()
+            generators = generator_permutations(entry.fan, entry.group)
             for _ in range(5):
                 d = tuple(rng.randint(-3, 3) for _ in range(entry.fan.n))
-                assert grothendieck._class_orbit(lat, perms, d) == bfs_class_orbit(
-                    lat, perms, d)
+                moved = [act_on_divisor(perm, d) for perm in perms]
+                images = {lat.divisor_coords(x): x for x in moved}  # one divisor per class
+                coords = list(images)
+                orbits, leaving = grothendieck._orbit_partition(
+                    lat, perms, list(images.values()), coords)
+                assert (orbits, leaving) == ((tuple(range(len(coords))),), None)
+                assert set(coords) == bfs_class_orbit(lat, generators, d)
 
     def test_shell_representatives_match_keyed_scan_at_bound_two(self):
         """At bound 2, on every corpus fan of at most 6 rays, the least
@@ -737,7 +748,7 @@ class TestSearch:
             assert rep == keyed_candidate_reps(entry.fan, 2)
         assert len(entries) == 42
 
-    def test_one_representative_orbits_match_bfs_closure_in_search(self, monkeypatch):
+    def test_one_representative_orbits_match_bfs_closure_in_search(self):
         """On the candidates of bounds 0 and 1, in two bases per pair of at
         most 6 rays, the representatives are those of the keyed scan, the
         orbits from the images of one representative equal the orbits of a
@@ -751,12 +762,9 @@ class TestSearch:
             for fan, group in ((entry.fan, entry.group),
                                random_basis(rng, entry.fan, entry.group)):
                 for bound in (0, 1):
-                    candidates = grothendieck._candidate_orbits(fan, group, bound)
-                    assert candidates[0] == keyed_candidate_reps(fan, bound)
+                    closure = closure_candidate_orbits(fan, group, bound)
+                    assert grothendieck._candidate_orbits(fan, group, bound) == closure
                     basis = search_line_bundle_basis(fan, group, bound)
-                    monkeypatch.setattr(grothendieck, "_class_orbit", bfs_class_orbit)
-                    closure = grothendieck._candidate_orbits(fan, group, bound)
-                    assert closure == candidates
                     if fan.n == 6 and group.order == 1 and bound == 1:
                         assert verify_permutation_basis(basis, group).ok
                         certified += 1
@@ -764,7 +772,6 @@ class TestSearch:
                             assert basis.divisors == PINNED_DIVISORS
                     else:
                         assert rank_pruned_basis_search(fan, *closure) == basis
-                    monkeypatch.undo()
                     searched += basis is not None
         assert searched > 0 and certified == 34
 
