@@ -7,6 +7,9 @@ returned a certificate whose `ok` is False (verifiers do not raise); 2 invalid
 input (an unreadable file or a `LabError`); 3 an internal error, that is any
 other exception (a bug: the traceback goes to stderr, and `--json` still
 prints a report, with status "internal-error"), or output that cannot be written.
+The exit code is decided before anything is written.  Every write to stderr
+goes through `_write_stderr`, which cannot raise: a stderr that cannot be
+written loses its message and keeps the exit code.
 """
 
 from __future__ import annotations
@@ -486,6 +489,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     inputs = {}
     raw = {}
+    err = ""
     try:
         # Each file is read once, and its analysis uses those bytes.  Only
         # the --json report reads `inputs`, so only it pays for the digests
@@ -503,16 +507,18 @@ def main(argv=None) -> int:
             status = "ok" if code == EXIT_OK else "verification-failed"
             lines = [_json_report(args, inputs, status, result=result)]
     except InputError as exc:
-        code, lines = EXIT_INVALID_INPUT, _error_lines(args, str(exc), inputs)
+        code, (lines, err) = EXIT_INVALID_INPUT, _error_output(args, str(exc), inputs)
     except LabError as exc:
-        code, lines = EXIT_INVALID_INPUT, _error_lines(
+        code, (lines, err) = EXIT_INVALID_INPUT, _error_output(
             args, f"{type(exc).__name__}: {exc}", inputs)
     except Exception as exc:  # a bug; must not pass for a failed certificate
         import traceback
 
-        traceback.print_exc()
-        code, lines = EXIT_INTERNAL_ERROR, _error_lines(
+        code, (lines, err) = EXIT_INTERNAL_ERROR, _error_output(
             args, f"internal error: {type(exc).__name__}: {exc}", inputs, "internal-error")
+        err = traceback.format_exc() + err
+    # The exit code is decided: from here on only a failed stdout changes it.
+    _write_stderr(err)
     try:
         for line in lines:
             print(line)
@@ -520,9 +526,25 @@ def main(argv=None) -> int:
     except OSError as exc:  # a closed pipe or a full disk: no certificate failed
         # Point stdout at /dev/null, so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        _write_stderr(f"error: cannot write output: {exc.strerror}\n")
         return EXIT_INTERNAL_ERROR
     return code
+
+
+def _write_stderr(text: str) -> None:
+    """Write `text` to stderr; this cannot raise.  A message that cannot be
+    written is lost, and the exit code stays what it was: it does not depend
+    on the message."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):
+        # A full disk or a closed pipe, a closed file, or no stderr at all.
+        # Point fd 2 at /dev/null, so that the flush at exit does not fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+        except OSError:
+            pass
 
 
 def _json_report(args, inputs: dict, status: str, **body) -> str:
@@ -568,13 +590,13 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
-def _error_lines(args, message: str, inputs: dict, status: str = "invalid-input") -> list[str]:
-    """The stdout lines of a failed run: its `--json` report, or none, with
-    the message written to stderr."""
+def _error_output(args, message: str, inputs: dict,
+                  status: str = "invalid-input") -> tuple[list[str], str]:
+    """The stdout lines and the stderr text of a failed run: its `--json`
+    report and nothing, or no lines and the message."""
     if getattr(args, "json", False):
-        return [_json_report(args, inputs, status, error=message)]
-    print(f"error: {message}", file=sys.stderr)
-    return []
+        return [_json_report(args, inputs, status, error=message)], ""
+    return [], f"error: {message}\n"
 
 
 if __name__ == "__main__":

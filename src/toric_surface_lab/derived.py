@@ -83,6 +83,22 @@ def build_collection(pulled: Pullback, label: MinimalLabel) -> ExceptionalCollec
     )
 
 
+def _euler_terms(a, d) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """chi(D), chi(-D) and the nonzero facet lengths (v, l_v) of the divisor
+    D = sum d_v D_v on a fan with self-intersections `a`, in O(n).
+
+    l_v = D.D_v = a_v d_v + d_(v-1) + d_(v+1), so D.D = sum d_v l_v and
+    -K.D = sum l_v, and Riemann-Roch gives chi(+-D) = 1 + sum (d_v +- 1) l_v / 2.
+    """
+    lengths = [av * x + p + q for av, x, p, q in zip(a, d, d[-1:] + d[:-1], d[1:] + d[:1])]
+    support = tuple((v, length) for v, length in enumerate(lengths) if length)
+    twice_pos = twice_neg = 0
+    for v, length in support:
+        twice_pos += (d[v] + 1) * length
+        twice_neg += (d[v] - 1) * length
+    return 1 + twice_pos // 2, 1 + twice_neg // 2, support
+
+
 def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> CollectionCertificate:
     """Check every collection axiom on `coll.fan` with exact Ext computations.
 
@@ -93,17 +109,25 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
     the fullness certificate; the blocks are group-closed when it passes and
     no orbit leaves its block.
 
-    Each object is validated, and its degree D.H taken, once for the scan.
-    The pair Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree
-    D2.H - D1.H, and its vector comes from the cohomology routine of
-    `line_bundle_cohomology`.  The first pair whose Ext is wrong is the
-    certificate's `first_violation`, and the scan stops there;
-    `pairs_checked` still counts every pair.
+    Each object is validated once for the scan, and its degree D.H, chi(D),
+    chi(-D) and nonzero facet lengths are taken once, in O(n).  The pair
+    Ext(O(D1), O(D2)) = H*(O(D2 - D1)) then has degree D2.H - D1.H and, by
+    Riemann-Roch, chi(D2 - D1) = chi(D2) + chi(-D1) - 1 - D1.D2, where
+    D1.D2 = sum d1_v l_v(D2) over the facets of D2 of nonzero length: O(1)
+    per pair on a collection of total transforms, whose objects have at
+    most a few.  When D2 - D1 and K - (D2 - D1) both have negative degree,
+    h0 = h2 = 0 and the Ext is (0, -chi, 0); otherwise, or when -chi < 0 (an
+    error the cohomology routine raises), the vector comes from the
+    cohomology routine of `line_bundle_cohomology`.  The first pair whose
+    Ext is wrong is the certificate's `first_violation`, and the scan stops
+    there; `pairs_checked` still counts every pair.
     """
     fan = coll.fan
     table = _ample_weights(fan)
+    a, weights, k_degree = table
     objects = [[divisor(fan, d) for d in block] for block in coll.blocks]
-    blocks = [[(d, sum(map(mul, table[1], d))) for d in row] for row in objects]
+    blocks = [[(d, sum(map(mul, weights, d)), *_euler_terms(a, d)) for d in row]
+              for row in objects]
     first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once, compared
@@ -114,12 +138,19 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
               for i, src in enumerate(row) for j, dst in enumerate(row) if i != j]
     pairs += [("order", src, dst) for s in range(1, len(blocks)) for t in range(s)
               for src in blocks[s] for dst in blocks[t]]
-    for kind, (d1, deg1), (d2, deg2) in pairs:
+    for kind, (d1, deg1, _, chi_neg1, _), (d2, deg2, chi2, _, support2) in pairs:
         if kind == "self":
             ext, expected = self_ext, (1, 0, 0)
         else:
-            diff = list(map(sub, d2, d1))
-            ext, expected = _cohomology(table, diff, deg2 - deg1).as_tuple(), (0, 0, 0)
+            degree = deg2 - deg1
+            chi = chi2 + chi_neg1 - 1
+            for v, length in support2:
+                chi -= d1[v] * length
+            if degree < 0 and k_degree - degree < 0 and chi <= 0:
+                ext = (0, -chi, 0)
+            else:
+                ext = _cohomology(table, list(map(sub, d2, d1)), degree).as_tuple()
+            expected = (0, 0, 0)
         if ext != expected:
             first = ExtViolation(kind, d1, d2, ext)
             break

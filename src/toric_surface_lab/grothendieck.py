@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
+from operator import add, mul
 from typing import NamedTuple
 
 from .intlinalg import bareiss_det, hermite_pivots, solve2, xgcd
@@ -216,11 +218,12 @@ def act_on_divisor(perm: tuple[int, ...], coefficients) -> tuple[int, ...]:
 class KlyachkoCertificate(NamedTuple):
     """The K0 certificate.  A failure means the presentation of K0 fails in
     the model, which indicates a bug: `error` says what failed, and
-    `first_violation` is the witness: {"kind": "product", "cones", "got",
-    "expected"} with the two cones' rays and the model vectors of their
-    product and of the class it should equal, {"kind": "span", "rank",
-    "index"}, or {"kind": "character", "m"}.  The counts are those made
-    before the failure.
+    `first_violation` is the witness: {"kind": "span", "rank", "index"};
+    {"kind": "product", "cones", "got", "expected"} with the two cones'
+    rays and the model vectors of their product and of the class it should
+    equal; {"kind": "character", "m"}; or {"kind": "point", "cone", "got"}
+    for a 2-cone class other than the point class (0, 0, 1).  The counts
+    are those made before the failure.
     """
 
     rank: int
@@ -235,42 +238,64 @@ class KlyachkoCertificate(NamedTuple):
         return self.error is None
 
 
+def _band_times(band, y) -> list[int]:
+    """B.y for the tridiagonal form B with diagonal `band` and ones beside it."""
+    y = (0, *y, 0)
+    return [a * y[k + 1] + y[k] + y[k + 2] for k, a in enumerate(band)]
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
 def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     """Certify the orbit-closure presentation of K0 against the model.
 
     Checks that the classes attached to all cones span with index one, that
-    products of disjoint-cone classes are again cone classes (or vanish), and
-    that the character relations on the ray ideal-sheaf classes hold.
+    products of disjoint-cone classes are again cone classes (or vanish),
+    that the character relations on the ray ideal-sheaf classes hold, and
+    that every 2-cone class is the point class (0, 0, 1).
 
-    All 2n^2 - 2n + 1 products of disjoint cones are evaluated, in O(n^2)
-    time.  Each class with c1 != 0 is multiplied once by the tridiagonal
-    form, B.c1 in O(n); the intersection number c1.c1' of a product is then
-    the sum of (B.c1)_k c1'_k over the nonzero entries of c1', which is one
-    entry for the rays D_2..D_(n-1).  Only D_0 and D_1 have dense c1, and
-    the unit and the 2-cone classes have c1 = 0.  A failure returns the
-    certificate at its first witness.
+    The classes are the unit, the rays o_i = (0, D_i, 1 - chi(-D_i)) and the
+    2-cones o_i o_(i+1) of `k0_multiply`.  D_i is the basis vector e_i for
+    i >= 2, so the ray-pairing table D_i.D_j is the band form B there, and
+    rows 0 and 1 are B.r0 and B.r1 for the `first_rays` r0, r1 (Fulton,
+    Introduction to Toric Varieties, ch. 5).  The closed-form product gives
+    u x = x, o_i o_j = (0, 0, D_i.D_j), and 0 for a product with a 2-cone
+    class of rank 0 and c1 = 0; so the 2n^2 - 2n + 1 product relations hold
+    when D_i.D_j = 0 for non-adjacent rays and each 2-cone class is
+    (0, 0, D_i.D_(i+1)), which takes O(n).  When every o_i (i >= 2) is
+    (0, e_i, 1) and every 2-cone class the point class, the rows unit,
+    o_2..o_(n-1) and point are unitriangular, and the Hermite pivots are
+    taken only otherwise.  A failure returns the certificate at the first
+    relation that fails in the order of the pairs (unit, rays, 2-cones;
+    i <= j), with the count before it.
     """
     n = fan.n
     lat = picard(fan)
-    one = structure_class(fan)
-    j_ray = [
-        line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
-        for i in range(n)
-    ]
-    o_ray = [one - j for j in j_ray]
-    cones: list[tuple[tuple[int, ...], K0Class]] = [((), one)]
-    cones += [((i,), o_ray[i]) for i in range(n)]
-    cones += [
-        (tuple(sorted(pair)), k0_multiply(lat, o_ray[pair[0]], o_ray[pair[1]]))
-        for pair in fan.cones()
-    ]
+    band, (r0, r1) = lat.band, lat.first_rays
+    b0, b1, bk = (_band_times(band, y) for y in (r0, r1, lat.canonical_coords))
+    zero_c1 = (0,) * (n - 2)
+    d01 = _dot(r0, b1)
+    table_rows = ([_dot(r0, b0), d01, *b0], [d01, _dot(r1, b1), *b1])  # D_0.D_j, D_1.D_j
+    # chi(-D_i) = 1 + (D_i.D_i + K.D_i)/2, so o_i has chi -(D_i.D_i + K.D_i)/2.
+    twice = [table_rows[0][0] + _dot(r0, bk), table_rows[1][1] + _dot(r1, bk)]
+    twice += map(add, band, bk)
+    if any(t % 2 for t in twice):
+        raise InternalError("adjunction parity violated")
+    c1s = [r0, r1] + [zero_c1[:m] + (1,) + zero_c1[m + 1:] for m in range(n - 2)]
+    o_ray = [K0Class(0, c, -t // 2) for c, t in zip(c1s, twice)]
+    one, zero, point = structure_class(fan), K0Class(0, zero_c1, 0), K0Class(0, zero_c1, 1)
+    cones = [sorted(pair) for pair in fan.cones()]
+    p_cone = [k0_multiply(lat, o_ray[i], o_ray[j]) for i, j in fan.cones()]
 
-    # Equal rows span the same lattice: the n two-cone classes share one.
-    pivots = hermite_pivots(list(dict.fromkeys(cls.model_vector() for _, cls in cones)))
-    rank = len(pivots)
-    index = 1
-    for p in pivots:
-        index *= abs(p)
+    if all(o.chi == 1 for o in o_ray[2:]) and all(p == point for p in p_cone):
+        rank, index = n, 1
+    else:
+        # Equal rows span the same lattice: the n two-cone classes may share one.
+        pivots = hermite_pivots(list(dict.fromkeys(
+            cls.model_vector() for cls in (one, *o_ray, *p_cone))))
+        rank, index = len(pivots), prod(map(abs, pivots))
     if rank != n or index != 1:
         return KlyachkoCertificate(
             rank, index, 0, 0,
@@ -278,47 +303,42 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             {"kind": "span", "rank": rank, "index": index},
         )
 
-    # Per cone: its rays as a bitmask, then rank, chi, c1, the nonzero
-    # (k, c1_k) and B.c1 (None when c1 = 0).
-    terms = []
-    for rays, cls in cones:
-        support = tuple((k, v) for k, v in enumerate(cls.c1) if v)
-        banded = None
-        if support:
-            y = (0, *cls.c1, 0)
-            banded = [a * y[k + 1] + y[k] + y[k + 2] for k, a in enumerate(lat.band)]
-        mask = sum(1 << i for i in rays)
-        terms.append((mask, cls.rank, cls.chi, cls.c1, support, banded))
-    position = {t[0]: i for i, t in enumerate(terms)}
-    zero = K0Class(0, (0,) * (n - 2), 0)
-    zero_terms = (0, 0, 0, zero.c1, (), None)
+    def violated(checked: int, rays1, rays2, got: K0Class, expected: K0Class):
+        got, expected = list(got.model_vector()), list(expected.model_vector())
+        return KlyachkoCertificate(
+            rank, index, checked, 0,
+            f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
+            {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
+        )
 
-    checked = 0
-    for (i, (m1, r1, x1, c1, _, b1)), (j, (m2, r2, x2, c2, s2, _)) in (
-        itertools.combinations_with_replacement(enumerate(terms), 2)
-    ):
-        if m1 & m2:
-            continue
-        k = position.get(m1 | m2)
-        _, er, ex, ec1, es, _ = zero_terms if k is None else terms[k]
-        chi = r1 * x2 + r2 * x1 - r1 * r2
-        if b1 is not None:
-            for e, v in s2:
-                chi += b1[e] * v
-        if r1 or r2:
-            same_c1 = tuple(r1 * b + r2 * a for a, b in zip(c1, c2)) == ec1
-        else:
-            same_c1 = not es
-        if r1 * r2 != er or chi != ex or not same_c1:
-            rays1, rays2 = list(cones[i][0]), list(cones[j][0])
-            got = [r1 * r2, *(r1 * b + r2 * a for a, b in zip(c1, c2)), chi]
-            expected = list((zero if k is None else cones[k][1]).model_vector())
-            return KlyachkoCertificate(
-                rank, index, checked, 0,
-                f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
-                {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
-            )
-        checked += 1
+    # A 2-cone class with rank or c1 comes from a faulty `k0_multiply`; its
+    # products with rays are multiplied out in closed form.  It fails its
+    # own adjacent ray pair, which comes before every product of two 2-cones.
+    faulty = [k for k, p in enumerate(p_cone) if p.rank or p.c1 != zero_c1]
+    checked = 2 * n + 1  # the unit times each cone class is that class
+    for i in range(n):
+        # Ray i times ray j > i is (0, 0, D_i.D_j): the class of the cone
+        # {i, j} if it is one, else 0.  Past row 1 only j = i + 1 can fail.
+        for j in range(i + 1, n if i < 2 else min(i + 2, n)):
+            got = K0Class(0, zero_c1, table_rows[i][j] if i < 2 else 1)
+            k = i if j == i + 1 else n - 1 if (i, j) == (0, n - 1) else None
+            expected = zero if k is None else p_cone[k]
+            if got != expected:
+                return violated(checked + j - i - 1, [i], [j], got, expected)
+        checked += n - 1 - i
+        # Ray i times each 2-cone without it, in cone order.
+        x = o_ray[i]
+        for k in faulty:
+            if i in cones[k]:
+                continue
+            p = p_cone[k]
+            got = K0Class(0, tuple(p.rank * v for v in x.c1),
+                          p.rank * x.chi + lat.pair(x.c1, p.c1))
+            if got != zero:
+                before = k - (i < k) - ((i - 1) % n < k)
+                return violated(checked + before, [i], cones[k], got, zero)
+        checked += n - 2
+    checked += n * (n - 3) // 2  # products of disjoint 2-cones
 
     rel2 = 0
     for m in ((1, 0), (0, 1)):
@@ -329,6 +349,16 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
                 f"character relation fails for {m}", {"kind": "character", "m": list(m)},
             )
         rel2 += 1
+
+    for rays, cls in zip(cones, p_cone):
+        if cls != point:
+            got = list(cls.model_vector())
+            return KlyachkoCertificate(
+                rank, index, checked, rel2,
+                f"class of cone {rays} is {got}, expected the point class "
+                f"{list(point.model_vector())}",
+                {"kind": "point", "cone": rays, "got": got},
+            )
 
     return KlyachkoCertificate(rank, index, checked, rel2)
 
@@ -429,16 +459,19 @@ def _orbit_partition(
     `coords` holds their Picard coordinates, which determine the classes,
     and the classes are distinct.  `perms` holds the ray permutation of
     every group element, so the images of one member already are its whole
-    orbit.  The images permute the coefficients of a divisor whose
-    coordinates the caller has taken, so they are not validated again.
+    orbit.  The identity's image is the member itself, whose coordinates
+    are not taken again.  The images permute the coefficients of a divisor
+    whose coordinates the caller has taken, so they are not validated again.
     """
+    identity = tuple(range(lat.fan.n))
+    perms = [perm for perm in perms if perm != identity]
     index_of = {x: i for i, x in enumerate(coords)}
     assigned = [False] * len(coords)
     orbits = []
     for i, d in enumerate(divisors):
         if assigned[i]:
             continue
-        orbit = {index_of.get(lat._coords(act_on_divisor(perm, d))) for perm in perms}
+        orbit = {i, *(index_of.get(lat._coords(act_on_divisor(perm, d))) for perm in perms)}
         if None in orbit:
             return (), d
         for j in orbit:

@@ -86,13 +86,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix (fraction-free Bareiss).
+
+    Step k rewrites each row below the pivot with one list comprehension over
+    the trailing columns k+1..n-1; the columns up to k are never read again.
+    A negative pivot row is negated first (the sign is kept aside), so that
+    pivots that differ only in sign count as equal.  A row whose column-k
+    entry is 0 is left as it is when the pivot equals the previous pivot:
+    the division is exact, and the row would not change.
+    """
     n = len(rows)
     if n == 0:
         return 1
     a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -100,11 +107,14 @@ def bareiss_det(rows: list[list[int]]) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        p, top = a[k][k], a[k][k + 1:]
+        if p < 0:
+            p, top, sign = -p, [-y for y in top], -sign
+        for row in a[k + 1:]:
+            f = row[k]
+            if f or p != prev:
+                row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

@@ -25,7 +25,6 @@ from toric_surface_lab.grothendieck import (
 )
 from toric_surface_lab.intlinalg import (
     Mat2,
-    bareiss_det,
     hermite_pivots,
     columns_to_matrix,
     mat_apply,
@@ -327,7 +326,7 @@ def rank_pruned_basis_search(fan: Fan, rep, coord_orbits):
 
     def dfs(start: int, picked: list[int], size: int) -> list[int] | None:
         if size == n:
-            return picked if bareiss_det(rows_of(picked)) in (1, -1) else None
+            return picked if triple_loop_bareiss(rows_of(picked)) in (1, -1) else None
         for i in range(start, len(orbits)):
             grown = size + len(orbits[i])
             if grown > n or len(hermite_pivots(rows_of(picked + [i]))) < grown:
@@ -370,9 +369,9 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
 
     Checks that the classes attached to all cones span with index one, that
     products of disjoint-cone classes are again cone classes (or vanish), and
-    that the character relations on the ray ideal-sheaf classes hold.  A
-    failure returns the certificate with the message of `verify_klyachko`
-    and no witness.
+    that the character relations on the ray ideal-sheaf classes hold; then
+    that every 2-cone class is the point class (0, 0, 1).  A failure returns
+    the certificate with the message of `verify_klyachko` and no witness.
     """
     n = fan.n
     lat = picard(fan)
@@ -427,12 +426,140 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
                 rank, index, checked, rel2, f"character relation fails for {m}")
         rel2 += 1
 
+    point = K0Class(0, (0,) * (n - 2), 1)
+    for pair in cone_pairs:
+        cls = cone_sets[frozenset(pair)]
+        if cls != point:
+            return KlyachkoCertificate(
+                rank, index, checked, rel2,
+                f"class of cone {sorted(pair)} is {list(cls.model_vector())}, "
+                f"expected the point class {list(point.model_vector())}")
+
     return KlyachkoCertificate(
         rank=rank,
         span_index=index,
         orbit_closure_pairs=checked,
         character_relations=rel2,
     )
+
+
+def band_product_klyachko(fan: Fan) -> KlyachkoCertificate:
+    """The K0 certificate with every product relation evaluated, in O(n^2),
+    and no point-class pin.
+
+    All 2n^2 - 2n + 1 products of disjoint cones are evaluated.  Each class
+    with c1 != 0 is multiplied once by the tridiagonal form, B.c1 in O(n);
+    the intersection number c1.c1' of a product is then the sum of
+    (B.c1)_k c1'_k over the nonzero entries of c1', which is one entry for
+    the rays D_2..D_(n-1).  Only D_0 and D_1 have dense c1, and the unit and
+    the 2-cone classes have c1 = 0.  A failure returns the certificate at
+    its first witness.
+    """
+    n = fan.n
+    lat = picard(fan)
+    one = structure_class(fan)
+    j_ray = [
+        line_bundle_class(fan, tuple(-1 if e == i else 0 for e in range(n)))
+        for i in range(n)
+    ]
+    o_ray = [one - j for j in j_ray]
+    cones: list[tuple[tuple[int, ...], K0Class]] = [((), one)]
+    cones += [((i,), o_ray[i]) for i in range(n)]
+    cones += [
+        (tuple(sorted(pair)), k0_multiply(lat, o_ray[pair[0]], o_ray[pair[1]]))
+        for pair in fan.cones()
+    ]
+
+    # Equal rows span the same lattice: the n two-cone classes share one.
+    pivots = hermite_pivots(list(dict.fromkeys(cls.model_vector() for _, cls in cones)))
+    rank = len(pivots)
+    index = 1
+    for p in pivots:
+        index *= abs(p)
+    if rank != n or index != 1:
+        return KlyachkoCertificate(
+            rank, index, 0, 0,
+            f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
+            {"kind": "span", "rank": rank, "index": index},
+        )
+
+    # Per cone: its rays as a bitmask, then rank, chi, c1, the nonzero
+    # (k, c1_k) and B.c1 (None when c1 = 0).
+    terms = []
+    for rays, cls in cones:
+        support = tuple((k, v) for k, v in enumerate(cls.c1) if v)
+        banded = None
+        if support:
+            y = (0, *cls.c1, 0)
+            banded = [a * y[k + 1] + y[k] + y[k + 2] for k, a in enumerate(lat.band)]
+        mask = sum(1 << i for i in rays)
+        terms.append((mask, cls.rank, cls.chi, cls.c1, support, banded))
+    position = {t[0]: i for i, t in enumerate(terms)}
+    zero = K0Class(0, (0,) * (n - 2), 0)
+    zero_terms = (0, 0, 0, zero.c1, (), None)
+
+    checked = 0
+    for (i, (m1, r1, x1, c1, _, b1)), (j, (m2, r2, x2, c2, s2, _)) in (
+        itertools.combinations_with_replacement(enumerate(terms), 2)
+    ):
+        if m1 & m2:
+            continue
+        k = position.get(m1 | m2)
+        _, er, ex, ec1, es, _ = zero_terms if k is None else terms[k]
+        chi = r1 * x2 + r2 * x1 - r1 * r2
+        if b1 is not None:
+            for e, v in s2:
+                chi += b1[e] * v
+        if r1 or r2:
+            same_c1 = tuple(r1 * b + r2 * a for a, b in zip(c1, c2)) == ec1
+        else:
+            same_c1 = not es
+        if r1 * r2 != er or chi != ex or not same_c1:
+            rays1, rays2 = list(cones[i][0]), list(cones[j][0])
+            got = [r1 * r2, *(r1 * b + r2 * a for a, b in zip(c1, c2)), chi]
+            expected = list((zero if k is None else cones[k][1]).model_vector())
+            return KlyachkoCertificate(
+                rank, index, checked, 0,
+                f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
+                {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
+            )
+        checked += 1
+
+    rel2 = 0
+    for m in ((1, 0), (0, 1)):
+        coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
+        if line_bundle_class(fan, coeffs) != one:
+            return KlyachkoCertificate(
+                rank, index, checked, rel2,
+                f"character relation fails for {m}", {"kind": "character", "m": list(m)},
+            )
+        rel2 += 1
+
+    return KlyachkoCertificate(rank, index, checked, rel2)
+
+
+def triple_loop_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free Bareiss elimination, one entry at
+    a time, with the pivot rows kept as they are."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(map(int, r)) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def solve2_divisor_coords(fan: Fan, coefficients) -> tuple[int, ...]:
@@ -627,7 +754,7 @@ def pairwise_verify_collection(
 
     objects = [d for block in coll.blocks for d in block]
     if len(objects) == fan.n:
-        det = bareiss_det(
+        det = triple_loop_bareiss(
             [list(line_bundle_class(fan, d).model_vector()) for d in objects]
         )
     else:

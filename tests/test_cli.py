@@ -22,6 +22,7 @@ from toric_surface_lab import (
 from toric_surface_lab.cli import main
 from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, _cohomology
 
+from exit_matrix import CELLS, expected_code, run_cell
 from test_golden import GOLDEN, golden_runs
 
 
@@ -507,12 +508,13 @@ class TestStageCounts:
 
     `cohomology._cohomology` is the one cohomology routine: the spot check
     calls it once per sample, and the collection once for H*(O_X) and once
-    per Ext pair of distinct objects.  Each certified set of line bundles,
-    the basis and the collection's objects, is certified once: one
-    determinant and one orbit partition each.  The group read from its
-    generators is certified once.  The basis and the collection read one
-    pullback along the trace.  The basis search partitions its candidates
-    with the certificate's routine."""
+    per Ext pair of distinct objects where D2 - D1 or K - (D2 - D1) has
+    degree >= 0; the other pairs have Ext (0, -chi, 0) in closed form.
+    Each certified set of line bundles, the basis and the collection's
+    objects, is certified once: one determinant and one orbit partition
+    each.  The group read from its generators is certified once.  The basis
+    and the collection read one pullback along the trace.  The basis search
+    partitions its candidates with the certificate's routine."""
 
     COUNTED = ("minimal_model.classify_minimal", "grothendieck.verify_permutation_basis",
                "cohomology._cohomology", "grothendieck._orbit_partition",
@@ -556,7 +558,18 @@ class TestStageCounts:
         assert partitioned.count(basis) == 1
         assert partitioned.count(objects) == 1
         counts = {key: len(args) for key, args in calls.items()}
-        assert counts["cohomology._cohomology"] == 136
+        # The Ext pairs of distinct objects, within a block and from a later
+        # block to an earlier one, by the degree (D2 - D1).H of D2 - D1.
+        _, weights, k_degree = _ample_weights(
+            lattice_fan.validate_fan(json.loads((GOLDEN / "dp6-12.json").read_text())["rays"]))
+        rows = [[sum(map(mul, weights, d)) for d in block]
+                for block in result["collection"]["blocks"]]
+        degrees = [dst - src for b, row in enumerate(rows) for t, other in enumerate(rows[:b + 1])
+                   for i, src in enumerate(row) for j, dst in enumerate(other) if t < b or i != j]
+        assert len(degrees) == result["collection"]["pairs_checked"] - len(objects)
+        sided = sum(1 for d in degrees if d >= 0 or k_degree - d >= 0)
+        assert (len(degrees), sided) == (85, 38)
+        assert counts["cohomology._cohomology"] == 89
         assert counts == {
             "minimal_model.classify_minimal": 1,
             "grothendieck.verify_permutation_basis": 2,
@@ -564,9 +577,7 @@ class TestStageCounts:
             "intlinalg.bareiss_det": 2,
             "symmetry._rotation_and_reflection": 1,
             "minimal_model.pullback": 1,
-            "cohomology._cohomology": (
-                result["cohomology_spot_check"]["samples"]
-                + result["collection"]["pairs_checked"] - (len(objects) - 1)),
+            "cohomology._cohomology": result["cohomology_spot_check"]["samples"] + 1 + sided,
         }
 
     def test_basis_search_partitions_with_the_certificates_routine(self, capsys, monkeypatch):
@@ -742,6 +753,26 @@ class TestWriteFailure:
             proc = self.run(full, ["validate", "--fan", "p2.json", *json_flag])
         assert proc.returncode == 3
         assert proc.stderr == b"error: cannot write output: No space left on device\n"
+
+
+# The Tier-1 slice of tests/exit_matrix.py (20 of its 72 cells): every input
+# and flag with stderr on /dev/full, stdout writable or a closed pipe for
+# `validate` and writable for the failed collection; and a full stdout with
+# a writable stderr once for each command.
+EXIT_SLICE = [cell for cell in CELLS if cell[4] == "full" and (
+    cell[3] == "ok" or (cell[3] == "closed" and cell[0] == ("validate",)))]
+EXIT_SLICE += [(("validate",), ("--json",), "valid", "full", "ok"),
+               (("collection", "--order", "reversed"), (), "valid", "full", "ok")]
+
+
+class TestExitMatrix:
+    """A stderr that cannot be written keeps the run's exit code, and a
+    stdout that cannot be written exits 3, in a fresh process per cell."""
+
+    @pytest.mark.parametrize("cell", EXIT_SLICE, ids=lambda cell: "-".join(
+        [cell[0][0], "json" if cell[1] else "plain", *cell[2:]]))
+    def test_cell(self, cell):
+        assert run_cell(*cell) == expected_code(*cell)
 
 
 # A fixed alphabet: general text makes hypothesis build a Unicode table on a

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from toric_surface_lab.cli import basis_payload
 from toric_surface_lab.cohomology import ext_line_bundles, h0, line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
-from toric_surface_lab.derived import ExceptionalCollection, verify_collection
+from toric_surface_lab.derived import ExceptionalCollection, build_collection, verify_collection
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     K0Class,
@@ -45,6 +46,7 @@ from oracles import (
     bfs_class_orbit,
     bfs_orbit_partition,
     chern_multiply,
+    band_product_klyachko,
     ci_fan,
     closure_candidate_orbits,
     full_gram,
@@ -55,6 +57,7 @@ from oracles import (
     rank_pruned_basis_search,
     solve2_divisor_coords,
     symmetric_signature,
+    triple_loop_bareiss,
 )
 
 
@@ -439,7 +442,8 @@ DP6_12 = validate_fan(json.loads(
 
 
 class TestKlyachkoOracle:
-    """The band-product relation loop against the pairwise oracle."""
+    """The ray-pairing table against the pairwise oracle and the band-product
+    loop, which evaluate every product relation."""
 
     def test_matches_pairwise_oracle(self):
         rng = random.Random(15)
@@ -449,40 +453,102 @@ class TestKlyachkoOracle:
             fans += [entry.fan, random_basis(rng, entry.fan, entry.group)[0]]
         for fan in fans:
             cert = verify_klyachko(fan)
-            assert cert == pairwise_klyachko(fan)
+            assert cert == pairwise_klyachko(fan) == band_product_klyachko(fan)
             assert cert.ok
             assert cert.orbit_closure_pairs == 2 * fan.n ** 2 - 2 * fan.n + 1
         assert len(fans) > 250
 
-    @pytest.mark.parametrize("fan", [dp6_fan(), DP6_12], ids=["dp6", "dp6-12"])
+    def test_recipe_fan_128_matches_band_products(self):
+        fan = ci_fan(128)
+        cert = verify_klyachko(fan)
+        assert cert.ok and cert == band_product_klyachko(fan)
+
+    @pytest.mark.parametrize("fan", [p2_fan(), dp6_fan(), DP6_12], ids=["p2", "dp6", "dp6-12"])
     def test_planted_band_fault(self, monkeypatch, fan):
-        """A diagonal entry of the form raised by 2 passes the span check
-        and breaks a product relation.  Both routes report the same first
-        failure, and its witness checks by hand."""
+        """A diagonal entry of the form raised or lowered by 2 fails the
+        certificate at every position.  Where the band-product loop fails
+        too, the certificates are equal, witness and counts included; where
+        it passes (P2 lowered, whose 2-cone class becomes (0, 0, -1)), the
+        point class pins the fault.  The pairwise oracle gives the same
+        message and counts in every case."""
         real = grothendieck.picard
-        for position in range(fan.n - 2):
-            def planted(f, position=position):
+        kinds = []
+        for sign, position in itertools.product((2, -2), range(fan.n - 2)):
+            def planted(f, position=position, sign=sign):
                 lat = real(f)
                 band = list(lat.band)
-                band[position] += 2
+                band[position] += sign
                 return lat._replace(band=tuple(band))
 
             monkeypatch.setattr(grothendieck, "picard", planted)
             monkeypatch.setattr(oracles, "picard", planted)
-            expected = pairwise_klyachko(fan)
-            got = verify_klyachko(fan)
+            got, old, pairwise = (
+                verify_klyachko(fan), band_product_klyachko(fan), pairwise_klyachko(fan))
             monkeypatch.undo()
-            assert not got.ok and not expected.ok
-            assert got.error == expected.error
+            assert not got.ok and not pairwise.ok
+            assert got._replace(first_violation=None) == pairwise
             witness = got.first_violation
-            assert witness["kind"] == "product"
-            first, second = witness["cones"]
-            assert not set(first) & set(second)
-            assert witness["got"] != witness["expected"]
-            assert f"cones {first} and {second} is" in got.error
+            kinds.append(witness["kind"])
+            if not old.ok:
+                assert got == old
+            else:
+                assert witness["kind"] == "point"
+                assert got.orbit_closure_pairs == 2 * fan.n ** 2 - 2 * fan.n + 1
+                assert witness["cone"] in [sorted(c) for c in fan.cones()]
+                assert witness["got"] != [0] * (fan.n - 1) + [1]
+            if witness["kind"] == "product":
+                first, second = witness["cones"]
+                assert not set(first) & set(second)
+                assert witness["got"] != witness["expected"]
+                assert f"cones {first} and {second} is" in got.error
             assert "Fan(" not in got.error
-            if fan == dp6_fan() and position == 0:
+            if fan == dp6_fan() and (sign, position) == (2, 0):
                 assert witness["cones"] == [[0], [2]]
+        if fan == p2_fan():
+            assert kinds == ["span", "point"]
+            assert got.first_violation == {"kind": "point", "cone": [0, 1], "got": [0, 0, -1]}
+            assert got.error == (
+                "class of cone [0, 1] is [0, 0, -1], expected the point class [0, 0, 1]")
+        else:
+            assert set(kinds) <= {"span", "product"} and "product" in kinds
+
+    @pytest.mark.parametrize("fan", [p2_fan(), hirzebruch_fan(2), dp6_fan(),
+                                     blow_up(dp6_fan(), (0, 1))],
+                             ids=["p2", "f2", "dp6", "dp6-7"])
+    def test_planted_cone_class_faults(self, monkeypatch, fan):
+        """One 2-cone class given rank 1, a c1 entry or chi + 1, on every
+        cone: a class with rank or c1 is multiplied out pair by pair, so the
+        certificate fails where the band-product loop fails, with the same
+        witness and counts."""
+        real = grothendieck.k0_multiply
+        changes = {
+            "rank": lambda z: z._replace(rank=1),
+            "c1": lambda z: z._replace(c1=(z.c1[0] + 1, *z.c1[1:])),
+            "chi": lambda z: z._replace(chi=z.chi + 1),
+        }
+        kinds = set()
+        for cone, change in itertools.product(range(fan.n), changes.values()):
+            def planted():
+                calls = []
+
+                def k0_multiply(lat, x, y):
+                    calls.append(None)
+                    z = real(lat, x, y)
+                    return change(z) if len(calls) == cone + 1 else z
+                return k0_multiply
+
+            monkeypatch.setattr(grothendieck, "k0_multiply", planted())
+            got = verify_klyachko(fan)
+            monkeypatch.setattr(oracles, "k0_multiply", planted())
+            old = band_product_klyachko(fan)
+            monkeypatch.undo()
+            assert not got.ok
+            if old.ok:
+                assert got.first_violation["kind"] == "point"
+            else:
+                assert got == old
+            kinds.add(got.first_violation["kind"])
+        assert "product" in kinds
 
     def test_planted_span_fault(self, monkeypatch, p2):
         """Products off by one in chi give the point classes chi = 2, so the
@@ -610,6 +676,52 @@ class TestStandardBasis:
             assert all(kind == "core" for kind, _ in basis.tags[:core])
             multi_step += len(trace.steps) > 1
         assert multi_step > 0
+
+
+class TestBareiss:
+    """`bareiss_det` (a row at a time, positive pivots, rows with a zero
+    entry left alone) against `triple_loop_bareiss`."""
+
+    @staticmethod
+    def certified_matrices(fan, group):
+        """The rows (1, c1, chi) of the standard basis and of the collection's
+        objects, the two matrices a report takes determinants of."""
+        trace, label = classify_pair(fan, group)
+        pulled = pullback(trace)
+        lat = picard(fan)
+        for divisors in (standard_permutation_basis(pulled, label).divisors,
+                         [d for block in build_collection(pulled, label).blocks for d in block]):
+            coords = [lat.divisor_coords(d) for d in divisors]
+            yield [[1, *x, lat.chi(x)] for x in coords]
+
+    def test_random_singular_and_row_swapping_matrices(self):
+        rng = random.Random(32)
+        seen = {"zero": 0, "swap": 0}
+        for trial in range(600):
+            n = rng.randint(0, 8)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, rng.randint(-40, 40))) for _ in range(n)]
+                 for _ in range(n)]
+            if trial % 3 == 1 and n > 1:  # singular: a row is a combination of two others
+                m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+            if trial % 3 == 2 and n > 1:  # the first pivot needs a row swap
+                for row in m[:-1]:
+                    row[0] = 0
+                seen["swap"] += m[-1][0] != 0
+            det = bareiss_det(m)
+            assert det == triple_loop_bareiss(m), m
+            seen["zero"] += det == 0
+        assert seen["zero"] > 150 and seen["swap"] > 50
+
+    def test_report_matrices(self):
+        rng = random.Random(32)
+        entries = {e.fan.rays: e for e in standard_corpus(max_rays=16)}
+        pairs = [(ci_fan(n), trivial_group(ci_fan(n))) for n in (64, 128)]
+        for entry in entries.values():
+            pairs += [(entry.fan, entry.group), random_basis(rng, entry.fan, entry.group)]
+        for fan, group in pairs:
+            for m in self.certified_matrices(fan, group):
+                det = bareiss_det(m)
+                assert det in (1, -1) and det == triple_loop_bareiss(m)
 
 
 class TestVerifyBasis:
