@@ -102,14 +102,6 @@ def _angle_half(v: Vec) -> int:
     return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
 
-def _angle_before(v: Vec, w: Vec) -> bool:
-    """Strict counterclockwise angle order from (1, 0), for distinct rays."""
-    hv, hw = _angle_half(v), _angle_half(w)
-    if hv != hw:
-        return hv < hw
-    return det2(v, w) > 0
-
-
 class Fan:
     """Counterclockwise primitive rays of a smooth complete fan in Z^2.
 
@@ -185,17 +177,13 @@ def validate_fan(raw_rays) -> Fan:
             raise NotSmooth(
                 f"cone ({rays[i]}, {rays[(i + 1) % n]}) has determinant {d}"
             )
-    # Every step turns by less than pi, so the winding number equals the
-    # number of wrap-arounds in the canonical angle order.
-    descents = sum(
-        1 for i in range(n) if not _angle_before(rays[i], rays[(i + 1) % n])
-    )
-    if descents != 1:
-        raise NotComplete(f"ray sequence winds {descents} times, expected 1")
-    first = 0
-    for i in range(1, n):
-        if _angle_before(rays[i], rays[first]):
-            first = i
+    # Every step turns counterclockwise by less than pi, so the winding number
+    # is the count of steps into the upper half-turn; one reaches the least angle.
+    half = [_angle_half(v) for v in rays]
+    wraps = [i for i in range(n) if half[i - 1] > half[i]]
+    if len(wraps) != 1:
+        raise NotComplete(f"ray sequence winds {len(wraps)} times, expected 1")
+    first = wraps[0]
     return Fan(tuple(rays[first:] + rays[:first]))
 
 

@@ -17,9 +17,6 @@ from .lattice_fan import (
     Fan,
     InternalError,
     LabError,
-    dp6_fan,
-    fans_isomorphic,
-    p2_fan,
     self_intersections,
     validate_fan,
 )
@@ -250,19 +247,21 @@ def classify_minimal(fan: Fan, group: SymmetryGroup) -> MinimalLabel:
         raise NotMinimal(f"{fan} still has contractible orbits")
     label = classify_subgroup(group)
 
-    n = fan.n
+    # A fan is fixed up to GL2(Z) by its cyclic self-intersection sequence (Oda
+    # 1988, 1.6); the plane's and the hexagon's are the same in every rotation.
+    n, seq = fan.n, self_intersections(fan)
     a = None
     if n == 3:
-        if fans_isomorphic(fan, p2_fan()) is None:
+        if seq != (1, 1, 1):
             raise TableViolation(f"3-ray fan {fan} is not the plane fan")
         kinds = ("P2",)
     elif n == 4:
-        a = max(self_intersections(fan))
+        a = max(seq)
         if a == 1:
             raise TableViolation("F(1) can never be a minimal endpoint")
         kinds = ("P1xP1", "F-even") if a == 0 else ("F-odd" if a % 2 else "F-even",)
     elif n == 6:
-        if fans_isomorphic(fan, dp6_fan()) is None:
+        if seq != (-1,) * 6:
             raise TableViolation(f"6-ray fan {fan} is not the hexagonal fan")
         kinds = ("dP6",)
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,8 @@ from toric_surface_lab.intlinalg import (
     Mat2,
     hermite_pivots,
     columns_to_matrix,
+    det2,
+    is_int_pair,
     mat_apply,
     mat_inv,
     mat_mul,
@@ -35,11 +38,20 @@ from toric_surface_lab.intlinalg import (
 )
 from toric_surface_lab.lattice_fan import (
     Fan,
+    FanError,
+    NonPrimitiveRay,
+    NotComplete,
+    NotCounterclockwise,
+    NotSmooth,
+    TooFewRays,
     apply_matrix,
     blow_down,
     blow_up,
+    hirzebruch_fan,
+    p2_fan,
     self_intersections,
     square_fan,
+    validate_fan,
 )
 from toric_surface_lab.symmetry import (
     IDENTITY,
@@ -100,6 +112,49 @@ def candidate_filter_maps(f1: Fan, f2: Fan) -> list:
             if all(mat_apply(m, v) in target for v in f1.rays):
                 out.append(m)
     return out
+
+
+def _angle_before(v, w) -> bool:
+    """Strict counterclockwise angle order from (1, 0), for distinct rays."""
+    hv, hw = (0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1 for u in (v, w))
+    if hv != hw:
+        return hv < hw
+    return det2(v, w) > 0
+
+
+def angle_order_validate_fan(raw_rays) -> Fan:
+    """`validate_fan` with the winding count and the first ray taken from
+    pairwise angle comparisons: a pass over the consecutive pairs counts the
+    descents, and an arg-min pass finds the ray of least angle."""
+    if not isinstance(raw_rays, (list, tuple)):
+        raise FanError(f"rays must be a list of integer pairs, got {raw_rays!r}")
+    rays = []
+    for v in raw_rays:
+        if not is_int_pair(v):
+            raise NonPrimitiveRay(f"rays must be integer pairs, got {v!r}")
+        rays.append(tuple(v))
+    if len(rays) < 3:
+        raise TooFewRays(f"a complete fan needs at least 3 rays, got {len(rays)}")
+    for v in rays:
+        if v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
+            raise NonPrimitiveRay(f"ray {v} is not a primitive vector")
+    n = len(rays)
+    for i in range(n):
+        d = det2(rays[i], rays[(i + 1) % n])
+        if d <= 0:
+            raise NotCounterclockwise(
+                f"rays {rays[i]}, {rays[(i + 1) % n]} do not turn counterclockwise"
+            )
+        if d != 1:
+            raise NotSmooth(f"cone ({rays[i]}, {rays[(i + 1) % n]}) has determinant {d}")
+    descents = sum(1 for i in range(n) if not _angle_before(rays[i], rays[(i + 1) % n]))
+    if descents != 1:
+        raise NotComplete(f"ray sequence winds {descents} times, expected 1")
+    first = 0
+    for i in range(1, n):
+        if _angle_before(rays[i], rays[first]):
+            first = i
+    return Fan(tuple(rays[first:] + rays[:first]))
 
 
 def _bfs_orbits(n: int, moves) -> list[tuple[int, ...]]:
@@ -1098,3 +1153,62 @@ def stepwise_pullback(trace, divisor) -> tuple[int, ...]:
         d = tuple(coeff[v] if v in coeff else coeff[rays[i - 1]] + coeff[rays[(i + 1) % n]]
                   for i, v in enumerate(rays))
     return d
+
+
+def canonical_sequence(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a cyclic self-intersection sequence or of its
+    reverse: equal exactly for fans that are isomorphic over GL2(Z)."""
+    return min(s[i:] + s[:i] for s in (a, a[::-1]) for i in range(len(a)))
+
+
+def all_fans(max_rays: int, bound: int) -> list[Fan]:
+    """One fan per class of the smooth complete fans with at most `max_rays`
+    rays and every |a_i| <= `bound` (>= 1), fewest rays first.
+
+    They are the closure of P2 and F(0..bound) under single `blow_up`s (Oda
+    1988, 1.7).  A blow-up lowers the two rays of its cone by one and inserts
+    a -1, so a contraction only raises the rays it keeps: a fan in the bound
+    contracts through fans in the bound to P2 or to F(a) with a <= bound.  A
+    child is deduplicated by its canonical sequence before its fan is built.
+    """
+    seeds = [p2_fan(), *map(hirzebruch_fan, range(bound + 1))]
+    found = {canonical_sequence(self_intersections(f)): f for f in seeds}
+    frontier = list(found.values())
+    while frontier:
+        grown = []
+        for fan in (f for f in frontier if f.n < max_rays):
+            a = self_intersections(fan)
+            for i in range(fan.n):
+                b = list(a)
+                b[i] -= 1
+                b[(i + 1) % fan.n] -= 1
+                b.insert(i + 1, -1)
+                key = canonical_sequence(tuple(b))
+                if min(b) >= -bound and key not in found:
+                    found[key] = blow_up(fan, [i])
+                    grown.append(found[key])
+        frontier = grown
+    return list(found.values())
+
+
+def sequence_fans(max_rays: int, bound: int) -> list[Fan]:
+    """The fans of `all_fans` by a second route: every sequence of n - 2
+    entries in [-bound, bound] rebuilt into rays v_0 = (1, 0), v_1 = (0, 1),
+    ..., v_{n-1} by the wall relations v_{i+1} = -a_i v_i - v_{i-1}, kept when
+    `validate_fan` accepts the rays and the two entries the rays close up
+    with are in the bound too."""
+    found = {}
+    for n in range(3, max_rays + 1):
+        for inner in itertools.product(range(-bound, bound + 1), repeat=n - 2):
+            rays = [(1, 0), (0, 1)]
+            for a in inner:
+                (x0, y0), (x1, y1) = rays[-2], rays[-1]
+                rays.append((-a * x1 - x0, -a * y1 - y0))
+            try:
+                fan = validate_fan(rays)
+            except FanError:
+                continue
+            a = self_intersections(fan)
+            if max(map(abs, a)) <= bound:
+                found.setdefault(canonical_sequence(a), fan)
+    return list(found.values())

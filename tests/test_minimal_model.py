@@ -35,7 +35,16 @@ from toric_surface_lab.symmetry import (
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 from toric_surface_lab.grothendieck import core_blocks, picard
 
-from oracles import ci_fan, random_basis, stepwise_minimalize, stepwise_pullback
+from classification_sweep import COUNTS, sweep
+from oracles import (
+    all_fans,
+    canonical_sequence,
+    ci_fan,
+    random_basis,
+    sequence_fans,
+    stepwise_minimalize,
+    stepwise_pullback,
+)
 
 
 @pytest.fixture
@@ -311,6 +320,29 @@ def test_classification_table_agrees_across_modules():
     assert realized(subgroups) == allowed
     seeds = [(e.fan, e.group) for g in TABLE_GENERATORS for e in minimal_seed_pairs(g)]
     assert realized(seeds) == allowed
+
+
+class TestEverySmallFan:
+    """The classification theorem on every fan of at most 10 rays with each
+    |a_i| <= 4; CI runs tests/classification_sweep.py at 12 rays and 5."""
+
+    def test_blow_up_closure_matches_the_sequences_rebuilt_into_rays(self):
+        keys = [{canonical_sequence(lattice_fan.self_intersections(f)) for f in route(7, 3)}
+                for route in (all_fans, sequence_fans)]
+        assert keys[0] == keys[1]
+        assert len(keys[0]) == 28
+
+    def test_every_pair_classifies_into_the_table_and_certifies(self):
+        """All 666 (fan, subgroup) pairs contract into a table row with no
+        TableViolation and pass every check of the sweep, the certificates
+        and the stepwise contraction included, and together they realise
+        each of the table's 18 (row, group) entries."""
+        result = sweep(10, 4, certify=True)
+        assert result.counts == COUNTS[10, 4] == (585, 666, 25)
+        assert result.failures == []
+        realised = {(row, g) for row, seen in result.realised.items() for g in seen}
+        table = {(row, g) for row in TABLE for g in row.groups}
+        assert realised == table and len(table) == 18
 
 
 class TestPullback:
