@@ -178,26 +178,23 @@ def decomposition_payload(dec) -> dict:
 
 
 def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
-    """Count random divisors D whose cohomology fails either check.
+    """Count random divisors D whose cohomology fails a check.
 
-    Each sample is one draw of n coefficients, uniform on [-4, 4], and
-    costs two h0 evaluations, h0(D) and h0(K - D), in one call of the
-    cohomology kernel `_cohomology`; the vector of K - D is built from them.
-    The draws are n integers from a fixed tuple, so no routine re-validates
-    them.
+    Each sample is one draw of n coefficients, uniform on [-4, 4], and one
+    call of the cohomology kernel `_cohomology`, which runs at most one h0
+    walk: D.H >= 0 forces (K - D).H = K.H - D.H < 0.  The draws are n
+    integers from a fixed tuple, so no routine re-validates them.
 
-    Serre duality, h^i(D) = h^{2-i}(K - D): h2(D) is defined as h0(K - D),
-    so the comparison reduces to chi(D) = chi(K - D) of the closed form plus
-    h1 >= 0 on both sides.  It catches an h1 that disagrees with
-    h0 + h2 - chi, not a wrong h0.
-
-    Riemann-Roch: h0 - h1 + h2 equals chi(D) from the Picard lattice
-    (characters and the intersection form), taken in one pass from the ray
-    coefficients by `PicardLattice._euler`: a route independent of the wall
-    relations and the closed form the cohomology uses.  It catches an Euler
-    characteristic that is wrong however h1 was derived, such as a closed
-    form off by one, which the cohomology and the duality comparison share,
-    so duality cannot see it.
+    A sample passes when h1 >= 0 and three Euler characteristics agree:
+    h0 - h1 + h2 of the kernel, chi(K - D) of the closed form, and chi(D)
+    from the Picard lattice (characters and the intersection form), taken
+    in one pass by `PicardLattice._euler`.  The first equality is Serre
+    duality, since h2(D) is h0(K - D): it catches an h1 that disagrees with
+    h0 + h2 - chi, not a wrong h0.  The second is Riemann-Roch by a route
+    independent of the wall relations and the closed form the cohomology
+    uses: it catches an Euler characteristic that is wrong however h1 was
+    derived, such as a closed form off by one, which duality cannot see.
+    A kernel that raises ArithmeticError (a negative h1) counts too.
     """
     import random
 
@@ -216,16 +213,12 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     for start in range(0, samples * n, n):
         coeffs = draws[start:start + n]
         try:
-            h0, h1, h2 = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
+            h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
         except ArithmeticError:
             violations += 1
             continue
-        # The vector of K - D is (h2, dual_h1, h0) of D's own values, with
-        # dual_h1 from the closed-form chi(K - D), as the cohomology has it.
-        dual_h1 = h2 + h0 - _chi(a, [-1 - c for c in coeffs])
-        if dual_h1 < 0 or h1 != dual_h1:
-            violations += 1
-        elif h0 - h1 + h2 != euler(coeffs[2:], coeffs[0], coeffs[1]):
+        if h.h1 < 0 or not (h.euler == _chi(a, [-1 - c for c in coeffs])
+                            == euler(coeffs[2:], coeffs[0], coeffs[1])):
             violations += 1
     return {"samples": samples, "violations": violations}
 

@@ -108,10 +108,7 @@ def _reduce(a, weights, c: list[int], degree: int) -> int:
 
 def h0(fan: Fan, coeffs) -> int:
     """Number of lattice points m with <m, v_e> >= -c_e for every ray."""
-    c = list(divisor(fan, coeffs))
-    a, weights, _ = _ample_weights(fan)
-    degree = sum(map(mul, weights, c))  # D.H
-    return _reduce(a, weights, c, degree) if degree >= 0 else 0
+    return line_bundle_cohomology(fan, coeffs).h0
 
 
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:

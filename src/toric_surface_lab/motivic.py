@@ -37,8 +37,9 @@ def decompose(cert: BasisCertificate, label: MinimalLabel) -> MotivicDecompositi
 
     `cert` must pass, and `label` classifies the terminal pair of the trace
     that `cert.basis` was built from; the factors read that basis's tags.  A
-    failed `cert`, or an orbit whose core roles name two factor slots (a
-    table bug), raises ValueError.
+    failed `cert`, an orbit whose tags are not all "exc" or all "core" (a
+    trace bug), or one whose core roles name two factor slots (a table bug),
+    raises ValueError.
     """
     if not cert.ok:
         raise ValueError(f"decompose needs a certified basis: {cert.error}")
@@ -63,7 +64,7 @@ def decompose(cert: BasisCertificate, label: MinimalLabel) -> MotivicDecompositi
                 raise ValueError(f"orbit {orbit} mixes factor slots {sorted(slot_labels)}")
             brauer = slot_labels.pop()
         else:
-            brauer = "End(pushforward of orbit representative)"
+            raise ValueError(f"orbit {orbit} mixes tag kinds {sorted(kinds)}")
         factors.append(AlgebraFactor(len(orbit), brauer, orbit))
     return MotivicDecomposition(factors=tuple(factors), family=label.row)
 

@@ -10,7 +10,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toric_surface_lab.cohomology import _chi, ext_line_bundles, h0, line_bundle_cohomology
+from toric_surface_lab.cohomology import (
+    _ample_weights,
+    _chi,
+    _reduce,
+    ext_line_bundles,
+    line_bundle_cohomology,
+)
 from toric_surface_lab.derived import CollectionCertificate, ExceptionalCollection, ExtViolation
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
@@ -47,6 +53,7 @@ from toric_surface_lab.lattice_fan import (
     apply_matrix,
     blow_down,
     blow_up,
+    divisor,
     hirzebruch_fan,
     p2_fan,
     self_intersections,
@@ -981,16 +988,26 @@ def box_h0(fan: Fan, coeffs) -> int:
     return int(mask.sum())
 
 
+def walk_h0(fan: Fan, coeffs) -> int:
+    """h0 of O(D) by the facet-length walk `_reduce` alone, from its own
+    validation, table lookup and degree D.H (the public `h0` reads the
+    one-pass kernel instead)."""
+    c = list(divisor(fan, coeffs))
+    a, weights, _ = _ample_weights(fan)
+    degree = sum(w * x for w, x in zip(weights, c))
+    return _reduce(a, weights, c, degree) if degree >= 0 else 0
+
+
 def two_pass_cohomology(fan: Fan, coeffs) -> tuple[int, int, int]:
-    """(h0, h1, h2) of O(D) from two separate public h0 calls.
+    """(h0, h1, h2) of O(D) from two separate h0 walks.
 
     The composition the one-pass kernel replaced: h0(D), h2(D) = h0(K - D)
-    with K - D = sum(-1 - c_e) D_e, each with its own D.H and its own table
-    lookups, and h1 = h0 + h2 - chi(D).
+    with K - D = sum(-1 - c_e) D_e, each a `walk_h0` with its own D.H and
+    its own table lookups, and h1 = h0 + h2 - chi(D).
     """
     coeffs = tuple(int(c) for c in coeffs)
-    dim0 = h0(fan, coeffs)
-    dim2 = h0(fan, tuple(-1 - c for c in coeffs))
+    dim0 = walk_h0(fan, coeffs)
+    dim2 = walk_h0(fan, tuple(-1 - c for c in coeffs))
     chi = _chi(self_intersections(fan), coeffs)
     return (dim0, dim0 + dim2 - chi, dim2)
 

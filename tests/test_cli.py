@@ -366,6 +366,33 @@ class TestSpotCheck:
         assert {len(d) for d in drawn} == {dp6.n}
         assert {x for d in drawn for x in d} == set(range(-4, 5))
 
+    def test_negative_h1_is_caught(self, monkeypatch, dp6):
+        """A kernel that returns h1 = -1 without raising, with h0 moved so
+        that every Euler characteristic still agrees, fails on h1 >= 0."""
+
+        def negative(table, coeffs, degree):
+            h = _cohomology(table, coeffs, degree)
+            return CohomologyVector(h.h0 - h.h1 - 1, -1, h.h2)
+
+        monkeypatch.setattr(cohomology, "_cohomology", negative)
+        assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
+
+    def test_raising_kernel_counts_a_violation(self, monkeypatch, dp6):
+        """A kernel that raises ArithmeticError (its negative-h1 check) on a
+        sample counts that sample as a violation and goes on to the next:
+        raised on every other call, half of the honest samples fail."""
+        calls = []
+
+        def every_other(table, coeffs, degree):
+            calls.append(coeffs)
+            if len(calls) % 2:
+                raise ArithmeticError("planted negative h1")
+            return _cohomology(table, coeffs, degree)
+
+        monkeypatch.setattr(cohomology, "_cohomology", every_other)
+        assert cli._spot_check_cohomology(dp6, seed=3) == {"samples": 50, "violations": 25}
+        assert len(calls) == 50
+
     def test_honest_cohomology_passes(self, dp6):
         assert cli._spot_check_cohomology(dp6, seed=3)["violations"] == 0
 
@@ -446,6 +473,31 @@ class TestFailedCertificates:
         assert result["basis"] == {"error": "planted failure"}
         assert result["failures"] == ["basis: planted failure"]
         assert "decomposition" not in result
+
+    def test_report_basis_search_failure_exits_1(self, capsys, monkeypatch, dp6_file,
+                                                 d12_file):
+        """A searched basis whose certificate fails is the report's only
+        failure, in the payload and in the human-readable FAILED line; the
+        standard basis, the collection and the decomposition still pass."""
+        real = grothendieck.verify_permutation_basis
+        failed = grothendieck.BasisCertificate(None, 0, (), "planted failure")
+
+        def planted(basis, group):
+            if set(basis.tags) == {("search", None)}:
+                return failed._replace(basis=basis)
+            return real(basis, group)
+
+        monkeypatch.setattr(grothendieck, "verify_permutation_basis", planted)
+        argv = ["report", "--fan", dp6_file, "--group", d12_file, "--bound", "1"]
+        code, report = run_json(capsys, argv)
+        assert (code, report["status"]) == (1, "verification-failed")
+        result = report["result"]
+        assert result["basis_search"] == {"found": True, "bound": 1, "error": "planted failure"}
+        assert result["failures"] == ["basis search: planted failure"]
+        assert "error" not in result["basis"] and "decomposition" in result
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAILED: basis search: planted failure"
 
     R_ORBIT = {("R", (0, 5)), ("R", (1, 2)), ("R", (3, 4))}
 

@@ -4,8 +4,9 @@ from operator import mul
 
 import pytest
 
+import oracles
 from toric_surface_lab import derived
-from toric_surface_lab.cohomology import _ample_weights, ext_line_bundles
+from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, ext_line_bundles
 from toric_surface_lab.derived import (
     ExceptionalCollection,
     build_collection,
@@ -23,6 +24,15 @@ from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, 
 def collection_for(fan, group):
     trace, label = classify_pair(fan, group)
     return build_collection(pullback(trace), label)
+
+
+def counted_pairs(blocks) -> int:
+    """Self, block and order pairs of the scan, counted one kind at a time."""
+    self_pairs = sum(len(block) for block in blocks)
+    block_pairs = sum(len(block) * (len(block) - 1) for block in blocks)
+    order_pairs = sum(len(blocks[s]) * len(blocks[t])
+                      for s in range(len(blocks)) for t in range(s))
+    return self_pairs + block_pairs + order_pairs
 
 
 class TestCores:
@@ -250,15 +260,17 @@ class TestPairwiseOracle:
     def test_corpus_pairs_in_both_orders(self):
         entries = standard_corpus(max_rays=16)
         assert len(entries) == 191
-        failed = 0
+        failed = multi = 0
         for entry in entries:
             coll = collection_for(entry.fan, entry.group)
             for c in (coll, coll.reversed()):
                 cert = verify_collection(c, entry.group)
                 assert cert == pairwise_verify_collection(c, entry.group), (
                     entry.fan, entry.group_label, c.provenance)
+                assert cert.pairs_checked == counted_pairs(c.blocks)
                 failed += not cert.ok
-        assert failed > 0
+            multi += any(len(block) > 1 for block in coll.blocks)
+        assert failed > 0 and multi == 106
 
     def test_classes_that_are_no_basis_are_not_group_closed(self, p2, p2_aut, dp6, dp6_aut):
         """Closure is certified only for a basis of K0.  P2 with its last
@@ -325,3 +337,42 @@ class TestPlantedExtFault:
             assert (degree < 0 and k_degree - degree < 0) == closed_form
             assert (planted in calls) != closed_form
             assert (violation.ext == (0, 1 - a[v], 0)) if closed_form else (violation.ext[0] > 0)
+            assert cert.pairs_checked == counted_pairs(planted_coll.blocks)
+
+
+class TestSelfPairs:
+    """Every self pair has Ext(V, V) = H*(O_X), computed once.  A wrong
+    H*(O_X) fails the self pair of the first object in scan order, that of
+    the first non-empty block, and the scan stops there; `pairs_checked`
+    still counts every pair, from the block sizes."""
+
+    @pytest.mark.parametrize("fan", [hirzebruch_fan(2), dp6_fan(), ci_fan(64)],
+                             ids=["f2", "dp6", "recipe-64"])
+    def test_wrong_structure_sheaf_cohomology_fails_the_first_self_pair(self, monkeypatch, fan):
+        group = trivial_group(fan)
+        coll = collection_for(fan, group)
+        honest = verify_collection(coll, group)
+        assert honest.ok
+        planted = CohomologyVector(1, 1, 0)
+        calls = []
+        real, real_oracle = derived._cohomology, oracles.line_bundle_cohomology
+
+        def wrong(table, coeffs, degree):
+            calls.append(tuple(coeffs))
+            return planted if not any(coeffs) else real(table, coeffs, degree)
+
+        monkeypatch.setattr(derived, "_cohomology", wrong)
+        monkeypatch.setattr(oracles, "line_bundle_cohomology",
+                            lambda f, c: planted if not any(c) else real_oracle(f, c))
+        for blocks in (coll.blocks, ((), *coll.blocks), (*coll.blocks[1:], coll.blocks[0])):
+            planted_coll = ExceptionalCollection(fan, blocks, "planted")
+            calls.clear()
+            cert = verify_collection(planted_coll, group)
+            assert cert == pairwise_verify_collection(planted_coll, group)
+            source = next(block[0] for block in blocks if block)
+            assert cert.first_violation == ("self", source, source, (1, 1, 0))
+            assert cert.pairs_checked == honest.pairs_checked == counted_pairs(blocks)
+            assert cert.determinant in (1, -1) and cert.blocks_group_closed
+            assert calls == [(0,) * fan.n]
+        empty = verify_collection(ExceptionalCollection(fan, ((), ()), "empty"), group)
+        assert (empty.first_violation, empty.pairs_checked) == (None, 0)

@@ -621,6 +621,23 @@ class TestRecurrence:
     def test_m_zero_tautology(self):
         assert fa_recurrence_check(hirzebruch_fan(2), [0])
 
+    @pytest.mark.parametrize("a", [2, 3, 4, 5])
+    def test_planted_product_fails(self, monkeypatch, a):
+        """A product whose c1 is doubled fails the recurrence from m = 1 on;
+        m = 0 is the tautology.  (Every J1^m J2 has chi 0, and the recurrence
+        says that J1^m J2 is affine in m, so a fault that keeps it affine,
+        such as a constant shift of chi, passes.)"""
+        real = grothendieck.k0_multiply
+
+        def doubled(lat, x, y):
+            product = real(lat, x, y)
+            return product._replace(c1=tuple(2 * c for c in product.c1))
+
+        monkeypatch.setattr(grothendieck, "k0_multiply", doubled)
+        fan = hirzebruch_fan(a)
+        assert [fa_recurrence_check(fan, [m]) for m in range(3)] == [True, False, False]
+        assert not fa_recurrence_check(fan, range(6))
+
 
 class TestStandardBasis:
     def test_fa_four_singletons(self):

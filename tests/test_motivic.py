@@ -1,6 +1,10 @@
 import pytest
 
-from toric_surface_lab.grothendieck import standard_permutation_basis, verify_permutation_basis
+from toric_surface_lab.grothendieck import (
+    BasisCertificate,
+    standard_permutation_basis,
+    verify_permutation_basis,
+)
 from toric_surface_lab.lattice_fan import blow_up, hirzebruch_fan
 from toric_surface_lab.minimal_model import classify_minimal, classify_pair, pullback
 from toric_surface_lab.motivic import decompose, decomposition_string
@@ -158,4 +162,19 @@ class TestErrors:
         assert not cert.ok
         assert cert.error == "coordinate matrix has determinant 0"
         with pytest.raises(ValueError, match="decompose needs a certified basis: coordinate"):
+            decompose(cert, label)
+
+    def test_orbit_mixing_exceptional_and_core_classes_is_refused(self, dp6, dp6_aut):
+        """The group permutes exceptional classes among themselves and core
+        pullbacks among themselves, so an orbit holding both is a trace bug:
+        a hand-built passing certificate with such an orbit raises instead
+        of naming an invented factor."""
+        std, label = certified(dp6, dp6_aut)
+        tags = list(std.basis.tags)
+        tags[2] = ("exc", 0)
+        cert = BasisCertificate(std.basis._replace(tags=tuple(tags)), std.determinant,
+                                std.orbits)
+        assert cert.ok and cert.orbits[1] == (1, 2, 3)
+        mixed = r"orbit \(1, 2, 3\) mixes tag kinds \['core', 'exc'\]"
+        with pytest.raises(ValueError, match=mixed):
             decompose(cert, label)
