@@ -26,6 +26,7 @@ from . import __version__
 from .lattice_fan import Fan, FanError, LabError, self_intersections, validate_fan
 
 SCHEMA = "toric-surface-lab/1"
+SPOT_CHECK_SAMPLES = 50  # random divisors in the report's cohomology spot check
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -177,8 +178,8 @@ def decomposition_payload(dec) -> dict:
     return payload
 
 
-def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
-    """Count random divisors D whose cohomology fails a check.
+def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
+    """Count the random divisors D whose cohomology fails a check.
 
     Each sample is one draw of n coefficients, uniform on [-4, 4], and one
     call of the cohomology kernel `_cohomology`, which runs at most one h0
@@ -208,9 +209,9 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
     # `choices` takes one random() per item, so one call for all samples
     # draws what one call of n per sample drew.  A tuple indexes faster than
     # a range.
-    draws = random.Random(seed).choices(tuple(range(-4, 5)), k=samples * n)
+    draws = random.Random(seed).choices(tuple(range(-4, 5)), k=SPOT_CHECK_SAMPLES * n)
     violations = 0
-    for start in range(0, samples * n, n):
+    for start in range(0, SPOT_CHECK_SAMPLES * n, n):
         coeffs = draws[start:start + n]
         try:
             h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
@@ -220,7 +221,7 @@ def _spot_check_cohomology(fan: Fan, seed: int, samples: int = 50) -> dict:
         if h.h1 < 0 or not (h.euler == _chi(a, [-1 - c for c in coeffs])
                             == euler(coeffs[2:], coeffs[0], coeffs[1])):
             violations += 1
-    return {"samples": samples, "violations": violations}
+    return {"samples": SPOT_CHECK_SAMPLES, "violations": violations}
 
 
 def _certified_basis(basis, group: SymmetryGroup) -> tuple[BasisCertificate, dict, str | None]:

@@ -378,9 +378,11 @@ def hirzebruch_marking(fan: Fan) -> tuple[int, int]:
 def fa_recurrence_check(fan: Fan, m_values) -> bool:
     """Check J1^{m+1} J2 = J1^m J2 + J1 J2 - J2 in the model, for m >= 0.
 
-    J1 is the ideal-sheaf class of a fiber divisor and J2 of the negative
-    section of a 4-ray (ruled) fan.  J1^m J2 is one chain of `k0_multiply`
-    calls, J1^(m+1) J2 = J1 (J1^m J2).
+    J1 is the ideal-sheaf class of a fiber divisor F and J2 of the negative
+    section S of a 4-ray (ruled) fan.  J1^m J2 is one chain of `k0_multiply`
+    calls, J1^(m+1) J2 = J1 (J1^m J2).  The recurrence says only that J1^m J2
+    is affine in m, so each J1^m J2 is also compared with the class of
+    O(-mF - S), which is built without `k0_multiply`.
     """
     f, s = hirzebruch_marking(fan)
     n = fan.n
@@ -393,7 +395,8 @@ def fa_recurrence_check(fan: Fan, m_values) -> bool:
             raise GrothendieckError(f"the recurrence needs m >= 0, got {m}")
         while len(chain) < m + 2:
             chain.append(k0_multiply(lat, j1, chain[-1]))
-        if chain[m + 1] != chain[m] + chain[1] - j2:
+        line = line_bundle_class(fan, tuple(-m * (e == f) - (e == s) for e in range(n)))
+        if chain[m + 1] != chain[m] + chain[1] - j2 or chain[m] != line:
             return False
     return True
 

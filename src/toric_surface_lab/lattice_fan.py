@@ -42,7 +42,6 @@ __all__ = [
     "divisor",
     "blow_up",
     "blow_down",
-    "lattice_maps",
     "fans_isomorphic",
     "apply_matrix",
     "p2_fan",
@@ -305,14 +304,9 @@ def _shift_maps(f1: Fan, f2: Fan) -> Iterator[tuple[int, int, Mat2]]:
                 yield j, s, mat_mul(columns_to_matrix(w0, w1), vinv)
 
 
-def lattice_maps(f1: Fan, f2: Fan) -> Iterator[Mat2]:
-    """Each unimodular matrix carrying the ray set of f1 onto that of f2."""
-    return (m for _, _, m in _shift_maps(f1, f2))
-
-
 def fans_isomorphic(f1: Fan, f2: Fan) -> Mat2 | None:
     """A unimodular matrix carrying the ray set of f1 onto that of f2, if any."""
-    return next(lattice_maps(f1, f2), None)
+    return next((m for _, _, m in _shift_maps(f1, f2)), None)
 
 
 def p2_fan() -> Fan:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
+from .intlinalg import det2
 from .lattice_fan import (
     Fan,
     InternalError,
@@ -302,23 +303,22 @@ class Pullback(NamedTuple):
 
 
 def pullback(trace: ContractionTrace) -> Pullback:
-    """The terminal ray divisors and each step's exceptional classes, pulled
-    back along `trace` to its initial fan.  A class starts as the unit vector
-    on its ray's initial index (terminal ray i is the i-th surviving one) and
-    replays the steps before its own, last first, by c_v = c_u + c_w.
-    """
-    n, steps = trace.initial_fan.n, trace.steps
+    """The terminal ray divisors (terminal ray i is the i-th surviving one) and
+    each step's exceptional classes, pulled back along `trace` to its initial
+    fan.  D_v's support function is v's tent: 1 on v, 0 on the other rays of
+    the surface where v lies between u and w (its parents, or the live rays
+    next to it), linear on the smooth cones.  So an initial ray x from u to v
+    gets det(v_u, v_x), from v to w det(v_x, v_w), any other 0 (Fulton 1993, 3.4)."""
+    fan, n = trace.initial_fan, trace.initial_fan.n
 
-    def unit(i: int, k: int) -> Divisor:
-        c = [0] * n
-        c[i] = 1
-        for step in reversed(steps[:k]):
-            for v, (u, w) in zip(step.contracted, step.parents):
-                c[v] = c[u] + c[w]
+    def tent(u: int, v: int, w: int) -> Divisor:
+        c, r, left = [0] * n, fan.rays, (v - u) % n
+        for k in range(1, left + (w - v) % n):
+            x = (u + k) % n
+            c[x] = det2(r[u], r[x]) if k <= left else det2(r[x], r[w])
         return tuple(c)
 
-    gone = {v for step in steps for v in step.contracted}
-    return Pullback(trace.initial_fan,
-                    tuple(unit(i, len(steps)) for i in range(n) if i not in gone),
-                    tuple(tuple(unit(v, k) for v in step.contracted)
-                          for k, step in enumerate(steps)))
+    live = sorted(set(range(n)).difference(*(s.contracted for s in trace.steps)))
+    return Pullback(fan, tuple(map(tent, live[-1:] + live, live, live[1:] + live)),
+                    tuple(tuple(tent(u, v, w) for v, (u, w) in zip(s.contracted, s.parents))
+                          for s in trace.steps))

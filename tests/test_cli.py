@@ -319,8 +319,7 @@ class TestSpotCheck:
         dual = tuple(-1 - c for c in d)
         forward, back = (wrong(table, c, sum(map(mul, table[1], c))) for c in (d, dual))
         assert forward.as_tuple() == (back.h2, back.h1, back.h0)
-        assert cli._spot_check_cohomology(dp6, seed=0, samples=20) == {
-            "samples": 20, "violations": 20}
+        assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
 
     def test_wrong_picard_chi_is_caught(self, monkeypatch, dp6):
         """A Picard-route chi off by one everywhere leaves the cohomology and

@@ -614,29 +614,36 @@ class TestKlyachkoOracle:
 
 
 class TestRecurrence:
-    @pytest.mark.parametrize("a", [2, 3, 4, 5])
+    @pytest.mark.parametrize("a", range(8))
     def test_holds(self, a):
-        assert fa_recurrence_check(hirzebruch_fan(a), range(6))
+        assert fa_recurrence_check(hirzebruch_fan(a), range(8))
 
     def test_m_zero_tautology(self):
         assert fa_recurrence_check(hirzebruch_fan(2), [0])
 
     @pytest.mark.parametrize("a", [2, 3, 4, 5])
     def test_planted_product_fails(self, monkeypatch, a):
-        """A product whose c1 is doubled fails the recurrence from m = 1 on;
-        m = 0 is the tautology.  (Every J1^m J2 has chi 0, and the recurrence
-        says that J1^m J2 is affine in m, so a fault that keeps it affine,
-        such as a constant shift of chi, passes.)"""
+        """Each planted product fault fails from m = 1 on; m = 0 compares J2
+        with O(-S) and is the recurrence's tautology.  A doubled c1 breaks the
+        recurrence.  Every J1^m J2 has chi 0 and the recurrence says only that
+        J1^m J2 is affine in m, so the faults that keep it affine (chi + 1,
+        the sum x + y, a sign-flipped intersection term) are caught by
+        comparing J1^m J2 with the line bundle O(-mF - S)."""
         real = grothendieck.k0_multiply
-
-        def doubled(lat, x, y):
-            product = real(lat, x, y)
-            return product._replace(c1=tuple(2 * c for c in product.c1))
-
-        monkeypatch.setattr(grothendieck, "k0_multiply", doubled)
+        faults = {
+            "doubled c1": lambda lat, x, y, p: p._replace(c1=tuple(2 * c for c in p.c1)),
+            "chi + 1": lambda lat, x, y, p: p._replace(chi=p.chi + 1),
+            "x + y": lambda lat, x, y, p: x + y,
+            "flipped intersection": lambda lat, x, y, p: p._replace(
+                chi=p.chi - 2 * lat.pair(x.c1, y.c1)),
+        }
         fan = hirzebruch_fan(a)
-        assert [fa_recurrence_check(fan, [m]) for m in range(3)] == [True, False, False]
-        assert not fa_recurrence_check(fan, range(6))
+        for name, fault in faults.items():
+            monkeypatch.setattr(grothendieck, "k0_multiply",
+                                lambda lat, x, y, f=fault: f(lat, x, y, real(lat, x, y)))
+            checks = [fa_recurrence_check(fan, [m]) for m in range(3)]
+            assert checks == [True, False, False], name
+            assert not fa_recurrence_check(fan, range(6)), name
 
 
 class TestStandardBasis:

@@ -398,6 +398,18 @@ class TestPullback:
         fan = ci_fan(n)
         assert self._check_each_class(fan, trivial_group(fan)) == n
 
+    def test_each_class_matches_stepwise_pullback_on_dp6_192(self):
+        """dP6 blown up at every cone five times, under D12 (the CI recipe):
+        16 steps, 15 of them contracting a 12-ray orbit and the last a 6-ray
+        one, so most steps' parents are rays that a later step contracts."""
+        fan = dp6_fan()
+        for _ in range(5):
+            fan = blow_up(fan, range(fan.n))
+        group = SymmetryGroup.from_generators([((1, -1), (1, 0)), ((0, 1), (1, 0))], fan)
+        trace = minimalize(fan, group)
+        assert [len(step.contracted) for step in trace.steps] == [12] * 15 + [6]
+        assert self._check_each_class(fan, group) == 192
+
     def test_projection_formula_on_corpus(self):
         """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
         divisors D, D' of the minimal model and every exceptional class E, on
