@@ -89,9 +89,9 @@ def load_group(path: str | None, raw: bytes | None, fan: Fan | None) -> Symmetry
 
 def fan_payload(fan: Fan) -> dict:
     return {
-        "rays": [list(v) for v in fan.rays],
+        "rays": fan.rays,
         "ray_count": fan.n,
-        "self_intersections": list(self_intersections(fan)),
+        "self_intersections": self_intersections(fan),
     }
 
 
@@ -101,7 +101,7 @@ def group_payload(group: SymmetryGroup) -> dict:
     return {
         "order": group.order,
         "label": classify_subgroup(group),
-        "generators": [[list(row) for row in g] for g in group.generators],
+        "generators": group.generators,
     }
 
 
@@ -109,7 +109,7 @@ def trace_payload(trace) -> dict:
     rays, n, steps = trace.initial_fan.rays, trace.initial_fan.n, []
     for step in trace.steps:
         after = n - len(step.contracted)
-        steps.append({"contracted_rays": [list(rays[i]) for i in step.contracted],
+        steps.append({"contracted_rays": [rays[i] for i in step.contracted],
                       "rays_before": n, "rays_after": after})
         n = after
     return {"steps": steps, "terminal_fan": fan_payload(trace.terminal_fan)}
@@ -126,9 +126,9 @@ def label_payload(label) -> dict:
 
 def basis_payload(cert) -> dict:
     return {
-        "divisors": [list(d) for d in cert.basis.divisors],
-        "orbits": [list(o) for o in cert.orbits],
-        "orbit_sizes": list(cert.orbit_sizes),
+        "divisors": cert.basis.divisors,
+        "orbits": cert.orbits,
+        "orbit_sizes": cert.orbit_sizes,
         # Orbit-stabilizer: the stabilizer of an element has index equal to
         # the size of its orbit.
         "stabilizer_indices": list(cert.orbit_sizes),
@@ -138,44 +138,28 @@ def basis_payload(cert) -> dict:
 
 def collection_payload(coll, cert) -> dict:
     payload = {
-        "blocks": [[list(d) for d in block] for block in coll.blocks],
+        "blocks": coll.blocks,
         "provenance": coll.provenance,
         "verified": cert.ok,
         "determinant": cert.determinant,
         "pairs_checked": cert.pairs_checked,
     }
     if cert.first_violation is not None:
-        v = cert.first_violation
-        payload["first_violation"] = {
-            "kind": v.kind,
-            "source": list(v.source),
-            "target": list(v.target),
-            "ext": list(v.ext),
-        }
+        payload["first_violation"] = cert.first_violation._asdict()
     return payload
 
 
 def decomposition_payload(dec) -> dict:
     from .motivic import decomposition_string
 
-    payload = {
-        "factors": [
-            {
-                "base_degree": f.base_degree,
-                "brauer_label": f.brauer_label,
-                "source_orbit": list(f.source_orbit),
-            }
-            for f in dec.factors
-        ],
+    family = dec.family
+    return {
+        "factors": [f._asdict() for f in dec.factors],
         "product": decomposition_string(dec),
-        "notes": list(dec.family.notes),
+        "notes": family.notes,
+        "family": {"index": family.index, "slots": family.slots,
+                   "description": family.description},
     }
-    payload["family"] = {
-        "index": dec.family.index,
-        "slots": list(dec.family.slots),
-        "description": dec.family.description,
-    }
-    return payload
 
 
 def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
@@ -190,11 +174,15 @@ def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
     h0 - h1 + h2 of the kernel, chi(K - D) of the closed form, and chi(D)
     from the Picard lattice (characters and the intersection form), taken
     in one pass by `PicardLattice._euler`.  The first equality is Serre
-    duality, since h2(D) is h0(K - D): it catches an h1 that disagrees with
-    h0 + h2 - chi, not a wrong h0.  The second is Riemann-Roch by a route
-    independent of the wall relations and the closed form the cohomology
-    uses: it catches an Euler characteristic that is wrong however h1 was
-    derived, such as a closed form off by one, which duality cannot see.
+    duality.  The kernel takes h1 as h0 + h2 - `_chi(a, D)`, so its
+    h0 - h1 + h2 is `_chi(a, D)` by construction, and `_chi(a, D)` equals
+    `_chi(a, K - D)` for every self-intersection vector a, from a fan or
+    not: D.(D - K) = (K - D).(K - D - K).  So the first equality guards only
+    a kernel that takes h1 some other way; it cannot see a wrong h0 today.
+    The second is Riemann-Roch by a route independent of the wall relations
+    and the closed form the cohomology uses: it catches an Euler
+    characteristic that is wrong however h1 was derived, such as a closed
+    form off by one, which duality cannot see.
     A kernel that raises ArithmeticError (a negative h1) counts too.
     """
     import random
@@ -313,7 +301,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         elif not basis["found"]:
             line = f"no group-closed basis within coefficient bound {args.bound}"
         else:
-            line = f"search found a basis with orbit sizes {tuple(basis['orbit_sizes'])}"
+            line = f"search found a basis with orbit sizes {basis['orbit_sizes']}"
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": basis}, [line]
 
     from .minimal_model import classify_pair, minimalize, pullback
@@ -341,8 +329,8 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
         lines = ["collection FAILED verification"]
         v = coll.get("first_violation")
         if v is not None:
-            lines.append(f"first violated pair: Ext(O({v['source']}), "
-                         f"O({v['target']})) = {tuple(v['ext'])}")
+            lines.append(f"first violated pair: Ext(O({list(v['source'])}), "
+                         f"O({list(v['target'])})) = {v['ext']}")
         return EXIT_VERIFICATION_FAILED, {"collection": coll}, lines
 
     from .grothendieck import standard_permutation_basis
@@ -351,7 +339,7 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
     cert, payload, error = _certified_basis(basis, group)
     if command == "basis":
         line = (f"basis FAILED verification: {error}" if error else
-                f"permutation basis with orbit sizes {tuple(payload['orbit_sizes'])}, "
+                f"permutation basis with orbit sizes {payload['orbit_sizes']}, "
                 f"determinant {payload['determinant']}")
         return EXIT_VERIFICATION_FAILED if error else EXIT_OK, {"basis": payload}, [line]
     if command == "decompose":

@@ -221,9 +221,10 @@ class KlyachkoCertificate(NamedTuple):
     `first_violation` is the witness: {"kind": "span", "rank", "index"};
     {"kind": "product", "cones", "got", "expected"} with the two cones'
     rays and the model vectors of their product and of the class it should
-    equal; {"kind": "character", "m"}; or {"kind": "point", "cone", "got"}
-    for a 2-cone class other than the point class (0, 0, 1).  The counts
-    are those made before the failure.
+    equal; {"kind": "character", "m"}; {"kind": "point", "cone", "got"}
+    for a 2-cone class other than the point class (0, 0, 1); or {"kind":
+    "ray", "ray", "adjunction"} for a ray whose D.(D + K) is not -2, so that
+    its class is not (0, D, 1).  The counts are those made before the failure.
     """
 
     rank: int
@@ -253,8 +254,10 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
 
     Checks that the classes attached to all cones span with index one, that
     products of disjoint-cone classes are again cone classes (or vanish),
-    that the character relations on the ray ideal-sheaf classes hold, and
-    that every 2-cone class is the point class (0, 0, 1).
+    that the character relations on the ray ideal-sheaf classes hold, that
+    every 2-cone class is the point class (0, 0, 1), and that every ray class
+    is (0, D_i, 1): chi(O_D) = 1 for the invariant P1 D = D_i, which by
+    adjunction is D.(D + K) = -2.
 
     The classes are the unit, the rays o_i = (0, D_i, 1 - chi(-D_i)) and the
     2-cones o_i o_(i+1) of `k0_multiply`.  D_i is the basis vector e_i for
@@ -269,7 +272,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     o_2..o_(n-1) and point are unitriangular, and the Hermite pivots are
     taken only otherwise.  A failure returns the certificate at the first
     relation that fails in the order of the pairs (unit, rays, 2-cones;
-    i <= j), with the count before it.
+    i <= j), with the count before it.  An odd D_i.(D_i + K), whose o_i is
+    not integral, fails its ray relation.
     """
     n = fan.n
     lat = picard(fan)
@@ -281,8 +285,6 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     # chi(-D_i) = 1 + (D_i.D_i + K.D_i)/2, so o_i has chi -(D_i.D_i + K.D_i)/2.
     twice = [table_rows[0][0] + _dot(r0, bk), table_rows[1][1] + _dot(r1, bk)]
     twice += map(add, band, bk)
-    if any(t % 2 for t in twice):
-        raise InternalError("adjunction parity violated")
     c1s = [r0, r1] + [zero_c1[:m] + (1,) + zero_c1[m + 1:] for m in range(n - 2)]
     o_ray = [K0Class(0, c, -t // 2) for c, t in zip(c1s, twice)]
     one, zero, point = structure_class(fan), K0Class(0, zero_c1, 0), K0Class(0, zero_c1, 1)
@@ -358,6 +360,14 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
                 f"class of cone {rays} is {got}, expected the point class "
                 f"{list(point.model_vector())}",
                 {"kind": "point", "cone": rays, "got": got},
+            )
+
+    for i in range(n):
+        if twice[i] != -2:
+            return KlyachkoCertificate(
+                rank, index, checked, rel2,
+                f"ray {i} has D.(D + K) = {twice[i]}, expected -2: its class is not (0, D, 1)",
+                {"kind": "ray", "ray": i, "adjunction": twice[i]},
             )
 
     return KlyachkoCertificate(rank, index, checked, rel2)

@@ -10,9 +10,13 @@ group, contracted and labelled by `classify_pair`, and the pair is checked:
 - the terminal pair is G-minimal;
 - the terminal fan is labelled P2 or dP6 exactly when `fans_isomorphic`
   maps it onto `p2_fan()` or `dp6_fan()`;
-- with `certify`, the K0 certificate, the standard basis and collection
-  certificates, and the terminal fan and step count of
-  `oracles.stepwise_minimalize`.
+- the K0 certificate, the standard basis and collection certificates, and
+  the terminal fan and step count of `oracles.stepwise_minimalize`;
+- the paper's correspondence between the exceptional collection and the
+  K-motive: the collection's objects, certified as a permutation basis, have
+  the blocks as their G-orbits, and the sorted block sizes equal the standard
+  basis's orbit sizes.  `motivic.decompose` gives one factor per basis orbit,
+  of its size, so the blocks match the factors too.
 
 A TableViolation, a G-minimal pair outside the table, propagates.
 
@@ -20,8 +24,8 @@ A TableViolation, a G-minimal pair outside the table, propagates.
 
 prints one line per table row and exits 1 on a failed check, on a table
 (row, group) that no pair realises, or on counts that differ from COUNTS.
-Tier-1 runs (10, 4) with the certificates
-(`test_minimal_model.py::TestEverySmallFan`).
+Tier-1 runs (10, 4) (`test_minimal_model.py::TestEverySmallFan`), and CI
+runs (12, 5).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from oracles import all_fans, stepwise_minimalize
 
 from toric_surface_lab.derived import build_collection, verify_collection
 from toric_surface_lab.grothendieck import (
+    PermutationBasis,
     standard_permutation_basis,
     verify_klyachko,
     verify_permutation_basis,
@@ -63,39 +68,46 @@ class Sweep(NamedTuple):
         return self.fans, self.pairs, self.minimal
 
 
-def _failed_checks(fan, group, certify: bool) -> tuple[MinimalLabel, list[str]]:
+def _failed_checks(fan, group) -> tuple[MinimalLabel, list[str]]:
     """The label of one pair and the names of the checks it fails."""
     trace, label = classify_pair(fan, group)
     terminal = trace.terminal_fan
     p2, dp6 = (fans_isomorphic(terminal, f()) is not None for f in (p2_fan, dp6_fan))
+    pulled = pullback(trace)
+    stepwise = stepwise_minimalize(fan, group)
+    basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
+    coll = build_collection(pulled, label)
+    closed = verify_collection(coll, group)
+    objects = verify_permutation_basis(PermutationBasis(
+        fan, tuple(d for block in coll.blocks for d in block),
+        tuple(("block", b) for b, block in enumerate(coll.blocks) for _ in block)), group)
     checks = {
         "group class": label.group_label == classify_subgroup(group),
         "terminal G-minimal": is_g_minimal(terminal, trace.terminal_group),
         "P2 by isomorphism": (label.kind == "P2") == p2,
         "dP6 by isomorphism": (label.kind == "dP6") == dp6,
+        "K0 certificate": verify_klyachko(fan).ok,
+        "basis certificate": basis.ok,
+        "collection certificate": closed.ok,
+        "stepwise contraction": (stepwise.terminal_fan, len(stepwise.steps))
+        == (terminal, len(trace.steps)),
+        # Each orbit lies in one block, so blocks are orbits when they number alike.
+        "blocks are orbits": closed.blocks_group_closed
+        and len(objects.orbits) == len(coll.blocks),
+        "block sizes are basis orbit sizes": sorted(map(len, coll.blocks))
+        == sorted(basis.orbit_sizes),
     }
-    if certify:
-        pulled = pullback(trace)
-        stepwise = stepwise_minimalize(fan, group)
-        checks.update({
-            "K0 certificate": verify_klyachko(fan).ok,
-            "basis certificate": verify_permutation_basis(
-                standard_permutation_basis(pulled, label), group).ok,
-            "collection certificate": verify_collection(build_collection(pulled, label), group).ok,
-            "stepwise contraction": (stepwise.terminal_fan, len(stepwise.steps))
-            == (terminal, len(trace.steps)),
-        })
     return label, [name for name, ok in checks.items() if not ok]
 
 
-def sweep(max_rays: int, bound: int, certify: bool = False) -> Sweep:
+def sweep(max_rays: int, bound: int) -> Sweep:
     """Every (fan, subgroup) pair of `all_fans(max_rays, bound)`, checked."""
     fans = all_fans(max_rays, bound)
     realised = {row: {} for row in TABLE}
     failures, pairs, minimal = [], 0, 0
     for fan in fans:
         for group in enumerate_subgroups(compute_aut(fan)):
-            label, failed = _failed_checks(fan, group, certify)
+            label, failed = _failed_checks(fan, group)
             pairs += 1
             minimal += is_g_minimal(fan, group)
             seen = realised[label.row]

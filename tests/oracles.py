@@ -432,8 +432,9 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
     Checks that the classes attached to all cones span with index one, that
     products of disjoint-cone classes are again cone classes (or vanish), and
     that the character relations on the ray ideal-sheaf classes hold; then
-    that every 2-cone class is the point class (0, 0, 1).  A failure returns
-    the certificate with the message of `verify_klyachko` and no witness.
+    that every 2-cone class is the point class (0, 0, 1), and every ray class
+    o_i = 1 - [O(-D_i)] has chi 1.  A failure returns the certificate with
+    the message of `verify_klyachko` and no witness.
     """
     n = fan.n
     lat = picard(fan)
@@ -496,6 +497,12 @@ def pairwise_klyachko(fan: Fan) -> KlyachkoCertificate:
                 rank, index, checked, rel2,
                 f"class of cone {sorted(pair)} is {list(cls.model_vector())}, "
                 f"expected the point class {list(point.model_vector())}")
+
+    for i, o in enumerate(o_ray):
+        if o.chi != 1:  # chi(O_D) = -D.(D + K)/2
+            return KlyachkoCertificate(
+                rank, index, checked, rel2,
+                f"ray {i} has D.(D + K) = {-2 * o.chi}, expected -2: its class is not (0, D, 1)")
 
     return KlyachkoCertificate(
         rank=rank,

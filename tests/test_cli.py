@@ -437,6 +437,25 @@ class TestFailedCertificates:
             assert not set(first) & set(second)
             assert witness["got"] != witness["expected"]
 
+    @pytest.mark.parametrize("fan_file", ["p2_file", "dp6_file"])
+    def test_k0_ray_witness(self, capsys, monkeypatch, request, fan_file):
+        """A canonical class with its first entry moved by 2 fails only the
+        ray relation, and `k0-verify --json` exits 1 with that witness."""
+        real = grothendieck.picard
+
+        def planted(fan):
+            lat = real(fan)
+            k = lat.canonical_coords
+            return lat._replace(canonical_coords=(k[0] + 2, *k[1:]))
+
+        monkeypatch.setattr(grothendieck, "picard", planted)
+        code, report = run_json(capsys, ["k0-verify", "--fan", request.getfixturevalue(fan_file)])
+        assert code == 1
+        assert report["status"] == "verification-failed"
+        witness = report["result"]["k0"]["first_violation"]
+        assert witness["kind"] == "ray" and witness["adjunction"] == 0
+        assert report["result"]["k0"]["error"].startswith(f"ray {witness['ray']} has D.(D + K) = 0")
+
     @pytest.mark.parametrize("failed", [
         grothendieck.BasisCertificate(None, 0, (), "coordinate matrix has determinant 0"),
         grothendieck.BasisCertificate(None, 1, (), "image of basis element (0, 0) leaves the set"),

@@ -612,6 +612,51 @@ class TestKlyachkoOracle:
         coeffs = tuple(-v[0] for v in dp6.rays)
         assert real(dp6, coeffs) == structure_class(dp6)
 
+    @staticmethod
+    def _shifted_canonical(position: int, shift: int):
+        def planted(fan):
+            lat = picard(fan)  # the module's own, not a planted one
+            k = list(lat.canonical_coords)
+            k[position] += shift
+            return lat._replace(canonical_coords=tuple(k))
+        return planted
+
+    @pytest.mark.parametrize("fan", [p2_fan(), hirzebruch_fan(2), dp6_fan()],
+                             ids=["p2", "f2", "dp6"])
+    def test_planted_canonical_shift(self, monkeypatch, fan):
+        """One entry of the canonical class moved by +-2 or +-4 makes chi
+        wrong, yet keeps every product, character and point relation, which
+        the band-product loop shows.  Only the ray relation sees it: some
+        D_i.(D_i + K) is not -2.  The certificate fails there, with every
+        count of the honest one, and the pairwise oracle gives the same
+        message and counts."""
+        honest = verify_klyachko(fan)
+        for shift, position in itertools.product((-4, -2, 2, 4), range(fan.n - 2)):
+            planted = self._shifted_canonical(position, shift)
+            monkeypatch.setattr(grothendieck, "picard", planted)
+            monkeypatch.setattr(oracles, "picard", planted)
+            got, pairwise, old = (
+                verify_klyachko(fan), pairwise_klyachko(fan), band_product_klyachko(fan))
+            monkeypatch.undo()
+            assert old.ok and not got.ok
+            assert got._replace(first_violation=None) == pairwise
+            assert got._replace(error=None, first_violation=None) == honest
+            witness = got.first_violation
+            assert witness.keys() == {"kind", "ray", "adjunction"}
+            assert witness["kind"] == "ray" and witness["adjunction"] in (-6, -4, 0, 2)
+            assert got.error == (f"ray {witness['ray']} has D.(D + K) = "
+                                 f"{witness['adjunction']}, expected -2: its class is not (0, D, 1)")
+
+    def test_planted_canonical_shift_on_p2(self, monkeypatch, p2):
+        """K = -3H moved to -H: chi(O(H)) reads 2, not 3, and ray 0 has
+        D.(D + K) = 1 - 1 = 0.  An odd shift, once a parity exception,
+        fails the ray relation too."""
+        monkeypatch.setattr(grothendieck, "picard", self._shifted_canonical(0, 2))
+        assert line_bundle_class(p2, (0, 0, 1)).chi == 2
+        assert verify_klyachko(p2).first_violation == {"kind": "ray", "ray": 0, "adjunction": 0}
+        monkeypatch.setattr(grothendieck, "picard", self._shifted_canonical(0, 1))
+        assert verify_klyachko(p2).first_violation == {"kind": "ray", "ray": 0, "adjunction": -1}
+
 
 class TestRecurrence:
     @pytest.mark.parametrize("a", range(8))

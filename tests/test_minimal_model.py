@@ -35,6 +35,7 @@ from toric_surface_lab.symmetry import (
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 from toric_surface_lab.grothendieck import core_blocks, picard
 
+import classification_sweep
 from classification_sweep import COUNTS, sweep
 from oracles import (
     all_fans,
@@ -334,15 +335,40 @@ class TestEverySmallFan:
 
     def test_every_pair_classifies_into_the_table_and_certifies(self):
         """All 666 (fan, subgroup) pairs contract into a table row with no
-        TableViolation and pass every check of the sweep, the certificates
-        and the stepwise contraction included, and together they realise
-        each of the table's 18 (row, group) entries."""
-        result = sweep(10, 4, certify=True)
+        TableViolation and pass every check of the sweep, the certificates,
+        the stepwise contraction and the correspondence of blocks with
+        orbits included, and together they realise each of the table's 18
+        (row, group) entries."""
+        result = sweep(10, 4)
         assert result.counts == COUNTS[10, 4] == (585, 666, 25)
         assert result.failures == []
         realised = {(row, g) for row, seen in result.realised.items() for g in seen}
         table = {(row, g) for row in TABLE for g in row.groups}
         assert realised == table and len(table) == 18
+
+    def test_split_block_fails_the_correspondence(self, monkeypatch, capsys):
+        """The first block of two or more objects split in two is no longer
+        one orbit, nor group-closed: each pair with such a block fails the
+        correspondence checks and the collection certificate, and the
+        command line exits 1."""
+        real = classification_sweep.build_collection
+
+        def split(pulled, label):
+            coll = real(pulled, label)
+            b = next((b for b, block in enumerate(coll.blocks) if len(block) > 1), None)
+            if b is None:
+                return coll
+            block = coll.blocks[b]
+            return coll._replace(blocks=coll.blocks[:b] + (block[:1], block[1:]) + coll.blocks[b + 1:])
+
+        monkeypatch.setattr(classification_sweep, "build_collection", split)
+        result = sweep(7, 3)
+        names = Counter(line.split(": ")[-1] for line in result.failures)
+        assert set(names) == {"collection certificate", "blocks are orbits",
+                              "block sizes are basis orbit sizes"}
+        assert len(set(names.values())) == 1 and 0 < names["blocks are orbits"] < result.pairs
+        assert classification_sweep.main(["7", "3"]) == 1
+        assert "blocks are orbits" in capsys.readouterr().out
 
 
 class TestPullback:
