@@ -250,14 +250,17 @@ def _searched_basis(fan: Fan, group: SymmetryGroup, bound: int) -> tuple[dict, s
     return {"found": True, "bound": bound, **payload}, error
 
 
-def _collection(pulled, label, group: SymmetryGroup, order: str) -> tuple[dict, str | None]:
-    """The payload of the verified collection in `order` and its failure reason."""
+def _collection(pulled, label, group: SymmetryGroup, order: str,
+                basis: BasisCertificate | None = None) -> tuple[dict, str | None]:
+    """The payload of the verified collection in `order` and its failure
+    reason; `basis` is the certificate of the same pullback's standard basis,
+    whose classes the objects' certificate reads."""
     from .derived import build_collection, verify_collection
 
     coll = build_collection(pulled, label)
     if order == "reversed":
         coll = coll.reversed()
-    cert = verify_collection(coll, group)
+    cert = verify_collection(coll, group, basis)
     return collection_payload(coll, cert), None if cert.ok else "collection certificate failed"
 
 
@@ -356,7 +359,8 @@ def run_command(args, raw: dict[str, bytes]) -> tuple[int, dict, list[str]]:
 
 def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[str]]:
     """Every stage once: one contraction, one label, one pullback (the basis
-    and the collection share it), one basis certificate."""
+    and the collection share it), one basis certificate, which the
+    collection's objects read."""
     from .grothendieck import standard_permutation_basis
     from .minimal_model import classify_pair, pullback
     from .motivic import decompose
@@ -390,7 +394,7 @@ def full_report(fan: Fan, group: SymmetryGroup, args) -> tuple[int, dict, list[s
     else:
         lines.append(f"basis orbit sizes: {cert.orbit_sizes}")
 
-    result["collection"], error = _collection(pulled, label, group, "normal")
+    result["collection"], error = _collection(pulled, label, group, "normal", cert)
     if error:
         failures.append(error)
     else:

@@ -12,6 +12,14 @@ on the fan the collection names, and returns its verdict: a failed check is a
 certificate whose `ok` is False, with the first violated pair, not an
 exception.  Fullness and group closure are one permutation-basis certificate
 of the objects: the blocks are unions of the orbits of a basis of K0.
+
+The objects are the classes of the standard permutation basis with the core
+rows dualised: O(E) stays, and O(-D) of the terminal surface's basis becomes
+O(D).  Given the certificate of that basis, the objects' certificate reads
+from it the row of each object, the orbits and the determinant, which is
+det(basis) times a sign: no second set of coordinates, elimination or orbit
+partition.  Without one, or when an object matches no row, the objects are
+certified from scratch.
 """
 
 from __future__ import annotations
@@ -21,7 +29,12 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .cohomology import _ample_weights, _cohomology
-from .grothendieck import PermutationBasis, core_blocks, verify_permutation_basis
+from .grothendieck import (
+    BasisCertificate,
+    PermutationBasis,
+    core_blocks,
+    verify_permutation_basis,
+)
 from .lattice_fan import Fan, divisor
 
 __all__ = [
@@ -55,6 +68,9 @@ class ExtViolation(NamedTuple):
 
 class CollectionCertificate(NamedTuple):
     determinant: int
+    # The objects' orbits, as object indices in scan order, when their classes
+    # are a permutation basis of K0; () otherwise.
+    orbits: tuple[tuple[int, ...], ...]
     # The classes are a permutation basis of K0 and no orbit leaves its block.
     blocks_group_closed: bool
     pairs_checked: int
@@ -100,7 +116,56 @@ def _euler_terms(a, d) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     return 1 + twice_pos // 2, 1 + twice_neg // 2, support
 
 
-def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> CollectionCertificate:
+def _classes_from_basis(
+    fan: Fan, basis: BasisCertificate, objects
+) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """The determinant and orbits of the objects' permutation-basis
+    certificate, read off `basis`, the passed certificate of the standard
+    permutation basis they were built with; None when they cannot be.
+
+    Each object O(D) is a row O(D) of the basis, or the dual of the row
+    O(-D) of a ("core", role) class.  Duality (r, c1, chi) ->
+    (r, -c1, chi + K.c1) is linear and commutes with the pullback, and the t
+    core rows are the pulled-back basis of K0 of the terminal surface Y.  So
+    the objects, put in row order, are diag(beta, 1) times the basis rows,
+    where beta is duality on K0(Y) written in that basis: its determinant is
+    that of duality on Z + Pic(Y) + Z, (-1)^(t-2), whatever the basis.  Hence
+    det(objects) = sign(row permutation) (-1)^t det(basis).  The group
+    permutes ray coefficients, which commutes with negation, so an orbit of
+    rows of one sign is an orbit of objects.  None, and so the full route,
+    when the basis failed or is on another fan, a row has no object, or an
+    orbit mixes core rows with others.
+    """
+    rows_basis, n = basis.basis, fan.n
+    if not basis.ok or rows_basis.fan != fan or len(objects) != n:
+        return None
+    core = [kind == "core" for kind, _ in rows_basis.tags]
+    row_of = {tuple(-c for c in d) if is_core else d: r
+              for r, (d, is_core) in enumerate(zip(rows_basis.divisors, core))}
+    rows = [row_of.get(d) for d in objects]
+    if None in rows or len(set(rows)) != n:
+        return None
+    if any(len({core[r] for r in orbit}) != 1 for orbit in basis.orbits):
+        return None
+    object_of = [0] * n
+    for i, r in enumerate(rows):
+        object_of[r] = i
+    # A permutation of n points with c cycles has sign (-1)^(n - c).
+    cycles, seen = 0, [False] * n
+    for i in range(n):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j], j = True, rows[j]
+    sign = -1 if (n - cycles + sum(core)) % 2 else 1
+    orbits = sorted(tuple(sorted(object_of[r] for r in orbit)) for orbit in basis.orbits)
+    return sign * basis.determinant, tuple(orbits)
+
+
+def verify_collection(
+    coll: ExceptionalCollection, group: SymmetryGroup, basis: BasisCertificate | None = None
+) -> CollectionCertificate:
     """Check every collection axiom on `coll.fan` with exact Ext computations.
 
     Verified, in scan order: Ext(V,V) = (1,0,0) for each object; full Ext
@@ -108,7 +173,11 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
     object to every object of an earlier block.  Then the objects, tagged
     ("block", b), are certified as a permutation basis, whose determinant is
     the fullness certificate; the blocks are group-closed when it passes and
-    no orbit leaves its block.
+    no orbit leaves its block.  `basis`, when given, is the certificate of
+    the `standard_permutation_basis` of the pullback and label `coll` was
+    built from; the objects' determinant and orbits are then read off it
+    (`_classes_from_basis`) when every object is one of its rows, and are
+    otherwise certified from scratch.
 
     Each object is validated once for the scan, and its degree D.H, chi(D),
     chi(-D) and nonzero facet lengths are taken once, in O(n).  The pair
@@ -157,13 +226,19 @@ def verify_collection(coll: ExceptionalCollection, group: SymmetryGroup) -> Coll
                 break
 
     tags = tuple(("block", b) for b, row in enumerate(objects) for _ in row)
-    classes = verify_permutation_basis(
-        PermutationBasis(fan, tuple(d for row in objects for d in row), tags), group)
-    closed = classes.ok and all(len({tags[i] for i in orbit}) == 1 for orbit in classes.orbits)
+    flat = tuple(d for row in objects for d in row)
+    classes = None if basis is None else _classes_from_basis(fan, basis, flat)
+    if classes is None:
+        cert = verify_permutation_basis(PermutationBasis(fan, flat, tags), group)
+        classes = cert.determinant, cert.orbits
+    determinant, orbits = classes
 
     return CollectionCertificate(
-        determinant=classes.determinant,
-        blocks_group_closed=closed,
+        determinant=determinant,
+        orbits=orbits,
+        # A failed certificate has no orbits.
+        blocks_group_closed=bool(orbits) and all(
+            len({tags[i] for i in orbit}) == 1 for orbit in orbits),
         # n self pairs, |b|(|b| - 1) in each block b, |b_s||b_t| for s > t.
         pairs_checked=(len(tags) ** 2 + sum(len(row) ** 2 for row in objects)) // 2,
         first_violation=first,

@@ -13,9 +13,9 @@ group, contracted and labelled by `classify_pair`, and the pair is checked:
 - the K0 certificate, the standard basis and collection certificates, and
   the terminal fan and step count of `oracles.stepwise_minimalize`;
 - the paper's correspondence between the exceptional collection and the
-  K-motive: the collection's objects, certified as a permutation basis, have
-  the blocks as their G-orbits, and the sorted block sizes equal the standard
-  basis's orbit sizes.  `motivic.decompose` gives one factor per basis orbit,
+  K-motive: the collection's objects, whose certificate reads the standard
+  basis's as `report` does, have the blocks as their G-orbits, and the
+  sorted block sizes equal the standard basis's orbit sizes.  `motivic.decompose` gives one factor per basis orbit,
   of its size, so the blocks match the factors too.
 
 A TableViolation, a G-minimal pair outside the table, propagates.
@@ -37,7 +37,6 @@ from oracles import all_fans, stepwise_minimalize
 
 from toric_surface_lab.derived import build_collection, verify_collection
 from toric_surface_lab.grothendieck import (
-    PermutationBasis,
     standard_permutation_basis,
     verify_klyachko,
     verify_permutation_basis,
@@ -77,10 +76,7 @@ def _failed_checks(fan, group) -> tuple[MinimalLabel, list[str]]:
     stepwise = stepwise_minimalize(fan, group)
     basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
     coll = build_collection(pulled, label)
-    closed = verify_collection(coll, group)
-    objects = verify_permutation_basis(PermutationBasis(
-        fan, tuple(d for block in coll.blocks for d in block),
-        tuple(("block", b) for b, block in enumerate(coll.blocks) for _ in block)), group)
+    closed = verify_collection(coll, group, basis)
     checks = {
         "group class": label.group_label == classify_subgroup(group),
         "terminal G-minimal": is_g_minimal(terminal, trace.terminal_group),
@@ -93,7 +89,7 @@ def _failed_checks(fan, group) -> tuple[MinimalLabel, list[str]]:
         == (terminal, len(trace.steps)),
         # Each orbit lies in one block, so blocks are orbits when they number alike.
         "blocks are orbits": closed.blocks_group_closed
-        and len(objects.orbits) == len(coll.blocks),
+        and len(closed.orbits) == len(coll.blocks),
         "block sizes are basis orbit sizes": sorted(map(len, coll.blocks))
         == sorted(basis.orbit_sizes),
     }

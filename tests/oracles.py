@@ -830,7 +830,8 @@ def pairwise_verify_collection(
         det = 0
 
     # Closure is certified for a basis only: the classes must be a Z-basis
-    # (determinant +-1), and each block must be closed on its own.
+    # (determinant +-1), and each block must be closed on its own.  The
+    # orbits are those of a basis that the group permutes.
     lat = picard(fan)
     closed = det in (1, -1)
     for block in coll.blocks:
@@ -838,9 +839,12 @@ def pairwise_verify_collection(
         for d in block:
             if not bfs_class_orbit(lat, perms, d) <= block_classes:
                 closed = False
+    classes = {lat.divisor_coords(d) for d in objects}
+    permuted = det in (1, -1) and all(bfs_class_orbit(lat, perms, d) <= classes for d in objects)
 
     return CollectionCertificate(
         determinant=det,
+        orbits=bfs_orbit_partition(fan, group, objects) if permuted else (),
         blocks_group_closed=closed,
         pairs_checked=checked,
         first_violation=first,

@@ -12,10 +12,22 @@ from toric_surface_lab.derived import (
     build_collection,
     verify_collection,
 )
-from toric_surface_lab.grothendieck import line_bundle_class
+from toric_surface_lab.grothendieck import (
+    PermutationBasis,
+    core_blocks,
+    line_bundle_class,
+    search_line_bundle_basis,
+    standard_permutation_basis,
+    verify_permutation_basis,
+)
 from toric_surface_lab.lattice_fan import blow_up, dp6_fan, hirzebruch_fan, p2_fan
 from toric_surface_lab.minimal_model import classify_pair, pullback
-from toric_surface_lab.symmetry import compute_aut, enumerate_subgroups, trivial_group
+from toric_surface_lab.symmetry import (
+    SymmetryGroup,
+    compute_aut,
+    enumerate_subgroups,
+    trivial_group,
+)
 from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
 
 from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, random_basis
@@ -24,6 +36,22 @@ from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, 
 def collection_for(fan, group):
     trace, label = classify_pair(fan, group)
     return build_collection(pullback(trace), label)
+
+
+def certified_pair(fan, group):
+    """The collection of a pair and the certificate of its standard basis."""
+    trace, label = classify_pair(fan, group)
+    pulled = pullback(trace)
+    basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
+    return build_collection(pulled, label), basis
+
+
+def flat_objects(coll) -> tuple:
+    return tuple(d for block in coll.blocks for d in block)
+
+
+def model_rows(fan, divisors) -> list[list[int]]:
+    return [list(line_bundle_class(fan, d).model_vector()) for d in divisors]
 
 
 def counted_pairs(blocks) -> int:
@@ -258,13 +286,15 @@ class TestPairwiseOracle:
     group images of every object: every field, the first violation included."""
 
     def test_corpus_pairs_in_both_orders(self):
+        """With and without the standard basis's certificate to read."""
         entries = standard_corpus(max_rays=16)
         assert len(entries) == 191
         failed = multi = 0
         for entry in entries:
-            coll = collection_for(entry.fan, entry.group)
+            coll, basis = certified_pair(entry.fan, entry.group)
             for c in (coll, coll.reversed()):
                 cert = verify_collection(c, entry.group)
+                assert cert == verify_collection(c, entry.group, basis)
                 assert cert == pairwise_verify_collection(c, entry.group), (
                     entry.fan, entry.group_label, c.provenance)
                 assert cert.pairs_checked == counted_pairs(c.blocks)
@@ -376,3 +406,155 @@ class TestSelfPairs:
             assert calls == [(0,) * fan.n]
         empty = verify_collection(ExceptionalCollection(fan, ((), ()), "empty"), group)
         assert (empty.first_violation, empty.pairs_checked) == (None, 0)
+
+
+class TestClassesFromBasis:
+    """The objects' determinant and orbits read off the standard basis's
+    certificate are those of the objects' own certificate, and both
+    determinants are the triple-loop Bareiss oracle's.  What cannot be read
+    off it is certified from scratch, with the same verdict and witness."""
+
+    @staticmethod
+    def assert_read_off(coll, group, basis):
+        fan, objects = coll.fan, flat_objects(coll)
+        tags = tuple(("block", b) for b, block in enumerate(coll.blocks) for _ in block)
+        full = verify_permutation_basis(PermutationBasis(fan, objects, tags), group)
+        assert full.ok
+        assert derived._classes_from_basis(fan, basis, objects) == (full.determinant, full.orbits)
+        assert full.determinant == oracles.triple_loop_bareiss(model_rows(fan, objects))
+
+    def test_corpus_pairs_in_three_bases_and_both_orders(self):
+        rng = random.Random(37)
+        cases = 0
+        for entry in standard_corpus(max_rays=16):
+            for _ in range(3):
+                fan, group = random_basis(rng, entry.fan, entry.group)
+                coll, basis = certified_pair(fan, group)
+                assert basis.determinant == oracles.triple_loop_bareiss(
+                    model_rows(fan, basis.basis.divisors))
+                for c in (coll, coll.reversed()):
+                    self.assert_read_off(c, group, basis)
+                    cases += 1
+        assert cases == 1146
+
+    @pytest.mark.parametrize("n", [64, 128, 192], ids=["recipe-64", "recipe-128", "dp6-192-d12"])
+    def test_large_fans_in_both_orders(self, n):
+        """The recipe fans under the trivial group, and dP6 blown up at every
+        cone five times under D12 (the CI recipe), whose 19 orbits of rows
+        map onto orbits of objects."""
+        if n == 192:
+            fan = dp6_fan()
+            for _ in range(5):
+                fan = blow_up(fan, range(fan.n))
+            group = SymmetryGroup.from_generators([((1, -1), (1, 0)), ((0, 1), (1, 0))], fan)
+        else:
+            fan = ci_fan(n)
+            group = trivial_group(fan)
+        coll, basis = certified_pair(fan, group)
+        assert basis.determinant == oracles.triple_loop_bareiss(
+            model_rows(fan, basis.basis.divisors))
+        for c in (coll, coll.reversed()):
+            self.assert_read_off(c, group, basis)
+        assert len(basis.orbits) == (19 if n == 192 else n)
+
+    def test_duality_on_each_core_has_determinant_minus_one_to_the_rank(self):
+        """det(beta) = (-1)^t: on the terminal surface of every corpus pair,
+        in a random basis, the t rows O(D) and the t rows O(-D) of the slots
+        of `core_blocks` are bases of K0 whose determinants differ by that
+        sign."""
+        rng = random.Random(43)
+        ranks = set()
+        for entry in standard_corpus(max_rays=16):
+            _, label = classify_pair(*random_basis(rng, entry.fan, entry.group))
+            core, t = label.fan, label.fan.n
+            slots = [rays for block in core_blocks(label) for _, rays in block]
+            plus, minus = (oracles.triple_loop_bareiss(model_rows(
+                core, [tuple(sign * rays.count(e) for e in range(t)) for rays in slots]))
+                for sign in (1, -1))
+            assert minus in (1, -1) and plus == (-1) ** t * minus, label
+            ranks.add(t)
+        assert ranks == {3, 4, 6}
+
+    def test_non_unimodular_core_row_fails_only_its_own_certificate(self, dp6, dp6_aut):
+        """A core object doubled matches no row: the objects are certified
+        from scratch and fail, and the basis passes.  A core row of the basis
+        doubled fails the basis, and the collection, which reads no failed
+        certificate, keeps its own verdict and passes."""
+        coll, basis = certified_pair(dp6, dp6_aut)
+        head, orbit, (q, q2) = coll.blocks
+        planted = ExceptionalCollection(dp6, (head, orbit, (q, tuple(2 * c for c in q2))), "")
+        cert = verify_collection(planted, dp6_aut, basis)
+        assert cert == verify_collection(planted, dp6_aut)
+        assert cert.determinant not in (1, -1) and not cert.ok and basis.ok
+        rows = list(basis.basis.divisors)
+        rows[-1] = tuple(2 * c for c in rows[-1])
+        failed = verify_permutation_basis(basis.basis._replace(divisors=tuple(rows)), dp6_aut)
+        assert failed.determinant not in (1, -1) and not failed.ok
+        assert verify_collection(coll, dp6_aut, failed) == verify_collection(coll, dp6_aut)
+        assert verify_collection(coll, dp6_aut, failed).ok
+
+    def test_failed_basis_leaves_the_full_verdict(self, dp6, dp6_aut):
+        """A basis certificate with an error is not read, in either order:
+        the reversed collection keeps its first violated pair."""
+        coll, basis = certified_pair(dp6, dp6_aut)
+        failed = basis._replace(orbits=(), error="planted failure")
+        for c in (coll, coll.reversed()):
+            cert = verify_collection(c, dp6_aut, failed)
+            assert cert == verify_collection(c, dp6_aut) == pairwise_verify_collection(c, dp6_aut)
+        assert cert.first_violation is not None
+
+    def test_split_block_or_dropped_object_keeps_the_certificate(self, dp6, dp6_aut):
+        """A split block still reads the basis (its objects are the rows),
+        and is not group-closed; a dropped object matches no full set of
+        rows and is certified from scratch, determinant 0.  Either way the
+        certificate, witness included, is the pairwise oracle's."""
+        coll, basis = certified_pair(dp6, dp6_aut)
+        (o,), (a, b, c), tail = coll.blocks
+        cases = {
+            "split": ((o,), (a,), (b, c), tail),
+            "split behind orbits": ((o, a, b), (*tail, c)),
+            "dropped": ((o,), (a, b, c), tail[:1]),
+            "dropped, reversed": (tail[:1], (a, b, c), (o,)),
+        }
+        for name, blocks in cases.items():
+            planted = ExceptionalCollection(dp6, blocks, name)
+            cert = verify_collection(planted, dp6_aut, basis)
+            assert cert == verify_collection(planted, dp6_aut), name
+            assert cert == pairwise_verify_collection(planted, dp6_aut), name
+            assert not cert.blocks_group_closed and not cert.ok
+            read = derived._classes_from_basis(dp6, basis, flat_objects(planted))
+            assert (read is None) == name.startswith("dropped")
+        assert cert.determinant == 0 and cert.first_violation.kind == "order"
+
+    def test_orbit_of_mixed_signs_is_not_read(self):
+        """An exceptional row of the 6-orbit of dP6 blown up at its six
+        cones, re-tagged as a core row and matched by its negated object,
+        leaves an orbit of two signs: the objects are certified from
+        scratch, and the group does not permute them."""
+        fan = blow_up(dp6_fan(), range(6))
+        group = compute_aut(fan)
+        coll, basis = certified_pair(fan, group)
+        k = basis.basis.tags.index(("exc", 0))
+        tags = list(basis.basis.tags)
+        tags[k] = ("core", "planted")
+        planted_basis = basis._replace(basis=basis.basis._replace(tags=tuple(tags)))
+        e = basis.basis.divisors[k]
+        blocks = tuple(tuple(tuple(-c for c in d) if d == e else d for d in block)
+                       for block in coll.blocks)
+        planted = ExceptionalCollection(fan, blocks, "negated exceptional object")
+        assert derived._classes_from_basis(fan, planted_basis, flat_objects(planted)) is None
+        cert = verify_collection(planted, group, planted_basis)
+        assert cert == verify_collection(planted, group)
+        assert cert.orbits == () and not cert.blocks_group_closed
+
+    def test_basis_of_another_kind_or_fan_is_not_read(self, dp6, dp6_aut):
+        """The collection's objects are not the rows of a searched basis, and
+        a basis certified on the pair in another lattice basis names another
+        fan."""
+        coll, basis = certified_pair(dp6, dp6_aut)
+        searched = verify_permutation_basis(search_line_bundle_basis(dp6, dp6_aut, 1), dp6_aut)
+        _, moved = certified_pair(*random_basis(random.Random(5), dp6, dp6_aut))
+        for other in (searched, moved):
+            assert other.ok
+            assert derived._classes_from_basis(dp6, other, flat_objects(coll)) is None
+            assert verify_collection(coll, dp6_aut, other) == verify_collection(coll, dp6_aut)
