@@ -174,15 +174,15 @@ def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
     h0 - h1 + h2 of the kernel, chi(K - D) of the closed form, and chi(D)
     from the Picard lattice (characters and the intersection form), taken
     in one pass by `PicardLattice._euler`.  The first equality is Serre
-    duality.  The kernel takes h1 as h0 + h2 - `_chi(a, D)`, so its
-    h0 - h1 + h2 is `_chi(a, D)` by construction, and `_chi(a, D)` equals
-    `_chi(a, K - D)` for every self-intersection vector a, from a fan or
-    not: D.(D - K) = (K - D).(K - D - K).  So the first equality guards only
-    a kernel that takes h1 some other way; it cannot see a wrong h0 today.
-    The second is Riemann-Roch by a route independent of the wall relations
-    and the closed form the cohomology uses: it catches an Euler
-    characteristic that is wrong however h1 was derived, such as a closed
-    form off by one, which duality cannot see.
+    duality.  The kernel takes h1 as h0 + h2 - chi(D) for the chi(D) that
+    it is handed here, `_chi(a, D)`, so its h0 - h1 + h2 is `_chi(a, D)` by
+    construction, which equals `_chi(a, K - D)` for every self-intersection
+    vector a: D.(D - K) = (K - D).(K - D - K).  So the first equality guards
+    a kernel that takes h1 some other way and the closed form's two calls;
+    it cannot see a wrong h0 today.  The second is Riemann-Roch by a route
+    independent of the wall relations and the closed form the cohomology
+    uses: it catches an Euler characteristic that is wrong however h1 was
+    derived, such as a closed form off by one, which duality cannot see.
     A kernel that raises ArithmeticError (a negative h1) counts too.
     """
     import random
@@ -202,7 +202,7 @@ def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
     for start in range(0, SPOT_CHECK_SAMPLES * n, n):
         coeffs = draws[start:start + n]
         try:
-            h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)))
+            h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)), _chi(a, coeffs))
         except ArithmeticError:
             violations += 1
             continue

@@ -10,7 +10,8 @@ Toric Varieties, ch. 3).  Each lowering strictly decreases D.H for the ample
 H of a closing relation sum H.D_e v_e = 0 (see `_ample_weights`), and an
 effective D has D.H >= 0, so the loop ends.
 
-h2 comes from duality as h0 of K - D, and h1 from the Euler characteristic.
+h2 comes from duality as h0 of K - D, and h1 = h0 + h2 - chi(D) from the
+caller's chi(D): `_chi`, or the Ext scan's O(1) Riemann-Roch per pair.
 One D.H serves both sides: K - D has coefficients -1 - c_e, so
 (K - D).H = K.H - D.H, with K.H = -sum H.D_e read from the same per-fan
 table as the degrees H.D_e.  A side of negative degree has h0 = 0 and is
@@ -114,13 +115,13 @@ def h0(fan: Fan, coeffs) -> int:
 def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
     """Exact (h0, h1, h2) of O(D) for D = sum(c_e D_e) over the split field."""
     coeffs = divisor(fan, coeffs)
-    table = _ample_weights(fan)
-    return _cohomology(table, coeffs, sum(map(mul, table[1], coeffs)))
+    a, weights, _ = table = _ample_weights(fan)
+    return _cohomology(table, coeffs, sum(map(mul, weights, coeffs)), _chi(a, coeffs))
 
 
-def _cohomology(table, coeffs, degree: int) -> CohomologyVector:
-    """(h0, h1, h2) of D from the fan's `_ample_weights` table, the integer
-    coefficients of D (not changed) and its degree D.H."""
+def _cohomology(table, coeffs, degree: int, chi: int) -> CohomologyVector:
+    """(h0, h0 + h2 - chi, h2) of D from the fan's `_ample_weights` table,
+    the integer coefficients of D (not changed), its degree D.H and chi(D)."""
     a, weights, k_degree = table
     dim0 = _reduce(a, weights, list(coeffs), degree) if degree >= 0 else 0
     dual_degree = k_degree - degree  # (K - D).H
@@ -129,7 +130,6 @@ def _cohomology(table, coeffs, degree: int) -> CohomologyVector:
         if dual_degree >= 0
         else 0
     )
-    chi = _chi(a, coeffs)
     dim1 = dim0 + dim2 - chi
     if dim1 < 0:
         raise ArithmeticError(

@@ -187,8 +187,8 @@ def verify_collection(
     per pair on a collection of total transforms, whose objects have at
     most a few.  When D2 - D1 and K - (D2 - D1) both have negative degree,
     h0 = h2 = 0 and the Ext is (0, -chi, 0); otherwise, or when -chi < 0 (an
-    error the cohomology routine raises), the vector comes from the
-    cohomology routine of `line_bundle_cohomology`.  The pairs are generated
+    error the kernel raises), the vector is the cohomology kernel's, handed
+    this chi, and H*(O_X) is handed chi(O_X) = 1.  The pairs are generated
     in scan order, never stored; the first whose Ext is wrong is the
     certificate's `first_violation`, and the scan stops there.  All n self
     pairs share H*(O_X), so when it is wrong the first object's self pair
@@ -203,7 +203,7 @@ def verify_collection(
     first: ExtViolation | None = None
 
     # Ext(V, V) = H*(O_X) for every line bundle V: computed once.
-    self_ext = _cohomology(table, (0,) * fan.n, 0).as_tuple()
+    self_ext = _cohomology(table, (0,) * fan.n, 0, 1).as_tuple()
     if self_ext != (1, 0, 0):
         first = next((ExtViolation("self", d, d, self_ext) for row in objects for d in row), None)
     else:
@@ -220,7 +220,7 @@ def verify_collection(
             if degree < 0 and k_degree - degree < 0 and chi <= 0:
                 ext = (0, -chi, 0)
             else:
-                ext = _cohomology(table, list(map(sub, d2, d1)), degree).as_tuple()
+                ext = _cohomology(table, list(map(sub, d2, d1)), degree, chi).as_tuple()
             if ext != (0, 0, 0):
                 first = ExtViolation(kind, d1, d2, ext)
                 break

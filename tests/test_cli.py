@@ -311,15 +311,16 @@ class TestSpotCheck:
         and back agree), but it is not h0 + h2 - chi(K - D), so the duality
         comparison sees it before Riemann-Roch is reached."""
 
-        def wrong(table, coeffs, degree):
-            h = _cohomology(table, coeffs, degree)
+        def wrong(table, coeffs, degree, chi):
+            h = _cohomology(table, coeffs, degree, chi)
             return CohomologyVector(h.h0, h.h1 + 1, h.h2)
 
         monkeypatch.setattr(cohomology, "_cohomology", wrong)
         table = _ample_weights(dp6)
         d = (1, -2, 0, 3, 0, -1)
         dual = tuple(-1 - c for c in d)
-        forward, back = (wrong(table, c, sum(map(mul, table[1], c))) for c in (d, dual))
+        forward, back = (wrong(table, c, sum(map(mul, table[1], c)), cohomology._chi(table[0], c))
+                         for c in (d, dual))
         assert forward.as_tuple() == (back.h2, back.h1, back.h0)
         assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
 
@@ -334,7 +335,7 @@ class TestSpotCheck:
     def test_report_fails_on_wrong_h1(self, capsys, monkeypatch, dp6_file):
         monkeypatch.setattr(
             cohomology, "_cohomology",
-            lambda table, c, degree: CohomologyVector(0, 1, 0),
+            lambda table, c, degree, chi: CohomologyVector(0, 1, 0),
         )
         code, report = run_json(capsys, ["report", "--fan", dp6_file])
         assert code == 1
@@ -342,24 +343,37 @@ class TestSpotCheck:
         assert "cohomology spot check failed" in report["result"]["failures"]
 
     def test_wrong_dual_chi_is_caught(self, monkeypatch, dp6):
-        """A closed-form chi(K - D) off by one breaks the duality comparison
-        on every sample.  The fault is planted only in the spot check's own
-        call: `_cohomology` reads the same `cohomology._chi`, and a wrong chi
-        there moves h1 with it, which duality cannot see."""
+        """A closed-form chi(K - D) off by one fails the duality comparison,
+        h0 - h1 + h2 of the kernel against chi(K - D), on every sample.  The
+        fault is planted only on the chi(K - D) call: the spot check hands
+        the kernel `_chi(a, D)` from the same `cohomology._chi`, and a wrong
+        chi(D) moves h1 with it, which duality cannot see."""
         real = cohomology._chi
         spot = cli._spot_check_cohomology.__code__
-        monkeypatch.setattr(cohomology, "_chi",
-                            lambda a, c: real(a, c) + (sys._getframe(1).f_code is spot))
+        pending = []  # the D of the kernel call whose chi(K - D) comes next
+
+        def planted_chi(a, c):
+            if sys._getframe(1).f_code is not spot or not pending:
+                return real(a, c)  # a walk's h0, or the chi(D) handed to the kernel
+            return real(a, c) + (list(c) == [-1 - x for x in pending.pop()])
+
+        def record(table, coeffs, degree, chi):
+            pending.append(list(coeffs))
+            return _cohomology(table, coeffs, degree, chi)
+
+        monkeypatch.setattr(cohomology, "_chi", planted_chi)
+        monkeypatch.setattr(cohomology, "_cohomology", record)
         assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
+        assert not pending
 
     def test_draws_cover_the_box(self, monkeypatch, dp6):
         """Each sample is one divisor of n coefficients in [-4, 4]; over the
         samples every value occurs."""
         drawn = []
 
-        def record(table, coeffs, degree):
+        def record(table, coeffs, degree, chi):
             drawn.append(tuple(coeffs))
-            return _cohomology(table, coeffs, degree)
+            return _cohomology(table, coeffs, degree, chi)
 
         monkeypatch.setattr(cohomology, "_cohomology", record)
         assert cli._spot_check_cohomology(dp6, seed=5)["violations"] == 0
@@ -371,8 +385,8 @@ class TestSpotCheck:
         """A kernel that returns h1 = -1 without raising, with h0 moved so
         that every Euler characteristic still agrees, fails on h1 >= 0."""
 
-        def negative(table, coeffs, degree):
-            h = _cohomology(table, coeffs, degree)
+        def negative(table, coeffs, degree, chi):
+            h = _cohomology(table, coeffs, degree, chi)
             return CohomologyVector(h.h0 - h.h1 - 1, -1, h.h2)
 
         monkeypatch.setattr(cohomology, "_cohomology", negative)
@@ -384,11 +398,11 @@ class TestSpotCheck:
         raised on every other call, half of the honest samples fail."""
         calls = []
 
-        def every_other(table, coeffs, degree):
+        def every_other(table, coeffs, degree, chi):
             calls.append(coeffs)
             if len(calls) % 2:
                 raise ArithmeticError("planted negative h1")
-            return _cohomology(table, coeffs, degree)
+            return _cohomology(table, coeffs, degree, chi)
 
         monkeypatch.setattr(cohomology, "_cohomology", every_other)
         assert cli._spot_check_cohomology(dp6, seed=3) == {"samples": 50, "violations": 25}

@@ -1,14 +1,23 @@
+import functools
 import itertools
 import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from toric_surface_lab import derived
-from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, ext_line_bundles
+from toric_surface_lab import cohomology, derived
+from toric_surface_lab.cohomology import (
+    CohomologyVector,
+    _ample_weights,
+    ext_line_bundles,
+    line_bundle_cohomology,
+)
 from toric_surface_lab.derived import (
     ExceptionalCollection,
+    ExtViolation,
     build_collection,
     verify_collection,
 )
@@ -23,14 +32,26 @@ from toric_surface_lab.grothendieck import (
 from toric_surface_lab.lattice_fan import blow_up, dp6_fan, hirzebruch_fan, p2_fan
 from toric_surface_lab.minimal_model import classify_pair, pullback
 from toric_surface_lab.symmetry import (
+    CONJUGACY_LABELS,
     SymmetryGroup,
     compute_aut,
     enumerate_subgroups,
     trivial_group,
 )
-from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
+from toric_surface_lab.corpus import (
+    minimal_seed_pairs,
+    random_chain,
+    standard_corpus,
+    subgroup_with_label,
+)
 
-from oracles import ci_fan, merge_blocks_by_orbits, pairwise_verify_collection, random_basis
+from oracles import (
+    ci_fan,
+    merge_blocks_by_orbits,
+    pairwise_verify_collection,
+    random_basis,
+    two_pass_cohomology,
+)
 
 
 def collection_for(fan, group):
@@ -44,6 +65,30 @@ def certified_pair(fan, group):
     pulled = pullback(trace)
     basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
     return build_collection(pulled, label), basis
+
+
+@functools.lru_cache(maxsize=None)
+def large_pair(name: str):
+    """(fan, group, collection, standard basis certificate) of "recipe-n",
+    `ci_fan(n)` under the trivial group, or of "dp6-192-d12", dP6 blown up
+    at every cone five times under D12 (the CI recipe)."""
+    if name == "dp6-192-d12":
+        fan = dp6_fan()
+        for _ in range(5):
+            fan = blow_up(fan, range(fan.n))
+        group = SymmetryGroup.from_generators([((1, -1), (1, 0)), ((0, 1), (1, 0))], fan)
+    else:
+        fan = ci_fan(int(name.removeprefix("recipe-")))
+        group = trivial_group(fan)
+    return (fan, group, *certified_pair(fan, group))
+
+
+def scan_pairs(blocks) -> list[tuple]:
+    """The (kind, source, target) pairs of distinct objects in scan order."""
+    scan = [("block", a, b) for blk in blocks
+            for i, a in enumerate(blk) for j, b in enumerate(blk) if i != j]
+    return scan + [("order", a, b) for s in range(1, len(blocks)) for t in range(s)
+                   for a in blocks[s] for b in blocks[t]]
 
 
 def flat_objects(coll) -> tuple:
@@ -196,11 +241,7 @@ class TestReversed:
         group = compute_aut(fan)
         coll = collection_for(fan, group).reversed()
         want = pairwise_verify_collection(coll, group)
-        blocks = coll.blocks
-        scan = [("block", a, b) for blk in blocks
-                for i, a in enumerate(blk) for j, b in enumerate(blk) if i != j]
-        scan += [("order", a, b) for s in range(1, len(blocks)) for t in range(s)
-                 for a in blocks[s] for b in blocks[t]]
+        scan = scan_pairs(coll.blocks)
         calls = []
         real = derived._cohomology
         monkeypatch.setattr(derived, "_cohomology", lambda *a: calls.append(a) or real(*a))
@@ -354,12 +395,18 @@ class TestPlantedExtFault:
         unit = tuple(int(e == v) for e in range(fan.n))
         for planted, closed_form in (tuple(-2 * c for c in unit), True), (unit, False):
             planted_coll = ExceptionalCollection(fan, ((planted,), *coll.blocks), "planted")
-            calls = []
+            calls = {}
             real = derived._cohomology
-            monkeypatch.setattr(derived, "_cohomology",
-                                lambda *args: calls.append(tuple(args[1])) or real(*args))
+
+            def shim(table, coeffs, degree, chi):
+                calls[tuple(coeffs)] = chi
+                return real(table, coeffs, degree, chi)
+
+            monkeypatch.setattr(derived, "_cohomology", shim)
             cert = verify_collection(planted_coll, group)
             monkeypatch.undo()
+            # Each walked pair is handed the chi that `_chi` takes in O(n).
+            assert all(chi == cohomology._chi(a, c) for c, chi in calls.items())
             assert cert == pairwise_verify_collection(planted_coll, group)
             violation = cert.first_violation
             assert violation[:3] == ("order", structure_sheaf, planted)
@@ -387,9 +434,9 @@ class TestSelfPairs:
         calls = []
         real, real_oracle = derived._cohomology, oracles.line_bundle_cohomology
 
-        def wrong(table, coeffs, degree):
-            calls.append(tuple(coeffs))
-            return planted if not any(coeffs) else real(table, coeffs, degree)
+        def wrong(table, coeffs, degree, chi):
+            calls.append((tuple(coeffs), chi))
+            return planted if not any(coeffs) else real(table, coeffs, degree, chi)
 
         monkeypatch.setattr(derived, "_cohomology", wrong)
         monkeypatch.setattr(oracles, "line_bundle_cohomology",
@@ -403,9 +450,64 @@ class TestSelfPairs:
             assert cert.first_violation == ("self", source, source, (1, 1, 0))
             assert cert.pairs_checked == honest.pairs_checked == counted_pairs(blocks)
             assert cert.determinant in (1, -1) and cert.blocks_group_closed
-            assert calls == [(0,) * fan.n]
+            assert calls == [((0,) * fan.n, 1)]
         empty = verify_collection(ExceptionalCollection(fan, ((), ()), "empty"), group)
         assert (empty.first_violation, empty.pairs_checked) == (None, 0)
+
+
+class TestOneChiPerPair:
+    """The Ext scan takes each pair's chi once, by Riemann-Roch, and hands
+    it to the cohomology kernel with the pairs that it walks."""
+
+    @pytest.mark.parametrize("name, walked", [("recipe-256", 636), ("dp6-192-d12", 8000)])
+    def test_closed_form_chi_runs_once(self, monkeypatch, name, walked):
+        """On a verified collection `_chi` runs once, at the end of the
+        H*(O_X) walk, whose h0 is chi(O_X): every other walked side ends at
+        h0 = 0 before `_reduce` reaches it.  With or without the basis
+        certificate, which takes no cohomology."""
+        _, group, coll, basis = large_pair(name)
+        chis, kernel = [], []
+        real_chi, real_kernel = cohomology._chi, derived._cohomology
+        monkeypatch.setattr(cohomology, "_chi", lambda a, c: chis.append(1) or real_chi(a, c))
+        monkeypatch.setattr(derived, "_cohomology",
+                            lambda *args: kernel.append(1) or real_kernel(*args))
+        for certificate in (None, basis):
+            chis.clear()
+            kernel.clear()
+            assert verify_collection(coll, group, certificate).ok
+            assert (len(chis), len(kernel)) == (1, walked)
+
+    @pytest.mark.parametrize("fan", [hirzebruch_fan(2), dp6_fan(), ci_fan(64)],
+                             ids=["f2", "dp6", "recipe-64"])
+    def test_planted_chi_fails_its_first_pair_on_either_route(self, monkeypatch, fan):
+        """chi(D) of one object lowered by one in `_euler_terms` fails the
+        scan at the object's first pair as a target, with Ext (0, 1, 0),
+        whether the kernel walks that pair or the closed form settles it:
+        both read the scan's chi."""
+        group = trivial_group(fan)
+        coll = collection_for(fan, group)
+        _, weights, k_degree = _ample_weights(fan)
+        first_as_target = {}
+        for pair in scan_pairs(coll.blocks):
+            first_as_target.setdefault(pair[2], pair)
+
+        def walked(pair):
+            degree = sum(map(mul, weights, pair[2])) - sum(map(mul, weights, pair[1]))
+            return degree >= 0 or k_degree - degree >= 0
+
+        real = derived._euler_terms
+        for route in (True, False):
+            kind, source, target = next(
+                p for p in first_as_target.values() if walked(p) == route)
+
+            def planted(a, d):
+                chi, chi_neg, support = real(a, d)
+                return chi - (d == target), chi_neg, support
+
+            monkeypatch.setattr(derived, "_euler_terms", planted)
+            cert = verify_collection(coll, group)
+            monkeypatch.undo()
+            assert cert.first_violation == ExtViolation(kind, source, target, (0, 1, 0))
 
 
 class TestClassesFromBasis:
@@ -437,25 +539,17 @@ class TestClassesFromBasis:
                     cases += 1
         assert cases == 1146
 
-    @pytest.mark.parametrize("n", [64, 128, 192], ids=["recipe-64", "recipe-128", "dp6-192-d12"])
-    def test_large_fans_in_both_orders(self, n):
+    @pytest.mark.parametrize("name", ["recipe-64", "recipe-128", "dp6-192-d12"])
+    def test_large_fans_in_both_orders(self, name):
         """The recipe fans under the trivial group, and dP6 blown up at every
         cone five times under D12 (the CI recipe), whose 19 orbits of rows
         map onto orbits of objects."""
-        if n == 192:
-            fan = dp6_fan()
-            for _ in range(5):
-                fan = blow_up(fan, range(fan.n))
-            group = SymmetryGroup.from_generators([((1, -1), (1, 0)), ((0, 1), (1, 0))], fan)
-        else:
-            fan = ci_fan(n)
-            group = trivial_group(fan)
-        coll, basis = certified_pair(fan, group)
+        fan, group, coll, basis = large_pair(name)
         assert basis.determinant == oracles.triple_loop_bareiss(
             model_rows(fan, basis.basis.divisors))
         for c in (coll, coll.reversed()):
             self.assert_read_off(c, group, basis)
-        assert len(basis.orbits) == (19 if n == 192 else n)
+        assert len(basis.orbits) == (19 if name == "dp6-192-d12" else fan.n)
 
     def test_duality_on_each_core_has_determinant_minus_one_to_the_rank(self):
         """det(beta) = (-1)^t: on the terminal surface of every corpus pair,
@@ -558,3 +652,42 @@ class TestClassesFromBasis:
             assert other.ok
             assert derived._classes_from_basis(dp6, other, flat_objects(coll)) is None
             assert verify_collection(coll, dp6_aut, other) == verify_collection(coll, dp6_aut)
+
+
+@functools.lru_cache(maxsize=None)
+def seed_pairs() -> list:
+    return [entry for label in CONJUGACY_LABELS for entry in minimal_seed_pairs(label)]
+
+
+def chain_of_17_to_24_rays(rng):
+    """A random equivariant blow-up chain of a random seed pair, grown until
+    it has at least 17 rays (`random_chain` keeps at most 24), and started
+    over from another seed pair when a chain stops growing."""
+    entry = rng.choice(seed_pairs())
+    while entry.fan.n < 17:
+        grown = random_chain(entry, rng, max_rays=24)
+        entry = grown if grown.fan.n > entry.fan.n else rng.choice(seed_pairs())
+    return entry
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_differential_slice_on_chains_of_17_to_24_rays(seed):
+    """The Tier-1 slice of the differential suite for cohomology and the
+    collection: a chain of 17-24 rays in a random lattice basis, its
+    cohomology against two separate h0 walks on random divisors, and its
+    collection certificate against the pairwise oracle, in both orders,
+    with and without the basis certificate.  Budget: 100 examples, about
+    1.6 s, which reach all 13 group classes."""
+    rng = random.Random(seed)
+    entry = chain_of_17_to_24_rays(rng)
+    fan, group = random_basis(rng, entry.fan, entry.group)
+    assert 17 <= fan.n <= 24
+    for _ in range(20):
+        d = tuple(rng.randint(-6, 6) for _ in range(fan.n))
+        assert line_bundle_cohomology(fan, d).as_tuple() == two_pass_cohomology(fan, d), d
+    coll, basis = certified_pair(fan, group)
+    for c in (coll, coll.reversed()):
+        want = pairwise_verify_collection(c, group)
+        assert verify_collection(c, group) == want
+        assert verify_collection(c, group, basis) == want
