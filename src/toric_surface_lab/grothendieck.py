@@ -314,8 +314,9 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         )
 
     # A 2-cone class with rank or c1 comes from a faulty `k0_multiply`; its
-    # products with rays are multiplied out in closed form.  It fails its
-    # own adjacent ray pair, which comes before every product of two 2-cones.
+    # products with rays are multiplied out in closed form.  It fails its own
+    # ray pair in the row of its least ray, before any product with a ray
+    # that it holds and before every product of two 2-cones.
     faulty = [k for k, p in enumerate(p_cone) if p.rank or p.c1 != zero_c1]
     checked = 2 * n + 1  # the unit times each cone class is that class
     for i in range(n):
@@ -328,11 +329,9 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             if got != expected:
                 return violated(checked + j - i - 1, [i], [j], got, expected)
         checked += n - 1 - i
-        # Ray i times each 2-cone without it, in cone order.
+        # Ray i times each faulty 2-cone, in cone order; none holds ray i.
         x = o_ray[i]
         for k in faulty:
-            if i in cones[k]:
-                continue
             p = p_cone[k]
             got = K0Class(0, tuple(p.rank * v for v in x.c1),
                           p.rank * x.chi + lat.pair(x.c1, p.c1))

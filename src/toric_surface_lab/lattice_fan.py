@@ -17,7 +17,6 @@ from .intlinalg import (
     Mat2,
     Vec,
     columns_to_matrix,
-    det2,
     is_int_pair,
     mat_apply,
     mat_inv,
@@ -95,12 +94,6 @@ class AdjacentContraction(FanError):
     pass
 
 
-def _angle_half(v: Vec) -> int:
-    """0 for the closed upper half-turn starting at (1,0), 1 for the rest."""
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
 class Fan:
     """Counterclockwise primitive rays of a smooth complete fan in Z^2.
 
@@ -163,23 +156,19 @@ def validate_fan(raw_rays) -> Fan:
     if len(rays) < 3:
         raise TooFewRays(f"a complete fan needs at least 3 rays, got {len(rays)}")
     for v in rays:
-        if v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
+        if gcd(*v) != 1:
             raise NonPrimitiveRay(f"ray {v} is not a primitive vector")
-    n = len(rays)
-    for i in range(n):
-        d = det2(rays[i], rays[(i + 1) % n])
-        if d <= 0:
-            raise NotCounterclockwise(
-                f"rays {rays[i]}, {rays[(i + 1) % n]} do not turn counterclockwise"
-            )
+    for u, w in zip(rays, rays[1:] + rays[:1]):
+        d = u[0] * w[1] - u[1] * w[0]
         if d != 1:
-            raise NotSmooth(
-                f"cone ({rays[i]}, {rays[(i + 1) % n]}) has determinant {d}"
-            )
+            if d <= 0:
+                raise NotCounterclockwise(f"rays {u}, {w} do not turn counterclockwise")
+            raise NotSmooth(f"cone ({u}, {w}) has determinant {d}")
+    # half is 0 on the closed upper half-turn from (1, 0) and 1 on the rest.
     # Every step turns counterclockwise by less than pi, so the winding number
-    # is the count of steps into the upper half-turn; one reaches the least angle.
-    half = [_angle_half(v) for v in rays]
-    wraps = [i for i in range(n) if half[i - 1] > half[i]]
+    # is the count of steps from 1 to 0; one reaches the least angle.
+    half = [0 if y > 0 or (y == 0 and x > 0) else 1 for x, y in rays]
+    wraps = [i for i, (h, g) in enumerate(zip(half[-1:] + half, half)) if h > g]
     if len(wraps) != 1:
         raise NotComplete(f"ray sequence winds {len(wraps)} times, expected 1")
     first = wraps[0]
@@ -194,14 +183,9 @@ def self_intersections(fan: Fan) -> tuple[int, ...]:
     holds in any smooth complete fan.
     """
     rays = fan.rays
-    n = len(rays)
     out = []
-    for i in range(n):
-        w = (
-            rays[i - 1][0] + rays[(i + 1) % n][0],
-            rays[i - 1][1] + rays[(i + 1) % n][1],
-        )
-        v = rays[i]
+    for before, v, after in zip(rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]):
+        w = (before[0] + after[0], before[1] + after[1])
         if v[0] != 0:
             c, rem = divmod(w[0], v[0])
         else:
@@ -209,11 +193,8 @@ def self_intersections(fan: Fan) -> tuple[int, ...]:
         if rem != 0 or (c * v[0], c * v[1]) != w:
             raise FanError(f"wall relation fails at ray {v}: {w} not a multiple")
         out.append(-c)
-    total = sum(out)
-    if total != 12 - 3 * n:
-        raise FanError(
-            f"self-intersection sum {total} != {12 - 3 * n} (Noether check)"
-        )
+    if sum(out) != 12 - 3 * fan.n:
+        raise FanError(f"self-intersection sum {sum(out)} != {12 - 3 * fan.n} (Noether check)")
     return tuple(out)
 
 
@@ -289,17 +270,21 @@ def _shift_maps(f1: Fan, f2: Fan) -> Iterator[tuple[int, int, Mat2]]:
     wall relations v_{k-1} + v_{k+1} = -a_k v_k, each v_k to w_{j+-k}: a
     candidate is a map exactly when the self-intersections agree along it.
     Candidates come for j = 0..n-1, the next neighbour first; a2 read from
-    j in either direction is a slice of a2 + a2 or of its reverse.
+    j in either direction is a rotation of a2 or of its reverse, compared
+    only when its first entry a2[j] is a1[0].  The basis v_0, v_1 is inverted
+    at the first match.
     """
     n = f1.n
     if f2.n != n:
         return
     a1, a2 = self_intersections(f1), self_intersections(f2)
-    forward, backward = a2 + a2, a2[::-1] * 2
-    vinv = mat_inv(columns_to_matrix(f1.rays[0], f1.rays[1]))
-    for j in range(n):
-        for s, seq in ((1, forward[j:j + n]), (-1, backward[n - 1 - j:2 * n - 1 - j])):
+    vinv = None
+    for j, first in enumerate(a2):
+        if first != a1[0]:
+            continue
+        for s, seq in ((1, a2[j:] + a2[:j]), (-1, a2[j::-1] + a2[:j:-1])):
             if a1 == seq:
+                vinv = vinv or mat_inv(columns_to_matrix(f1.rays[0], f1.rays[1]))
                 w0, w1 = f2.rays[j], f2.rays[(j + s) % n]
                 yield j, s, mat_mul(columns_to_matrix(w0, w1), vinv)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -162,6 +163,40 @@ def angle_order_validate_fan(raw_rays) -> Fan:
         if _angle_before(rays[i], rays[first]):
             first = i
     return Fan(tuple(rays[first:] + rays[:first]))
+
+
+def validate_fan_inputs(fans, seed: int) -> list[list]:
+    """Ray lists for comparing `validate_fan` with `angle_order_validate_fan`.
+
+    Each fan, in sorted ray order, in three random bases (entries within 3)
+    and rotations, gives six lists: those rays, reversed, doubled, cut to the
+    upper half-plane and with two rays swapped, and 3-8 random rays with
+    entries within 3.
+    """
+    pool = unimodular_matrices(3)
+    rng = random.Random(seed)
+    inputs = []
+    for fan in sorted(fans, key=lambda f: f.rays):
+        for _ in range(3):
+            rays = list(apply_matrix(rng.choice(pool), fan).rays)
+            k = rng.randrange(len(rays))
+            rays = rays[k:] + rays[:k]
+            i, j = rng.sample(range(len(rays)), 2)
+            swapped = list(rays)
+            swapped[i], swapped[j] = rays[j], rays[i]
+            upper = [v for v in rays if v[1] > 0 or (v[1] == 0 and v[0] > 0)]
+            noise = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(rng.randint(3, 8))]
+            inputs += [rays, rays[::-1], rays * 2, upper, swapped, noise]
+    return inputs
+
+
+def validate_outcome(validate, rays):
+    """The Fan that `validate` returns for rays, or its FanError's type and message."""
+    try:
+        return validate(rays)
+    except FanError as exc:
+        return type(exc), str(exc)
 
 
 def _bfs_orbits(n: int, moves) -> list[tuple[int, ...]]:

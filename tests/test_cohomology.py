@@ -9,6 +9,7 @@ import pytest
 from toric_surface_lab.cohomology import (
     CohomologyVector,
     _ample_weights,
+    _cohomology,
     _reduce,
     ext_line_bundles,
     h0,
@@ -141,6 +142,15 @@ class TestSections:
             for _ in range(15):
                 d = tuple(rng.randint(-4, 4) for _ in range(fan.n))
                 assert line_bundle_cohomology(fan, d).h1 >= 0
+
+    def test_kernel_raises_on_negative_h1(self, p2, f2, dp6):
+        """The kernel itself, handed chi(O_X) + 1 = 2 for the zero divisor,
+        raises instead of returning h1 = -1."""
+        for fan in (p2, f2, dp6):
+            zero = (0,) * fan.n
+            with pytest.raises(ArithmeticError) as info:
+                _cohomology(_ample_weights(fan), zero, 0, 2)
+            assert str(info.value) == f"negative h1 = -1 for divisor {zero}: h0=1, h2=0, chi=2"
 
 
 class TestChamberOracle:

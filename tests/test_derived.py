@@ -46,6 +46,7 @@ from toric_surface_lab.corpus import (
 )
 
 from oracles import (
+    box_h0,
     ci_fan,
     merge_blocks_by_orbits,
     pairwise_verify_collection,
@@ -677,15 +678,20 @@ def test_differential_slice_on_chains_of_17_to_24_rays(seed):
     collection: a chain of 17-24 rays in a random lattice basis, its
     cohomology against two separate h0 walks on random divisors, and its
     collection certificate against the pairwise oracle, in both orders,
-    with and without the basis certificate.  Budget: 100 examples, about
-    1.6 s, which reach all 13 group classes."""
+    with and without the basis certificate.  The walks share `_reduce` with
+    the kernel, so the first two divisors also check (h0, h2) against
+    lattice-point counts of D and K - D.  Budget: 100 examples, about
+    2.5 s, which reach all 13 group classes."""
     rng = random.Random(seed)
     entry = chain_of_17_to_24_rays(rng)
     fan, group = random_basis(rng, entry.fan, entry.group)
     assert 17 <= fan.n <= 24
-    for _ in range(20):
+    for k in range(20):
         d = tuple(rng.randint(-6, 6) for _ in range(fan.n))
-        assert line_bundle_cohomology(fan, d).as_tuple() == two_pass_cohomology(fan, d), d
+        got = line_bundle_cohomology(fan, d)
+        assert got.as_tuple() == two_pass_cohomology(fan, d), d
+        if k < 2:
+            assert (got.h0, got.h2) == (box_h0(fan, d), box_h0(fan, [-1 - c for c in d])), d
     coll, basis = certified_pair(fan, group)
     for c in (coll, coll.reversed()):
         want = pairwise_verify_collection(c, group)

@@ -35,6 +35,8 @@ from oracles import (
     brute_force_isomorphisms,
     candidate_filter_maps,
     unimodular_matrices,
+    validate_fan_inputs,
+    validate_outcome,
 )
 
 
@@ -107,34 +109,14 @@ class TestValidate:
         the rays by pairwise angle comparisons: on every 16-ray corpus fan in
         random bases and rotations, and on those ray lists reversed, doubled,
         cut to the upper half-plane, with two rays swapped, and on random
-        ray lists."""
-        fans = {e.fan for e in standard_corpus(max_rays=16)}
-        pool = unimodular_matrices(3)
-        rng = random.Random(53)
-
-        def outcome(validate, rays):
-            try:
-                return validate(rays)
-            except FanError as exc:
-                return type(exc), str(exc)
-
-        inputs = []
-        for fan in sorted(fans, key=lambda f: f.rays):
-            for _ in range(3):
-                rays = list(apply_matrix(rng.choice(pool), fan).rays)
-                k = rng.randrange(len(rays))
-                rays = rays[k:] + rays[:k]
-                i, j = rng.sample(range(len(rays)), 2)
-                swapped = list(rays)
-                swapped[i], swapped[j] = rays[j], rays[i]
-                upper = [v for v in rays if v[1] > 0 or (v[1] == 0 and v[0] > 0)]
-                noise = [(rng.randint(-3, 3), rng.randint(-3, 3))
-                         for _ in range(rng.randint(3, 8))]
-                inputs += [rays, rays[::-1], rays * 2, upper, swapped, noise]
+        ray lists (`validate_fan_inputs`, seed 53; CI's `validate_sweep.py`
+        runs seeds 0-99)."""
+        inputs = validate_fan_inputs({e.fan for e in standard_corpus(max_rays=16)}, 53)
+        assert len(inputs) == 2322
         kinds = set()
         for rays in inputs:
-            got = outcome(validate_fan, rays)
-            assert got == outcome(angle_order_validate_fan, rays), rays
+            got = validate_outcome(validate_fan, rays)
+            assert got == validate_outcome(angle_order_validate_fan, rays), rays
             kinds.add(got[0] if isinstance(got, tuple) else Fan)
         assert kinds == {Fan, NonPrimitiveRay, NotComplete, NotCounterclockwise, NotSmooth,
                          TooFewRays}
