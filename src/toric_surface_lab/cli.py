@@ -170,20 +170,14 @@ def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
     walk: D.H >= 0 forces (K - D).H = K.H - D.H < 0.  The draws are n
     integers from a fixed tuple, so no routine re-validates them.
 
-    A sample passes when h1 >= 0 and three Euler characteristics agree:
-    h0 - h1 + h2 of the kernel, chi(K - D) of the closed form, and chi(D)
-    from the Picard lattice (characters and the intersection form), taken
-    in one pass by `PicardLattice._euler`.  The first equality is Serre
-    duality.  The kernel takes h1 as h0 + h2 - chi(D) for the chi(D) that
-    it is handed here, `_chi(a, D)`, so its h0 - h1 + h2 is `_chi(a, D)` by
-    construction, which equals `_chi(a, K - D)` for every self-intersection
-    vector a: D.(D - K) = (K - D).(K - D - K).  So the first equality guards
-    a kernel that takes h1 some other way and the closed form's two calls;
-    it cannot see a wrong h0 today.  The second is Riemann-Roch by a route
-    independent of the wall relations and the closed form the cohomology
-    uses: it catches an Euler characteristic that is wrong however h1 was
-    derived, such as a closed form off by one, which duality cannot see.
-    A kernel that raises ArithmeticError (a negative h1) counts too.
+    The kernel is handed chi(D) from the Picard lattice (characters and the
+    intersection form, in one pass by `PicardLattice._euler`), and a sample
+    passes when h1 >= 0 and the kernel's h0 - h1 + h2 equals chi(K - D) of
+    the closed form `_chi`.  That is Riemann-Roch by two independent routes,
+    compared across Serre duality: it catches an h1 not taken as
+    h0 + h2 - chi(D), and an Euler characteristic that is wrong by either
+    route, such as a closed form off by one.  A kernel that raises
+    ArithmeticError (a negative h1) counts too.
     """
     import random
 
@@ -201,13 +195,13 @@ def _spot_check_cohomology(fan: Fan, seed: int) -> dict:
     violations = 0
     for start in range(0, SPOT_CHECK_SAMPLES * n, n):
         coeffs = draws[start:start + n]
+        chi = euler(coeffs[2:], coeffs[0], coeffs[1])
         try:
-            h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)), _chi(a, coeffs))
+            h = _cohomology(table, coeffs, sum(map(mul, weights, coeffs)), chi)
         except ArithmeticError:
             violations += 1
             continue
-        if h.h1 < 0 or not (h.euler == _chi(a, [-1 - c for c in coeffs])
-                            == euler(coeffs[2:], coeffs[0], coeffs[1])):
+        if h.h1 < 0 or h.euler != _chi(a, [-1 - c for c in coeffs]):
             violations += 1
     return {"samples": SPOT_CHECK_SAMPLES, "violations": violations}
 

@@ -11,7 +11,8 @@ H of a closing relation sum H.D_e v_e = 0 (see `_ample_weights`), and an
 effective D has D.H >= 0, so the loop ends.
 
 h2 comes from duality as h0 of K - D, and h1 = h0 + h2 - chi(D) from the
-caller's chi(D): `_chi`, or the Ext scan's O(1) Riemann-Roch per pair.
+caller's chi(D): the closed form `_chi`, the Ext scan's O(1) Riemann-Roch
+per pair, or the Picard lattice's `_euler` in the report's spot check.
 One D.H serves both sides: K - D has coefficients -1 - c_e, so
 (K - D).H = K.H - D.H, with K.H = -sum H.D_e read from the same per-fan
 table as the degrees H.D_e.  A side of negative degree has h0 = 0 and is
@@ -121,7 +122,9 @@ def line_bundle_cohomology(fan: Fan, coeffs) -> CohomologyVector:
 
 def _cohomology(table, coeffs, degree: int, chi: int) -> CohomologyVector:
     """(h0, h0 + h2 - chi, h2) of D from the fan's `_ample_weights` table,
-    the integer coefficients of D (not changed), its degree D.H and chi(D)."""
+    the integer coefficients of D (not changed), its degree D.H and chi(D):
+    the closed form `_chi`, the Ext scan's O(1) Riemann-Roch, or the Picard
+    lattice in the report's spot check."""
     a, weights, k_degree = table
     dim0 = _reduce(a, weights, list(coeffs), degree) if degree >= 0 else 0
     dual_degree = k_degree - degree  # (K - D).H

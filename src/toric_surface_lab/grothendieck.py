@@ -285,18 +285,24 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     # chi(-D_i) = 1 + (D_i.D_i + K.D_i)/2, so o_i has chi -(D_i.D_i + K.D_i)/2.
     twice = [table_rows[0][0] + _dot(r0, bk), table_rows[1][1] + _dot(r1, bk)]
     twice += map(add, band, bk)
-    c1s = [r0, r1] + [zero_c1[:m] + (1,) + zero_c1[m + 1:] for m in range(n - 2)]
-    o_ray = [K0Class(0, c, -t // 2) for c, t in zip(c1s, twice)]
     one, zero, point = structure_class(fan), K0Class(0, zero_c1, 0), K0Class(0, zero_c1, 1)
-    cones = [sorted(pair) for pair in fan.cones()]
-    p_cone = [k0_multiply(lat, o_ray[i], o_ray[j]) for i, j in fan.cones()]
 
-    if all(o.chi == 1 for o in o_ray[2:]) and all(p == point for p in p_cone):
+    def o_ray(i: int) -> K0Class:
+        """The ray class o_i, built when needed: n dense c1s take O(n^2) memory."""
+        c1 = (r0, r1)[i] if i < 2 else zero_c1[:i - 2] + (1,) + zero_c1[i - 1:]
+        return K0Class(0, c1, -twice[i] // 2)
+
+    cones = [sorted(pair) for pair in fan.cones()]
+    # Each product equal to the point class is `point` itself, so they share one c1.
+    p_cone = [point if p == point else p for p in
+              (k0_multiply(lat, o_ray(i), o_ray(j)) for i, j in fan.cones())]
+
+    if all(-t // 2 == 1 for t in twice[2:]) and all(p is point for p in p_cone):
         rank, index = n, 1
     else:
         # Equal rows span the same lattice: the n two-cone classes may share one.
         pivots = hermite_pivots(list(dict.fromkeys(
-            cls.model_vector() for cls in (one, *o_ray, *p_cone))))
+            cls.model_vector() for cls in (one, *map(o_ray, range(n)), *p_cone))))
         rank, index = len(pivots), prod(map(abs, pivots))
     if rank != n or index != 1:
         return KlyachkoCertificate(
@@ -330,9 +336,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
                 return violated(checked + j - i - 1, [i], [j], got, expected)
         checked += n - 1 - i
         # Ray i times each faulty 2-cone, in cone order; none holds ray i.
-        x = o_ray[i]
         for k in faulty:
-            p = p_cone[k]
+            p, x = p_cone[k], o_ray(i)
             got = K0Class(0, tuple(p.rank * v for v in x.c1),
                           p.rank * x.chi + lat.pair(x.c1, p.c1))
             if got != zero:

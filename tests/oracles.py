@@ -18,6 +18,7 @@ from toric_surface_lab.cohomology import (
     ext_line_bundles,
     line_bundle_cohomology,
 )
+from toric_surface_lab.corpus import minimal_seed_pairs, random_chain
 from toric_surface_lab.derived import CollectionCertificate, ExceptionalCollection, ExtViolation
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
@@ -62,6 +63,7 @@ from toric_surface_lab.lattice_fan import (
     validate_fan,
 )
 from toric_surface_lab.symmetry import (
+    CONJUGACY_LABELS,
     IDENTITY,
     TABLE_GENERATORS,
     NotFinite,
@@ -389,6 +391,22 @@ def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGrou
     mi = mat_inv(m)
     gens = [mat_mul(m, mat_mul(g, mi)) for g in group.generators]
     return image, SymmetryGroup.from_generators(gens, image)
+
+
+@lru_cache(maxsize=None)
+def seed_pairs() -> list:
+    return [entry for label in CONJUGACY_LABELS for entry in minimal_seed_pairs(label)]
+
+
+def chain_of_17_to_24_rays(rng):
+    """A random equivariant blow-up chain of a random seed pair, grown until
+    it has at least 17 rays (`random_chain` keeps at most 24), and started
+    over from another seed pair when a chain stops growing."""
+    entry = rng.choice(seed_pairs())
+    while entry.fan.n < 17:
+        grown = random_chain(entry, rng, max_rays=24)
+        entry = grown if grown.fan.n > entry.fan.n else rng.choice(seed_pairs())
+    return entry
 
 
 def keyed_candidate_reps(fan: Fan, bound: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -1032,6 +1050,39 @@ def box_h0(fan: Fan, coeffs) -> int:
     pairing = pts @ np.array(fan.rays, dtype=np.int64).T
     mask = (pairing >= -np.array(coeffs, dtype=np.int64)).all(axis=1)
     return int(mask.sum())
+
+
+def column_h0(fan: Fan, coeffs) -> int:
+    """h0 of O(D) by counting the lattice points of the divisor polytope one
+    integer column x at a time, in plain integers; it shares no code with
+    the cohomology kernel.
+
+    Each ray v bounds the column by its half-plane <m, v> >= -c:
+    y >= -floor((c + v_x x)/v_y) for v_y > 0, y <= floor((c + v_x x)/(-v_y))
+    for v_y < 0, and a ray with v_y = 0 bounds x alone.  The x-range is that
+    of the per-cone points, as in `box_h0`: a point m of the polytope has
+    <m - m_cone, v> >= 0 on the rays of each cone, so m_x is at least the
+    x of the cone that holds (1, 0), and at most that of the cone that
+    holds (-1, 0).  Time grows with the width of the polytope.
+    """
+    rays = fan.rays
+    c = [int(x) for x in coeffs]
+    # m_x = num/det of each cone point <m, (p, q)> = -ci, <m, (r, s)> = -cj, by Cramer.
+    cone_x = [(q * cj - s * ci, p * s - q * r)
+              for (p, q), (r, s), ci, cj in zip(rays, rays[1:] + rays[:1], c, c[1:] + c[:1])]
+    x0 = min(-(-num // det) for num, det in cone_x)
+    x1 = max(num // det for num, det in cone_x)
+    up = [(vx, vy, ci) for (vx, vy), ci in zip(rays, c) if vy > 0]
+    down = [(vx, -vy, ci) for (vx, vy), ci in zip(rays, c) if vy < 0]
+    flat = [(vx, ci) for (vx, vy), ci in zip(rays, c) if vy == 0]
+    count = 0
+    for x in range(x0, x1 + 1):
+        if any(vx * x < -ci for vx, ci in flat):
+            continue
+        low = max(-((ci + vx * x) // vy) for vx, vy, ci in up)
+        high = min((ci + vx * x) // vy for vx, vy, ci in down)
+        count += max(0, high - low + 1)
+    return count
 
 
 def walk_h0(fan: Fan, coeffs) -> int:

@@ -308,8 +308,8 @@ def test_parser_built_once():
 class TestSpotCheck:
     def test_wrong_h1_is_caught(self, monkeypatch, dp6):
         """An h1 that is off by one everywhere is still self-dual (forward
-        and back agree), but it is not h0 + h2 - chi(K - D), so the duality
-        comparison sees it before Riemann-Roch is reached."""
+        and back agree), but it is not h0 + h2 - chi(K - D), so the
+        comparison of h0 - h1 + h2 with chi(K - D) sees it."""
 
         def wrong(table, coeffs, degree, chi):
             h = _cohomology(table, coeffs, degree, chi)
@@ -325,8 +325,9 @@ class TestSpotCheck:
         assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
 
     def test_wrong_picard_chi_is_caught(self, monkeypatch, dp6):
-        """A Picard-route chi off by one everywhere leaves the cohomology and
-        its duality alone, so only the Riemann-Roch comparison can see it."""
+        """A Picard-route chi off by one everywhere leaves h0 and h2 alone
+        but moves the kernel's h1 with it, so h0 - h1 + h2 is no longer the
+        closed form's chi(K - D)."""
         real = grothendieck.PicardLattice._euler
         monkeypatch.setattr(grothendieck.PicardLattice, "_euler",
                             lambda lat, tail, c0, c1: real(lat, tail, c0, c1) + 1)
@@ -343,18 +344,18 @@ class TestSpotCheck:
         assert "cohomology spot check failed" in report["result"]["failures"]
 
     def test_wrong_dual_chi_is_caught(self, monkeypatch, dp6):
-        """A closed-form chi(K - D) off by one fails the duality comparison,
-        h0 - h1 + h2 of the kernel against chi(K - D), on every sample.  The
-        fault is planted only on the chi(K - D) call: the spot check hands
-        the kernel `_chi(a, D)` from the same `cohomology._chi`, and a wrong
-        chi(D) moves h1 with it, which duality cannot see."""
+        """A closed-form chi(K - D) off by one fails the comparison of
+        h0 - h1 + h2 of the kernel against chi(K - D) on every sample.  The
+        fault is planted only on the spot check's own `_chi` calls, each on
+        the K - D of the kernel call before it: the kernel is handed chi(D)
+        from the Picard lattice, and the walks call `_chi` for their h0."""
         real = cohomology._chi
         spot = cli._spot_check_cohomology.__code__
         pending = []  # the D of the kernel call whose chi(K - D) comes next
 
         def planted_chi(a, c):
             if sys._getframe(1).f_code is not spot or not pending:
-                return real(a, c)  # a walk's h0, or the chi(D) handed to the kernel
+                return real(a, c)  # a walk's h0
             return real(a, c) + (list(c) == [-1 - x for x in pending.pop()])
 
         def record(table, coeffs, degree, chi):
@@ -365,6 +366,37 @@ class TestSpotCheck:
         monkeypatch.setattr(cohomology, "_cohomology", record)
         assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 50}
         assert not pending
+
+    def test_each_route_is_evaluated_once(self, monkeypatch, dp6):
+        """Each sample takes chi(D) once from the Picard lattice, hands that
+        chi to the kernel, and evaluates the closed form once, on K - D."""
+        real_euler, real_chi = grothendieck.PicardLattice._euler, cohomology._chi
+        spot = cli._spot_check_cohomology.__code__
+        calls = []
+
+        def euler(lat, tail, c0, c1):
+            chi = real_euler(lat, tail, c0, c1)
+            calls.append(("euler", [c0, c1, *tail], chi))
+            return chi
+
+        def closed_form(a, c):
+            if sys._getframe(1).f_code is spot:
+                calls.append(("chi", list(c)))
+            return real_chi(a, c)  # a walk's h0 is not counted
+
+        def kernel(table, coeffs, degree, chi):
+            calls.append(("kernel", list(coeffs), chi))
+            return _cohomology(table, coeffs, degree, chi)
+
+        monkeypatch.setattr(grothendieck.PicardLattice, "_euler", euler)
+        monkeypatch.setattr(cohomology, "_chi", closed_form)
+        monkeypatch.setattr(cohomology, "_cohomology", kernel)
+        assert cli._spot_check_cohomology(dp6, seed=0) == {"samples": 50, "violations": 0}
+        assert len(calls) == 150
+        for (e, d, picard_chi), (k, coeffs, chi), (c, dual) in zip(*[iter(calls)] * 3):
+            assert (e, k, c) == ("euler", "kernel", "chi")
+            assert coeffs == d and chi == picard_chi
+            assert dual == [-1 - x for x in d]
 
     def test_draws_cover_the_box(self, monkeypatch, dp6):
         """Each sample is one divisor of n coefficients in [-4, 4]; over the

@@ -32,6 +32,7 @@ from oracles import (
     box_h0,
     chamber_cohomology,
     ci_fan,
+    column_h0,
     doubling_ample_weights,
     two_pass_cohomology,
     unimodular_matrices,
@@ -175,7 +176,8 @@ class TestChamberOracle:
 
 
 class TestBoxOracle:
-    """The facet-length reduction against the lattice-point box scan."""
+    """The facet-length reduction against the lattice-point box scan, and the
+    column count against both."""
 
     def _check_band(self, small_corpus, bound, samples, seed):
         rng = random.Random(seed)
@@ -184,7 +186,7 @@ class TestBoxOracle:
             fan = rng.choice(fans)
             d = tuple(rng.randint(-bound, bound) for _ in range(fan.n))
             for c in (d, tuple(-1 - x for x in d)):
-                assert h0(fan, c) == box_h0(fan, c), (fan, c)
+                assert h0(fan, c) == box_h0(fan, c) == column_h0(fan, c), (fan, c)
             lat = picard(fan)
             assert line_bundle_cohomology(fan, d).euler == lat.chi(lat.divisor_coords(d))
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,19 @@ class TestKlyachkoOracle:
         fan = ci_fan(128)
         cert = verify_klyachko(fan)
         assert cert.ok and cert == band_product_klyachko(fan)
+
+    def test_memory_is_linear_in_the_rays(self):
+        """The certificate holds no dense c1 per ray: at 512 rays its
+        tracemalloc peak is under 1 MiB, where n ray classes of n - 2
+        entries each took about 4 MiB."""
+        fan = ci_fan(512)
+        tracemalloc.start()
+        try:
+            assert verify_klyachko(fan).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("fan", [p2_fan(), dp6_fan(), DP6_12], ids=["p2", "dp6", "dp6-12"])
     def test_planted_band_fault(self, monkeypatch, fan):
