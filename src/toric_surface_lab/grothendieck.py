@@ -304,20 +304,19 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
         pivots = hermite_pivots(list(dict.fromkeys(
             cls.model_vector() for cls in (one, *map(o_ray, range(n)), *p_cone))))
         rank, index = len(pivots), prod(map(abs, pivots))
-    if rank != n or index != 1:
-        return KlyachkoCertificate(
-            rank, index, 0, 0,
-            f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
-            {"kind": "span", "rank": rank, "index": index},
-        )
+    checked = rel2 = 0  # the counts made so far, which a failure reports
 
-    def violated(checked: int, rays1, rays2, got: K0Class, expected: K0Class):
+    def fail(message: str, witness: dict) -> KlyachkoCertificate:
+        return KlyachkoCertificate(rank, index, checked, rel2, message, witness)
+
+    def violated(rays1, rays2, got: K0Class, expected: K0Class) -> KlyachkoCertificate:
         got, expected = list(got.model_vector()), list(expected.model_vector())
-        return KlyachkoCertificate(
-            rank, index, checked, 0,
-            f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
-            {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected},
-        )
+        return fail(f"product of cones {rays1} and {rays2} is {got}, expected {expected}",
+                    {"kind": "product", "cones": [rays1, rays2], "got": got, "expected": expected})
+
+    if rank != n or index != 1:
+        return fail(f"cone classes span rank {rank} with index {index}, expected rank {n}, index 1",
+                    {"kind": "span", "rank": rank, "index": index})
 
     # A 2-cone class with rank or c1 comes from a faulty `k0_multiply`; its
     # products with rays are multiplied out in closed form.  It fails its own
@@ -333,7 +332,8 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             k = i if j == i + 1 else n - 1 if (i, j) == (0, n - 1) else None
             expected = zero if k is None else p_cone[k]
             if got != expected:
-                return violated(checked + j - i - 1, [i], [j], got, expected)
+                checked += j - i - 1
+                return violated([i], [j], got, expected)
         checked += n - 1 - i
         # Ray i times each faulty 2-cone, in cone order; none holds ray i.
         for k in faulty:
@@ -341,38 +341,28 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
             got = K0Class(0, tuple(p.rank * v for v in x.c1),
                           p.rank * x.chi + lat.pair(x.c1, p.c1))
             if got != zero:
-                before = k - (i < k) - ((i - 1) % n < k)
-                return violated(checked + before, [i], cones[k], got, zero)
+                checked += k - (i < k) - ((i - 1) % n < k)
+                return violated([i], cones[k], got, zero)
         checked += n - 2
     checked += n * (n - 3) // 2  # products of disjoint 2-cones
 
-    rel2 = 0
     for m in ((1, 0), (0, 1)):
         coeffs = tuple(-(m[0] * v[0] + m[1] * v[1]) for v in fan.rays)
         if line_bundle_class(fan, coeffs) != one:
-            return KlyachkoCertificate(
-                rank, index, checked, rel2,
-                f"character relation fails for {m}", {"kind": "character", "m": list(m)},
-            )
+            return fail(f"character relation fails for {m}", {"kind": "character", "m": list(m)})
         rel2 += 1
 
     for rays, cls in zip(cones, p_cone):
         if cls != point:
             got = list(cls.model_vector())
-            return KlyachkoCertificate(
-                rank, index, checked, rel2,
-                f"class of cone {rays} is {got}, expected the point class "
-                f"{list(point.model_vector())}",
-                {"kind": "point", "cone": rays, "got": got},
-            )
+            return fail(f"class of cone {rays} is {got}, expected the point class "
+                        f"{list(point.model_vector())}",
+                        {"kind": "point", "cone": rays, "got": got})
 
     for i in range(n):
         if twice[i] != -2:
-            return KlyachkoCertificate(
-                rank, index, checked, rel2,
-                f"ray {i} has D.(D + K) = {twice[i]}, expected -2: its class is not (0, D, 1)",
-                {"kind": "ray", "ray": i, "adjunction": twice[i]},
-            )
+            return fail(f"ray {i} has D.(D + K) = {twice[i]}, expected -2: its class is not "
+                        "(0, D, 1)", {"kind": "ray", "ray": i, "adjunction": twice[i]})
 
     return KlyachkoCertificate(rank, index, checked, rel2)
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -373,12 +374,20 @@ def closure_subgroups(group: SymmetryGroup) -> list[SymmetryGroup]:
 
 
 def ci_fan(n: int) -> Fan:
-    """The n-ray blow-up chain of the square that CI certifies at 128 and 256 rays."""
-    f, i = square_fan(), 0
-    while f.n < n:
-        f = blow_up(f, (i % f.n, (i + 1) % f.n))
+    """The n-ray blow-up chain of the square that CI certifies at 128 and 256 rays.
+
+    Step i blows up cones i and i + 1 (mod the ray count) and i moves on by
+    3.  The new rays go into one list, the later cone's first so that the
+    earlier index still holds, and the fan is validated once.
+    """
+    rays, i = list(square_fan().rays), 0
+    while len(rays) < n:
+        m = len(rays)
+        for k in sorted({i % m, (i + 1) % m}, reverse=True):
+            (x, y), (z, w) = rays[k], rays[(k + 1) % m]
+            rays.insert(k + 1, (x + z, y + w))
         i += 3
-    return f
+    return validate_fan(rays)
 
 
 def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGroup]:
@@ -1083,6 +1092,107 @@ def column_h0(fan: Fan, coeffs) -> int:
         high = min((ci + vx * x) // vy for vx, vy, ci in down)
         count += max(0, high - low + 1)
     return count
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a i + b)/m) over 0 <= i < n, for m > 0, by the
+    Euclid-like recursion in O(log m) steps (Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 3.5)."""
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b  # with 0 <= a, b < m, the largest numerator, reached at i = n
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
+def _lower_envelope(lines) -> list:
+    """The lower envelope of the lines x -> (a x + b)/m, given as (a, b, m)
+    with m > 0: [(start, slope, intercept, (a, b, m))] from left to right,
+    each line least from its start (None for the first, from -inf) to the
+    next one's."""
+    least = {}
+    for a, b, m in lines:
+        slope = Fraction(a, m)
+        if slope not in least or Fraction(b, m) < least[slope][0]:
+            least[slope] = (Fraction(b, m), (a, b, m))
+    hull = []
+    for slope in sorted(least, reverse=True):  # slopes fall from left to right
+        intercept, line = least[slope]
+        start = None
+        while hull:
+            x = (intercept - hull[-1][2]) / (hull[-1][1] - slope)
+            if hull[-1][0] is None or x > hull[-1][0]:
+                start = x
+                break
+            hull.pop()  # the top line is least nowhere
+        hull.append((start, slope, intercept, line))
+    return hull
+
+
+def _envelope_floor_sum(env, x0: int, x1: int) -> int:
+    """The sum of floor(envelope(x)) over the integers x0 <= x <= x1."""
+    total = 0
+    for k, (start, _, _, (a, b, m)) in enumerate(env):
+        first = x0 if start is None else max(x0, ceil(start))
+        last = x1 if k + 1 == len(env) else min(x1, ceil(env[k + 1][0]) - 1)
+        if first <= last:
+            total += _floor_sum(last - first + 1, m, a, a * first + b)
+    return total
+
+
+def floor_sum_h0(fan: Fan, coeffs) -> int:
+    """h0 of O(D) in O(n log n) Fraction steps and O(n log |c|) integer
+    steps, whatever the size of the polygon; standard library only, and it
+    shares no code with the cohomology kernel.
+
+    With the half-plane bounds of `column_h0`, the column x holds
+    floor(up(x)) + floor(down(x)) + 1 lattice points, where up and down are
+    the lower envelopes of the lines (c + v_x x)/v_y over the rays with
+    v_y > 0 and of (c + v_x x)/(-v_y) over those with v_y < 0.  The columns
+    to count are those where the concave up + down is >= 0, cut by the rays
+    with v_y = 0 and by the x-range of the cone points: a column outside
+    them holds at most 0 by that formula, and one inside at least 0.  Each
+    piece of an envelope contributes one floor sum.
+    """
+    rays = fan.rays
+    c = [int(x) for x in coeffs]
+    cone_x = [Fraction(q * cj - s * ci, p * s - q * r)
+              for (p, q), (r, s), ci, cj in zip(rays, rays[1:] + rays[:1], c, c[1:] + c[:1])]
+    lo, hi = min(cone_x), max(cone_x)
+    for (vx, vy), ci in zip(rays, c):
+        if vy == 0:  # a primitive (1, 0) bounds x >= -c, and (-1, 0) bounds x <= c
+            lo, hi = (max(lo, -ci), hi) if vx > 0 else (lo, min(hi, ci))
+    if lo > hi:
+        return 0
+    up = _lower_envelope((vx, ci, vy) for (vx, vy), ci in zip(rays, c) if vy > 0)
+    down = _lower_envelope((vx, ci, -vy) for (vx, vy), ci in zip(rays, c) if vy < 0)
+    starts = [[e[0] for e in env[1:]] for env in (up, down)]
+    cuts = sorted({lo, hi, *(x for xs in starts for x in xs if lo < x < hi)})
+    left = right = None
+    for p, q in list(zip(cuts, cuts[1:])) or [(lo, hi)]:
+        mid = (p + q) / 2
+        (_, s1, t1, _), (_, s2, t2, _) = (
+            env[bisect_right(xs, mid)] for env, xs in zip((up, down), starts))
+        s, t = s1 + s2, t1 + t2  # up + down is s x + t on [p, q]
+        if s > 0:
+            p = max(p, -t / s)
+        elif s < 0:
+            q = min(q, -t / s)
+        elif t < 0:
+            continue
+        if p <= q:
+            left = p if left is None else min(left, p)
+            right = q if right is None else max(right, q)
+    if left is None or ceil(left) > floor(right):
+        return 0
+    x0, x1 = ceil(left), floor(right)
+    return x1 - x0 + 1 + _envelope_floor_sum(up, x0, x1) + _envelope_floor_sum(down, x0, x1)
 
 
 def walk_h0(fan: Fan, coeffs) -> int:

@@ -34,6 +34,7 @@ from oracles import (
     ci_fan,
     column_h0,
     doubling_ample_weights,
+    floor_sum_h0,
     two_pass_cohomology,
     unimodular_matrices,
 )
@@ -203,6 +204,37 @@ class TestBoxOracle:
             for _ in range(40):
                 c = tuple(rng.randint(-6, 6) for _ in range(4))
                 assert h0(fan, c) == box_h0(fan, c), (a, c)
+
+
+class TestFloorSumOracle:
+    """`oracles.floor_sum_h0`, whose cost does not grow with the polygon,
+    against the column count on the corpus fans, and against the kernel at
+    coefficients up to 10^9 and on F(2^40)."""
+
+    @pytest.fixture(scope="class")
+    def corpus_fans(self):
+        return list({e.fan.rays: e.fan for e in standard_corpus(max_rays=16)}.values())
+
+    def test_matches_column_h0_on_corpus(self, corpus_fans):
+        rng = random.Random(25)
+        for fan in corpus_fans:
+            for bound in (3, 12):
+                d = tuple(rng.randint(-bound, bound) for _ in range(fan.n))
+                for c in (d, tuple(-1 - x for x in d)):
+                    assert floor_sum_h0(fan, c) == column_h0(fan, c), (fan, c)
+
+    def test_matches_kernel_at_large_coefficients(self, corpus_fans):
+        rng = random.Random(26)
+        for fan in corpus_fans:
+            for bound in (10**6, 10**9):
+                d = tuple(rng.randint(-bound // 8, bound) for _ in range(fan.n))
+                h = line_bundle_cohomology(fan, d)
+                dual = tuple(-1 - x for x in d)
+                assert (h.h0, h.h2) == (floor_sum_h0(fan, d), floor_sum_h0(fan, dual)), (fan, d)
+
+    def test_huge_twist(self):
+        fan = hirzebruch_fan(2**40)
+        assert floor_sum_h0(fan, (0, 0, 0, 1)) == h0(fan, (0, 0, 0, 1)) == 2**40 + 2
 
 
 class TestHugeTwist:

@@ -4,8 +4,13 @@
 `plain_digests.json` maps the same runs without `--json` to
 [exit code, stdout digest], so the human-readable lines are pinned too.
 The inputs live in tests/golden/ and every run uses paths relative to that
-directory, so the `inputs.path` fields of the reports are stable.  After an
-intended change of output, re-record both maps with
+directory, so the `inputs.path` fields of the reports are stable.
+
+The runs at scale are the rows of `pinned_runs.ROWS`, each with its input
+files, exit code, pinned digest and field check; CI runs every row as a
+fresh process (`python tests/pinned_runs.py`), and this module runs the rows
+that are not `slow` in-process.  After an intended change of output,
+re-record both maps and the table's digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from toric_surface_lab import cli
+
+import pinned_runs
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
@@ -55,12 +62,18 @@ def plain_runs() -> list[list[str]]:
     return [[a for a in argv if a != "--json"] for argv in golden_runs()]
 
 
+def run_in_process(argv: list[str]) -> tuple[int, bytes]:
+    """The exit code and the stdout of one CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, buf.getvalue().encode()
+
+
 def run_digest(argv: list[str]) -> tuple[int, str]:
     """The exit code and the sha256 of the stdout of one CLI run."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    code, out = run_in_process(argv)
+    return code, hashlib.sha256(out).hexdigest()
 
 
 def stdout_digest(argv: list[str]) -> str:
@@ -88,6 +101,24 @@ def test_golden_map_covers_exactly_the_runs():
     assert sorted(plain) == sorted(" ".join(argv) for argv in plain_runs())
 
 
+FAST_ROWS = [row for row in pinned_runs.ROWS if not row.slow]
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pinned")
+    pinned_runs.write_inputs(directory, FAST_ROWS)
+    return directory
+
+
+@pytest.mark.parametrize("row", FAST_ROWS, ids=lambda row: row.name)
+def test_pinned_row_in_process(row, pinned_inputs, monkeypatch):
+    monkeypatch.chdir(row.cwd or pinned_inputs)
+    assert row.argv[:len(pinned_runs.CLI)] == pinned_runs.CLI
+    code, out = run_in_process(list(row.argv[len(pinned_runs.CLI):]))
+    assert pinned_runs.mismatch(row, code, out) is None
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     digests = {" ".join(argv): stdout_digest(argv) for argv in golden_runs()}
@@ -96,3 +127,4 @@ if __name__ == "__main__":
     PLAIN_DIGESTS.write_text(json.dumps(plain, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests in {DIGESTS} "
           f"and {len(plain)} in {PLAIN_DIGESTS}")
+    print(f"re-recorded {pinned_runs.record()} digests in {pinned_runs.__file__}")

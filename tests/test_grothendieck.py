@@ -13,6 +13,7 @@ from toric_surface_lab.corpus import standard_corpus
 from toric_surface_lab.derived import ExceptionalCollection, build_collection, verify_collection
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
+    GrothendieckError,
     K0Class,
     PermutationBasis,
     act_on_divisor,
@@ -679,6 +680,14 @@ class TestRecurrence:
 
     def test_m_zero_tautology(self):
         assert fa_recurrence_check(hirzebruch_fan(2), [0])
+
+    def test_negative_m_is_rejected(self):
+        with pytest.raises(GrothendieckError, match="needs m >= 0, got -1"):
+            fa_recurrence_check(hirzebruch_fan(2), [-1])
+
+    def test_marking_needs_four_rays(self, p2):
+        with pytest.raises(GrothendieckError, match="not a 4-ray fan"):
+            hirzebruch_marking(p2)
 
     @pytest.mark.parametrize("a", [2, 3, 4, 5])
     def test_planted_product_fails(self, monkeypatch, a):

@@ -278,6 +278,10 @@ class TestProperties:
             for perm in aut.ray_permutations.values():
                 assert all(a[perm[i]] == a[i] for i in range(fan.n))
 
+    def test_hirzebruch_twist_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hirzebruch_fan(-1)
+
     def test_fan_values_are_hashable_and_equal(self):
         assert hash(p2_fan()) == hash(validate_fan([(0, 1), (-1, -1), (1, 0)]))
         assert Fan(p2_fan().rays) == p2_fan()

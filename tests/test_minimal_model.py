@@ -32,7 +32,13 @@ from toric_surface_lab.symmetry import (
     enumerate_subgroups,
     trivial_group,
 )
-from toric_surface_lab.corpus import minimal_seed_pairs, standard_corpus, subgroup_with_label
+from toric_surface_lab.corpus import (
+    CorpusEntry,
+    equivariant_blowups,
+    minimal_seed_pairs,
+    standard_corpus,
+    subgroup_with_label,
+)
 from toric_surface_lab.grothendieck import core_blocks, picard
 
 import classification_sweep
@@ -321,6 +327,19 @@ def test_classification_table_agrees_across_modules():
     assert realized(subgroups) == allowed
     seeds = [(e.fan, e.group) for g in TABLE_GENERATORS for e in minimal_seed_pairs(g)]
     assert realized(seeds) == allowed
+
+
+class TestCorpus:
+    def test_a_label_the_group_lacks_has_no_subgroup(self):
+        assert subgroup_with_label(p2_fan(), "C4") is None
+
+    def test_blowups_past_max_rays_are_skipped(self):
+        """Each cone of P2 is its own orbit under the trivial group: at most
+        4 rays keeps the three one-cone blow-ups of the seven unions."""
+        fan = p2_fan()
+        blowups = equivariant_blowups(CorpusEntry(fan, trivial_group(fan), "C1"), max_rays=4)
+        assert [e.fan for e in blowups] == [blow_up(fan, [i]) for i in range(3)]
+        assert len(equivariant_blowups(CorpusEntry(fan, trivial_group(fan), "C1"))) == 7
 
 
 class TestEverySmallFan:

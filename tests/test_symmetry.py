@@ -606,6 +606,18 @@ class TestRecords:
                 delattr(record, name)
         assert fan == dp6_fan() and group == compute_aut(fan)
 
+    def test_repr_shows_every_slot(self, p2_aut):
+        text = repr(p2_aut)
+        assert text.startswith("SymmetryGroup(elements=frozenset({")
+        assert all(f"{name}=" in text for name in SymmetryGroup.__slots__)
+        assert f"fan={p2_aut.fan!r}" in text
+
+    def test_orbits_need_a_fan(self):
+        bare = SymmetryGroup.from_generators([((0, 1), (1, 0))])
+        assert bare.fan is None and bare.order == 2
+        with pytest.raises(SymmetryError, match="not attached to a fan"):
+            bare.ray_orbits()
+
     def test_group_equality_ignores_ray_permutations(self):
         fan = dp6_fan()
         aut = compute_aut(fan)
