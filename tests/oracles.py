@@ -20,7 +20,12 @@ from toric_surface_lab.cohomology import (
     line_bundle_cohomology,
 )
 from toric_surface_lab.corpus import minimal_seed_pairs, random_chain
-from toric_surface_lab.derived import CollectionCertificate, ExceptionalCollection, ExtViolation
+from toric_surface_lab.derived import (
+    CollectionCertificate,
+    ExceptionalCollection,
+    ExtViolation,
+    build_collection,
+)
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
     K0Class,
@@ -31,7 +36,9 @@ from toric_surface_lab.grothendieck import (
     k0_multiply,
     line_bundle_class,
     picard,
+    standard_permutation_basis,
     structure_class,
+    verify_permutation_basis,
 )
 from toric_surface_lab.intlinalg import (
     Mat2,
@@ -63,6 +70,7 @@ from toric_surface_lab.lattice_fan import (
     square_fan,
     validate_fan,
 )
+from toric_surface_lab.minimal_model import classify_pair, minimalize, pullback
 from toric_surface_lab.symmetry import (
     CONJUGACY_LABELS,
     IDENTITY,
@@ -669,6 +677,16 @@ def band_product_klyachko(fan: Fan) -> KlyachkoCertificate:
     return KlyachkoCertificate(rank, index, checked, rel2)
 
 
+def report_matrices(fan: Fan, group: SymmetryGroup):
+    """The rows (1, c1, chi) of the standard basis and of the collection's
+    objects, the two matrices a report takes determinants of."""
+    coll, basis = certified_pair(fan, group)
+    lat = picard(fan)
+    for divisors in (basis.basis.divisors, [d for block in coll.blocks for d in block]):
+        coords = [lat.divisor_coords(d) for d in divisors]
+        yield [[1, *x, lat.chi(x)] for x in coords]
+
+
 def triple_loop_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination, one entry at
     a time, with the pivot rows kept as they are."""
@@ -834,6 +852,14 @@ def merge_blocks_by_orbits(
     for bi, block in enumerate(blocks):
         merged.setdefault(find(bi), []).extend(block)
     return list(merged.values())
+
+
+def certified_pair(fan: Fan, group: SymmetryGroup):
+    """The collection of a pair and the certificate of its standard basis."""
+    trace, label = classify_pair(fan, group)
+    pulled = pullback(trace)
+    basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
+    return build_collection(pulled, label), basis
 
 
 def pairwise_verify_collection(
@@ -1195,12 +1221,12 @@ def floor_sum_h0(fan: Fan, coeffs) -> int:
     return x1 - x0 + 1 + _envelope_floor_sum(up, x0, x1) + _envelope_floor_sum(down, x0, x1)
 
 
-def walk_h0(fan: Fan, coeffs) -> int:
+def walk_h0(fan: Fan, coeffs, table=_ample_weights) -> int:
     """h0 of O(D) by the facet-length walk `_reduce` alone, from its own
-    validation, table lookup and degree D.H (the public `h0` reads the
-    one-pass kernel instead)."""
+    validation, lookup of the (a, weights, k_degree) table of H and degree
+    D.H (the public `h0` reads the one-pass kernel instead)."""
     c = list(divisor(fan, coeffs))
-    a, weights, _ = _ample_weights(fan)
+    a, weights, _ = table(fan)
     degree = sum(w * x for w, x in zip(weights, c))
     return _reduce(a, weights, c, degree) if degree >= 0 else 0
 
@@ -1377,6 +1403,26 @@ def stepwise_pullback(trace, divisor) -> tuple[int, ...]:
         d = tuple(coeff[v] if v in coeff else coeff[rays[i - 1]] + coeff[rays[(i + 1) % n]]
                   for i, v in enumerate(rays))
     return d
+
+
+def check_each_class(fan: Fan, group: SymmetryGroup) -> int:
+    """`minimalize` against `stepwise_minimalize` (the terminal fan and the
+    step count), and each pulled-back terminal ray divisor and each
+    exceptional class against `stepwise_pullback`; the classes O(E) of step
+    k live on the fan before it, so they go along the sub-trace that ends
+    there.  Returns the number of classes checked."""
+    got, trace = minimalize(fan, group), stepwise_minimalize(fan, group)
+    assert got.terminal_fan == trace.terminal_fan
+    pulled = pullback(got)
+    m = trace.terminal_fan.n
+    for i in range(m):
+        assert pulled.rays[i] == stepwise_pullback(trace, [int(e == i) for e in range(m)])
+    assert len(pulled.exceptional) == len(trace.steps)
+    for k, (step, block) in enumerate(zip(trace.steps, pulled.exceptional)):
+        sub = trace._replace(steps=trace.steps[:k], terminal_fan=step.before)
+        units = [[int(v == ray) for v in step.before.rays] for ray in step.contracted]
+        assert list(block) == [stepwise_pullback(sub, u) for u in units], k
+    return m + sum(map(len, pulled.exceptional))
 
 
 def canonical_sequence(a: tuple[int, ...]) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ from toric_surface_lab.grothendieck import (
     core_blocks,
     line_bundle_class,
     search_line_bundle_basis,
-    standard_permutation_basis,
     verify_permutation_basis,
 )
 from toric_surface_lab.lattice_fan import blow_up, dp6_fan, hirzebruch_fan, p2_fan
@@ -43,28 +42,20 @@ from toric_surface_lab.corpus import (
     subgroup_with_label,
 )
 
+import sweeps
 from oracles import (
-    chain_of_17_to_24_rays,
+    certified_pair,
     ci_fan,
     column_h0,
     merge_blocks_by_orbits,
     pairwise_verify_collection,
     random_basis,
-    two_pass_cohomology,
 )
 
 
 def collection_for(fan, group):
     trace, label = classify_pair(fan, group)
     return build_collection(pullback(trace), label)
-
-
-def certified_pair(fan, group):
-    """The collection of a pair and the certificate of its standard basis."""
-    trace, label = classify_pair(fan, group)
-    pulled = pullback(trace)
-    basis = verify_permutation_basis(standard_permutation_basis(pulled, label), group)
-    return build_collection(pulled, label), basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -657,25 +648,22 @@ class TestClassesFromBasis:
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_differential_slice_on_chains_of_17_to_24_rays(seed):
-    """The Tier-1 slice of the differential suite for cohomology and the
-    collection: a chain of 17-24 rays in a random lattice basis, its
-    cohomology against two separate h0 walks on random divisors, and its
-    collection certificate against the pairwise oracle, in both orders,
-    with and without the basis certificate.  The walks share `_reduce` with
-    the kernel, so every divisor also checks (h0, h2) against the column
-    counts of D and K - D, which share no code with it.  Budget: 100
-    examples, about 2.3 s, which reach all 13 group classes."""
-    rng = random.Random(seed)
-    entry = chain_of_17_to_24_rays(rng)
-    fan, group = random_basis(rng, entry.fan, entry.group)
-    assert 17 <= fan.n <= 24
-    for _ in range(20):
-        d = tuple(rng.randint(-6, 6) for _ in range(fan.n))
-        got = line_bundle_cohomology(fan, d)
-        assert got.as_tuple() == two_pass_cohomology(fan, d), d
-        assert (got.h0, got.h2) == (column_h0(fan, d), column_h0(fan, [-1 - c for c in d])), d
-    coll, basis = certified_pair(fan, group)
-    for c in (coll, coll.reversed()):
-        want = pairwise_verify_collection(c, group)
-        assert verify_collection(c, group) == want
-        assert verify_collection(c, group, basis) == want
+    """The Tier-1 slice of the chains row of `sweeps.py`: its cohomology and
+    collection checks on a chain of 17-24 rays in a random lattice basis.
+    Budget: 100 examples, under 3 s, which reach all 13 group classes."""
+    draw = sweeps.chain(seed)
+    assert 17 <= draw.fan.n <= 24
+    sweeps.pairs(draw.fan, draw.small, column_h0)
+    sweeps.collection(draw.fan, draw.group)
+
+
+def test_sweeps_at_seed_0(monkeypatch, capsys):
+    """Both rows of `sweeps.py` pass at seed 0 with one line per check; a
+    planted h0 fault fails the chains row, naming the seed and the check."""
+    rows = [row._replace(seeds=range(1)) for row in sweeps.ROWS]
+    sweeps.run(rows)
+    assert len(capsys.readouterr().out.splitlines()) == sum(len(row.checks) for row in rows)
+    monkeypatch.setattr(oracles, "column_h0", lambda fan, coeffs: -1)
+    with pytest.raises(AssertionError, match="oracles"):
+        sweeps.run(rows[1:])
+    assert capsys.readouterr().out == "chains, seed 0: cohomology, |c| <= 6, against column_h0\n"

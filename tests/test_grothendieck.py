@@ -10,7 +10,7 @@ import pytest
 from toric_surface_lab.cli import basis_payload
 from toric_surface_lab.cohomology import ext_line_bundles, h0, line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus
-from toric_surface_lab.derived import ExceptionalCollection, build_collection, verify_collection
+from toric_surface_lab.derived import ExceptionalCollection, verify_collection
 from toric_surface_lab import grothendieck
 from toric_surface_lab.grothendieck import (
     GrothendieckError,
@@ -57,6 +57,7 @@ from oracles import (
     pairwise_klyachko,
     random_basis,
     rank_pruned_basis_search,
+    report_matrices,
     solve2_divisor_coords,
     symmetric_signature,
     triple_loop_bareiss,
@@ -774,18 +775,6 @@ class TestBareiss:
     """`bareiss_det` (a row at a time, positive pivots, rows with a zero
     entry left alone) against `triple_loop_bareiss`."""
 
-    @staticmethod
-    def certified_matrices(fan, group):
-        """The rows (1, c1, chi) of the standard basis and of the collection's
-        objects, the two matrices a report takes determinants of."""
-        trace, label = classify_pair(fan, group)
-        pulled = pullback(trace)
-        lat = picard(fan)
-        for divisors in (standard_permutation_basis(pulled, label).divisors,
-                         [d for block in build_collection(pulled, label).blocks for d in block]):
-            coords = [lat.divisor_coords(d) for d in divisors]
-            yield [[1, *x, lat.chi(x)] for x in coords]
-
     def test_random_singular_and_row_swapping_matrices(self):
         rng = random.Random(32)
         seen = {"zero": 0, "swap": 0}
@@ -811,7 +800,7 @@ class TestBareiss:
         for entry in entries.values():
             pairs += [(entry.fan, entry.group), random_basis(rng, entry.fan, entry.group)]
         for fan, group in pairs:
-            for m in self.certified_matrices(fan, group):
+            for m in report_matrices(fan, group):
                 det = bareiss_det(m)
                 assert det in (1, -1) and det == triple_loop_bareiss(m)
 

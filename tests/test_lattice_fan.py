@@ -109,8 +109,8 @@ class TestValidate:
         the rays by pairwise angle comparisons: on every 16-ray corpus fan in
         random bases and rotations, and on those ray lists reversed, doubled,
         cut to the upper half-plane, with two rays swapped, and on random
-        ray lists (`validate_fan_inputs`, seed 53; CI's `validate_sweep.py`
-        runs seeds 0-99)."""
+        ray lists (`validate_fan_inputs`, seed 53; the `validate` row of
+        `sweeps.py` runs seeds 0-99)."""
         inputs = validate_fan_inputs({e.fan for e in standard_corpus(max_rays=16)}, 53)
         assert len(inputs) == 2322
         kinds = set()

@@ -46,6 +46,7 @@ from classification_sweep import COUNTS, sweep
 from oracles import (
     all_fans,
     canonical_sequence,
+    check_each_class,
     ci_fan,
     random_basis,
     sequence_fans,
@@ -413,35 +414,17 @@ class TestPullback:
                 checked += 1
         assert checked > 1000
 
-    @staticmethod
-    def _check_each_class(fan, group) -> int:
-        """Each pulled-back terminal ray divisor and each exceptional class
-        against `stepwise_pullback` of the `stepwise_minimalize` trace; the
-        classes O(E) of step k live on the fan before it, so they go along
-        the sub-trace that ends there."""
-        pulled = pullback(minimalize(fan, group))
-        trace = stepwise_minimalize(fan, group)
-        m = trace.terminal_fan.n
-        for i in range(m):
-            assert pulled.rays[i] == stepwise_pullback(trace, [int(e == i) for e in range(m)])
-        assert len(pulled.exceptional) == len(trace.steps)
-        for k, (step, block) in enumerate(zip(trace.steps, pulled.exceptional)):
-            sub = trace._replace(steps=trace.steps[:k], terminal_fan=step.before)
-            units = [[int(v == ray) for v in step.before.rays] for ray in step.contracted]
-            assert list(block) == [stepwise_pullback(sub, u) for u in units], k
-        return m + sum(map(len, pulled.exceptional))
-
     def test_each_class_matches_stepwise_pullback_on_corpus(self):
         checked = 0
         for entry in standard_corpus(max_rays=16):
-            checked += self._check_each_class(entry.fan, entry.group)
+            checked += check_each_class(entry.fan, entry.group)
         assert checked > 1000
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_each_class_matches_stepwise_pullback_on_recipe_fans(self, n):
         """The CI recipe fans contract one ray per step down to P2."""
         fan = ci_fan(n)
-        assert self._check_each_class(fan, trivial_group(fan)) == n
+        assert check_each_class(fan, trivial_group(fan)) == n
 
     def test_each_class_matches_stepwise_pullback_on_dp6_192(self):
         """dP6 blown up at every cone five times, under D12 (the CI recipe):
@@ -453,7 +436,7 @@ class TestPullback:
         group = SymmetryGroup.from_generators([((1, -1), (1, 0)), ((0, 1), (1, 0))], fan)
         trace = minimalize(fan, group)
         assert [len(step.contracted) for step in trace.steps] == [12] * 15 + [6]
-        assert self._check_each_class(fan, group) == 192
+        assert check_each_class(fan, group) == 192
 
     def test_projection_formula_on_corpus(self):
         """pi*D.pi*D' = D.D', pi*D.E = 0 and E_i.E_j = -delta_ij for the ray
