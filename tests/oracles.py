@@ -398,12 +398,18 @@ def ci_fan(n: int) -> Fan:
     return validate_fan(rays)
 
 
+def random_unimodular(rng, bound: int = 3) -> Mat2:
+    """A GL(2,Z) matrix with entries within `bound`: the entries drawn row by
+    row until the determinant is 1 or -1."""
+    while True:
+        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(2)) for _ in range(2))
+        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1:
+            return m
+
+
 def random_basis(rng, fan: Fan, group: SymmetryGroup) -> tuple[Fan, SymmetryGroup]:
     """The pair rewritten in a random lattice basis (entries within 3)."""
-    while True:
-        m = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1:
-            break
+    m = random_unimodular(rng)
     image = apply_matrix(m, fan)
     mi = mat_inv(m)
     gens = [mat_mul(m, mat_mul(g, mi)) for g in group.generators]

@@ -3,10 +3,11 @@
 Each row is a command line run by a fresh interpreter, in a directory that
 holds the row's input files (written byte for byte by `INPUTS`) or in
 tests/golden/, with a time limit.  A row passes when the exit code is the
-expected one, the stdout has the pinned sha256 (where one is pinned) and
-the row's field check (where it has one) accepts the stdout.  Paths are
-relative to the run's directory, so the `inputs.path` fields of the reports
-are the same on every machine.
+expected one, the stdout has the sha256 recorded under the row's name in
+golden/digests.json (where the row is `pinned`) and the row's field check
+(where it has one) accepts the stdout.  Paths are relative to the run's
+directory, so the `inputs.path` fields of the reports are the same on every
+machine.
 
     PYTHONPATH=src python tests/pinned_runs.py
 
@@ -15,7 +16,8 @@ time and its limit, and exits 1 at any mismatch.  Tier-1 runs the rows that
 are not `slow` in-process with the same checks
 (`test_golden.py::test_pinned_row_in_process`).  After an intended change
 of output, `python tests/test_golden.py` re-records these digests together
-with the golden maps.
+with the rest of the record; it leaves a row that fails any other check
+unrecorded.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from typing import Callable, NamedTuple
 import toric_surface_lab
 
 GOLDEN = Path(__file__).parent / "golden"
+# The one record of every pinned CLI output; test_golden.py lists its keys.
+DIGESTS = GOLDEN / "digests.json"
+RECORDED: dict[str, list | str] = json.loads(DIGESTS.read_text())
 CLI = ("-m", "toric_surface_lab.cli")
 
 
@@ -111,7 +116,7 @@ class Row(NamedTuple):
     timeout: float  # seconds
     cwd: Path | None = None  # None: a scratch directory that holds `inputs`
     code: int = 0
-    sha256: str | None = None
+    pinned: bool = False  # its stdout sha256 is RECORDED under its name
     check: Callable[[bytes], bool] | None = None
     slow: bool = False  # over 0.5 s as a fresh process: Tier-1 leaves it out
 
@@ -133,55 +138,42 @@ ROWS = (
         check=lambda out: fields(out, "minimal_model", "kind", "group_label") == ("dP6", "D12")),
     Row("report on the 192-ray D12 blow-up of dP6",
         (*CLI, "report", "--fan", "dp6-192.json", "--group", "d12.json", "--json"),
-        ("dp6-192.json", "d12.json"), 10,
-        sha256="ad903b2a88a7b48352f3a97b1efd9165df6141c03f2cd8cbb5fdc50940de939d"),
+        ("dp6-192.json", "d12.json"), 10, pinned=True),
     Row("basis search on a trivial-group 6-ray fan at bound 1",
         (*CLI, "basis", "--fan", "six.json", "--bound", "1", "--json"), ("six.json",), 5,
-        sha256="c8f7a99d951b811bbe196ef0317c8d1526eb2b91b8ca24e94344dc64c61a0d06"),
+        pinned=True),
     Row("basis search on the 12-ray D12 blow-up of dP6 at bound 1",
         (*CLI, "basis", "--fan", "dp6-12.json", "--group", "d12.json", "--bound", "1", "--json"),
-        (), 30, cwd=GOLDEN,
-        sha256="f9a0ad5c2adef70892654b9ee3ddb87ef2ab0b82c8e527ed272ae9aa10a4df00", slow=True),
+        (), 30, cwd=GOLDEN, pinned=True, slow=True),
     Row("contraction of a 2048-ray fan to P2 in 2045 steps",
         (*CLI, "classify", "--fan", "fan2048.json", "--json"), ("fan2048.json",), 3,
         check=_contracts_to_p2),
     Row("pullback of the 2048-ray contraction", ("-c", PULLBACK, "fan2048.json"),
-        ("fan2048.json",), 5,
-        sha256="b3ac4313ec18abeb7f3ac45ec92ca74f924ca6dd88678fb8bc38c281a5365d24", slow=True),
+        ("fan2048.json",), 5, pinned=True, slow=True),
     Row("K0 certificate on a 256-ray fan", (*CLI, "k0-verify", "--fan", "fan256.json", "--json"),
-        ("fan256.json",), 5,
-        sha256="5b1ff863f958f1ee256bb6383947a213b37faca257f861ed1a68ba4217f19905",
+        ("fan256.json",), 5, pinned=True,
         check=lambda out: fields(out, "k0", "rank", "orbit_closure_pairs") == (256, 130561)),
     Row("collection certificate on a 128-ray fan",
-        (*CLI, "collection", "--fan", "fan128.json", "--json"), ("fan128.json",), 10,
-        sha256="5a036cb5671a768384a10bcb815b41e54b05ebcb2d2afd32011d1a08944795f0",
+        (*CLI, "collection", "--fan", "fan128.json", "--json"), ("fan128.json",), 10, pinned=True,
         check=lambda out: fields(out, "collection", "verified", "pairs_checked") == (True, 8256)),
     Row("collection certificate on a 256-ray fan",
-        (*CLI, "collection", "--fan", "fan256.json", "--json"), ("fan256.json",), 5,
-        sha256="7bc45d9cdb8db92fd105fc50984693122c9c5ea0ac971c9fb9bc267cc6843c8a",
+        (*CLI, "collection", "--fan", "fan256.json", "--json"), ("fan256.json",), 5, pinned=True,
         check=lambda out: fields(out, "collection", "verified", "pairs_checked") == (True, 32896)),
     Row("reversed collection on a 128-ray fan exits 1",
         (*CLI, "collection", "--fan", "fan128.json", "--order", "reversed", "--json"),
-        ("fan128.json",), 10, code=1,
-        sha256="d8fe68b5404884581614d909f97e70ed7e4a12bfc45127253e5731ab90fbd928"),
+        ("fan128.json",), 10, code=1, pinned=True),
     Row("basis certificate on a 128-ray fan", (*CLI, "basis", "--fan", "fan128.json", "--json"),
-        ("fan128.json",), 10,
-        sha256="9c455d361c96c5b3c99d2a7a1a8d69f71b8409e79a9108ee8ff9a96d857f1b81",
-        check=_unimodular_128),
+        ("fan128.json",), 10, pinned=True, check=_unimodular_128),
     Row("decomposition on a 128-ray fan", (*CLI, "decompose", "--fan", "fan128.json", "--json"),
-        ("fan128.json",), 10,
-        sha256="27b36ae7c0d6187e9ba472c9b05f9a581aa16f7161264fdf36130e49975606c9",
+        ("fan128.json",), 10, pinned=True,
         check=lambda out: json.loads(out)["status"] == "ok"),
     Row("report on a 128-ray fan, its stdout json.dumps(sort_keys=True, indent=2) byte for byte",
-        (*CLI, "report", "--fan", "fan128.json", "--json"), ("fan128.json",), 10,
-        sha256="4ee3a4bd0b49baf81cbf8b4fc1cc0cc43fc600b2f5792c8cc525b0afd695ee62",
+        (*CLI, "report", "--fan", "fan128.json", "--json"), ("fan128.json",), 10, pinned=True,
         check=_canonical),
     Row("report on a 512-ray fan", (*CLI, "report", "--fan", "fan512.json", "--json"),
-        ("fan512.json",), 10,
-        sha256="da3c9a712c9f63ab245fbddc495a90d4b73c62529e555b3f57e5637fb16764cd", slow=True),
+        ("fan512.json",), 10, pinned=True, slow=True),
     Row("report on a 1024-ray fan", (*CLI, "report", "--fan", "fan1024.json", "--json"),
-        ("fan1024.json",), 30,
-        sha256="a6b7ecbb79deb76a782fd0acd6dfbd1209fb031d5c1be403e87c45b62ad38cce", slow=True),
+        ("fan1024.json",), 30, pinned=True, slow=True),
 )
 
 
@@ -195,8 +187,8 @@ def mismatch(row: Row, code: int, out: bytes) -> str | None:
     if code != row.code:
         return f"exit code {code}, expected {row.code}"
     digest = hashlib.sha256(out).hexdigest()
-    if row.sha256 is not None and digest != row.sha256:
-        return f"stdout sha256 {digest}, pinned {row.sha256}"
+    if row.pinned and digest != RECORDED[row.name]:
+        return f"stdout sha256 {digest}, recorded {RECORDED[row.name]}"
     if row.check is not None and not row.check(out):
         return "the field check rejects the stdout"
     return None
@@ -219,28 +211,6 @@ def run(row: Row, scratch: Path) -> tuple[float, str | None, bytes]:
     if problem is not None and proc.stderr:
         problem += "\n" + proc.stderr.decode(errors="replace")
     return wall, problem, proc.stdout
-
-
-def record() -> int:
-    """Rewrite each pinned digest of this file that a fresh run no longer
-    matches, where the run passes every other check of its row."""
-    source = Path(__file__)
-    text = source.read_text()
-    changed = 0
-    with tempfile.TemporaryDirectory() as scratch:
-        write_inputs(Path(scratch), ROWS)
-        for row in ROWS:
-            if row.sha256 is None:
-                continue
-            _, problem, out = run(row._replace(sha256=None), Path(scratch))
-            digest = hashlib.sha256(out).hexdigest()
-            if problem is not None:
-                print(f"not re-recorded: {row.name}: {problem}")
-            elif digest != row.sha256:
-                text = text.replace(row.sha256, digest)
-                changed += 1
-    source.write_text(text)
-    return changed
 
 
 def main() -> int:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from oracles import chamber_cohomology
+from oracles import chamber_cohomology, random_unimodular
 
 from toric_surface_lab.cohomology import line_bundle_cohomology
 from toric_surface_lab.corpus import standard_corpus, subgroup_with_label
@@ -74,16 +74,6 @@ def _finish(num: int, ok: bool, detail: str, elapsed: float, limit: float | None
         assert elapsed < limit, f"criterion {num} exceeded {limit}s: {elapsed:.2f}s"
 
 
-def _random_unimodular(rng, bound=3):
-    while True:
-        m = (
-            (rng.randint(-bound, bound), rng.randint(-bound, bound)),
-            (rng.randint(-bound, bound), rng.randint(-bound, bound)),
-        )
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] in (1, -1):
-            return m
-
-
 def test_criterion_1_automorphism_orders():
     start = time.perf_counter()
     orders = {
@@ -110,7 +100,7 @@ def test_criterion_2_thirteen_classes():
         for sub in enumerate_subgroups(compute_aut(fan)):
             label = classify_subgroup(sub)
             for _ in range(100):
-                m = _random_unimodular(rng)
+                m = random_unimodular(rng)
                 mi = mat_inv(m)
                 conj = [mat_mul(m, mat_mul(g, mi)) for g in sorted(sub.elements)]
                 if classify_subgroup(conj) != label:

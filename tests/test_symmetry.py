@@ -47,18 +47,9 @@ from oracles import (
     loop_classify,
     pairwise_close,
     random_basis,
+    random_unimodular,
     unimodular_matrices,
 )
-
-
-def random_unimodular(rng: random.Random, bound: int = 3):
-    while True:
-        m = (
-            (rng.randint(-bound, bound), rng.randint(-bound, bound)),
-            (rng.randint(-bound, bound), rng.randint(-bound, bound)),
-        )
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] in (1, -1):
-            return m
 
 
 def large_unimodular(rng: random.Random, bound: int = 10**6):
