@@ -267,7 +267,9 @@ def verify_klyachko(fan: Fan) -> KlyachkoCertificate:
     u x = x, o_i o_j = (0, 0, D_i.D_j), and 0 for a product with a 2-cone
     class of rank 0 and c1 = 0; so the 2n^2 - 2n + 1 product relations hold
     when D_i.D_j = 0 for non-adjacent rays and each 2-cone class is
-    (0, 0, D_i.D_(i+1)), which takes O(n).  When every o_i (i >= 2) is
+    (0, 0, D_i.D_(i+1)), a scan of O(n).  The n 2-cone products themselves
+    take O(n) each, over dense c1s in `k0_multiply` and `PicardLattice.pair`,
+    so the certificate takes O(n^2) in all.  When every o_i (i >= 2) is
     (0, e_i, 1) and every 2-cone class the point class, the rows unit,
     o_2..o_(n-1) and point are unitriangular, and the Hermite pivots are
     taken only otherwise.  A failure returns the certificate at the first

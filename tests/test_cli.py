@@ -24,7 +24,7 @@ from toric_surface_lab import (
 from toric_surface_lab.cli import main
 from toric_surface_lab.cohomology import CohomologyVector, _ample_weights, _cohomology
 
-from exit_matrix import CELLS, expected_code, run_cell
+from sweeps import CELLS, expected_code, run_cell
 from test_golden import GOLDEN, golden_runs
 
 
@@ -877,10 +877,10 @@ class TestWriteFailure:
         assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
-# The Tier-1 slice of tests/exit_matrix.py (20 of its 72 cells): every input
-# and flag with stderr on /dev/full, stdout writable or a closed pipe for
-# `validate` and writable for the failed collection; and a full stdout with
-# a writable stderr once for each command.
+# The Tier-1 slice of the exit row of tests/sweeps.py (20 of its 72 cells):
+# every input and flag with stderr on /dev/full, stdout writable or a closed
+# pipe for `validate` and writable for the failed collection; and a full
+# stdout with a writable stderr once for each command.
 EXIT_SLICE = [cell for cell in CELLS if cell[4] == "full" and (
     cell[3] == "ok" or (cell[3] == "closed" and cell[0] == ("validate",)))]
 EXIT_SLICE += [(("validate",), ("--json",), "valid", "full", "ok"),

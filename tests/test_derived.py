@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from toric_surface_lab import cohomology, derived
+from toric_surface_lab import cohomology, derived, grothendieck
 from toric_surface_lab.cohomology import (
     CohomologyVector,
     _ample_weights,
@@ -658,12 +658,22 @@ def test_differential_slice_on_chains_of_17_to_24_rays(seed):
 
 
 def test_sweeps_at_seed_0(monkeypatch, capsys):
-    """Both rows of `sweeps.py` pass at seed 0 with one line per check; a
-    planted h0 fault fails the chains row, naming the seed and the check."""
+    """Every row of `sweeps.py` passes at seed 0 with one line per check, the
+    `pairs` row on its 666 pairs of 585 fans, 25 G-minimal, and all 18 table
+    entries.  A planted h0 fault fails the chains row first, and a dropped
+    candidate orbit the search row, each naming the seed and the check."""
     rows = [row._replace(seeds=range(1)) for row in sweeps.ROWS]
     sweeps.run(rows)
-    assert len(capsys.readouterr().out.splitlines()) == sum(len(row.checks) for row in rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == sum(len(row.checks) for row in rows)
+    assert [ln.split()[1] for ln in lines if ln[:5] == "pairs"] == ["666", "585", "666", "25", "18"]
     monkeypatch.setattr(oracles, "column_h0", lambda fan, coeffs: -1)
     with pytest.raises(AssertionError, match="oracles"):
         sweeps.run(rows[1:])
     assert capsys.readouterr().out == "chains, seed 0: cohomology, |c| <= 6, against column_h0\n"
+    candidates = grothendieck._candidate_orbits
+    monkeypatch.setattr(grothendieck, "_candidate_orbits", lambda *args: (
+        candidates(*args)[0], candidates(*args)[1][1:]))
+    with pytest.raises(AssertionError):
+        sweeps.run(rows[4:])
+    assert capsys.readouterr().out.startswith("search, seed 0: _candidate_orbits against")

@@ -41,8 +41,7 @@ from toric_surface_lab.corpus import (
 )
 from toric_surface_lab.grothendieck import core_blocks, picard
 
-import classification_sweep
-from classification_sweep import COUNTS, sweep
+import sweeps
 from oracles import (
     all_fans,
     canonical_sequence,
@@ -345,7 +344,7 @@ class TestCorpus:
 
 class TestEverySmallFan:
     """The classification theorem on every fan of at most 10 rays with each
-    |a_i| <= 4; CI runs tests/classification_sweep.py at 12 rays and 5."""
+    |a_i| <= 4 is the `pairs` row of `sweeps.py` at seed 0 (`test_derived.py`)."""
 
     def test_blow_up_closure_matches_the_sequences_rebuilt_into_rays(self):
         keys = [{canonical_sequence(lattice_fan.self_intersections(f)) for f in route(7, 3)}
@@ -353,25 +352,12 @@ class TestEverySmallFan:
         assert keys[0] == keys[1]
         assert len(keys[0]) == 28
 
-    def test_every_pair_classifies_into_the_table_and_certifies(self):
-        """All 666 (fan, subgroup) pairs contract into a table row with no
-        TableViolation and pass every check of the sweep, the certificates,
-        the stepwise contraction and the correspondence of blocks with
-        orbits included, and together they realise each of the table's 18
-        (row, group) entries."""
-        result = sweep(10, 4)
-        assert result.counts == COUNTS[10, 4] == (585, 666, 25)
-        assert result.failures == []
-        realised = {(row, g) for row, seen in result.realised.items() for g in seen}
-        table = {(row, g) for row in TABLE for g in row.groups}
-        assert realised == table and len(table) == 18
-
     def test_split_block_fails_the_correspondence(self, monkeypatch, capsys):
         """The first block of two or more objects split in two is no longer
         one orbit, nor group-closed: each pair with such a block fails the
         correspondence checks and the collection certificate, and the
-        command line exits 1."""
-        real = classification_sweep.build_collection
+        `pairs` row raises, naming them; at (7, 3) some of its 65 pairs do."""
+        real = sweeps.build_collection
 
         def split(pulled, label):
             coll = real(pulled, label)
@@ -381,14 +367,15 @@ class TestEverySmallFan:
             block = coll.blocks[b]
             return coll._replace(blocks=coll.blocks[:b] + (block[:1], block[1:]) + coll.blocks[b + 1:])
 
-        monkeypatch.setattr(classification_sweep, "build_collection", split)
-        result = sweep(7, 3)
-        names = Counter(line.split(": ")[-1] for line in result.failures)
+        monkeypatch.setattr(sweeps, "build_collection", split)
+        monkeypatch.setattr(sweeps, "SIZES", ((7, 3),))
+        with pytest.raises(AssertionError) as failed:
+            sweeps.run([sweeps.ROWS[2]._replace(seeds=range(1))])
+        names = Counter(line.split(": ")[-1] for line in str(failed.value).splitlines())
         assert set(names) == {"collection certificate", "blocks are orbits",
                               "block sizes are basis orbit sizes"}
-        assert len(set(names.values())) == 1 and 0 < names["blocks are orbits"] < result.pairs
-        assert classification_sweep.main(["7", "3"]) == 1
-        assert "blocks are orbits" in capsys.readouterr().out
+        assert len(set(names.values())) == 1 and 0 < names["blocks are orbits"] < 65
+        assert capsys.readouterr().out.startswith("pairs, seed 0: label, certificates")
 
 
 class TestPullback:
